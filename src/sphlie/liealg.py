@@ -43,13 +43,14 @@ from .linalg import (
     image_subspace,
     is_zero_vector,
     kernel,
-    mat_add,
+    lin_comb,
     mat_apply,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_trace,
     mat_transpose,
+    mat_unflatten,
     residual_operator,
     restrict_bilinear_form,
     rref,
@@ -58,10 +59,8 @@ from .linalg import (
     subspace_sum,
     symmetric_signature,
     unit_vector,
-    vec_add,
     vec_scale,
     zero_subspace,
-    zero_vector,
 )
 from .spectral import eigen_split
 
@@ -82,22 +81,25 @@ class SpanSolver:
         red, pivots = rref(aug)
         if len(red) != self.k or any(p >= self.n for p in pivots):
             raise DimensionMismatch("spanning list is linearly dependent")
-        self.red = red
-        self.pivots = pivots
+        # per pivot: the nonzero entries of its row in the span part and in
+        # the coefficient part
+        self._rows = [(p, [(i, a) for i, a in enumerate(row[:self.n]) if a],
+                       [(i, a) for i, a in enumerate(row[self.n:]) if a])
+                      for row, p in zip(red, pivots)]
 
     def coordinates(self, v: Sequence[Fraction]) -> Optional[Vector]:
         if len(v) != self.n:
             raise DimensionMismatch("vector has wrong length for this span")
         coeffs = [ZERO] * self.k
         resid = list(v)
-        for row, p in zip(self.red, self.pivots):
+        for p, span_part, coeff_part in self._rows:
             c = resid[p]
-            if c != 0:
-                for idx in range(self.n):
-                    resid[idx] -= c * row[idx]
-                for idx in range(self.k):
-                    coeffs[idx] += c * row[self.n + idx]
-        if any(x != 0 for x in resid):
+            if c:
+                for idx, a in span_part:
+                    resid[idx] -= c * a
+                for idx, a in coeff_part:
+                    coeffs[idx] += c * a
+        if any(resid):
             return None
         return tuple(coeffs)
 
@@ -121,9 +123,9 @@ class LieAlgebra:
         self.basis = basis
         self.name = name
         self.dim = len(basis)
-        flat = [tuple(e for row in b for e in row) for b in basis]
+        self._flat = [tuple(e for row in b for e in row) for b in basis]
         try:
-            self._solver = SpanSolver(flat)
+            self._solver = SpanSolver(self._flat)
         except DimensionMismatch:
             raise DimensionMismatch("basis matrices are linearly dependent")
         structure = []
@@ -138,15 +140,15 @@ class LieAlgebra:
                 row.append(coords)
             structure.append(tuple(row))
         self.structure = tuple(structure)
+        # _terms[i][j]: the nonzero (k, c) of [e_i, e_j] = sum_k c e_k
+        self._terms = [[[(k, c) for k, c in enumerate(sij) if c] for sij in si]
+                       for si in structure]
 
     # -- element conversions -------------------------------------------------
 
     def to_matrix(self, coords: Sequence[Fraction]) -> Matrix:
-        m = tuple(zero_vector(self.matrix_size) for _ in range(self.matrix_size))
-        for c, b in zip(coords, self.basis):
-            if c != 0:
-                m = mat_add(m, mat_scale(c, b))
-        return m
+        n = self.matrix_size
+        return mat_unflatten(lin_comb(coords, self._flat, n * n), n)
 
     def from_matrix(self, m: Matrix) -> Optional[Vector]:
         return self._solver.coordinates(tuple(e for row in m for e in row))
@@ -154,20 +156,25 @@ class LieAlgebra:
     # -- bracket and ad ------------------------------------------------------
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        acc = zero_vector(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                acc = vec_add(acc, vec_scale(xi * yj, self.structure[i][j]))
-        return acc
+        acc = [ZERO] * self.dim
+        ynz = [(j, yj) for j, yj in enumerate(y) if yj]
+        for xi, ti in zip(x, self._terms):
+            if xi:
+                for j, yj in ynz:
+                    c = xi * yj
+                    for k, s in ti[j]:
+                        acc[k] += c * s
+        return tuple(acc)
 
     def ad(self, x: Sequence[Fraction]) -> Matrix:
-        cols = [self.bracket(x, unit_vector(self.dim, j)) for j in range(self.dim)]
-        return tuple(tuple(cols[j][k] for j in range(self.dim))
-                     for k in range(self.dim))
+        """Matrix of y -> [x, y]; column j is [x, e_j]."""
+        rows = [[ZERO] * self.dim for _ in range(self.dim)]
+        for xi, ti in zip(x, self._terms):
+            if xi:
+                for j, tij in enumerate(ti):
+                    for k, s in tij:
+                        rows[k][j] += xi * s
+        return tuple(tuple(r) for r in rows)
 
     # -- canonical subspaces -------------------------------------------------
 
@@ -206,22 +213,13 @@ class LieAlgebra:
 
     def killing_form(self) -> Matrix:
         """B(x, y) = trace(ad x . ad y) as a d x d Gram matrix."""
-        d = self.dim
-        st = self.structure
         out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                tot = ZERO
-                for k in range(d):
-                    for l in range(d):
-                        a = st[i][l][k]
-                        if a != 0:
-                            b = st[j][k][l]
-                            if b != 0:
-                                tot += a * b
-                row.append(tot)
-            out.append(tuple(row))
+        for ti in self._terms:
+            # nonzero entries (k, l, a) of ad e_i, with a = (ad e_i)[k][l]
+            nz = [(k, l, a) for l, til in enumerate(ti) for k, a in til]
+            out.append(tuple(
+                sum((a * sj[k][l] for k, l, a in nz if sj[k][l]), ZERO)
+                for sj in self.structure))
         return tuple(out)
 
     def invariant_form(self) -> Matrix:
@@ -244,11 +242,8 @@ class LieAlgebra:
         zparts = []
         for i in range(self.dim):
             coeffs = solver.coordinates(unit_vector(self.dim, i))
-            v = zero_vector(self.dim)
-            for c, row in zip(coeffs[:z.dim], z.basis):
-                if c != 0:
-                    v = vec_add(v, vec_scale(c, row))
-            zparts.append(self.to_matrix(v))
+            zpart = lin_comb(coeffs[:z.dim], z.basis, self.dim)
+            zparts.append(self.to_matrix(zpart))
         b = self.killing_form()
         out = []
         for i in range(self.dim):
@@ -314,12 +309,11 @@ def _validate_involution(g: LieAlgebra, theta: Matrix) -> None:
     sq = mat_mul(theta, theta)
     if sq != tuple(unit_vector(d, i) for i in range(d)):
         raise CertificationError("theta is not involutive")
+    cols = mat_transpose(theta)  # cols[i] = theta(e_i)
     for i in range(d):
-        ti = mat_apply(theta, unit_vector(d, i))
         for j in range(d):
-            tj = mat_apply(theta, unit_vector(d, j))
             lhs = mat_apply(theta, g.structure[i][j])
-            rhs = g.bracket(ti, tj)
+            rhs = g.bracket(cols[i], cols[j])
             if lhs != rhs:
                 raise CertificationError(
                     f"theta is not an automorphism (fails on basis pair {i},{j})")
@@ -492,9 +486,7 @@ def restricted_root_decomposition(
                     f"positive root {r} is not a nonnegative combination of "
                     f"the simple roots")
             # certify (solve_linear already verifies consistency row-wise)
-            rebuilt = tuple(sum((c * b[i] for c, b in zip(sol, simples)), ZERO)
-                            for i in range(a.dim))
-            if rebuilt != r:
+            if lin_comb(sol, simples, a.dim) != r:
                 raise CertificationError(
                     f"simple roots do not span the root lattice at {r}")
 

@@ -29,7 +29,7 @@ ONE = Fraction(1)
 
 def as_vector(entries: Iterable) -> Vector:
     """Coerce an iterable of rational-like entries to a Vector."""
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def zero_vector(n: int) -> Vector:
@@ -54,7 +54,19 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
 
 def vec_scale(c, v: Vector) -> Vector:
     c = Fraction(c)
-    return tuple(c * a for a in v)
+    return tuple(c * a if a else ZERO for a in v)
+
+
+def lin_comb(coeffs: Iterable, vectors: Iterable[Sequence], n: int) -> Vector:
+    """sum_i coeffs[i] * vectors[i] in Q^n, skipping zero coefficients and
+    zero entries."""
+    acc = [ZERO] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, a in enumerate(v):
+                if a:
+                    acc[k] += c * a
+    return tuple(acc)
 
 
 def is_zero_vector(v: Vector) -> bool:
@@ -76,20 +88,20 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        sel = None
-        for r in range(row, len(work)):
-            if work[r][col] != 0:
-                sel = r
-                break
+        sel = next((r for r in range(row, len(work)) if work[r][col]), None)
         if sel is None:
             continue
         work[row], work[sel] = work[sel], work[row]
-        inv = ONE / work[row][col]
-        work[row] = [inv * a for a in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col] != 0:
-                c = work[r][col]
-                work[r] = [a - c * b for a, b in zip(work[r], work[row])]
+        prow = work[row]
+        inv = ONE / prow[col]
+        nz = [j for j, a in enumerate(prow) if a]
+        for j in nz:
+            prow[j] *= inv
+        for r, other in enumerate(work):
+            c = other[col]
+            if c and r != row:
+                for j in nz:
+                    other[j] -= c * prow[j]
         pivots.append(col)
         row += 1
         if row == len(work):
@@ -143,11 +155,7 @@ class Subspace:
         return all(other.contains(row) for row in self.basis)
 
     def from_coordinates(self, coords: Sequence[Fraction]) -> Vector:
-        v = zero_vector(self.ambient_dim)
-        for c, row in zip(coords, self.basis):
-            if c != 0:
-                v = vec_add(v, vec_scale(c, row))
-        return v
+        return lin_comb(coords, self.basis, self.ambient_dim)
 
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -207,13 +215,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         rows.append([a.basis[i][coord] for i in range(p)]
                     + [-b.basis[j][coord] for j in range(q)])
     ker = kernel(rows, p + q)
-    gens = []
-    for kv in ker.basis:
-        v = zero_vector(a.ambient_dim)
-        for i in range(p):
-            if kv[i] != 0:
-                v = vec_add(v, vec_scale(kv[i], a.basis[i]))
-        gens.append(v)
+    gens = [lin_comb(kv[:p], a.basis, a.ambient_dim) for kv in ker.basis]
     return canonical_basis(gens, a.ambient_dim)
 
 
@@ -292,10 +294,6 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(unit_vector(n, i) for i in range(n))
 
 
-def zero_matrix(n: int, m: Optional[int] = None) -> Matrix:
-    return tuple(zero_vector(m if m is not None else n) for _ in range(n))
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vec_add(x, y) for x, y in zip(a, b))
 
@@ -310,16 +308,29 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact product; zero entries of either factor cost nothing."""
     if a and len(a[0]) != len(b):
-        raise DimensionMismatch(f"matmul {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+        raise DimensionMismatch(
+            f"matmul with {len(a[0])} columns by {len(b)} rows")
+    m = len(b[0]) if b else 0
+    bnz = [[(j, y) for j, y in enumerate(brow) if y] for brow in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * m
+        for x, terms in zip(row, bnz):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_apply(a: Matrix, v: Vector) -> Vector:
+    """Exact matrix-vector product over the nonzero entries of v."""
     if a and len(a[0]) != len(v):
         raise DimensionMismatch("matrix/vector size mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    nz = [(j, y) for j, y in enumerate(v) if y]
+    return tuple(sum((row[j] * y for j, y in nz if row[j]), ZERO) for row in a)
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -446,11 +457,7 @@ def project_along(s: Subspace, target: Subspace, along: Subspace) -> Subspace:
         if sol is None:
             raise DimensionMismatch(
                 "subspace is not contained in the sum of the summands")
-        t = zero_vector(s.ambient_dim)
-        for c, b in zip(sol[:target.dim], target.basis):
-            if c != 0:
-                t = vec_add(t, vec_scale(c, b))
-        parts.append(t)
+        parts.append(lin_comb(sol[:target.dim], target.basis, s.ambient_dim))
     return canonical_basis(parts, s.ambient_dim)
 
 
@@ -477,11 +484,12 @@ def log_unipotent_matrix(a: Matrix) -> Matrix:
     """
     n = len(a)
     nil = mat_sub(a, identity_matrix(n))
-    acc = zero_matrix(n)
+    coeffs, powers = [], []
     term: Matrix = identity_matrix(n)
     for k in range(1, n + 1):
         term = mat_mul(term, nil)
         if mat_is_zero(term):
-            return acc
-        acc = mat_add(acc, mat_scale(Fraction((-1) ** (k + 1), k), term))
+            return mat_unflatten(lin_comb(coeffs, powers, n * n), n)
+        coeffs.append(Fraction((-1) ** (k + 1), k))
+        powers.append(mat_flatten(term))
     raise DimensionMismatch("matrix is not unipotent; log series does not end")

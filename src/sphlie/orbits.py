@@ -24,15 +24,15 @@ from .errors import (
 )
 from .liealg import LieAlgebra
 from .linalg import (
-    Matrix,
     Subspace,
     Vector,
     canonical_basis,
     exp_nilpotent_matrix,
     identity_matrix,
     is_zero_vector,
+    lin_comb,
     log_unipotent_matrix,
-    mat_apply,
+    mat_is_zero,
     mat_mul,
     solve_linear,
     subspace_sum,
@@ -45,34 +45,23 @@ from .linalg import (
 from .spectral import eigen_split
 
 
-def _nilpotent_ad(g: LieAlgebra, element: Vector) -> Matrix:
-    """ad(element), verified nilpotent on all of g."""
-    ad = g.ad(element)
-    power = ad
-    for _ in range(g.dim + 1):
-        if all(e == 0 for row in power for e in row):
-            return ad
-        power = mat_mul(power, ad)
-    raise NotNilpotent("ad of the given element is not nilpotent on g; "
-                       "the exponential series would not terminate")
-
-
 def exp_ad_apply(g: LieAlgebra, element: Vector, y: Vector) -> Vector:
     """e^{ad element} applied to y, as an exact finite series.
 
-    Requires ad(element) to be nilpotent on g (validated); then the series
-    terminates and the result is exact.
+    The certificate is the series itself: once (ad element)^k y = 0 the
+    finite sum is exact.  The Krylov space of y has dimension at most
+    dim g, so if (ad element)^{dim g} y is still nonzero, ad(element) is not
+    nilpotent on y and NotNilpotent is raised.  Nilpotency on all of g is
+    not re-proved here; derivation_pair certifies it once for all of u.
     """
-    ad = _nilpotent_ad(g, element)
-    out = tuple(y)
-    term = tuple(y)
-    k = 1
-    while True:
-        term = vec_scale(Fraction(1, k), mat_apply(ad, term))
+    out = term = tuple(y)
+    for k in range(1, g.dim + 1):
+        term = vec_scale(Fraction(1, k), g.bracket(element, term))
         if is_zero_vector(term):
             return out
         out = vec_add(out, term)
-        k += 1
+    raise NotNilpotent("ad of the given element is not nilpotent on y; "
+                       "the exponential series would not terminate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +82,13 @@ class DerivationPair:
 
 
 def derivation_pair(g: LieAlgebra, x0: Vector, u: Subspace) -> DerivationPair:
-    """Validate and package (x0, u); see DerivationPair for the invariants."""
+    """Validate and package (x0, u); see DerivationPair for the invariants.
+
+    Besides the lower central series of u, each basis element of u is
+    checked to act nilpotently on g.  With u nilpotent (so solvable), Lie's
+    theorem makes every eigenvalue of ad(U) linear in U, so this covers
+    every U in u, including each sample that orbit_identity_check draws.
+    """
     if len(x0) != g.dim or u.ambient_dim != g.dim:
         raise NotClosed("x0 and u must live in the given algebra")
     if not g.is_subalgebra(u):
@@ -106,6 +101,15 @@ def derivation_pair(g: LieAlgebra, x0: Vector, u: Subspace) -> DerivationPair:
             [g.bracket(a, b) for a in u.basis for b in series.basis], g.dim)
     else:
         raise NotNilpotent("the lower central series of u does not reach 0")
+    for idx, b in enumerate(u.basis):
+        ad = power = g.ad(b)
+        for _ in range(g.dim):
+            if mat_is_zero(power):
+                break
+            power = mat_mul(power, ad)
+        else:
+            raise NotNilpotent(f"ad of basis element {idx} of u is not "
+                               f"nilpotent on g")
     brackets = [g.bracket(x0, b) for b in u.basis]
     for w in brackets:
         if not u.contains(w):
@@ -144,10 +148,8 @@ _COEFF_POOL = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
 
 
 def random_u_element(dp: DerivationPair, rng: Random) -> Vector:
-    out = zero_vector(dp.algebra.dim)
-    for b in dp.u.basis:
-        out = vec_add(out, vec_scale(rng.choice(_COEFF_POOL), b))
-    return out
+    coeffs = [rng.choice(_COEFF_POOL) for _ in dp.u.basis]
+    return lin_comb(coeffs, dp.u.basis, dp.algebra.dim)
 
 
 def orbit_identity_check(dp: DerivationPair, samples: int = 100,
@@ -175,12 +177,9 @@ def _layer_components(dp: DerivationPair, v: Vector) -> list[Vector]:
     out = []
     offset = 0
     for _, layer in dp.layers:
-        comp = zero_vector(dp.algebra.dim)
-        for c, b in zip(sol[offset:offset + layer.dim], layer.basis):
-            if c != 0:
-                comp = vec_add(comp, vec_scale(c, b))
+        out.append(lin_comb(sol[offset:offset + layer.dim], layer.basis,
+                            dp.algebra.dim))
         offset += layer.dim
-        out.append(comp)
     return out
 
 
@@ -234,10 +233,7 @@ def solve_conjugator(dp: DerivationPair, w: Vector) -> Vector:
             raise CertificationError(
                 "matrix logarithm of the peeled product is not ad of a "
                 "u-element (library bug)")
-        answer = zero_vector(g.dim)
-        for c, b in zip(sol, dp.u.basis):
-            if c != 0:
-                answer = vec_add(answer, vec_scale(c, b))
+        answer = lin_comb(sol, dp.u.basis, g.dim)
 
     if exp_ad_apply(g, answer, dp.x0) != vec_add(dp.x0, tuple(w)):
         raise CertificationError("solved conjugator failed exact "

@@ -26,11 +26,10 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    lin_comb,
     solve_linear,
     subspace_intersect,
     subspace_sum,
-    vec_add,
-    vec_scale,
     zero_subspace,
     zero_vector,
 )
@@ -41,11 +40,7 @@ def _root_in_span(root: Root, f: Sequence[Root]) -> bool:
         return all(x == 0 for x in root)
     rows = [[b[i] for b in f] for i in range(len(root))]
     sol = solve_linear(rows, list(root))
-    if sol is None:
-        return False
-    rebuilt = tuple(sum((c * b[i] for c, b in zip(sol, f)), ZERO)
-                    for i in range(len(root)))
-    return rebuilt == tuple(root)
+    return sol is not None and lin_comb(sol, f, len(root)) == tuple(root)
 
 
 def normalize_subset(cd: CartanData, f: Iterable) -> tuple[Root, ...]:
@@ -173,11 +168,7 @@ def characteristic_element(cd: CartanData, f: Iterable) -> Vector:
         raise CertificationError(
             "characteristic element system is inconsistent; simple roots are "
             "not independent functionals on a")
-    out = zero_vector(cd.algebra.dim)
-    for c, row in zip(sol, cd.a.basis):
-        if c != 0:
-            out = vec_add(out, vec_scale(c, row))
-    return out
+    return lin_comb(sol, cd.a.basis, cd.algebra.dim)
 
 
 def containment_check(pd: ParabolicData, other: ParabolicData) -> bool:

@@ -25,6 +25,7 @@ from .linalg import (
     ONE,
     canonical_basis,
     kernel,
+    lin_comb,
     mat_apply,
     solve_linear,
     subspace_sum,
@@ -175,11 +176,7 @@ def _express(basis: list[Vector], target: Vector) -> list[Fraction] | None:
     if sol is None:
         return None
     # verify exactly (solve_linear only guarantees consistency of the system)
-    acc = [ZERO] * n
-    for c, b in zip(sol, basis):
-        if c != 0:
-            acc = [x + c * y for x, y in zip(acc, b)]
-    if tuple(acc) != tuple(target):
+    if lin_comb(sol, basis, n) != tuple(target):
         return None
     return list(sol)
 

@@ -45,6 +45,7 @@ from .linalg import (
     exp_nilpotent_matrix,
     identity_matrix,
     image_subspace,
+    lin_comb,
     mat_apply,
     mat_invert,
     mat_mul,
@@ -55,9 +56,6 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
     symmetric_signature,
-    vec_add,
-    vec_scale,
-    zero_vector,
 )
 from .parabolic import (
     LeviStructure,
@@ -213,11 +211,7 @@ def _levi_adjustment(cd: CartanData, pd: ParabolicData,
         if coords is None:
             raise CertificationError("q ∩ h escaped the adapted parabolic")
         lo, hi = offsets[idx]
-        out = zero_vector(g.dim)
-        for c, b in zip(coords[lo:hi], pieces[idx].basis):
-            if c != 0:
-                out = vec_add(out, vec_scale(c, b))
-        return out
+        return lin_comb(coords[lo:hi], pieces[idx].basis, g.dim)
 
     current = meet
     for k, (lam, layer) in enumerate(layers, start=1):
@@ -239,11 +233,7 @@ def _levi_adjustment(cd: CartanData, pd: ParabolicData,
                 "no Levi complement of the adapted parabolic contains q ∩ h "
                 "(layer system unsolvable); the pair violates the structure "
                 "theory hypotheses")
-        w = zero_vector(g.dim)
-        for c, b in zip(sol, layer.basis):
-            if c != 0:
-                w = vec_add(w, vec_scale(c, b))
-        adw = g.ad(w)
+        adw = g.ad(lin_comb(sol, layer.basis, g.dim))
         phi = mat_mul(phi, exp_nilpotent_matrix(adw))
         current = image_subspace(
             exp_nilpotent_matrix(mat_scale(Fraction(-1), adw)), current)

@@ -153,6 +153,13 @@ def test_matrix_inverse():
         mat_invert(as_matrix([(1, 2), (2, 4)]))
 
 
+def test_mat_mul_shape_mismatch_raises_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        mat_mul(((Fraction(1),),), ())
+    with pytest.raises(DimensionMismatch):
+        mat_mul(as_matrix([(1, 2)]), as_matrix([(1, 2)]))
+
+
 def test_symmetric_signature():
     assert symmetric_signature(as_matrix([(8, 0), (0, 0)])) == (1, 0, 1)
     assert symmetric_signature(as_matrix([(-2, 0, 0), (0, -2, 0), (0, 0, -2)])) == (0, 3, 0)

@@ -72,6 +72,13 @@ def test_exp_ad_rejects_non_nilpotent():
         exp_ad_apply(g, (1, 0, 0), (0, 1, 0))    # ad H is semisimple
 
 
+def test_exp_ad_certifies_only_its_own_series():
+    # ad H is not nilpotent on sl2, but [H, H] = 0 ends the series on H.
+    g = sl(2)
+    h = (F(1), F(0), F(0))
+    assert exp_ad_apply(g, h, h) == h
+
+
 def test_exp_ad_preserves_brackets():
     g = sl(3)
     rng = Random(11)
@@ -113,6 +120,13 @@ def test_derivation_pair_rejects_non_nilpotent_u():
     with pytest.raises(NotNilpotent):
         derivation_pair(g, (0, 0, 0),
                         canonical_basis([(1, 0, 0), (0, 1, 0)], 3))
+
+
+def test_derivation_pair_rejects_u_not_acting_nilpotently_on_g():
+    # u = span(H) is abelian, so nilpotent, but ad H is semisimple on sl2.
+    g = sl(2)
+    with pytest.raises(NotNilpotent):
+        derivation_pair(g, (0, 0, 0), canonical_basis([(1, 0, 0)], 3))
 
 
 def test_derivation_pair_rejects_non_invariant_u():
