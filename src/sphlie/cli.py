@@ -41,7 +41,6 @@ from .problem import (
 )
 from .spherical import (
     SphericalPair,
-    candidate_subsets,
     conjugate_search,
     is_spherical,
     spherical_pair,
@@ -155,20 +154,20 @@ def _structure_blocks(doc: dict, lines: list, final: SphericalPair,
     passed = True
 
     if "adapted" in want:
-        passing = candidate_subsets(final)
+        count = report.candidates_passing
         doc["adapted"] = {
             "subset_indices": list(report.adapted.subset_indices),
             "subset_roots": [root_json(r) for r in report.adapted.subset],
             "simple_roots": [root_json(r) for r in cd.simple_roots],
-            "candidates_passing": len(passing),
+            "candidates_passing": count,
             "levi_dim": report.adapted.levi.dim,
             "nilradical_dim": report.adapted.nilradical.dim,
         }
         lines.append(f"adapted subset: indices "
                      f"{list(report.adapted.subset_indices)} of "
                      f"{len(cd.simple_roots)} simple roots "
-                     f"({len(passing)} passing candidate"
-                     f"{'s' if len(passing) != 1 else ''})")
+                     f"({count} passing candidate"
+                     f"{'s' if count != 1 else ''})")
         lines.append(f"  levi dim {report.adapted.levi.dim}, "
                      f"nilradical dim {report.adapted.nilradical.dim}")
 
@@ -276,14 +275,13 @@ def _report_command(args, command: str, want: set) -> int:
         report, ok_struct = _structure_blocks(doc, lines, final, want)
         passed = passed and ok_struct
         if "candidates" in want:
-            passing = candidate_subsets(final)
+            simple = final.cartan.simple_roots
             doc["candidates"] = [
-                {"indices": list(_subset_indices(final, s)),
-                 "roots": [root_json(r) for r in s]}
-                for s in passing]
+                {"indices": list(s), "roots": [root_json(simple[i]) for i in s]}
+                for s in report.candidates]
             lines.append("passing candidate subsets:")
-            for s in passing:
-                lines.append(f"  indices {list(_subset_indices(final, s))}")
+            for s in report.candidates:
+                lines.append(f"  indices {list(s)}")
         if "normalizer" in want:
             passed = _normalizer_block(doc, lines, report) and passed
         if "orbit" in want:
@@ -294,11 +292,6 @@ def _report_command(args, command: str, want: set) -> int:
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")
     _emit(doc, lines, args.format)
     return 0 if passed else 1
-
-
-def _subset_indices(pair, subset) -> tuple:
-    simple = pair.cartan.simple_roots
-    return tuple(simple.index(r) for r in subset)
 
 
 def cmd_analyze(args) -> int:

@@ -54,7 +54,6 @@ from .linalg import (
     residual_operator,
     restrict_bilinear_form,
     rref,
-    solve_linear,
     subspace_intersect,
     subspace_sum,
     symmetric_signature,
@@ -105,7 +104,9 @@ class SpanSolver:
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
-    return mat_sub(mat_mul(x, y), mat_mul(y, x))
+    """xy - yx; zero entries of yx subtract nothing."""
+    return tuple(tuple(a - b if b else a for a, b in zip(r, s))
+                 for r, s in zip(mat_mul(x, y), mat_mul(y, x)))
 
 
 class LieAlgebra:
@@ -128,18 +129,18 @@ class LieAlgebra:
             self._solver = SpanSolver(self._flat)
         except DimensionMismatch:
             raise DimensionMismatch("basis matrices are linearly dependent")
-        structure = []
+        # solve [e_i, e_j] for i < j only: [e_j, e_i] = -[e_i, e_j], [e_i, e_i] = 0
+        structure = [[(ZERO,) * self.dim] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
+            for j in range(i + 1, self.dim):
                 br = commutator(basis[i], basis[j])
                 coords = self._solver.coordinates(tuple(e for r in br for e in r))
                 if coords is None:
                     raise NotClosed(
                         f"bracket of basis elements {i} and {j} escapes the span")
-                row.append(coords)
-            structure.append(tuple(row))
-        self.structure = tuple(structure)
+                structure[i][j] = coords
+                structure[j][i] = tuple(-c for c in coords)
+        self.structure = tuple(tuple(row) for row in structure)
         # _terms[i][j]: the nonzero (k, c) of [e_i, e_j] = sum_k c e_k
         self._terms = [[[(k, c) for k, c in enumerate(sij) if c] for sij in si]
                        for si in structure]
@@ -364,6 +365,8 @@ class CartanData:
     Roots are tuples of values on the echelon basis of ``a``; ``positivity``
     is the ordered basis of ``a`` whose value tuples are compared
     lexicographically to decide which roots are positive.
+    ``simple_coordinates[i]`` are the (unique, nonnegative) coordinates of
+    ``positive_roots[i]`` in ``simple_roots``.
     """
 
     algebra: LieAlgebra
@@ -380,6 +383,15 @@ class CartanData:
     p: Subspace
     positive_roots: tuple[Root, ...]
     simple_roots: tuple[Root, ...]
+    simple_coordinates: tuple[Vector, ...]
+
+    def support(self, root: Root) -> frozenset[int]:
+        """Indices of the simple roots in the support of ``root`` (of -root
+        for a negative root)."""
+        if not self.is_positive(root):
+            root = tuple(-x for x in root)
+        coords = self.simple_coordinates[self.positive_roots.index(root)]
+        return frozenset(i for i, c in enumerate(coords) if c)
 
     def root_space(self, root: Root) -> Subspace:
         try:
@@ -412,7 +424,13 @@ def restricted_root_decomposition(
         theta: Optional[Matrix] = None) -> CartanData:
     """Simultaneous ad-eigenspace decomposition of g under a, with validated
     Iwasawa-type consequences (g0 = m + a, n from the positive roots)."""
-    th, k, s = cartan_decompose(g, theta)
+    return _root_decomposition(g, a, positivity_basis,
+                               *cartan_decompose(g, theta))
+
+
+def _root_decomposition(g: LieAlgebra, a: Subspace, positivity_basis,
+                        th: Matrix, k: Subspace, s: Subspace) -> CartanData:
+    """restricted_root_decomposition for an already validated theta, k, s."""
     if not a.is_contained_in(s):
         raise DimensionMismatch("a must be contained in s")
     for i, u in enumerate(a.basis):
@@ -471,33 +489,30 @@ def restricted_root_decomposition(
                 f"root {r} and its negative get the same sign; positivity "
                 f"basis does not order the roots")
 
-    simples = [r for r in positives
-               if not any(tuple(x - y for x, y in zip(r, b)) in posset
-                          for b in positives)]
+    simples = sorted(r for r in positives
+                     if not any(tuple(x - y for x, y in zip(r, b)) in posset
+                                for b in positives))
 
-    # every positive root must be a nonnegative rational combination of the
-    # simple ones; with simples linearly independent the solution is unique
-    if positives:
-        rows = [[b[i] for b in simples] for i in range(a.dim)]
-        for r in positives:
-            sol = solve_linear(rows, list(r))
-            if sol is None or any(c < 0 for c in sol):
-                raise CertificationError(
-                    f"positive root {r} is not a nonnegative combination of "
-                    f"the simple roots")
-            # certify (solve_linear already verifies consistency row-wise)
-            if lin_comb(sol, simples, a.dim) != r:
-                raise CertificationError(
-                    f"simple roots do not span the root lattice at {r}")
+    # independent simple roots give every positive root unique coordinates
+    # in them, which must be nonnegative
+    try:
+        solver = SpanSolver(simples)
+    except DimensionMismatch:
+        raise CertificationError("simple roots are linearly dependent") from None
+    coordinates = [solver.coordinates(r) for r in positives]
+    for r, sol in zip(positives, coordinates):
+        if sol is None or any(c < 0 for c in sol):
+            raise CertificationError(
+                f"positive root {r} is not a nonnegative combination of "
+                f"the simple roots")
 
     m = subspace_intersect(zero_sp, k)
     if m.dim + a.dim != zero_sp.dim or \
             subspace_sum(m, a) != zero_sp:
         raise CertificationError("g0 does not split as m + a")
 
-    n = zero_subspace(g.dim)
-    for r in positives:
-        n = subspace_sum(n, spaces[roots.index(r)])
+    n = canonical_basis([v for r in positives
+                         for v in spaces[roots.index(r)].basis], g.dim)
     p = subspace_sum(zero_sp, n)
 
     # theta must carry each root space onto the opposite one
@@ -514,8 +529,9 @@ def restricted_root_decomposition(
         _spaces=tuple(spaces),
         zero_space=zero_sp,
         m=m, n=n, p=p,
-        positive_roots=tuple(sorted(positives)),
-        simple_roots=tuple(sorted(simples)),
+        positive_roots=tuple(positives),
+        simple_roots=tuple(simples),
+        simple_coordinates=tuple(coordinates),
     )
 
 
@@ -526,9 +542,9 @@ def cartan_data(g: LieAlgebra,
                 ) -> CartanData:
     """Convenience pipeline: involution, Cartan split, maximal split torus,
     restricted roots."""
-    th, k, s = cartan_decompose(g, theta)
-    a = maximal_abelian(g, s, seed=a_seed)
-    return restricted_root_decomposition(g, a, positivity_basis, theta=th)
+    cartan = cartan_decompose(g, theta)
+    a = maximal_abelian(g, cartan[2], seed=a_seed)
+    return _root_decomposition(g, a, positivity_basis, *cartan)
 
 
 def largest_ideal_within(g: LieAlgebra, h: Subspace) -> Subspace:
@@ -581,13 +597,13 @@ class ReductiveSplit:
 
 
 def _ad_closure(g: LieAlgebra, seed: Subspace) -> Subspace:
+    """Smallest ad-stable subspace containing ``seed``: each round is one
+    elimination of w together with all its brackets [e_j, u]."""
     w = seed
     while True:
-        nxt = w
-        for u in w.basis:
-            for j in range(g.dim):
-                nxt = subspace_sum(
-                    nxt, canonical_basis([g.bracket(unit_vector(g.dim, j), u)], g.dim))
+        nxt = canonical_basis(
+            list(w.basis) + [g.bracket(unit_vector(g.dim, j), u)
+                             for u in w.basis for j in range(g.dim)], g.dim)
         if nxt == w:
             return w
         w = nxt
@@ -634,14 +650,13 @@ def simple_ideal_split(g: LieAlgebra) -> ReductiveSplit:
                if not any(o.dim < c.dim and o.is_contained_in(c) for o in cands)]
     minimal.sort(key=lambda sp: sp.basis)
 
-    # verification
-    total = zero_subspace(sub.dim)
+    # verification: a direct sum, of commuting, Killing-orthogonal ideals
+    total = canonical_basis([v for c in minimal for v in c.basis], sub.dim)
+    if total.dim != sum(c.dim for c in minimal):
+        raise CertificationError(
+            "minimal ideal candidates overlap; basis does not separate "
+            "the simple factors")
     for idx, ideal in enumerate(minimal):
-        if subspace_intersect(total, ideal).dim != 0:
-            raise CertificationError(
-                "minimal ideal candidates overlap; basis does not separate "
-                "the simple factors")
-        total = subspace_sum(total, ideal)
         for other in minimal[idx + 1:]:
             for u in ideal.basis:
                 for v in other.basis:

@@ -3,15 +3,16 @@
 A standard parabolic is indexed by a subset F of the simple restricted
 roots: the Levi l_F collects the zero space and all root spaces of roots in
 span(F); the nilradical u_F collects the positive root spaces outside
-span(F).  Membership of a root in span(F) is decided by an exact rational
-solve.
+span(F).  The simple roots are certified linearly independent, so a root
+lies in span(F) exactly when its support (the simple roots with a nonzero
+coordinate in it, or in its negative) is inside F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CertificationError, DimensionMismatch
 from .liealg import (
@@ -26,21 +27,13 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    canonical_basis,
     lin_comb,
     solve_linear,
     subspace_intersect,
     subspace_sum,
-    zero_subspace,
     zero_vector,
 )
-
-
-def _root_in_span(root: Root, f: Sequence[Root]) -> bool:
-    if not f:
-        return all(x == 0 for x in root)
-    rows = [[b[i] for b in f] for i in range(len(root))]
-    sol = solve_linear(rows, list(root))
-    return sol is not None and lin_comb(sol, f, len(root)) == tuple(root)
 
 
 def normalize_subset(cd: CartanData, f: Iterable) -> tuple[Root, ...]:
@@ -78,16 +71,19 @@ class ParabolicData:
 def standard_parabolic(cd: CartanData, f: Iterable) -> ParabolicData:
     """The standard parabolic attached to a subset of the simple roots."""
     subset = normalize_subset(cd, f)
-    levi = cd.zero_space
-    nil = zero_subspace(cd.algebra.dim)
+    inside = {cd.simple_roots.index(r) for r in subset}
+    levi = list(cd.zero_space.basis)
+    nil = []
     for root in cd.roots:
-        sp = cd.root_space(root)
-        if _root_in_span(root, subset):
-            levi = subspace_sum(levi, sp)
+        if cd.support(root) <= inside:
+            levi.extend(cd.root_space(root).basis)
         elif cd.is_positive(root):
-            nil = subspace_sum(nil, sp)
-    q = subspace_sum(levi, nil)
-    return ParabolicData(cartan=cd, subset=subset, q=q, levi=levi, nilradical=nil)
+            nil.extend(cd.root_space(root).basis)
+    d = cd.algebra.dim
+    return ParabolicData(cartan=cd, subset=subset,
+                         q=canonical_basis(levi + nil, d),
+                         levi=canonical_basis(levi, d),
+                         nilradical=canonical_basis(nil, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,12 +116,12 @@ def levi_fine_structure(cd: CartanData, levi: Subspace) -> LeviStructure:
     sub = subalgebra(g, levi, name="levi")
     split = simple_ideal_split(sub)
     center = lift_subspace(split.center, levi)
-    lc = zero_subspace(g.dim)
-    for ideal in split.compact_part:
-        lc = subspace_sum(lc, lift_subspace(ideal, levi))
-    ln = zero_subspace(g.dim)
-    for ideal in split.noncompact_part:
-        ln = subspace_sum(ln, lift_subspace(ideal, levi))
+    lc = canonical_basis([levi.from_coordinates(row)
+                          for ideal in split.compact_part
+                          for row in ideal.basis], g.dim)
+    ln = canonical_basis([levi.from_coordinates(row)
+                          for ideal in split.noncompact_part
+                          for row in ideal.basis], g.dim)
     z_np = subspace_intersect(center, cd.s)
     z_cp = subspace_intersect(center, cd.k)
     if subspace_sum(z_np, z_cp) != center:

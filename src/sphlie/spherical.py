@@ -109,22 +109,33 @@ def _complements_n_intersect_h(pd: ParabolicData, nh: Subspace) -> bool:
 
 def candidate_subsets(pair: SphericalPair) -> list[tuple[int, ...]]:
     """All subsets F of the simple roots (as index tuples) whose standard
-    parabolic has nilradical complementary to n ∩ h in n."""
+    parabolic has nilradical complementary to n ∩ h in n.
+
+    All 2^r subsets are accounted for: dim u_F, the summed dimensions of the
+    positive root spaces whose support is not inside F, rules out every F
+    with dim u_F + dim(n ∩ h) != dim n; the exact test runs on the rest.
+    """
     cd = pair.cartan
     nh = subspace_intersect(cd.n, pair.h)
+    dims = [(cd.support(r), cd.root_space(r).dim) for r in cd.positive_roots]
+    if sum(dim for _, dim in dims) != cd.n.dim:
+        raise CertificationError(
+            "positive root spaces do not sum directly to n")
     out = []
     indices = range(len(cd.simple_roots))
     for size in range(len(cd.simple_roots) + 1):
         for f in combinations(indices, size):
-            if _complements_n_intersect_h(standard_parabolic(cd, f), nh):
+            dim_u = sum(dim for support, dim in dims
+                        if not support.issubset(f))
+            if (dim_u + nh.dim == cd.n.dim and _complements_n_intersect_h(
+                    standard_parabolic(cd, f), nh)):
                 out.append(f)
     return out
 
 
-def adapted_parabolic(pair: SphericalPair) -> ParabolicData:
-    """The unique standard parabolic q = l + u with u complementary to
-    n ∩ h in n.  Requires the pair to be spherical; exactly one subset must
-    pass (zero or several passing subsets is reported, not repaired)."""
+def _adapted(pair: SphericalPair
+             ) -> tuple[ParabolicData, list[tuple[int, ...]]]:
+    """The adapted parabolic together with the passing subsets."""
     ok, defect = is_spherical(pair)
     if not ok:
         raise NotSpherical(
@@ -135,7 +146,14 @@ def adapted_parabolic(pair: SphericalPair) -> ParabolicData:
         raise UniquenessViolation(
             f"{len(passing)} subsets of the simple roots pass the "
             f"complementarity test (expected exactly one): {passing}")
-    return standard_parabolic(pair.cartan, passing[0])
+    return standard_parabolic(pair.cartan, passing[0]), passing
+
+
+def adapted_parabolic(pair: SphericalPair) -> ParabolicData:
+    """The unique standard parabolic q = l + u with u complementary to
+    n ∩ h in n.  Requires the pair to be spherical; exactly one subset must
+    pass (zero or several passing subsets is reported, not repaired)."""
+    return _adapted(pair)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +170,8 @@ class StructureReport:
     (a finite exponential product, identity in the standard situation)
     carrying the standard Levi onto the one that works.  ``checks`` records
     the five identities for that Levi; construction fails with the offending
-    identity if any is violated.
+    identity if any is violated.  ``candidates`` are the subsets that passed
+    the enumeration (exactly one, the adapted subset).
 
     ``h_reductive_part`` is h ∩ (z(l) + compact ideals of l) for the
     adjusted Levi; its projection to the noncompact center gives
@@ -164,7 +183,7 @@ class StructureReport:
 
     pair: SphericalPair
     adapted: ParabolicData
-    candidates_passing: int
+    candidates: tuple[tuple[int, ...], ...]
     levi_structure: LeviStructure
     levi_adjustment: Matrix
     standard_form_h: Subspace
@@ -177,6 +196,10 @@ class StructureReport:
     @property
     def adapted_subset(self) -> tuple[int, ...]:
         return self.adapted.subset_indices
+
+    @property
+    def candidates_passing(self) -> int:
+        return len(self.candidates)
 
     @property
     def adjusted_levi(self) -> Subspace:
@@ -248,14 +271,7 @@ def structure_report(pair: SphericalPair) -> StructureReport:
     cd = pair.cartan
     g = cd.algebra
     h = pair.h
-    ok, defect = is_spherical(pair)
-    if not ok:
-        raise NotSpherical(f"p + h has defect {defect}")
-    passing = candidate_subsets(pair)
-    if len(passing) != 1:
-        raise UniquenessViolation(
-            f"{len(passing)} subsets pass the complementarity test: {passing}")
-    pd = standard_parabolic(cd, passing[0])
+    pd, passing = _adapted(pair)
     fs = levi_fine_structure(cd, pd.levi)
 
     phi = _levi_adjustment(cd, pd, subspace_intersect(pd.q, h))
@@ -294,7 +310,7 @@ def structure_report(pair: SphericalPair) -> StructureReport:
             "split torus does not divide into rank + h-part + "
             "noncompact-ideal part")
     return StructureReport(
-        pair=pair, adapted=pd, candidates_passing=1, levi_structure=fs,
+        pair=pair, adapted=pd, candidates=tuple(passing), levi_structure=fs,
         levi_adjustment=phi, standard_form_h=h_std, checks=checks,
         h_reductive_part=image_subspace(phi, core),
         h_split_part=image_subspace(phi, h_split),

@@ -118,6 +118,21 @@ def test_adapted_lists_exactly_one_candidate(capsys, sl2_so2):
     assert out.count("indices []") >= 1
 
 
+def test_list_candidates_names_a_nonempty_adapted_subset(capsys, tmp_path):
+    path = tmp_path / "sl2_full.json"
+    path.write_text(problem_to_json(get_entry("sl2_full").problem),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, ["adapted", str(path), "--list-candidates",
+                                "--format", "json"])
+    assert code == 0
+    doc = no_floats(out)
+    assert doc["adapted"]["candidates_passing"] == 1
+    assert doc["candidates"] == [{"indices": [0],
+                                  "roots": doc["adapted"]["simple_roots"]}]
+    code, out, _ = run(capsys, ["adapted", str(path), "--list-candidates"])
+    assert code == 0 and "  indices [0]" in out
+
+
 def test_rank_subcommand_json(capsys, sl2_so2):
     code, out, _ = run(capsys, ["rank", sl2_so2, "--format", "json"])
     assert code == 0

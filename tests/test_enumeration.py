@@ -1,0 +1,191 @@
+"""Candidate enumeration for the adapted parabolic against a brute force.
+
+The brute force runs on all 2^r subsets F of the simple roots.  It decides
+"root in span(F)" by a rank comparison, builds u_F from the positive root
+spaces outside span(F), checks that ``standard_parabolic`` builds the same
+Levi and nilradical, and applies the full complement test u_F ⊕ (n ∩ h) = n.
+It uses neither root supports nor the dimension filter.
+"""
+
+from itertools import combinations
+
+import pytest
+
+import sphlie.spherical as spherical
+from sphlie.builders import block_embed, sl, sl_basis, so_basis
+from sphlie.catalog import catalog_entries
+from sphlie.liealg import cartan_data
+from sphlie.linalg import (
+    canonical_basis,
+    lin_comb,
+    subspace_intersect,
+    subspace_sum,
+)
+from sphlie.parabolic import standard_parabolic
+from sphlie.problem import Problem, build_pair
+from sphlie.spherical import (
+    candidate_subsets,
+    conjugate_search,
+    is_spherical,
+    spherical_pair,
+)
+
+
+def _in_span(root, roots):
+    if not roots:
+        return False
+    return canonical_basis(list(roots) + [root]).dim == len(roots)
+
+
+def reference_nilradicals(cd):
+    """{F: u_F} over all subsets F, from rank tests on the roots."""
+    d = cd.algebra.dim
+    r = len(cd.simple_roots)
+    out = {}
+    for size in range(r + 1):
+        for f in combinations(range(r), size):
+            span_f = [cd.simple_roots[i] for i in f]
+            levi = list(cd.zero_space.basis)
+            nil = []
+            for root in cd.roots:
+                if _in_span(root, span_f):
+                    levi.extend(cd.root_space(root).basis)
+                elif root in cd.positive_roots:
+                    nil.extend(cd.root_space(root).basis)
+            pd = standard_parabolic(cd, f)
+            assert pd.levi == canonical_basis(levi, d), f
+            assert pd.nilradical == canonical_basis(nil, d), f
+            out[f] = pd.nilradical
+    return out
+
+
+def brute_force(pair):
+    cd = pair.cartan
+    nh = subspace_intersect(cd.n, pair.h)
+    return [f for f, u in reference_nilradicals(cd).items()
+            if subspace_intersect(u, nh).dim == 0
+            and subspace_sum(u, nh) == cd.n]
+
+
+def dimension_filter(pair):
+    """The subsets whose nilradical has the dimension of a complement of
+    n ∩ h in n."""
+    cd = pair.cartan
+    nh = subspace_intersect(cd.n, pair.h)
+    return [f for f, u in reference_nilradicals(cd).items()
+            if u.dim + nh.dim == cd.n.dim]
+
+
+def counting_standard_parabolic(monkeypatch):
+    called = []
+
+    def counted(cd, f):
+        pd = standard_parabolic(cd, f)
+        called.append(pd.subset_indices)
+        return pd
+
+    monkeypatch.setattr(spherical, "standard_parabolic", counted)
+    return called
+
+
+# -- pairs ------------------------------------------------------------------
+
+
+def catalog_pairs():
+    out = []
+    for entry in sorted(catalog_entries(), key=lambda e: e.name):
+        if not entry.expected.spherical:
+            continue
+        pair = build_pair(entry.problem)
+        if not is_spherical(pair)[0]:
+            found = conjugate_search(pair, entry.search_budget)
+            pair = spherical_pair(pair.cartan, found.conjugated)
+        out.append((entry.name, pair, entry.expected.adapted_subset))
+    return out
+
+
+_J = ((0, 1), (-1, 0))
+
+
+def ladder_pairs():
+    sl2x6 = [block_embed(m, 12, off) for off in range(0, 12, 2)
+             for m in sl_basis(2)]
+    so2x6 = [block_embed(_J, 12, off) for off in range(0, 12, 2)]
+    problems = [
+        Problem("sl4_so4", 4, tuple(sl_basis(4)), tuple(so_basis(4))),
+        Problem("sl5_so5", 5, tuple(sl_basis(5)), tuple(so_basis(5))),
+        Problem("sl2x6_so2x6_hinted", 12, tuple(sl2x6), tuple(so2x6),
+                minimal_parabolic_hint=(1, -1, 1, -1, 1, -1)),
+    ]
+    return [build_pair(p) for p in problems]
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    return ladder_pairs()
+
+
+# -- tests ------------------------------------------------------------------
+
+
+def test_simple_coordinates_rebuild_every_positive_root():
+    for n in (3, 4):
+        cd = cartan_data(sl(n))
+        dim_a = cd.a.dim
+        assert len(cd.simple_coordinates) == len(cd.positive_roots)
+        for root, coords in zip(cd.positive_roots, cd.simple_coordinates):
+            assert all(c >= 0 for c in coords)
+            assert lin_comb(coords, cd.simple_roots, dim_a) == root
+            neg = tuple(-x for x in root)
+            assert cd.support(root) == cd.support(neg) == frozenset(
+                i for i, c in enumerate(coords) if c)
+
+
+def test_catalog_candidates_match_brute_force():
+    pairs = catalog_pairs()
+    assert {exp for _, _, exp in pairs} >= {(), (0,), (1,)}
+    for name, pair, expected in pairs:
+        assert candidate_subsets(pair) == brute_force(pair) == [expected], name
+
+
+def test_ladder_candidates_match_brute_force(ladder):
+    for pair in ladder:
+        assert candidate_subsets(pair) == brute_force(pair) == [()], \
+            pair.label
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sl_n_with_h_equal_to_n(n):
+    cd = cartan_data(sl(n))
+    pair = spherical_pair(cd, cd.n)
+    everything = tuple(range(len(cd.simple_roots)))
+    assert candidate_subsets(pair) == brute_force(pair) == [everything]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sl_n_with_h_a_single_positive_root_space(n):
+    cd = cartan_data(sl(n))
+    for root in cd.positive_roots:
+        pair = spherical_pair(cd, cd.root_space(root))
+        assert candidate_subsets(pair) == brute_force(pair), root
+
+
+def test_sl3_exact_test_rejects_a_subset_the_filter_passes(monkeypatch):
+    cd = cartan_data(sl(3))
+    assert len(cd.simple_roots) == 2
+    for i in (0, 1):
+        pair = spherical_pair(cd, cd.root_space(cd.simple_roots[i]))
+        called = counting_standard_parabolic(monkeypatch)
+        assert candidate_subsets(pair) == [(i,)]
+        # {alpha_j}, j != i, has a nilradical of the right dimension but it
+        # contains g_{alpha_i} = h, so only the exact test rules it out
+        assert called == dimension_filter(pair) == [(0,), (1,)]
+
+
+def test_standard_parabolic_runs_only_on_subsets_passing_the_filter(
+        monkeypatch, ladder):
+    pair = ladder[2]
+    assert len(pair.cartan.simple_roots) == 6
+    called = counting_standard_parabolic(monkeypatch)
+    assert candidate_subsets(pair) == [()]
+    assert called == dimension_filter(pair) == [()]

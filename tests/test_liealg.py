@@ -8,6 +8,7 @@ from sphlie.builders import (
     direct_sum_basis,
     elementary,
     gl,
+    gl_basis,
     regular_diagonal_positivity,
     scale,
     sl,
@@ -18,6 +19,7 @@ from sphlie.builders import (
     so,
     so_basis,
 )
+from sphlie.catalog import catalog_entries
 from sphlie.errors import (
     CertificationError,
     DimensionMismatch,
@@ -42,6 +44,7 @@ from sphlie.linalg import (
     is_zero_vector,
     mat_apply,
     membership,
+    solve_linear,
     subspace_intersect,
     subspace_sum,
     symmetric_signature,
@@ -119,6 +122,36 @@ def test_killing_form_ad_invariance():
         for y in basis:
             for z in basis:
                 assert bv(g.bracket(x, y), z) + bv(y, g.bracket(x, z)) == 0
+
+
+def reference_structure(basis):
+    """[e_i, e_j] for every ordered pair: the matrix commutator, written out,
+    solved in the flattened basis and checked by rebuilding it."""
+    n = len(basis[0])
+    flat = [[F(e) for row in b for e in row] for b in basis]
+    cols = [[v[k] for v in flat] for k in range(n * n)]
+    out = []
+    for x in basis:
+        row = []
+        for y in basis:
+            br = [sum(F(x[r][k]) * y[k][c] - F(y[r][k]) * x[k][c]
+                      for k in range(n)) for r in range(n) for c in range(n)]
+            coords = solve_linear(cols, br)
+            assert coords is not None
+            assert [sum(c * v[k] for c, v in zip(coords, flat))
+                    for k in range(n * n)] == br
+            row.append(tuple(coords))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def test_structure_table_matches_every_matrix_commutator():
+    bases = [sl_basis(n) for n in (2, 3, 4)]
+    bases += [so_basis(n) for n in (2, 3, 4)]
+    bases += [gl_basis(n) for n in (1, 2, 3, 4)]
+    bases += [e.problem.basis for e in catalog_entries()]
+    for basis in bases:
+        assert LieAlgebra(basis).structure == reference_structure(basis)
 
 
 def test_dependent_basis_rejected():
@@ -258,6 +291,20 @@ def test_root_decomposition_dimension_formula():
         assert total == g.dim
         assert subspace_sum(cd.m, cd.a) == cd.zero_space
         assert subspace_intersect(cd.m, cd.a).dim == 0
+
+
+def test_theta_is_validated_once_per_cartan_data(monkeypatch):
+    import sphlie.liealg as liealg
+    calls = []
+    real = liealg.cartan_decompose
+    monkeypatch.setattr(liealg, "cartan_decompose",
+                        lambda g, theta=None: calls.append(g) or real(g, theta))
+    cd = cartan_data(sl(3))
+    assert len(calls) == 1
+    # the public entry point still validates its own input
+    again = restricted_root_decomposition(cd.algebra, cd.a)
+    assert len(calls) == 2
+    assert again.roots == cd.roots and again.n == cd.n
 
 
 def test_so3_has_no_roots():

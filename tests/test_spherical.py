@@ -124,6 +124,7 @@ def test_candidate_subsets_unique_on_examples():
 def test_structure_report_sl2_so2():
     rep = structure_report(sl2_pair([(0, 1, -1)]))
     assert rep.adapted_subset == ()
+    assert rep.candidates == ((),)
     assert rep.candidates_passing == 1
     assert all(rep.checks.values())
     assert set(rep.checks) == {
@@ -134,6 +135,18 @@ def test_structure_report_sl2_so2():
     assert rep.h_split_part.dim == 0
     assert rep.rank_torus == canonical_basis([(1, 0, 0)], 3)
     assert rep.rank == 1
+
+
+def test_structure_report_enumerates_candidates_once(monkeypatch):
+    import sphlie.spherical as spherical
+    calls = []
+    real = spherical.candidate_subsets
+    monkeypatch.setattr(spherical, "candidate_subsets",
+                        lambda pair: calls.append(pair) or real(pair))
+    pair = sl2_pair([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    rep = structure_report(pair)
+    assert len(calls) == 1
+    assert rep.candidates == ((0,),) and rep.adapted_subset == (0,)
 
 
 def test_structure_report_lower_borel():
