@@ -15,16 +15,12 @@ from typing import Optional
 
 from .builders import block_embed, gl_basis, sl_basis, so_basis
 from .normalizer import NormalizerReport, normalizer_in, normalizer_report
-from .orbits import OrbitIdentityReport, derivation_pair, orbit_identity_check
-from .parabolic import characteristic_element
-from .problem import Problem, build_pair
+from .orbits import OrbitIdentityReport, parabolic_orbit_check
+from .problem import Problem, find_open_pair
 from .spherical import (
     ConjugationResult,
     SphericalPair,
     StructureReport,
-    conjugate_search,
-    is_spherical,
-    spherical_pair,
     structure_report,
 )
 
@@ -317,18 +313,10 @@ def run_entry(entry: CatalogEntry, seed: int = 0,
         if not cond:
             failures.append(message)
 
-    pair = build_pair(entry.problem)
-    ok, defect = is_spherical(pair)
+    pair, ok, defect, search, final = find_open_pair(
+        entry.problem, entry.search_budget, seed)
     expect(ok == exp.spherical_at_base,
            f"spherical_at_base: expected {exp.spherical_at_base}, got {ok}")
-
-    search = None
-    final: Optional[SphericalPair] = pair if ok else None
-    if not ok and entry.search_budget > 0:
-        search = conjugate_search(pair, entry.search_budget, seed=seed)
-        if search is not None:
-            final = spherical_pair(pair.cartan, search.conjugated,
-                                   label=entry.name)
     expect((not ok and final is not None) == exp.needs_conjugation,
            "needs_conjugation: search outcome does not match expectation")
     expect((final is not None) == exp.spherical,
@@ -359,10 +347,7 @@ def run_entry(entry: CatalogEntry, seed: int = 0,
                f"compact_dim: expected {exp.compact_dim}, got "
                f"{norm.compact_factor.dim}")
         expect(norm.all_ok, "normalizer flags: not all certified")
-        cd = final.cartan
-        x0 = characteristic_element(cd, report.adapted.subset)
-        dp = derivation_pair(cd.algebra, x0, report.adapted.nilradical)
-        orbit = orbit_identity_check(dp, samples=orbit_samples, seed=seed)
+        _, orbit = parabolic_orbit_check(report.adapted, orbit_samples, seed)
         expect(orbit.ok, "orbit identity: a sample escaped x0 + [x0, u]")
     else:
         ndim = normalizer_in(pair.algebra, pair.h).dim

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .catalog import catalog_entries, get_entry, run_entry
 from .errors import (
@@ -30,22 +29,15 @@ from .errors import (
 )
 from .linalg import Subspace, identity_matrix
 from .normalizer import normalizer_report
-from .orbits import derivation_pair, orbit_identity_check
-from .parabolic import characteristic_element
+from .orbits import parabolic_orbit_check
 from .problem import (
     Problem,
-    build_pair,
+    find_open_pair,
     format_rational,
     parse_problem,
     problem_to_json,
 )
-from .spherical import (
-    SphericalPair,
-    conjugate_search,
-    is_spherical,
-    spherical_pair,
-    structure_report,
-)
+from .spherical import SphericalPair, structure_report
 
 SCHEMA_VERSION = 1
 
@@ -83,24 +75,6 @@ def subspace_text(s: Subspace) -> str:
 
 def root_json(root) -> list:
     return [format_rational(x) for x in root]
-
-
-# -- shared pipeline ----------------------------------------------------------
-
-
-def _run_pipeline(problem: Problem, budget: int, seed: int):
-    """Parse-independent part of every command: sphericity and optional
-    conjugation search.  Returns (pair, ok, defect, search, final)."""
-    pair = build_pair(problem)
-    ok, defect = is_spherical(pair)
-    search = None
-    final: Optional[SphericalPair] = pair if ok else None
-    if not ok and budget > 0:
-        search = conjugate_search(pair, budget, seed=seed)
-        if search is not None:
-            final = spherical_pair(pair.cartan, search.conjugated,
-                                   label=problem.name)
-    return pair, ok, defect, search, final
 
 
 def _base_doc(command: str, problem: Problem, seed: int) -> dict:
@@ -224,17 +198,14 @@ def _normalizer_block(doc: dict, lines: list, report) -> bool:
     return all(flags.values())
 
 
-def _orbit_block(doc: dict, lines: list, final: SphericalPair, report,
-                 samples: int, seed: int) -> bool:
-    cd = final.cartan
-    x0 = characteristic_element(cd, report.adapted.subset)
-    dp = derivation_pair(cd.algebra, x0, report.adapted.nilradical)
-    orb = orbit_identity_check(dp, samples=samples, seed=seed)
+def _orbit_block(doc: dict, lines: list, report, samples: int,
+                 seed: int) -> bool:
+    dp, orb = parabolic_orbit_check(report.adapted, samples, seed)
     doc["orbit"] = {
         "ok": orb.ok,
         "samples_run": orb.samples_run,
         "witness": None if orb.witness is None else vec_json(orb.witness),
-        "characteristic_element": vec_json(x0),
+        "characteristic_element": vec_json(dp.x0),
         "layer_eigenvalues": [format_rational(lam) for lam, _ in dp.layers],
     }
     lines.append(f"orbit identity: {'ok' if orb.ok else 'FAILED'} "
@@ -259,7 +230,7 @@ def _report_command(args, command: str, want: set) -> int:
     seed = args.seed
     doc = _base_doc(command, problem, seed)
     lines = [f"problem: {problem.name or args.file}"]
-    pair, ok, defect, search, final = _run_pipeline(
+    _, ok, defect, search, final = find_open_pair(
         problem, args.conjugate_search, seed)
     _sphericity_block(doc, ok, defect, search, args.conjugate_search, final)
     _sphericity_text(lines, doc)
@@ -285,8 +256,8 @@ def _report_command(args, command: str, want: set) -> int:
         if "normalizer" in want:
             passed = _normalizer_block(doc, lines, report) and passed
         if "orbit" in want:
-            passed = _orbit_block(doc, lines, final, report,
-                                  args.samples, seed) and passed
+            passed = _orbit_block(doc, lines, report, args.samples,
+                                  seed) and passed
 
     doc["pass"] = passed
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")

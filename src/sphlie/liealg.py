@@ -32,7 +32,9 @@ from .errors import (
     NotReductive,
 )
 from .linalg import (
+    DirectSum,
     Matrix,
+    SpanSolver,
     Subspace,
     Vector,
     ZERO,
@@ -41,6 +43,7 @@ from .linalg import (
     canonical_basis,
     full_subspace,
     image_subspace,
+    is_direct_sum,
     is_zero_vector,
     kernel,
     lin_comb,
@@ -53,7 +56,6 @@ from .linalg import (
     mat_unflatten,
     residual_operator,
     restrict_bilinear_form,
-    rref,
     subspace_intersect,
     subspace_sum,
     symmetric_signature,
@@ -64,43 +66,6 @@ from .linalg import (
 from .spectral import eigen_split
 
 Root = tuple[Fraction, ...]
-
-
-class SpanSolver:
-    """Expresses vectors in a fixed independent spanning list, exactly.
-
-    Row-reduces ``[A | I]`` once; each later query is a single back
-    substitution that also certifies membership.
-    """
-
-    def __init__(self, rows: Sequence[Vector]):
-        self.k = len(rows)
-        self.n = len(rows[0]) if rows else 0
-        aug = [list(r) + list(unit_vector(self.k, i)) for i, r in enumerate(rows)]
-        red, pivots = rref(aug)
-        if len(red) != self.k or any(p >= self.n for p in pivots):
-            raise DimensionMismatch("spanning list is linearly dependent")
-        # per pivot: the nonzero entries of its row in the span part and in
-        # the coefficient part
-        self._rows = [(p, [(i, a) for i, a in enumerate(row[:self.n]) if a],
-                       [(i, a) for i, a in enumerate(row[self.n:]) if a])
-                      for row, p in zip(red, pivots)]
-
-    def coordinates(self, v: Sequence[Fraction]) -> Optional[Vector]:
-        if len(v) != self.n:
-            raise DimensionMismatch("vector has wrong length for this span")
-        coeffs = [ZERO] * self.k
-        resid = list(v)
-        for p, span_part, coeff_part in self._rows:
-            c = resid[p]
-            if c:
-                for idx, a in span_part:
-                    resid[idx] -= c * a
-                for idx, a in coeff_part:
-                    coeffs[idx] += c * a
-        if any(resid):
-            return None
-        return tuple(coeffs)
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
@@ -126,7 +91,7 @@ class LieAlgebra:
         self.dim = len(basis)
         self._flat = [tuple(e for row in b for e in row) for b in basis]
         try:
-            self._solver = SpanSolver(self._flat)
+            self._solver = SpanSolver(self._flat, n * n)
         except DimensionMismatch:
             raise DimensionMismatch("basis matrices are linearly dependent")
         # solve [e_i, e_j] for i < j only: [e_j, e_i] = -[e_i, e_j], [e_i, e_i] = 0
@@ -232,19 +197,14 @@ class LieAlgebra:
         """
         z = self.center()
         der = self.derived_algebra()
-        if subspace_intersect(z, der).dim != 0 or \
-                subspace_sum(z, der).dim != self.dim:
+        if not is_direct_sum(self.full_space(), z, der):
             raise NotReductive(
                 f"{self.name} is not reductive: z + [g,g] is not a direct "
                 f"splitting of g")
         # projection of each basis vector onto z along [g,g]
-        mixed = list(z.basis) + list(der.basis)
-        solver = SpanSolver(mixed)
-        zparts = []
-        for i in range(self.dim):
-            coeffs = solver.coordinates(unit_vector(self.dim, i))
-            zpart = lin_comb(coeffs[:z.dim], z.basis, self.dim)
-            zparts.append(self.to_matrix(zpart))
+        split = DirectSum([z, der])
+        zparts = [self.to_matrix(split.components(unit_vector(self.dim, i))[0])
+                  for i in range(self.dim)]
         b = self.killing_form()
         out = []
         for i in range(self.dim):
@@ -273,18 +233,28 @@ def lift_subspace(s_in_sub: Subspace, carrier: Subspace) -> Subspace:
         carrier.ambient_dim)
 
 
-def centralizer_in(g: LieAlgebra, s: Subspace, within: Optional[Subspace] = None) -> Subspace:
-    """{x in ``within`` : [x, u] = 0 for all u in s} (``within`` defaults to g)."""
+def transporter(g: LieAlgebra, s: Subspace, t: Subspace,
+                within: Optional[Subspace] = None) -> Subspace:
+    """{x in ``within`` : [x, s] contained in t} (``within`` defaults to g).
+
+    The kernel of a bracket condition, solved as one exact kernel in the
+    coordinates of ``within``: for every u in the basis of s, the residual
+    of [x, u] modulo t (see residual_operator) must vanish.
+    """
     w = within if within is not None else g.full_space()
     if w.dim == 0 or s.dim == 0:
         return w
-    rows = []
-    brk = [[g.bracket(wb, u) for u in s.basis] for wb in w.basis]
-    for uidx in range(s.dim):
-        for k in range(g.dim):
-            rows.append([brk[m][uidx][k] for m in range(w.dim)])
-    ker = kernel(rows, w.dim)
-    return lift_subspace(ker, w)
+    res = residual_operator(t)
+    brk = [[mat_apply(res, g.bracket(wb, u)) for u in s.basis]
+           for wb in w.basis]
+    rows = [[brk[m][uidx][k] for m in range(w.dim)]
+            for uidx in range(s.dim) for k in range(g.dim)]
+    return lift_subspace(kernel(rows, w.dim), w)
+
+
+def centralizer_in(g: LieAlgebra, s: Subspace, within: Optional[Subspace] = None) -> Subspace:
+    """{x in ``within`` : [x, u] = 0 for all u in s} (``within`` defaults to g)."""
+    return transporter(g, s, g.zero_space(), within)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +281,9 @@ def _validate_involution(g: LieAlgebra, theta: Matrix) -> None:
     if sq != tuple(unit_vector(d, i) for i in range(d)):
         raise CertificationError("theta is not involutive")
     cols = mat_transpose(theta)  # cols[i] = theta(e_i)
+    # both sides are antisymmetric in (i, j) and vanish for i = j
     for i in range(d):
-        for j in range(d):
+        for j in range(i + 1, d):
             lhs = mat_apply(theta, g.structure[i][j])
             rhs = g.bracket(cols[i], cols[j])
             if lhs != rhs:
@@ -496,7 +467,7 @@ def _root_decomposition(g: LieAlgebra, a: Subspace, positivity_basis,
     # independent simple roots give every positive root unique coordinates
     # in them, which must be nonnegative
     try:
-        solver = SpanSolver(simples)
+        solver = SpanSolver(simples, a.dim)
     except DimensionMismatch:
         raise CertificationError("simple roots are linearly dependent") from None
     coordinates = [solver.coordinates(r) for r in positives]
@@ -507,8 +478,7 @@ def _root_decomposition(g: LieAlgebra, a: Subspace, positivity_basis,
                 f"the simple roots")
 
     m = subspace_intersect(zero_sp, k)
-    if m.dim + a.dim != zero_sp.dim or \
-            subspace_sum(m, a) != zero_sp:
+    if not is_direct_sum(zero_sp, m, a):
         raise CertificationError("g0 does not split as m + a")
 
     n = canonical_basis([v for r in positives
@@ -550,26 +520,15 @@ def cartan_data(g: LieAlgebra,
 def largest_ideal_within(g: LieAlgebra, h: Subspace) -> Subspace:
     """The largest ideal of g contained in h.
 
-    Computed by the decreasing iteration I <- {x in I : [g, x] <= I}, which
-    stabilizes after at most dim g steps; the fixed point is exactly the
-    largest g-ideal inside h.
+    Computed by the decreasing iteration I <- {x in I : [x, g] <= I}, a
+    transporter, which stabilizes after at most dim g steps; the fixed point
+    is exactly the largest g-ideal inside h.
     """
     if h.ambient_dim != g.dim:
         raise DimensionMismatch("subspace does not live in the algebra")
     current = h
     while True:
-        if current.dim == 0:
-            return current
-        res = residual_operator(current)
-        rows = []
-        for j in range(g.dim):
-            cols = [mat_apply(res, g.bracket(unit_vector(g.dim, j), u))
-                    for u in current.basis]
-            for r in range(g.dim):
-                rows.append([cols[c][r] for c in range(current.dim)])
-        coords = kernel(rows, current.dim)
-        nxt = canonical_basis(
-            [current.from_coordinates(c) for c in coords.basis], g.dim)
+        nxt = transporter(g, g.full_space(), current, within=current)
         if nxt == current:
             return current
         current = nxt
@@ -620,7 +579,7 @@ def simple_ideal_split(g: LieAlgebra) -> ReductiveSplit:
     """
     z = g.center()
     der = g.derived_algebra()
-    if subspace_intersect(z, der).dim != 0 or subspace_sum(z, der).dim != g.dim:
+    if not is_direct_sum(g.full_space(), z, der):
         raise NotReductive(f"{g.name} is not reductive")
     if der.dim == 0:
         return ReductiveSplit(center=z, ideals=())

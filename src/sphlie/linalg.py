@@ -6,14 +6,20 @@ which is *unique*, so two subspaces are equal iff their stored data are equal
 and all downstream decompositions are reproducible.  No floating point is used
 anywhere.
 
-The three headline operations are :func:`canonical_basis`,
-:func:`subspace_combine` and :func:`membership`; the rest are the exact
-solving utilities the Lie-theory layers are built from.
+Each linear-algebra idea has one implementation, which the Lie-theory
+layers call instead of re-deriving it: spans (:func:`canonical_basis`),
+coordinates in a span (:meth:`Subspace.coordinates_of`, and
+:class:`SpanSolver` for a fixed independent list), splitting along a direct
+sum (:class:`DirectSum`), certifying ``whole = a ⊕ b ⊕ ...``
+(:func:`is_direct_sum`), combinations (:func:`lin_comb`), kernels and
+genuine linear systems (:func:`kernel`, :func:`solve_linear`).  The kernel
+of a bracket condition lives in :func:`sphlie.liealg.transporter`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -124,27 +130,44 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(i for i, a in enumerate(row) if a != 0) for row in self.basis)
+        return tuple(p for p, _ in self._echelon)
+
+    @cached_property
+    def _echelon(self) -> tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]:
+        """Per basis row: its pivot and its nonzero (column, entry) pairs."""
+        rows = [tuple((j, a) for j, a in enumerate(row) if a)
+                for row in self.basis]
+        return tuple((nz[0][0], nz) for nz in rows)
 
     def coordinates_of(self, v: Vector) -> Optional[Vector]:
         """Coordinates of v in the echelon basis, or None if v is outside.
 
-        Because the basis is in RREF the candidate coordinates can be read off
-        the pivot columns; one exact comparison certifies membership.
+        Because the basis is in RREF the coordinates are v's pivot entries;
+        subtracting them over the rows' nonzero entries leaves a zero
+        residual exactly when v is inside.
         """
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient {self.ambient_dim}")
-        coords = tuple(v[p] for p in self.pivots)
-        residual = list(v)
-        for c, row in zip(coords, self.basis):
-            if c != 0:
-                residual = [a - c * b for a, b in zip(residual, row)]
-        if any(a != 0 for a in residual):
+        coords, residual = self._back_substitute(v)
+        if any(residual):
             return None
-        return coords
+        return tuple(coords)
+
+    def _back_substitute(self, v: Sequence[Fraction]
+                         ) -> tuple[list[Fraction], list[Fraction]]:
+        """v's echelon coordinates and v minus their combination."""
+        residual = list(v)
+        coords = []
+        for p, nz in self._echelon:
+            c = residual[p]  # = v[p]: every other row vanishes at p
+            coords.append(c)
+            if c:
+                for j, a in nz:
+                    residual[j] -= c * a
+        return coords, residual
 
     def contains(self, v: Vector) -> bool:
         return self.coordinates_of(v) is not None
@@ -249,6 +272,84 @@ def subspace_combine(a: Subspace, b: Subspace, kind: str) -> Subspace:
 def membership(v: Sequence, s: Subspace) -> Optional[Vector]:
     """Coordinates of v in s's canonical basis, or None if v is not in s."""
     return s.coordinates_of(as_vector(v))
+
+
+def is_direct_sum(whole: Subspace, *parts: Subspace) -> bool:
+    """Whether ``whole`` = parts[0] ⊕ parts[1] ⊕ ...: the dimensions add up
+    and one elimination of the stacked bases spans ``whole``."""
+    if any(p.ambient_dim != whole.ambient_dim for p in parts):
+        raise DimensionMismatch("direct sum of subspaces of different ambients")
+    return (sum(p.dim for p in parts) == whole.dim
+            and canonical_basis([v for p in parts for v in p.basis],
+                                whole.ambient_dim) == whole)
+
+
+# ---------------------------------------------------------------------------
+# coordinates in a fixed list, splitting along a direct sum
+
+
+class SpanSolver:
+    """Expresses vectors of Q^n in a fixed independent list, exactly.
+
+    Row-reduces ``[A | -I]`` once.  Back substitution of ``(v, 0)`` against
+    those echelon rows leaves a residual whose first n entries vanish
+    exactly when v is in the span and whose last k entries are then v's
+    coefficients in the list.  A dependent list raises DimensionMismatch.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[Fraction]], n: int):
+        if any(len(r) != n for r in rows):
+            raise DimensionMismatch("spanning vectors do not all have length n")
+        self.n, self.k = n, len(rows)
+        aug = [list(r) + [-x for x in unit_vector(self.k, i)]
+               for i, r in enumerate(rows)]
+        red, pivots = rref(aug)
+        # [A | -I] always has rank k; A is independent iff no pivot leaves it
+        if any(p >= n for p in pivots):
+            raise DimensionMismatch("spanning list is linearly dependent")
+        self._augmented = Subspace(n + self.k, tuple(red))
+
+    def coordinates(self, v: Sequence[Fraction]) -> Optional[Vector]:
+        """Coefficients writing v in the list, or None if v is outside."""
+        if len(v) != self.n:
+            raise DimensionMismatch(
+                f"vector length {len(v)} != span ambient {self.n}")
+        _, residual = self._augmented._back_substitute(
+            list(v) + [ZERO] * self.k)
+        if any(residual[:self.n]):
+            return None
+        return tuple(residual[self.n:])
+
+
+class DirectSum:
+    """A direct sum of subspaces, certified at construction, that splits a
+    vector into its part in each piece.
+
+    ``pieces`` holds at least one subspace.  Overlapping pieces raise
+    DimensionMismatch; zero-dimensional pieces are allowed.
+    """
+
+    def __init__(self, pieces: Sequence[Subspace]):
+        self.pieces = tuple(pieces)
+        n = self.pieces[0].ambient_dim
+        if any(p.ambient_dim != n for p in self.pieces):
+            raise DimensionMismatch("direct sum of subspaces of different ambients")
+        try:
+            self._solver = SpanSolver([v for p in self.pieces for v in p.basis], n)
+        except DimensionMismatch:
+            raise DimensionMismatch("direct-sum pieces overlap") from None
+
+    def components(self, v: Sequence[Fraction]) -> Optional[list[Vector]]:
+        """v's part in each piece, in order, or None if v lies outside the
+        sum."""
+        coords = self._solver.coordinates(v)
+        if coords is None:
+            return None
+        out, at = [], 0
+        for p in self.pieces:
+            out.append(p.from_coordinates(coords[at:at + p.dim]))
+            at += p.dim
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +548,14 @@ def project_along(s: Subspace, target: Subspace, along: Subspace) -> Subspace:
 
     Requires target + along to be direct and to contain s.
     """
-    if subspace_intersect(target, along).dim != 0:
-        raise DimensionMismatch("projection summands overlap")
-    cols = list(target.basis) + list(along.basis)
-    rows = [[b[i] for b in cols] for i in range(s.ambient_dim)]
+    split = DirectSum([target, along])
     parts = []
     for v in s.basis:
-        sol = solve_linear(rows, list(v))
-        if sol is None:
+        comps = split.components(v)
+        if comps is None:
             raise DimensionMismatch(
                 "subspace is not contained in the sum of the summands")
-        parts.append(lin_comb(sol[:target.dim], target.basis, s.ambient_dim))
+        parts.append(comps[0])
     return canonical_basis(parts, s.ambient_dim)
 
 

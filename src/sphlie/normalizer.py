@@ -12,22 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificationError, NotClosed, SpectrumError
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, transporter
 from .linalg import (
     Subspace,
     complement_in,
     identity_matrix,
     image_subspace,
+    is_direct_sum,
     is_zero_vector,
     kernel,
-    mat_apply,
     project_along,
-    residual_operator,
     restrict_bilinear_form,
     subspace_intersect,
     subspace_sum,
     symmetric_signature,
-    unit_vector,
 )
 from .spectral import eigen_split
 from .spherical import StructureReport
@@ -36,19 +34,13 @@ from .spherical import StructureReport
 def normalizer_in(g: LieAlgebra, h: Subspace) -> Subspace:
     """The normalizer of a subalgebra: all x with [x, h] contained in h.
 
-    Solved as one exact kernel computation; the result is certified to be a
-    subalgebra containing h as an ideal.
+    Solved as one exact kernel computation (the transporter of h into
+    itself); the result is certified to be a subalgebra containing h as an
+    ideal.
     """
     if not g.is_subalgebra(h):
         raise NotClosed("can only normalize a subalgebra")
-    res = residual_operator(h)
-    rows = []
-    for u in h.basis:
-        cols = [mat_apply(res, g.bracket(unit_vector(g.dim, j), u))
-                for j in range(g.dim)]
-        for r in range(g.dim):
-            rows.append([cols[j][r] for j in range(g.dim)])
-    out = kernel(rows, g.dim) if rows else g.full_space()
+    out = transporter(g, h, h)
     if not h.is_contained_in(out) or not g.is_subalgebra(out):
         raise CertificationError(
             "normalizer certification failed (library bug)")
@@ -115,11 +107,9 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
     m_std = project_along(c_std, compactish, fs.z_np)
 
     split_ok = (
-        subspace_intersect(c_std, h_std).dim == 0
-        and subspace_sum(h_std, c_std) == n_std
+        is_direct_sum(n_std, h_std, c_std)
         and c_std.is_contained_in(dsub)
-        and a_std.dim + m_std.dim == c_std.dim
-        and subspace_sum(a_std, m_std) == c_std
+        and is_direct_sum(c_std, a_std, m_std)
         and _normalizes(g, a_std, h_std)
         and _normalizes(g, m_std, h_std)
     )
@@ -154,8 +144,7 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
     self_normalizing_ok = normalizer_in(g, ntilde) == ntilde
     n_meet = subspace_intersect(cd.n, ntilde)
     u = sr.adapted.nilradical
-    same_adapted_ok = (u.dim + n_meet.dim == cd.n.dim
-                       and subspace_sum(u, n_meet) == cd.n)
+    same_adapted_ok = is_direct_sum(cd.n, u, n_meet)
 
     return NormalizerReport(
         normalizer=ntilde,

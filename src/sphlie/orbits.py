@@ -24,6 +24,7 @@ from .errors import (
 )
 from .liealg import LieAlgebra
 from .linalg import (
+    DirectSum,
     Subspace,
     Vector,
     canonical_basis,
@@ -42,6 +43,7 @@ from .linalg import (
     zero_subspace,
     zero_vector,
 )
+from .parabolic import ParabolicData, characteristic_element
 from .spectral import eigen_split
 
 
@@ -166,21 +168,14 @@ def orbit_identity_check(dp: DerivationPair, samples: int = 100,
     return OrbitIdentityReport(ok=True, samples_run=samples)
 
 
-def _layer_components(dp: DerivationPair, v: Vector) -> list[Vector]:
-    """Decompose v ∈ u into its eigenvalue-layer components."""
-    cols = [b for _, layer in dp.layers for b in layer.basis]
-    rows = [[b[i] for b in cols] for i in range(dp.algebra.dim)]
-    sol = solve_linear(rows, list(v))
-    if sol is None:
-        raise CertificationError("vector left u during layer peeling "
-                                 "(library bug)")
-    out = []
-    offset = 0
-    for _, layer in dp.layers:
-        out.append(lin_comb(sol[offset:offset + layer.dim], layer.basis,
-                            dp.algebra.dim))
-        offset += layer.dim
-    return out
+def parabolic_orbit_check(pd: ParabolicData, samples: int, seed: int
+                          ) -> tuple[DerivationPair, OrbitIdentityReport]:
+    """The orbit identity for a parabolic's nilradical u under its
+    characteristic element x0: derivation_pair, then orbit_identity_check."""
+    cd = pd.cartan
+    x0 = characteristic_element(cd, pd.subset)
+    dp = derivation_pair(cd.algebra, x0, pd.nilradical)
+    return dp, orbit_identity_check(dp, samples=samples, seed=seed)
 
 
 def solve_conjugator(dp: DerivationPair, w: Vector) -> Vector:
@@ -199,12 +194,18 @@ def solve_conjugator(dp: DerivationPair, w: Vector) -> Vector:
                 "layer of u, which [x0, u] misses")
         raise UnreachableTarget("target is not in the bracket image [x0, u]")
 
+    # u = 0 has no layers, and then w = 0 needs no splitting
+    split = DirectSum([layer for _, layer in dp.layers]) if dp.layers else None
     exponents: list[Vector] = []
     current = tuple(w)
     for idx, (lam, _) in enumerate(dp.layers):
         if lam == 0 or is_zero_vector(current):
             continue
-        comp = _layer_components(dp, current)[idx]
+        parts = split.components(current)
+        if parts is None:
+            raise CertificationError("vector left u during layer peeling "
+                                     "(library bug)")
+        comp = parts[idx]
         if is_zero_vector(comp):
             continue
         step = vec_scale(Fraction(1) / lam, comp)

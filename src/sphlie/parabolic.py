@@ -28,6 +28,7 @@ from .linalg import (
     Vector,
     ZERO,
     canonical_basis,
+    is_direct_sum,
     lin_comb,
     solve_linear,
     subspace_intersect,
@@ -128,12 +129,10 @@ def levi_fine_structure(cd: CartanData, levi: Subspace) -> LeviStructure:
         raise CertificationError(
             "center of the Levi is not theta-stable; its compact/noncompact "
             "parts do not span it")
-    total = subspace_sum(subspace_sum(z_np, z_cp), subspace_sum(lc, ln))
-    if total != levi or z_np.dim + z_cp.dim + lc.dim + ln.dim != levi.dim:
+    if not is_direct_sum(levi, z_np, z_cp, lc, ln):
         raise CertificationError("Levi fine structure does not sum directly")
     # a = z_np + (a intersect l_n) must split a
-    a_ln = subspace_intersect(cd.a, ln)
-    if subspace_sum(z_np, a_ln) != cd.a or z_np.dim + a_ln.dim != cd.a.dim:
+    if not is_direct_sum(cd.a, z_np, subspace_intersect(cd.a, ln)):
         raise CertificationError(
             "a does not split as z(l)_np + (a intersect l_n)")
     return LeviStructure(levi=levi, center=center, z_np=z_np, z_cp=z_cp,

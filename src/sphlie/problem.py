@@ -30,7 +30,12 @@ from .linalg import (
     subspace_sum,
     vec_scale,
 )
-from .spherical import SphericalPair, spherical_pair
+from .spherical import (
+    SphericalPair,
+    conjugate_search,
+    is_spherical,
+    spherical_pair,
+)
 
 SCHEMA_VERSION = 1
 
@@ -294,3 +299,23 @@ def build_pair(problem: Problem) -> SphericalPair:
     cd = cartan_data(g, theta=problem.theta, a_seed=a_seed,
                      positivity_basis=positivity)
     return spherical_pair(cd, h, label=problem.name)
+
+
+def find_open_pair(problem: Problem, budget: int, seed: int) -> tuple:
+    """The stages every analysis starts with: build the pair, test the orbit
+    at the base point and, if it is not open and ``budget`` > 0, search for
+    a conjugate whose orbit is.
+
+    Returns (pair, open at base, defect at base, search result, final),
+    where ``final`` is the open pair, or None when none was found.
+    """
+    pair = build_pair(problem)
+    ok, defect = is_spherical(pair)
+    search = None
+    final: Optional[SphericalPair] = pair if ok else None
+    if not ok and budget > 0:
+        search = conjugate_search(pair, budget, seed=seed)
+        if search is not None:
+            final = spherical_pair(pair.cartan, search.conjugated,
+                                   label=problem.name)
+    return pair, ok, defect, search, final

@@ -23,11 +23,10 @@ from .linalg import (
     Vector,
     ZERO,
     ONE,
+    SpanSolver,
     canonical_basis,
     kernel,
-    lin_comb,
     mat_apply,
-    solve_linear,
     subspace_sum,
     unit_vector,
     zero_subspace,
@@ -156,29 +155,16 @@ def vector_minimal_polynomial(apply_op: Callable[[Vector], Vector], v: Vector) -
     krylov: list[Vector] = []
     cur = v
     while True:
-        if krylov:
-            sol = _express(krylov, cur)
-            if sol is not None:
-                # cur = sum sol_i M^i v  =>  minimal poly = x^k - sum sol_i x^i
-                return poly_normalize([-c for c in sol] + [ONE])
+        # krylov is independent: each vector was appended outside the span
+        # of the ones before it
+        sol = SpanSolver(krylov, len(v)).coordinates(cur)
+        if sol is not None:
+            # cur = sum sol_i M^i v  =>  minimal poly = x^k - sum sol_i x^i
+            return poly_normalize([-c for c in sol] + [ONE])
         krylov.append(cur)
         cur = apply_op(cur)
         if len(krylov) > len(v) + 1:  # pragma: no cover - cannot happen
             raise SpectrumError("Krylov sequence failed to close")
-
-
-def _express(basis: list[Vector], target: Vector) -> list[Fraction] | None:
-    """Coefficients writing target in the given (ordered, possibly
-    non-echelon) list of vectors, or None."""
-    n = len(target)
-    rows = [[basis[i][coord] for i in range(len(basis))] for coord in range(n)]
-    sol = solve_linear(rows, list(target))
-    if sol is None:
-        return None
-    # verify exactly (solve_linear only guarantees consistency of the system)
-    if lin_comb(sol, basis, n) != tuple(target):
-        return None
-    return list(sol)
 
 
 def restriction_matrix(op: Matrix, sub: Subspace) -> Matrix:

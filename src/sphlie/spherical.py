@@ -34,10 +34,10 @@ from .liealg import (
     CartanData,
     LieAlgebra,
     Root,
-    SpanSolver,
     largest_ideal_within,
 )
 from .linalg import (
+    DirectSum,
     Matrix,
     Subspace,
     canonical_basis,
@@ -45,6 +45,7 @@ from .linalg import (
     exp_nilpotent_matrix,
     identity_matrix,
     image_subspace,
+    is_direct_sum,
     lin_comb,
     mat_apply,
     mat_invert,
@@ -101,12 +102,6 @@ def is_spherical(pair: SphericalPair) -> tuple[bool, int]:
 # adapted parabolic
 
 
-def _complements_n_intersect_h(pd: ParabolicData, nh: Subspace) -> bool:
-    n = pd.cartan.n
-    return (pd.nilradical.dim + nh.dim == n.dim
-            and subspace_sum(pd.nilradical, nh) == n)
-
-
 def candidate_subsets(pair: SphericalPair) -> list[tuple[int, ...]]:
     """All subsets F of the simple roots (as index tuples) whose standard
     parabolic has nilradical complementary to n ∩ h in n.
@@ -127,8 +122,8 @@ def candidate_subsets(pair: SphericalPair) -> list[tuple[int, ...]]:
         for f in combinations(indices, size):
             dim_u = sum(dim for support, dim in dims
                         if not support.issubset(f))
-            if (dim_u + nh.dim == cd.n.dim and _complements_n_intersect_h(
-                    standard_parabolic(cd, f), nh)):
+            if (dim_u + nh.dim == cd.n.dim and is_direct_sum(
+                    cd.n, standard_parabolic(cd, f).nilradical, nh)):
                 out.append(f)
     return out
 
@@ -221,21 +216,7 @@ def _levi_adjustment(cd: CartanData, pd: ParabolicData,
         return phi
     grading = mat_scale(Fraction(-1), g.ad(characteristic_element(cd, pd.subset)))
     layers = eigen_split(grading, pd.nilradical)
-    pieces = [pd.levi] + [layer for _, layer in layers]
-    solver = SpanSolver([b for p in pieces for b in p.basis])
-    offsets = []
-    at = 0
-    for p in pieces:
-        offsets.append((at, at + p.dim))
-        at += p.dim
-
-    def component(x, idx):
-        coords = solver.coordinates(x)
-        if coords is None:
-            raise CertificationError("q ∩ h escaped the adapted parabolic")
-        lo, hi = offsets[idx]
-        return lin_comb(coords[lo:hi], pieces[idx].basis, g.dim)
-
+    split = DirectSum([pd.levi] + [layer for _, layer in layers])
     current = meet
     for k, (lam, layer) in enumerate(layers, start=1):
         if lam <= 0:
@@ -244,8 +225,10 @@ def _levi_adjustment(cd: CartanData, pd: ParabolicData,
         rows = []
         rhs = []
         for x in current.basis:
-            base = component(x, 0)
-            target = component(x, k)
+            parts = split.components(x)
+            if parts is None:
+                raise CertificationError("q ∩ h escaped the adapted parabolic")
+            base, target = parts[0], parts[k]
             cols = [g.bracket(w, base) for w in layer.basis]
             for r in range(g.dim):
                 rows.append([cols[c][r] for c in range(layer.dim)])
@@ -287,7 +270,7 @@ def structure_report(pair: SphericalPair) -> StructureReport:
         "noncompact_levi_ideals_in_h":
             fs.noncompact_ideals.is_contained_in(h_std),
         "levi_split_by_p_and_h": subspace_sum(lp, lh) == pd.levi,
-        "nilradical_complement": _complements_n_intersect_h(pd, nh),
+        "nilradical_complement": is_direct_sum(cd.n, pd.nilradical, nh),
     }
     failing = [k for k, v in checks.items() if not v]
     if failing:
@@ -295,8 +278,7 @@ def structure_report(pair: SphericalPair) -> StructureReport:
             f"local-structure identities failed: {', '.join(failing)}")
 
     core = subspace_intersect(fs.reductive_complement, h_std)
-    if (core.dim + fs.noncompact_ideals.dim != lh.dim
-            or subspace_sum(core, fs.noncompact_ideals) != lh):
+    if not is_direct_sum(lh, core, fs.noncompact_ideals):
         raise CertificationError(
             "levi ∩ h does not split as (h ∩ (z(l)+compact ideals)) ⊕ "
             "(noncompact ideals)")

@@ -135,8 +135,8 @@ def test_span_solver_matches_dense(data):
     red, _ = dense_rref(rows)
     if len(red) < len(rows):
         return  # SpanSolver needs an independent list
-    solver = SpanSolver(rows)
     n = len(rows[0])
+    solver = SpanSolver(rows, n)
     inside = dense_combination(coeffs, rows, n)
     assert solver.coordinates(inside) == tuple(coeffs)
     in_span = len(dense_rref(list(rows) + [outside])[0]) == len(rows)

@@ -198,6 +198,31 @@ def test_cartan_decompose_sl2():
     assert mat_apply(theta, unit_vector(3, 1)) == as_vector((0, 0, -1))
 
 
+def test_involution_check_names_the_first_failing_pair():
+    """Diagonal sign matrices are involutive; those that are not
+    automorphisms must be rejected naming the first failing basis pair in
+    row-major order over all d^2 ordered pairs, checked here densely."""
+    seen_adjacent = False
+    for g in (sl(2), sl(3), gl(2)):
+        d = g.dim
+        for mask in range(1, 2 ** d):
+            signs = [F(-1) if mask >> i & 1 else F(1) for i in range(d)]
+            theta = tuple(tuple(signs[i] if i == j else F(0)
+                                for j in range(d)) for i in range(d))
+            bad = [(i, j) for i in range(d) for j in range(d)
+                   if any(signs[k] * c != signs[i] * signs[j] * c
+                          for k, c in enumerate(g.structure[i][j]))]
+            if not bad:
+                cartan_decompose(g, theta)
+                continue
+            seen_adjacent |= bad[0][1] == bad[0][0] + 1
+            with pytest.raises(CertificationError) as exc:
+                cartan_decompose(g, theta)
+            assert str(exc.value) == ("theta is not an automorphism (fails "
+                                      f"on basis pair {bad[0][0]},{bad[0][1]})")
+    assert seen_adjacent
+
+
 def test_default_involution_needs_transpose_closure():
     g = LieAlgebra([sl2_H(), sl2_E()])  # upper triangular, not theta-stable
     with pytest.raises(NotClosed):
