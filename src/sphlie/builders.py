@@ -22,10 +22,6 @@ def elementary(n: int, i: int, j: int) -> Matrix:
                  for r in range(n))
 
 
-def matrix_units(n: int) -> list[Matrix]:
-    return [elementary(n, i, j) for i in range(n) for j in range(n)]
-
-
 def add(*mats: Matrix) -> Matrix:
     n = len(mats[0])
     return tuple(tuple(sum((m[r][c] for m in mats), ZERO) for c in range(n))

@@ -42,7 +42,7 @@ class CertificationError(SphlieError):
 
 class NotNilpotent(SphlieError):
     """An element or subalgebra that must act nilpotently does not, so a
-    finite exponential/logarithm series would not terminate."""
+    finite exponential series would not terminate."""
 
 
 class UnreachableTarget(SphlieError):

@@ -122,6 +122,10 @@ class LieAlgebra:
     # -- bracket and ad ------------------------------------------------------
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+        if len(x) != self.dim or len(y) != self.dim:
+            raise DimensionMismatch(
+                f"bracket of vectors of lengths {len(x)}, {len(y)} in an "
+                f"algebra of dimension {self.dim}")
         acc = [ZERO] * self.dim
         ynz = [(j, yj) for j, yj in enumerate(y) if yj]
         for xi, ti in zip(x, self._terms):
@@ -134,6 +138,10 @@ class LieAlgebra:
 
     def ad(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of y -> [x, y]; column j is [x, e_j]."""
+        if len(x) != self.dim:
+            raise DimensionMismatch(
+                f"ad of a vector of length {len(x)} in an algebra of "
+                f"dimension {self.dim}")
         rows = [[ZERO] * self.dim for _ in range(self.dim)]
         for xi, ti in zip(x, self._terms):
             if xi:

@@ -201,18 +201,26 @@ def canonical_basis(vectors: Iterable[Sequence], ambient_dim: Optional[int] = No
         ambient_dim = n
     elif ambient_dim is None:
         raise DimensionMismatch("empty generating set needs an explicit ambient_dim")
-    if ambient_dim < 1:
-        raise DimensionMismatch("ambient dimension must be >= 1")
+    _check_ambient(ambient_dim)
     rows, _ = rref(vecs)
     return Subspace(ambient_dim, tuple(rows))
 
 
+def _check_ambient(ambient_dim: int) -> None:
+    if ambient_dim < 1:
+        raise DimensionMismatch("ambient dimension must be >= 1")
+
+
 def zero_subspace(ambient_dim: int) -> Subspace:
-    return canonical_basis([], ambient_dim)
+    _check_ambient(ambient_dim)
+    return Subspace(ambient_dim, ())
 
 
 def full_subspace(ambient_dim: int) -> Subspace:
-    return canonical_basis([unit_vector(ambient_dim, i) for i in range(ambient_dim)])
+    """Q^ambient_dim; the identity rows are already their own RREF."""
+    _check_ambient(ambient_dim)
+    return Subspace(ambient_dim, tuple(unit_vector(ambient_dim, i)
+                                       for i in range(ambient_dim)))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -446,10 +454,6 @@ def mat_is_zero(a: Matrix) -> bool:
     return all(all(e == 0 for e in row) for row in a)
 
 
-def mat_flatten(a: Matrix) -> Vector:
-    return tuple(e for row in a for e in row)
-
-
 def mat_unflatten(v: Vector, n: int, m: Optional[int] = None) -> Matrix:
     m = m if m is not None else n
     if len(v) != n * m:
@@ -573,21 +577,3 @@ def exp_nilpotent_matrix(a: Matrix) -> Matrix:
             return acc
         acc = mat_add(acc, term)
     raise DimensionMismatch("matrix is not nilpotent; exp series does not end")
-
-
-def log_unipotent_matrix(a: Matrix) -> Matrix:
-    """Exact log of a unipotent rational matrix (finite series).
-
-    Raises if a - identity is not nilpotent.
-    """
-    n = len(a)
-    nil = mat_sub(a, identity_matrix(n))
-    coeffs, powers = [], []
-    term: Matrix = identity_matrix(n)
-    for k in range(1, n + 1):
-        term = mat_mul(term, nil)
-        if mat_is_zero(term):
-            return mat_unflatten(lin_comb(coeffs, powers, n * n), n)
-        coeffs.append(Fraction((-1) ** (k + 1), k))
-        powers.append(mat_flatten(term))
-    raise DimensionMismatch("matrix is not unipotent; log series does not end")

@@ -5,13 +5,14 @@ u is diagonalizable with nonpositive rational eigenvalues, the exponential
 orbit of x0 under u is exactly the affine set x0 + [x0, u].  Everything here
 is finite and rational: exponentials of nilpotent operators are finite sums,
 so the orbit identity can be *checked* on samples and *inverted* exactly by
-peeling one eigenvalue layer at a time.
+solving one eigenvalue layer at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import Optional
 
@@ -28,14 +29,10 @@ from .linalg import (
     Subspace,
     Vector,
     canonical_basis,
-    exp_nilpotent_matrix,
-    identity_matrix,
     is_zero_vector,
     lin_comb,
-    log_unipotent_matrix,
     mat_is_zero,
     mat_mul,
-    solve_linear,
     subspace_sum,
     vec_add,
     vec_scale,
@@ -81,6 +78,11 @@ class DerivationPair:
     u: Subspace
     layers: tuple[tuple[Fraction, Subspace], ...]
     bracket_image: Subspace
+
+    @cached_property
+    def layer_split(self) -> DirectSum:
+        """u = ⊕ layers, built on first use by solve_conjugator."""
+        return DirectSum([layer for _, layer in self.layers])
 
 
 def derivation_pair(g: LieAlgebra, x0: Vector, u: Subspace) -> DerivationPair:
@@ -181,10 +183,11 @@ def parabolic_orbit_check(pd: ParabolicData, samples: int, seed: int
 def solve_conjugator(dp: DerivationPair, w: Vector) -> Vector:
     """The exact U ∈ u with e^{ad U}x0 = x0 + w, for w ∈ [x0, u].
 
-    Peels one eigenvalue layer at a time, lowest first: on the layer of
-    -ad(x0)-eigenvalue λ > 0 the equation linearizes with coefficient λ.
-    The final answer is recombined through an exact matrix logarithm and
-    verified before returning.
+    Solves one eigenvalue layer at a time, lowest first.  Since
+    [u_λ, u_μ] ⊆ u_{λ+μ}, the layer-λ part of e^{ad U}x0 - x0 is λ·U_λ plus
+    brackets of lower layers only, so each layer's part of U is the layer-λ
+    part of w - (e^{ad U}x0 - x0) divided by λ.  The answer is verified
+    exactly before returning.
     """
     g = dp.algebra
     if not dp.bracket_image.contains(w):
@@ -194,49 +197,19 @@ def solve_conjugator(dp: DerivationPair, w: Vector) -> Vector:
                 "layer of u, which [x0, u] misses")
         raise UnreachableTarget("target is not in the bracket image [x0, u]")
 
-    # u = 0 has no layers, and then w = 0 needs no splitting
-    split = DirectSum([layer for _, layer in dp.layers]) if dp.layers else None
-    exponents: list[Vector] = []
-    current = tuple(w)
+    target = vec_add(dp.x0, tuple(w))
+    answer = zero_vector(g.dim)
+    residual = tuple(w)   # always target - e^{ad answer}x0
     for idx, (lam, _) in enumerate(dp.layers):
-        if lam == 0 or is_zero_vector(current):
+        if lam == 0 or is_zero_vector(residual):
             continue
-        parts = split.components(current)
+        parts = dp.layer_split.components(residual)
         if parts is None:
-            raise CertificationError("vector left u during layer peeling "
+            raise CertificationError("vector left u during the layer solve "
                                      "(library bug)")
-        comp = parts[idx]
-        if is_zero_vector(comp):
-            continue
-        step = vec_scale(Fraction(1) / lam, comp)
-        exponents.append(step)
-        moved = exp_ad_apply(g, vec_scale(-1, step), vec_add(dp.x0, current))
-        current = vec_sub(moved, dp.x0)
-    if not is_zero_vector(current):
-        raise CertificationError("layer peeling left a nonzero residue "
-                                 "(library bug)")
-
-    if not exponents:
-        answer: Vector = zero_vector(g.dim)
-    elif len(exponents) == 1:
-        answer = exponents[0]
-    else:
-        phi = identity_matrix(g.dim)
-        for step in exponents:
-            phi = mat_mul(phi, exp_nilpotent_matrix(g.ad(step)))
-        log = log_unipotent_matrix(phi)
-        ads = [g.ad(b) for b in dp.u.basis]
-        rows = [[ad[r][c] for ad in ads]
-                for r in range(g.dim) for c in range(g.dim)]
-        rhs = [log[r][c] for r in range(g.dim) for c in range(g.dim)]
-        sol = solve_linear(rows, rhs)
-        if sol is None:
-            raise CertificationError(
-                "matrix logarithm of the peeled product is not ad of a "
-                "u-element (library bug)")
-        answer = lin_comb(sol, dp.u.basis, g.dim)
-
-    if exp_ad_apply(g, answer, dp.x0) != vec_add(dp.x0, tuple(w)):
+        answer = vec_add(answer, vec_scale(Fraction(1) / lam, parts[idx]))
+        residual = vec_sub(target, exp_ad_apply(g, answer, dp.x0))
+    if not is_zero_vector(residual):
         raise CertificationError("solved conjugator failed exact "
                                  "verification (library bug)")
     return answer

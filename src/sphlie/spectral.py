@@ -27,7 +27,6 @@ from .linalg import (
     canonical_basis,
     kernel,
     mat_apply,
-    subspace_sum,
     unit_vector,
     zero_subspace,
 )
@@ -198,7 +197,7 @@ def eigen_split(op: Matrix, sub: Subspace) -> list[tuple[Fraction, Subspace]]:
     def apply_small(v: Vector) -> Vector:
         return mat_apply(small, v)
 
-    eigenvalues: set[Fraction] = set()
+    spaces: dict[Fraction, Subspace] = {}   # eigenvalue -> kernel in Q^s
     covered = zero_subspace(s)
     probe = 0
     while covered.dim < s:
@@ -208,25 +207,22 @@ def eigen_split(op: Matrix, sub: Subspace) -> list[tuple[Fraction, Subspace]]:
         if probe >= s:  # pragma: no cover - dimension bookkeeping prevents this
             raise SpectrumError("eigenspaces fail to exhaust an invariant subspace")
         p = vector_minimal_polynomial(apply_small, unit_vector(s, probe))
-        new = set(rational_roots(p)) - eigenvalues
+        new = set(rational_roots(p)) - spaces.keys()
         if not new:
             raise SpectrumError("operator is not semisimple on an invariant "
                                 "subspace (eigenspaces do not exhaust it)")
-        eigenvalues |= new
-        spaces = []
-        for lam in eigenvalues:
+        for lam in new:
             shifted = tuple(
                 tuple(small[i][j] - (lam if i == j else 0) for j in range(s))
                 for i in range(s))
-            spaces.append((lam, kernel(shifted, s)))
-        covered = zero_subspace(s)
-        for _, sp in spaces:
-            covered = subspace_sum(covered, sp)
-    total = sum(sp.dim for _, sp in spaces)
+            spaces[lam] = kernel(shifted, s)
+        covered = canonical_basis(
+            [v for sp in spaces.values() for v in sp.basis], s)
+    total = sum(sp.dim for sp in spaces.values())
     if total != s:  # pragma: no cover - covered-dim loop guarantees this
         raise SpectrumError("eigenspace dimensions do not add up")
     out = []
-    for lam, sp in sorted(spaces, key=lambda t: t[0]):
+    for lam, sp in sorted(spaces.items()):
         lifted = canonical_basis(
             [sub.from_coordinates(row) for row in sp.basis], sub.ambient_dim)
         out.append((lam, lifted))

@@ -154,6 +154,18 @@ def test_structure_table_matches_every_matrix_commutator():
         assert LieAlgebra(basis).structure == reference_structure(basis)
 
 
+def test_bracket_and_ad_reject_wrong_lengths():
+    g = sl(2)
+    e = (F(0), F(1), F(0))
+    for x, y in ((e, (0, 0, 0, 1)), ((0, 0, 0, 1), e), (e, (0, 1)),
+                 ((0, 1), e)):
+        with pytest.raises(DimensionMismatch):
+            g.bracket(x, y)
+    for x in ((0, 1, 0, 1), (0, 1)):
+        with pytest.raises(DimensionMismatch):
+            g.ad(x)
+
+
 def test_dependent_basis_rejected():
     with pytest.raises(DimensionMismatch):
         LieAlgebra([sl2_H(), sl2_H()])

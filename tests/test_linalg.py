@@ -64,6 +64,16 @@ def test_empty_generating_set_needs_ambient():
         canonical_basis([])
 
 
+def test_full_and_zero_subspaces_are_canonical():
+    for n in range(1, 7):
+        assert zero_subspace(n) == canonical_basis([], n)
+        assert full_subspace(n) == canonical_basis(
+            [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+    for build in (zero_subspace, full_subspace):
+        with pytest.raises(DimensionMismatch):
+            build(0)
+
+
 def test_mixed_dimension_rejected():
     with pytest.raises(DimensionMismatch):
         canonical_basis([(1, 0), (1, 0, 0)])

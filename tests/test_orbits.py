@@ -11,13 +11,20 @@ import pytest
 
 from sphlie.builders import sl
 from sphlie.errors import (
+    DimensionMismatch,
     NotClosed,
     NotNilpotent,
     SpectrumError,
     UnreachableTarget,
 )
 from sphlie.liealg import cartan_data
-from sphlie.linalg import canonical_basis, vec_add, vec_scale, zero_vector
+from sphlie.linalg import (
+    canonical_basis,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    zero_vector,
+)
 from sphlie.orbits import (
     derivation_pair,
     exp_ad_apply,
@@ -51,6 +58,22 @@ def sl3_heisenberg_dp():
     return derivation_pair(g, x0, u)
 
 
+def sl4_three_layer_dp():
+    # sl4 with u the full upper triangle: layers 1, 2, 3 under
+    # x0 = diag(-3/2, -1/2, 1/2, 3/2).
+    g = sl(4)
+    x0 = g.from_matrix([
+        [F(-3, 2), 0, 0, 0], [0, F(-1, 2), 0, 0],
+        [0, 0, F(1, 2), 0], [0, 0, 0, F(3, 2)]])
+    mats = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            m = [[0] * 4 for _ in range(4)]
+            m[i][j] = 1
+            mats.append(m)
+    return derivation_pair(g, x0, g.span_of_matrices(mats))
+
+
 # -- exp_ad_apply -----------------------------------------------------------
 
 
@@ -77,6 +100,14 @@ def test_exp_ad_certifies_only_its_own_series():
     g = sl(2)
     h = (F(1), F(0), F(0))
     assert exp_ad_apply(g, h, h) == h
+
+
+def test_exp_ad_rejects_wrong_lengths():
+    g = sl(2)
+    with pytest.raises(DimensionMismatch):
+        exp_ad_apply(g, (0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(DimensionMismatch):
+        exp_ad_apply(g, (0, 1, 0, 1), (1, 0, 0))
 
 
 def test_exp_ad_preserves_brackets():
@@ -208,8 +239,8 @@ def test_solve_conjugator_sl2_line():
 
 
 def test_solve_conjugator_two_layer_hand_case():
-    # W = E23 + E13: peeling gives exp factors E23 then E13/2, which
-    # commute, so U = E23 + E13/2.
+    # W = E23 + E13: layer 1 gives U_1 = E23, and e^{ad E23}x0 - x0 = E23
+    # has no E13 part, so layer 2 gives U_2 = E13/2.
     g = sl(3)
     dp = sl3_heisenberg_dp()
     w = g.from_matrix([[0, 0, 1], [0, 0, 1], [0, 0, 0]])
@@ -233,20 +264,10 @@ def test_solve_conjugator_round_trips_heisenberg():
 
 
 def test_solve_conjugator_three_layer_round_trips():
-    # sl4 with u the full upper triangle: three layers (1, 2, 3) whose
-    # exponents genuinely fail to commute, exercising the logarithm path.
-    g = sl(4)
-    x0 = g.from_matrix([
-        [F(-3, 2), 0, 0, 0], [0, F(-1, 2), 0, 0],
-        [0, 0, F(1, 2), 0], [0, 0, 0, F(3, 2)]])
-    mats = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m = [[0] * 4 for _ in range(4)]
-            m[i][j] = 1
-            mats.append(m)
-    u = g.span_of_matrices(mats)
-    dp = derivation_pair(g, x0, u)
+    # three layers (1, 2, 3) with non-commuting brackets: each layer's part
+    # of U depends on the parts solved below it.
+    dp = sl4_three_layer_dp()
+    g = dp.algebra
     assert [lam for lam, _ in dp.layers] == [F(1), F(2), F(3)]
     rng = Random(21)
     for _ in range(10):
@@ -256,6 +277,36 @@ def test_solve_conjugator_three_layer_round_trips():
         u_sol = solve_conjugator(dp, w)
         assert dp.u.contains(u_sol)
         assert exp_ad_apply(g, u_sol, dp.x0) == vec_add(dp.x0, w)
+
+
+def test_solve_conjugator_recovers_u_exactly():
+    # every layer is positive in both pairs and ad is injective on u, so
+    # U is the only solution, and the solve must return it on the nose.
+    for dp, seed in ((sl4_three_layer_dp(), 5), (sl3_heisenberg_dp(), 6)):
+        assert all(lam > 0 for lam, _ in dp.layers)
+        g = dp.algebra
+        rng = Random(seed)
+        for _ in range(15):
+            u_elt = random_u_element(dp, rng)
+            w = vec_sub(exp_ad_apply(g, u_elt, dp.x0), dp.x0)
+            assert solve_conjugator(dp, w) == u_elt
+
+
+def test_solve_conjugator_eliminates_only_on_first_call(monkeypatch):
+    import sphlie.linalg as linalg
+    dp = sl4_three_layer_dp()
+    g = dp.algebra
+    rng = Random(13)
+    targets = [vec_sub(exp_ad_apply(g, random_u_element(dp, rng), dp.x0),
+                       dp.x0) for _ in range(4)]
+    solve_conjugator(dp, targets[0])
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda rows: calls.append(len(rows)) or real(rows))
+    for w in targets[1:]:
+        assert exp_ad_apply(g, solve_conjugator(dp, w), dp.x0) == vec_add(dp.x0, w)
+    assert calls == []
 
 
 def test_solve_conjugator_rejects_target_outside_image():

@@ -2,8 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+import sphlie.spectral as spectral
+from sphlie.builders import sl
 from sphlie.errors import SpectrumError
-from sphlie.linalg import as_matrix, canonical_basis, full_subspace, mat_apply
+from sphlie.linalg import (
+    as_matrix,
+    canonical_basis,
+    full_subspace,
+    mat_apply,
+    unit_vector,
+)
 from sphlie.spectral import (
     eigen_split,
     poly_gcd,
@@ -76,3 +84,17 @@ def test_eigen_split_rejects_jordan_block():
     m = as_matrix([(1, 1), (0, 1)])
     with pytest.raises(SpectrumError):
         eigen_split(m, full_subspace(2))
+
+
+def test_eigen_split_computes_each_kernel_once(monkeypatch):
+    # ad H1 on sl3 has the five eigenvalues -2, -1, 0, 1, 2; several probe
+    # rounds are needed, and each eigenvalue's kernel is computed once.
+    g = sl(3)
+    calls = []
+    real = spectral.kernel
+    monkeypatch.setattr(spectral, "kernel",
+                        lambda rows, n: calls.append(n) or real(rows, n))
+    split = eigen_split(g.ad(unit_vector(g.dim, 0)), g.full_space())
+    assert [lam for lam, _ in split] == [F(-2), F(-1), F(0), F(1), F(2)]
+    assert [sp.dim for _, sp in split] == [1, 2, 2, 2, 1]
+    assert len(calls) == 5
