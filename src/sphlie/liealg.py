@@ -13,6 +13,10 @@ Conventions
 * A restricted root is stored as the tuple of its values on the echelon basis
   of ``a``; positivity is lexicographic with respect to a chosen ordered
   basis of ``a`` (the echelon basis unless the caller supplies one).
+* The center, the derived algebra, the Killing and invariant forms and each
+  validated Cartan decomposition are computed once, on first use, and cached
+  on the :class:`LieAlgebra` instance, so they die with it.  A subalgebra's
+  structure table is read off the ambient one.
 
 Every operator whose eigenvalues are consumed must act semisimply with
 rational spectrum; otherwise :class:`~sphlie.errors.SpectrumError` is raised
@@ -22,8 +26,9 @@ rational spectrum; otherwise :class:`~sphlie.errors.SpectrumError` is raised
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     CertificationError,
@@ -32,7 +37,6 @@ from .errors import (
     NotReductive,
 )
 from .linalg import (
-    DirectSum,
     Matrix,
     SpanSolver,
     Subspace,
@@ -42,11 +46,13 @@ from .linalg import (
     bilinear_value,
     canonical_basis,
     full_subspace,
+    identity_matrix,
     image_subspace,
     is_direct_sum,
     is_zero_vector,
     kernel,
     lin_comb,
+    mat_add,
     mat_apply,
     mat_mul,
     mat_scale,
@@ -60,7 +66,6 @@ from .linalg import (
     subspace_sum,
     symmetric_signature,
     unit_vector,
-    vec_scale,
     zero_subspace,
 )
 from .spectral import eigen_split
@@ -75,7 +80,10 @@ def commutator(x: Matrix, y: Matrix) -> Matrix:
 
 
 class LieAlgebra:
-    """A matrix Lie algebra over Q given by a bracket-closed basis."""
+    """A matrix Lie algebra over Q given by a bracket-closed basis.
+
+    center(), derived_algebra(), killing_form(), invariant_form() and the
+    Cartan decompositions are computed on first use and cached here."""
 
     def __init__(self, basis_matrices: Sequence, name: str = "g"):
         basis = tuple(as_matrix(b) for b in basis_matrices)
@@ -85,30 +93,42 @@ class LieAlgebra:
         for b in basis:
             if len(b) != n or any(len(row) != n for row in b):
                 raise DimensionMismatch("basis matrices must all be square of one size")
-        self.matrix_size = n
-        self.basis = basis
-        self.name = name
-        self.dim = len(basis)
-        self._flat = [tuple(e for row in b for e in row) for b in basis]
+        flat = [tuple(e for row in b for e in row) for b in basis]
         try:
-            self._solver = SpanSolver(self._flat, n * n)
+            self._solver = SpanSolver(flat, n * n)
         except DimensionMismatch:
             raise DimensionMismatch("basis matrices are linearly dependent")
-        # solve [e_i, e_j] for i < j only: [e_j, e_i] = -[e_i, e_j], [e_i, e_i] = 0
-        structure = [[(ZERO,) * self.dim] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                br = commutator(basis[i], basis[j])
-                coords = self._solver.coordinates(tuple(e for r in br for e in r))
+        self._finish(basis, flat, name, lambda i, j: self._solver.coordinates(
+            tuple(e for r in commutator(basis[i], basis[j]) for e in r)),
+            "bracket of basis elements {i} and {j} escapes the span")
+
+    def _finish(self, basis: tuple, flat: list, name: str,
+                bracket_coords: Callable, escape: str) -> None:
+        """Set the fields every construction path shares.  The structure
+        table needs ``bracket_coords(i, j)``, the coordinates of [e_i, e_j]
+        or None, only for i < j: [e_j, e_i] = -[e_i, e_j], [e_i, e_i] = 0."""
+        self.matrix_size = len(basis[0])
+        self.basis = basis
+        self.name = name
+        self.dim = d = len(basis)
+        self._flat = flat
+        structure = [[(ZERO,) * d] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                coords = bracket_coords(i, j)
                 if coords is None:
-                    raise NotClosed(
-                        f"bracket of basis elements {i} and {j} escapes the span")
+                    raise NotClosed(escape.format(i=i, j=j))
                 structure[i][j] = coords
                 structure[j][i] = tuple(-c for c in coords)
         self.structure = tuple(tuple(row) for row in structure)
         # _terms[i][j]: the nonzero (k, c) of [e_i, e_j] = sum_k c e_k
         self._terms = [[[(k, c) for k, c in enumerate(sij) if c] for sij in si]
                        for si in structure]
+        self._cartan: dict = {}  # validated (theta, k, s); key None is -X^T
+
+    @cached_property
+    def _solver(self) -> SpanSolver:
+        return SpanSolver(self._flat, self.matrix_size ** 2)
 
     # -- element conversions -------------------------------------------------
 
@@ -168,6 +188,10 @@ class LieAlgebra:
         return canonical_basis(coords, self.dim)
 
     def center(self) -> Subspace:
+        return self._center
+
+    @cached_property
+    def _center(self) -> Subspace:
         rows = []
         for j in range(self.dim):
             for k in range(self.dim):
@@ -175,6 +199,10 @@ class LieAlgebra:
         return kernel(rows, self.dim)
 
     def derived_algebra(self) -> Subspace:
+        return self._derived
+
+    @cached_property
+    def _derived(self) -> Subspace:
         gens = [self.structure[i][j]
                 for i in range(self.dim) for j in range(i + 1, self.dim)]
         return canonical_basis(gens, self.dim) if gens else self.zero_space()
@@ -187,6 +215,10 @@ class LieAlgebra:
 
     def killing_form(self) -> Matrix:
         """B(x, y) = trace(ad x . ad y) as a d x d Gram matrix."""
+        return self._killing
+
+    @cached_property
+    def _killing(self) -> Matrix:
         out = []
         for ti in self._terms:
             # nonzero entries (k, l, a) of ad e_i, with a = (ad e_i)[k][l]
@@ -203,33 +235,44 @@ class LieAlgebra:
         the form nondegenerate on all of g, which the rank and normalizer
         analyses rely on.
         """
+        return self._invariant
+
+    @cached_property
+    def _invariant(self) -> Matrix:
         z = self.center()
         der = self.derived_algebra()
         if not is_direct_sum(self.full_space(), z, der):
             raise NotReductive(
                 f"{self.name} is not reductive: z + [g,g] is not a direct "
                 f"splitting of g")
-        # projection of each basis vector onto z along [g,g]
-        split = DirectSum([z, der])
-        zparts = [self.to_matrix(split.components(unit_vector(self.dim, i))[0])
-                  for i in range(self.dim)]
         b = self.killing_form()
-        out = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                row.append(b[i][j] + mat_trace(mat_mul(zparts[i], zparts[j])))
-            out.append(tuple(row))
-        return tuple(out)
+        if z.dim == 0:
+            return b
+        # tr(XY) of the parts in z along [g,g], by the Gram matrix on z's
+        # basis and each e_i's first z.dim coordinates in z's + [g,g]'s basis
+        zmats = [self.to_matrix(v) for v in z.basis]
+        gram = [[mat_trace(mat_mul(x, y)) for y in zmats] for x in zmats]
+        split = SpanSolver(z.basis + der.basis, self.dim)
+        zc = [split.coordinates(unit_vector(self.dim, i))[:z.dim]
+              for i in range(self.dim)]
+        return tuple(tuple(bij + bilinear_value(gram, ci, cj)
+                           for bij, cj in zip(bi, zc))
+                     for bi, ci in zip(b, zc))
 
 
 def subalgebra(g: LieAlgebra, s: Subspace, name: Optional[str] = None) -> LieAlgebra:
     """The subspace ``s`` (which must be bracket closed) as an algebra in its
-    own right, with basis the matrices of s's echelon basis."""
-    if not g.is_subalgebra(s):
-        raise NotClosed("subspace is not closed under the bracket")
-    sub = LieAlgebra([g.to_matrix(row) for row in s.basis],
-                     name=name or f"{g.name}|sub")
+    own right, with basis the matrices of s's echelon basis.  Its structure
+    table is read off g's, which also certifies closure."""
+    if s.ambient_dim != g.dim or s.dim == 0:
+        raise DimensionMismatch("a subalgebra needs a nonzero subspace of g")
+    n = g.matrix_size
+    flat = [lin_comb(row, g._flat, n * n) for row in s.basis]
+    sub = LieAlgebra.__new__(LieAlgebra)
+    sub._finish(tuple(mat_unflatten(f, n) for f in flat), flat,
+                name or f"{g.name}|sub",
+                lambda i, j: s.coordinates_of(g.bracket(s.basis[i], s.basis[j])),
+                "subspace is not closed under the bracket")
     return sub
 
 
@@ -257,7 +300,9 @@ def transporter(g: LieAlgebra, s: Subspace, t: Subspace,
            for wb in w.basis]
     rows = [[brk[m][uidx][k] for m in range(w.dim)]
             for uidx in range(s.dim) for k in range(g.dim)]
-    return lift_subspace(kernel(rows, w.dim), w)
+    ker = kernel(rows, w.dim)
+    # coordinates in the full space (identity basis) are already ambient
+    return ker if w.dim == g.dim else lift_subspace(ker, w)
 
 
 def centralizer_in(g: LieAlgebra, s: Subspace, within: Optional[Subspace] = None) -> Subspace:
@@ -286,7 +331,7 @@ def default_involution(g: LieAlgebra) -> Matrix:
 def _validate_involution(g: LieAlgebra, theta: Matrix) -> None:
     d = g.dim
     sq = mat_mul(theta, theta)
-    if sq != tuple(unit_vector(d, i) for i in range(d)):
+    if sq != identity_matrix(d):
         raise CertificationError("theta is not involutive")
     cols = mat_transpose(theta)  # cols[i] = theta(e_i)
     # both sides are antisymmetric in (i, j) and vanish for i = j
@@ -302,16 +347,19 @@ def _validate_involution(g: LieAlgebra, theta: Matrix) -> None:
 def cartan_decompose(g: LieAlgebra, theta: Optional[Matrix] = None
                      ) -> tuple[Matrix, Subspace, Subspace]:
     """Validated Cartan decomposition g = k + s for an involution theta
-    (default -X^T).  Returns (theta, k, s)."""
-    th = default_involution(g) if theta is None else as_matrix(theta)
-    _validate_involution(g, th)
-    d = g.dim
-    minus_id = tuple(vec_scale(Fraction(-1), unit_vector(d, i)) for i in range(d))
-    k = kernel(mat_sub(th, tuple(unit_vector(d, i) for i in range(d))), d)
-    s = kernel(mat_sub(th, minus_id), d)
-    if k.dim + s.dim != d:  # pragma: no cover - excluded by theta^2 = 1
-        raise CertificationError("fixed spaces of theta do not decompose g")
-    return th, k, s
+    (default -X^T).  Returns (theta, k, s), validated once per algebra and
+    involution and cached on ``g``."""
+    key = None if theta is None else as_matrix(theta)
+    if key not in g._cartan:
+        th = default_involution(g) if key is None else key
+        _validate_involution(g, th)
+        d, one = g.dim, identity_matrix(g.dim)
+        k = kernel(mat_sub(th, one), d)
+        s = kernel(mat_add(th, one), d)
+        if k.dim + s.dim != d:  # pragma: no cover - excluded by theta^2 = 1
+            raise CertificationError("fixed spaces of theta do not decompose g")
+        g._cartan[key] = (th, k, s)
+    return g._cartan[key]
 
 
 def maximal_abelian(g: LieAlgebra, s: Subspace,
@@ -403,22 +451,18 @@ def restricted_root_decomposition(
         theta: Optional[Matrix] = None) -> CartanData:
     """Simultaneous ad-eigenspace decomposition of g under a, with validated
     Iwasawa-type consequences (g0 = m + a, n from the positive roots)."""
-    return _root_decomposition(g, a, positivity_basis,
-                               *cartan_decompose(g, theta))
+    th, k, s = cartan_decompose(g, theta)
+    # maximal_abelian certifies a inside s and abelian, and returns a
+    # itself exactly when z_s(a) = a
+    if maximal_abelian(g, s, seed=a) != a:
+        raise CertificationError("a is not maximal abelian in s (z_s(a) != a)")
+    return _root_decomposition(g, a, positivity_basis, th, k, s)
 
 
 def _root_decomposition(g: LieAlgebra, a: Subspace, positivity_basis,
                         th: Matrix, k: Subspace, s: Subspace) -> CartanData:
-    """restricted_root_decomposition for an already validated theta, k, s."""
-    if not a.is_contained_in(s):
-        raise DimensionMismatch("a must be contained in s")
-    for i, u in enumerate(a.basis):
-        for v in a.basis[i:]:
-            if not is_zero_vector(g.bracket(u, v)):
-                raise NotClosed("a is not abelian")
-    if centralizer_in(g, a, within=s) != a:
-        raise CertificationError("a is not maximal abelian in s (z_s(a) != a)")
-
+    """restricted_root_decomposition for an already validated theta, k, s
+    and a maximal abelian a inside s."""
     pieces: list[tuple[tuple[Fraction, ...], Subspace]] = [((), g.full_space())]
     for idx, h in enumerate(a.basis):
         adh = g.ad(h)

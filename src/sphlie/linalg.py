@@ -245,8 +245,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     for coord in range(a.ambient_dim):
         rows.append([a.basis[i][coord] for i in range(p)]
                     + [-b.basis[j][coord] for j in range(q)])
-    ker = kernel(rows, p + q)
-    gens = [lin_comb(kv[:p], a.basis, a.ambient_dim) for kv in ker.basis]
+    gens = [lin_comb(kv[:p], a.basis, a.ambient_dim)
+            for kv in _null_generators(rows, p + q)]
     return canonical_basis(gens, a.ambient_dim)
 
 
@@ -364,8 +364,10 @@ class DirectSum:
 # solving utilities
 
 
-def kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> Subspace:
-    """Null space of the matrix with the given rows (acting on Q^ncols)."""
+def _null_generators(rows: Sequence[Sequence[Fraction]], ncols: int
+                     ) -> list[list[Fraction]]:
+    """One null-space vector per free column of the rows' RREF; together a
+    basis of the kernel, though not an echelon one."""
     red, pivots = rref(rows)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
@@ -376,6 +378,12 @@ def kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> Subspace:
         for row, p in zip(red, pivots):
             v[p] = -row[f]
         gens.append(v)
+    return gens
+
+
+def kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> Subspace:
+    """Null space of the matrix with the given rows (acting on Q^ncols)."""
+    gens = _null_generators(rows, ncols)
     return canonical_basis(gens, ncols) if gens else zero_subspace(ncols)
 
 

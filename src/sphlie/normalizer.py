@@ -141,7 +141,9 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
         return True
 
     elementary_ok = _elementary()
-    self_normalizing_ok = normalizer_in(g, ntilde) == ntilde
+    # N(h) = h makes ntilde its own normalizer by the transporter above
+    self_normalizing_ok = (ntilde == pair.h
+                           or normalizer_in(g, ntilde) == ntilde)
     n_meet = subspace_intersect(cd.n, ntilde)
     u = sr.adapted.nilradical
     same_adapted_ok = is_direct_sum(cd.n, u, n_meet)

@@ -23,7 +23,6 @@ from .linalg import (
     Vector,
     ZERO,
     ONE,
-    SpanSolver,
     canonical_basis,
     kernel,
     mat_apply,
@@ -150,20 +149,30 @@ def rational_roots(p: Poly) -> list[Fraction]:
 
 
 def vector_minimal_polynomial(apply_op: Callable[[Vector], Vector], v: Vector) -> Poly:
-    """Monic generator of {p : p(M) v = 0} via the first Krylov dependency."""
-    krylov: list[Vector] = []
+    """Monic generator of {p : p(M) v = 0} via the first Krylov dependency.
+
+    M^k v is reduced against one echelon form of the Krylov vectors before
+    it, grown a row per step; each row keeps its trail, its coefficients in
+    those vectors, so the first M^k v reducing to zero gives p."""
+    rows: list[tuple[int, list, list]] = []  # pivot, nonzero (j, x) of row, trail
     cur = v
-    while True:
-        # krylov is independent: each vector was appended outside the span
-        # of the ones before it
-        sol = SpanSolver(krylov, len(v)).coordinates(cur)
-        if sol is not None:
-            # cur = sum sol_i M^i v  =>  minimal poly = x^k - sum sol_i x^i
-            return poly_normalize([-c for c in sol] + [ONE])
-        krylov.append(cur)
+    for k in range(len(v) + 1):
+        red, trail = list(cur), [ZERO] * k + [ONE]  # red = sum_i trail_i M^i v
+        for p, row, rtrail in rows:
+            c = red[p]
+            if c:
+                for j, x in row:
+                    red[j] -= c * x
+                for j, x in rtrail:
+                    trail[j] -= c * x
+        p = next((j for j, x in enumerate(red) if x), None)
+        if p is None:
+            return trail
+        inv = ONE / red[p]
+        rows.append((p, [(j, x * inv) for j, x in enumerate(red) if x],
+                     [(j, x * inv) for j, x in enumerate(trail) if x]))
         cur = apply_op(cur)
-        if len(krylov) > len(v) + 1:  # pragma: no cover - cannot happen
-            raise SpectrumError("Krylov sequence failed to close")
+    raise SpectrumError("Krylov sequence failed to close")  # pragma: no cover
 
 
 def restriction_matrix(op: Matrix, sub: Subspace) -> Matrix:

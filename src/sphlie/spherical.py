@@ -40,6 +40,7 @@ from .linalg import (
     DirectSum,
     Matrix,
     Subspace,
+    Vector,
     canonical_basis,
     complement_in,
     exp_nilpotent_matrix,
@@ -309,6 +310,12 @@ def apply_ad(g: LieAlgebra, element: Matrix, sub: Subspace) -> Subspace:
     The element must normalize g inside the ambient matrix algebra; if a
     conjugated basis vector leaves the span of g this raises.
     """
+    out = _conjugated(g, element, sub)
+    return canonical_basis(out, g.dim) if out else sub
+
+
+def _conjugated(g: LieAlgebra, element: Matrix, sub: Subspace) -> list[Vector]:
+    """Coordinates of element.v.element^-1 for v in sub's basis, unreduced."""
     inv = mat_invert(element)
     out = []
     for v in sub.basis:
@@ -318,7 +325,7 @@ def apply_ad(g: LieAlgebra, element: Matrix, sub: Subspace) -> Subspace:
             raise NotClosed(
                 "conjugation by the element does not preserve the algebra")
         out.append(c)
-    return canonical_basis(out, g.dim) if out else sub
+    return out
 
 
 def _fmt_root(root: Root) -> str:
@@ -446,8 +453,9 @@ def compact_transitivity_check(pair: SphericalPair, samples: int = 100,
         if run >= samples:
             break
         run += 1
-        moved_p = apply_ad(g, element, cd.p)
-        if subspace_sum(h, moved_p) != g.full_space():
+        # one elimination of h's basis and the conjugated basis of p
+        moved_p = _conjugated(g, element, cd.p)
+        if canonical_basis(list(h.basis) + moved_p, g.dim).dim != g.dim:
             if compact_type:
                 raise CertificationError(
                     f"h is compact-type (negative definite invariant form) "

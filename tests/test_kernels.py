@@ -14,10 +14,12 @@ from sphlie.builders import gl, sl, so
 from sphlie.liealg import SpanSolver, commutator
 from sphlie.linalg import (
     as_vector,
+    canonical_basis,
     lin_comb,
     mat_apply,
     mat_mul,
     rref,
+    subspace_intersect,
     unit_vector,
 )
 
@@ -186,3 +188,35 @@ def test_killing_form_matches_dense_trace_of_ad_products():
                             for j in range(d))
                       for i in range(d))
         assert g.killing_form() == dense
+
+
+@PROPS
+@given(dims.flatmap(lambda n: st.tuples(
+    st.just(n), *[st.lists(vectors(n), max_size=3)] * 3)))
+def test_subspace_intersect_matches_the_zassenhaus_reference(data):
+    # a and b share the span of ``shared``, so their meet is often proper
+    n, only_a, only_b, shared = data
+    a = canonical_basis(only_a + shared, n)
+    b = canonical_basis(only_b + shared, n)
+    # Zassenhaus: rows (u | u) for u in a and (w | 0) for w in b; the rows
+    # whose left half vanishes after elimination span a ∩ b on the right
+    zero = (F(0),) * n
+    red, _ = dense_rref([u + u for u in a.basis] + [w + zero for w in b.basis])
+    meet, _ = dense_rref([row[n:] for row in red if not any(row[:n])])
+    assert list(subspace_intersect(a, b).basis) == meet
+
+
+def test_subspace_intersect_eliminates_twice(monkeypatch):
+    import sphlie.linalg as linalg
+
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda rows: calls.append(rows) or real(rows))
+    a = canonical_basis([unit_vector(4, 0), unit_vector(4, 1)], 4)
+    b = canonical_basis([(F(1), F(1), F(0), F(0)), unit_vector(4, 2)], 4)
+    calls.clear()
+    assert subspace_intersect(a, b).basis == ((F(1), F(1), F(0), F(0)),)
+    # the null space of the stacked system, then the span of its a-parts;
+    # the null-space generators are sliced, never re-eliminated
+    assert len(calls) == 2

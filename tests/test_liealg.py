@@ -434,3 +434,150 @@ def test_subalgebra_roundtrip():
     sub = subalgebra(g, block)
     assert sub.dim == 3
     assert symmetric_signature(sub.killing_form()) == (2, 1, 0)  # sl2-type
+
+
+# -- subalgebras from the structure table -------------------------------------
+
+
+def random_subalgebra(rng, g):
+    """The subalgebra generated by one or two sparse random elements."""
+    s = canonical_basis(
+        [tuple(rng.choice((F(1), F(-1), F(2), F(1, 2))) if rng.random() < 0.2
+               else F(0) for _ in range(g.dim))
+         for _ in range(rng.randint(1, 2))], g.dim)
+    while True:
+        grown = subspace_sum(s, canonical_basis(
+            [g.bracket(u, v) for u in s.basis for v in s.basis], g.dim))
+        if grown == s:
+            return s
+        s = grown
+
+
+def assert_table_matches_matrix_build(g, s):
+    mats = [g.to_matrix(row) for row in s.basis]
+    if s.dim == 0:
+        for build in (lambda: subalgebra(g, s), lambda: LieAlgebra(mats)):
+            with pytest.raises(DimensionMismatch):
+                build()
+        return
+    sub, ref = subalgebra(g, s), LieAlgebra(mats)
+    assert sub.basis == ref.basis
+    assert sub.structure == ref.structure
+    assert sub.killing_form() == ref.killing_form()
+    # the matrix solver is built on first use and agrees with the reference
+    assert [sub.from_matrix(m) for m in mats] == [
+        unit_vector(sub.dim, i) for i in range(sub.dim)]
+
+
+def test_subalgebra_table_matches_the_matrix_build():
+    from itertools import combinations
+    import random
+
+    from sphlie.parabolic import standard_parabolic
+    from sphlie.problem import build_pair
+
+    rng = random.Random(11)
+    for make, n in ((sl, 2), (sl, 3), (sl, 4), (so, 3), (so, 4), (gl, 2),
+                    (gl, 3), (gl, 4)):
+        g = make(n)
+        assert_table_matches_matrix_build(g, g.derived_algebra())
+        for _ in range(4):
+            assert_table_matches_matrix_build(g, random_subalgebra(rng, g))
+    for entry in catalog_entries():
+        cd = build_pair(entry.problem).cartan
+        g = cd.algebra
+        assert_table_matches_matrix_build(g, g.derived_algebra())
+        r = len(cd.simple_roots)
+        for size in range(r + 1):
+            for f in combinations(range(r), size):
+                assert_table_matches_matrix_build(
+                    g, standard_parabolic(cd, f).levi)
+
+
+def test_subalgebra_rejects_non_closed_subspaces():
+    g = sl(2)
+    e_f = canonical_basis([g.from_matrix(sl2_E()), g.from_matrix(sl2_F())], 3)
+    with pytest.raises(NotClosed, match="not closed under the bracket"):
+        subalgebra(g, e_f)
+    with pytest.raises(DimensionMismatch):
+        subalgebra(g, canonical_basis([(F(1), F(0))], 2))
+
+
+# -- the invariant form against a dense reference -----------------------------
+
+
+def dense_invariant_form(g):
+    """Killing form from dense ad products plus tr(X_i X_j) of the parts of
+    every pair of basis elements in z along [g, g]: d^2 matrix products."""
+    from sphlie.linalg import mat_invert, mat_mul, mat_trace
+
+    d = g.dim
+    ads = [g.ad(unit_vector(d, i)) for i in range(d)]
+    z, der = g.center(), g.derived_algebra()
+    stacked = list(z.basis) + list(der.basis)
+    inv = mat_invert(stacked)   # e_i = sum_k inv[i][k] stacked[k]
+    zparts = [g.to_matrix(tuple(
+        sum((inv[i][k] * stacked[k][m] for k in range(z.dim)), F(0))
+        for m in range(d))) for i in range(d)]
+    return tuple(tuple(mat_trace(mat_mul(ads[i], ads[j]))
+                       + mat_trace(mat_mul(zparts[i], zparts[j]))
+                       for j in range(d)) for i in range(d))
+
+
+def so3_plus_centre():
+    """so(3) + a 2-dim centre in 5 x 5 blocks, with a basis that mixes the
+    two summands so that the parts in z along [g, g] are not basis rows."""
+    a1, a2, a3 = (block_embed(m, 5, 0) for m in so_basis(3))
+    z1, z2 = elementary(5, 3, 3), add(elementary(5, 3, 3), elementary(5, 4, 4))
+    return LieAlgebra([add(a1, z1), a2, add(a3, scale(-2, z2)), z1,
+                       add(z1, scale(3, z2))], name="so3+z")
+
+
+def test_invariant_form_matches_the_dense_reference():
+    for g in (gl(2), gl(3), so3_plus_centre(), sl(3), so(3)):
+        assert g.invariant_form() == dense_invariant_form(g)
+    assert so3_plus_centre().center().dim == 2
+    assert sl(3).invariant_form() == sl(3).killing_form()
+
+
+def test_invariant_form_of_a_non_reductive_algebra_raises_every_time():
+    # the Heisenberg algebra: z = [g, g] = span(E_13)
+    g = LieAlgebra([elementary(3, 0, 1), elementary(3, 1, 2),
+                    elementary(3, 0, 2)], name="heis")
+    for _ in range(2):
+        with pytest.raises(NotReductive):
+            g.invariant_form()
+
+
+def test_transporter_into_the_full_space_skips_the_lift(monkeypatch):
+    import sphlie.linalg as linalg
+    from sphlie.liealg import transporter
+
+    g = sl(3)
+    s = canonical_basis([unit_vector(8, 0)], 8)
+    expected = transporter(g, s, g.zero_space())
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda rows: calls.append(rows) or real(rows))
+    for within in (None, g.full_space()):
+        calls.clear()
+        assert transporter(g, s, g.zero_space(), within) == expected
+        # the kernel's elimination and its canonical basis, no lift
+        assert len(calls) == 2
+
+
+def test_restricted_root_decomposition_certifies_an_arbitrary_a():
+    g = sl(3)
+    _, k, s = cartan_decompose(g)
+    outside = canonical_basis([k.basis[0]], 8)
+    not_abelian = canonical_basis(s.basis[:3], 8)
+    assert any(not is_zero_vector(g.bracket(u, v))
+               for u in not_abelian.basis for v in not_abelian.basis)
+    small = canonical_basis([unit_vector(8, 0)], 8)  # span(H1) only
+    with pytest.raises(DimensionMismatch):
+        restricted_root_decomposition(g, outside)
+    with pytest.raises(NotClosed):
+        restricted_root_decomposition(g, not_abelian)
+    with pytest.raises(CertificationError, match="z_s"):
+        restricted_root_decomposition(g, small)

@@ -334,3 +334,77 @@ def test_build_pair_full_sl3_smoke():
     assert pair.cartan.algebra.dim == 8
     assert pair.h.dim == 3
     assert len(pair.cartan.simple_roots) == 2
+
+
+# -- each derived object once per analysis ---------------------------------------
+
+
+def analyze_counting(monkeypatch, tmp_path, problem, *options):
+    """Run ``sphlie analyze`` on a problem; return its exit code, the number
+    of times each algebra's center kernel was solved and the subalgebras
+    normalizer_report normalized."""
+    import sys
+    from collections import Counter
+
+    import sphlie.liealg as liealg
+    import sphlie.normalizer as normalizer
+    from sphlie.cli import main
+
+    center_solves = Counter()   # id of the algebra -> kernels solved for z(g)
+    real_kernel = liealg.kernel
+
+    def counting_kernel(rows, ncols):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name in ("center", "_center"):
+            center_solves[id(caller.f_locals["self"])] += 1
+        return real_kernel(rows, ncols)
+
+    normalized = []
+    real_normalizer = normalizer.normalizer_in
+    monkeypatch.setattr(liealg, "kernel", counting_kernel)
+    monkeypatch.setattr(normalizer, "normalizer_in",
+                        lambda g, h: normalized.append(h) or real_normalizer(g, h))
+    path = tmp_path / "problem.json"
+    path.write_text(problem_to_json(problem), encoding="utf-8")
+    code = main(["analyze", str(path), "--samples", "2", *options])
+    return code, center_solves, normalized
+
+
+def test_one_analyze_solves_each_center_once_and_normalizes_once(
+        monkeypatch, tmp_path, capsys):
+    code, center_solves, normalized = analyze_counting(
+        monkeypatch, tmp_path,
+        Problem("sl4_so4", 4, tuple(sl_basis(4)), tuple(so_basis(4))))
+    assert code == 0
+    assert center_solves and set(center_solves.values()) == {1}
+    # N(h) = h for sl(4)/so(4), so the self-normalizing check reuses it
+    assert len(normalized) == 1
+
+
+def test_hinted_analyze_solves_each_center_once(monkeypatch, tmp_path, capsys):
+    from sphlie.catalog import get_entry
+
+    entry = get_entry("sl2x3_diag_mixed")
+    code, center_solves, _ = analyze_counting(
+        monkeypatch, tmp_path, entry.problem,
+        "--conjugate-search", str(entry.search_budget))
+    assert code == 0
+    # the hint's ideal split, its split centre and the invariant form all
+    # read z(g)
+    assert center_solves and set(center_solves.values()) == {1}
+
+
+def test_hinted_build_validates_theta_once(monkeypatch):
+    import sphlie.liealg as liealg
+    from sphlie.catalog import get_entry
+
+    calls = []
+    real = liealg._validate_involution
+    monkeypatch.setattr(liealg, "_validate_involution",
+                        lambda g, th: calls.append(g) or real(g, th))
+    problem = get_entry("sl2x3_diag_mixed").problem
+    assert problem.minimal_parabolic_hint is not None
+    build_pair(problem)
+    assert len(calls) == 1
+    build_pair(problem)   # a new algebra validates its own theta
+    assert len(calls) == 2

@@ -98,3 +98,53 @@ def test_eigen_split_computes_each_kernel_once(monkeypatch):
     assert [lam for lam, _ in split] == [F(-2), F(-1), F(0), F(1), F(2)]
     assert [sp.dim for _, sp in split] == [1, 2, 2, 2, 1]
     assert len(calls) == 5
+
+
+def resolving_minimal_polynomial(apply_op, v):
+    """Reference: solve the whole Krylov list afresh at every step."""
+    from sphlie.linalg import SpanSolver
+
+    krylov, cur = [], v
+    while True:
+        sol = SpanSolver(krylov, len(v)).coordinates(cur)
+        if sol is not None:
+            return [-c for c in sol] + [F(1)]
+        krylov.append(cur)
+        cur = apply_op(cur)
+
+
+def test_vector_minimal_polynomial_matches_the_resolving_reference(monkeypatch):
+    import random
+
+    import sphlie.linalg as linalg
+    from sphlie.errors import DimensionMismatch
+    from sphlie.linalg import mat_invert, mat_mul
+
+    rng = random.Random(3)
+    small = (F(0), F(0), F(1), F(-1), F(2), F(1, 3))
+    cases = []
+    while len(cases) < 30:
+        n = rng.randint(1, 6)
+        p = tuple(tuple(rng.choice(small) for _ in range(n)) for _ in range(n))
+        try:
+            pinv = mat_invert(p)
+        except DimensionMismatch:
+            continue
+        # semisimple with rational, often repeated, eigenvalues
+        d = tuple(tuple(F(rng.randint(-2, 2)) if i == j else F(0)
+                        for j in range(n)) for i in range(n))
+        m = mat_mul(mat_mul(p, d), pinv)
+        vecs = [tuple(rng.choice(small) for _ in range(n)) for _ in range(3)]
+        cases.append((m, vecs + [unit_vector(n, 0), (F(0),) * n]))
+    expected = [[resolving_minimal_polynomial(lambda x: mat_apply(m, x), v)
+                 for v in vecs] for m, vecs in cases]
+    eliminations = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda rows: eliminations.append(rows) or real(rows))
+    got = [[vector_minimal_polynomial(lambda x: mat_apply(m, x), v)
+            for v in vecs] for m, vecs in cases]
+    assert got == expected
+    assert any(len(p) > 3 for ps in got for p in ps)
+    # one echelon form grown in place: no elimination from scratch
+    assert eliminations == []

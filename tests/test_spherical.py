@@ -376,3 +376,21 @@ def test_transitivity_precondition_no_ideal_inside_h():
     pair = spherical_pair(cd, first_factor)
     with pytest.raises(CertificationError):
         compact_transitivity_check(pair, samples=10)
+
+
+def test_transitivity_makes_two_eliminations_per_sample(monkeypatch):
+    import sphlie.linalg as linalg
+
+    pair = sl3_so3_pair()
+    counts = []
+    real = linalg.rref
+    for samples in (5, 10):
+        calls = []
+        monkeypatch.setattr(linalg, "rref",
+                            lambda rows: calls.append(rows) or real(rows))
+        rep = compact_transitivity_check(pair, samples=samples)
+        monkeypatch.setattr(linalg, "rref", real)
+        assert rep.samples_run == samples
+        counts.append(len(calls))
+    # per sample: the inverse of the element and one span of h + Ad(g)p
+    assert counts[1] - counts[0] == 2 * 5
