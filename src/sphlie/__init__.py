@@ -50,6 +50,7 @@ from .parabolic import (
     standard_parabolic,
 )
 from .spherical import (
+    GroupWord,
     SphericalPair,
     StructureReport,
     adapted_parabolic,

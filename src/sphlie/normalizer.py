@@ -40,8 +40,15 @@ def normalizer_in(g: LieAlgebra, h: Subspace) -> Subspace:
     """
     if not g.is_subalgebra(h):
         raise NotClosed("can only normalize a subalgebra")
+    return _normalizer(g, h)
+
+
+def _normalizer(g: LieAlgebra, h: Subspace) -> Subspace:
+    """normalizer_in for an h already certified to be a subalgebra.  The
+    output is certified too, except when it is h itself."""
     out = transporter(g, h, h)
-    if not h.is_contained_in(out) or not g.is_subalgebra(out):
+    if out != h and (not h.is_contained_in(out)
+                     or not g.is_subalgebra(out)):
         raise CertificationError(
             "normalizer certification failed (library bug)")
     return out
@@ -88,13 +95,15 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
     fs = sr.levi_structure
     phi = sr.levi_adjustment
 
-    ntilde = normalizer_in(g, pair.h)
+    # spherical_pair certified h, and the Levi adjustment's automorphism
+    # carries it to h_std, so neither is re-certified here
+    ntilde = _normalizer(g, pair.h)
     if phi == identity_matrix(g.dim):
         h_std = pair.h
         n_std = ntilde
     else:
         h_std = sr.standard_form_h
-        n_std = normalizer_in(g, h_std)
+        n_std = _normalizer(g, h_std)
         if image_subspace(phi, n_std) != ntilde:
             raise CertificationError(
                 "normalizer is not conjugation-equivariant (library bug)")
@@ -143,7 +152,7 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
     elementary_ok = _elementary()
     # N(h) = h makes ntilde its own normalizer by the transporter above
     self_normalizing_ok = (ntilde == pair.h
-                           or normalizer_in(g, ntilde) == ntilde)
+                           or _normalizer(g, ntilde) == ntilde)
     n_meet = subspace_intersect(cd.n, ntilde)
     u = sr.adapted.nilradical
     same_adapted_ok = is_direct_sum(cd.n, u, n_meet)

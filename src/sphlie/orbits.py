@@ -31,8 +31,7 @@ from .linalg import (
     canonical_basis,
     is_zero_vector,
     lin_comb,
-    mat_is_zero,
-    mat_mul,
+    mat_is_nilpotent,
     subspace_sum,
     vec_add,
     vec_scale,
@@ -51,14 +50,23 @@ def exp_ad_apply(g: LieAlgebra, element: Vector, y: Vector) -> Vector:
     finite sum is exact.  The Krylov space of y has dimension at most
     dim g, so if (ad element)^{dim g} y is still nonzero, ad(element) is not
     nilpotent on y and NotNilpotent is raised.  Nilpotency on all of g is
-    not re-proved here; derivation_pair certifies it once for all of u.
+    not re-proved here: derivation_pair certifies it once for all of u, and
+    group_element_candidates once per stream for the factors of its words.
+    Each term touches only its nonzero coordinates.
     """
-    out = term = tuple(y)
+    out = list(y)
+    term = y
     for k in range(1, g.dim + 1):
-        term = vec_scale(Fraction(1, k), g.bracket(element, term))
-        if is_zero_vector(term):
-            return out
-        out = vec_add(out, term)
+        term = g.bracket(element, term)
+        nz = [i for i, c in enumerate(term) if c]
+        if not nz:
+            return tuple(out)
+        if k > 1:
+            term = list(term)
+            for i in nz:
+                term[i] /= k
+        for i in nz:
+            out[i] += term[i]
     raise NotNilpotent("ad of the given element is not nilpotent on y; "
                        "the exponential series would not terminate")
 
@@ -106,12 +114,7 @@ def derivation_pair(g: LieAlgebra, x0: Vector, u: Subspace) -> DerivationPair:
     else:
         raise NotNilpotent("the lower central series of u does not reach 0")
     for idx, b in enumerate(u.basis):
-        ad = power = g.ad(b)
-        for _ in range(g.dim):
-            if mat_is_zero(power):
-                break
-            power = mat_mul(power, ad)
-        else:
+        if not mat_is_nilpotent(g.ad(b)):
             raise NotNilpotent(f"ad of basis element {idx} of u is not "
                                f"nilpotent on g")
     brackets = [g.bracket(x0, b) for b in u.basis]

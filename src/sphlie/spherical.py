@@ -10,8 +10,12 @@ noncompact ideals, and a remainder whose dimension is the real rank of the
 pair.
 
 All verifications are exact identities of rational subspaces.  Group
-elements are exact too: every exponential taken is of a nilpotent matrix, so
-the series terminate.
+elements are exact too.  Each candidate is a word exp(x_1)···exp(x_k) with
+x_i ∈ g in coordinates (GroupWord), and group_element_candidates certifies
+once per stream that every factor's matrix is nilpotent, so every series
+terminates.  A word acts on g by Ad = e^{ad x_1}∘…∘e^{ad x_k}, in g's
+structure constants; its matrix is multiplied out only when a caller reads
+ConjugationResult.element or TransitivityReport.witness.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -50,6 +55,7 @@ from .linalg import (
     lin_comb,
     mat_apply,
     mat_invert,
+    mat_is_nilpotent,
     mat_mul,
     mat_scale,
     project_along,
@@ -58,7 +64,9 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
     symmetric_signature,
+    vec_scale,
 )
+from .orbits import exp_ad_apply
 from .parabolic import (
     LeviStructure,
     ParabolicData,
@@ -203,18 +211,19 @@ class StructureReport:
 
 
 def _levi_adjustment(cd: CartanData, pd: ParabolicData,
-                     meet: Subspace) -> Matrix:
+                     meet: Subspace) -> tuple[Matrix, Matrix]:
     """Coordinate automorphism Phi, a product of exp(ad w) with w in the
-    nilradical, such that Phi^{-1}(q ∩ h) lies in the standard Levi.
+    nilradical, such that Phi^{-1}(q ∩ h) lies in the standard Levi;
+    returned with Phi^{-1}, the reversed product of the exp(-ad w).
 
     Found by peeling the grading of the characteristic element: on each
     eigenvalue layer the requirement is a linear system whose solvability
     the structure theory guarantees; an unsolvable layer is reported.
     """
     g = cd.algebra
-    phi = identity_matrix(g.dim)
+    phi = phi_inv = identity_matrix(g.dim)
     if meet.is_contained_in(pd.levi) or pd.nilradical.dim == 0:
-        return phi
+        return phi, phi_inv
     grading = mat_scale(Fraction(-1), g.ad(characteristic_element(cd, pd.subset)))
     layers = eigen_split(grading, pd.nilradical)
     split = DirectSum([pd.levi] + [layer for _, layer in layers])
@@ -241,14 +250,15 @@ def _levi_adjustment(cd: CartanData, pd: ParabolicData,
                 "(layer system unsolvable); the pair violates the structure "
                 "theory hypotheses")
         adw = g.ad(lin_comb(sol, layer.basis, g.dim))
+        step_inv = exp_nilpotent_matrix(mat_scale(Fraction(-1), adw))
         phi = mat_mul(phi, exp_nilpotent_matrix(adw))
-        current = image_subspace(
-            exp_nilpotent_matrix(mat_scale(Fraction(-1), adw)), current)
+        phi_inv = mat_mul(step_inv, phi_inv)
+        current = image_subspace(step_inv, current)
     if not current.is_contained_in(pd.levi):
         raise CertificationError(
             "Levi adjustment did not absorb q ∩ h; the pair violates the "
             "structure theory hypotheses")
-    return phi
+    return phi, phi_inv
 
 
 def structure_report(pair: SphericalPair) -> StructureReport:
@@ -258,8 +268,8 @@ def structure_report(pair: SphericalPair) -> StructureReport:
     pd, passing = _adapted(pair)
     fs = levi_fine_structure(cd, pd.levi)
 
-    phi = _levi_adjustment(cd, pd, subspace_intersect(pd.q, h))
-    h_std = image_subspace(mat_invert(phi), h)
+    phi, phi_inv = _levi_adjustment(cd, pd, subspace_intersect(pd.q, h))
+    h_std = image_subspace(phi_inv, h)
 
     nh = subspace_intersect(cd.n, h)
     lh = subspace_intersect(pd.levi, h_std)
@@ -308,80 +318,122 @@ def apply_ad(g: LieAlgebra, element: Matrix, sub: Subspace) -> Subspace:
     """Image of a subspace under conjugation by an invertible matrix.
 
     The element must normalize g inside the ambient matrix algebra; if a
-    conjugated basis vector leaves the span of g this raises.
+    conjugated basis vector leaves the span of g this raises.  The
+    candidate stream's words do not come through here: they act by
+    GroupWord.ad in g's structure constants.
     """
-    out = _conjugated(g, element, sub)
-    return canonical_basis(out, g.dim) if out else sub
-
-
-def _conjugated(g: LieAlgebra, element: Matrix, sub: Subspace) -> list[Vector]:
-    """Coordinates of element.v.element^-1 for v in sub's basis, unreduced."""
     inv = mat_invert(element)
     out = []
     for v in sub.basis:
-        m = mat_mul(mat_mul(element, g.to_matrix(v)), inv)
-        c = g.from_matrix(m)
+        c = g.from_matrix(mat_mul(mat_mul(element, g.to_matrix(v)), inv))
         if c is None:
             raise NotClosed(
                 "conjugation by the element does not preserve the algebra")
         out.append(c)
-    return out
+    return canonical_basis(out, g.dim) if out else sub
+
+
+@dataclass(frozen=True, eq=False)
+class GroupWord:
+    """The group element exp(x_1)···exp(x_k), held as its factors x_i ∈ g
+    in coordinates.
+
+    Ad(exp X) = e^{ad X} for every matrix X, so Ad(word) is
+    e^{ad x_1}∘…∘e^{ad x_k} and acts through g's structure constants with no
+    matrix product or inverse.  The factors must have nilpotent matrices
+    (group_element_candidates certifies its pool once per stream); the
+    exact matrix is multiplied out on first use of ``matrix``.
+    """
+
+    algebra: LieAlgebra
+    factors: tuple[Vector, ...]
+
+    def ad(self, y: Vector) -> Vector:
+        """Ad(word) y = e^{ad x_1}(…(e^{ad x_k} y))."""
+        for x in reversed(self.factors):
+            y = exp_ad_apply(self.algebra, x, y)
+        return y
+
+    @cached_property
+    def inverse(self) -> GroupWord:
+        """word⁻¹ = exp(-x_k)···exp(-x_1)."""
+        return GroupWord(self.algebra, tuple(
+            vec_scale(-1, x) for x in reversed(self.factors)))
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        g = self.algebra
+        acc = identity_matrix(g.matrix_size)
+        for x in self.factors:
+            acc = mat_mul(acc, exp_nilpotent_matrix(g.to_matrix(x)))
+        return acc
 
 
 def _fmt_root(root: Root) -> str:
     return "(" + ",".join(str(x) for x in root) + ")"
 
 
-def group_element_candidates(cd: CartanData,
-                             seed: int = 0) -> Iterator[tuple[Matrix, str]]:
-    """Deterministic stream of exact group elements in the realization of g.
+def group_element_candidates(cd: CartanData, seed: int = 0
+                             ) -> Iterator[tuple[GroupWord, str]]:
+    """Deterministic stream of exact group elements in the realization of g,
+    each a GroupWord with its description.
 
     Order: the identity; one Weyl-type element exp(v) exp(theta v) exp(v) per
     positive-root basis vector; single exponentials exp(t v) of root-space
     basis vectors for small t; then seeded random products of such
-    exponentials.  Every factor is the exponential of a nilpotent matrix, so
-    all entries are exact rationals.
+    exponentials.  After the identity, every root-space basis vector and
+    theta of every positive one is certified once to have a nilpotent
+    matrix (DimensionMismatch otherwise), so every factor's exponential is
+    a finite exact series.  No matrix is built here: a word's ``matrix``
+    is multiplied out only when asked for.
     """
     g = cd.algebra
-    yield identity_matrix(g.matrix_size), "identity"
-    for root in sorted(cd.positive_roots):
-        for i, v in enumerate(cd.root_space(root).basis):
-            m = exp_nilpotent_matrix(g.to_matrix(v))
-            tm = exp_nilpotent_matrix(g.to_matrix(mat_apply(cd.theta, v)))
-            yield mat_mul(mat_mul(m, tm), m), f"weyl[{_fmt_root(root)}#{i}]"
-    pool: list[tuple[str, Matrix]] = []
-    for root in sorted(cd.roots):
-        for i, v in enumerate(cd.root_space(root).basis):
-            pool.append((f"g[{_fmt_root(root)}#{i}]", g.to_matrix(v)))
+    yield GroupWord(g, ()), "identity"
+    weyl = [(root, i, v, mat_apply(cd.theta, v))
+            for root in sorted(cd.positive_roots)
+            for i, v in enumerate(cd.root_space(root).basis)]
+    pool = [(f"g[{_fmt_root(root)}#{i}]", v)
+            for root in sorted(cd.roots)
+            for i, v in enumerate(cd.root_space(root).basis)]
+    for v in [v for _, v in pool] + [tv for *_, tv in weyl]:
+        if not mat_is_nilpotent(g.to_matrix(v)):
+            raise DimensionMismatch(
+                "matrix is not nilpotent; exp series does not end")
+    for root, i, v, tv in weyl:
+        yield GroupWord(g, (v, tv, v)), f"weyl[{_fmt_root(root)}#{i}]"
     for t in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(3), Fraction(-3)):
-        for name, m in pool:
-            yield exp_nilpotent_matrix(mat_scale(t, m)), f"exp({t}*{name})"
+        for name, v in pool:
+            yield GroupWord(g, (vec_scale(t, v),)), f"exp({t}*{name})"
     if not pool:
         return
     rng = random.Random(seed)
     coeffs = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3)]
     while True:
-        factors = rng.randint(2, 4)
-        acc = identity_matrix(g.matrix_size)
+        factors = []
         names = []
-        for _ in range(factors):
-            name, m = pool[rng.randrange(len(pool))]
+        for _ in range(rng.randint(2, 4)):
+            name, v = pool[rng.randrange(len(pool))]
             t = coeffs[rng.randrange(len(coeffs))]
-            acc = mat_mul(acc, exp_nilpotent_matrix(mat_scale(t, m)))
+            factors.append(vec_scale(t, v))
             names.append(f"exp({t}*{name})")
-        yield acc, "*".join(names)
+        yield GroupWord(g, tuple(factors)), "*".join(names)
 
 
 @dataclass(frozen=True, eq=False)
 class ConjugationResult:
-    """A group element g with p + Ad(g)h = g, found by the candidate stream."""
+    """A group element g with p + Ad(g)h = g, found by the candidate stream.
+    ``element`` is its matrix, multiplied out from ``word`` when read."""
 
-    element: Matrix
+    word: GroupWord
     description: str
     conjugated: Subspace
     attempts: int
+
+    @property
+    def element(self) -> Matrix:
+        return self.word.matrix
 
 
 def conjugate_search(pair: SphericalPair, budget: int,
@@ -389,17 +441,22 @@ def conjugate_search(pair: SphericalPair, budget: int,
     """Search up to ``budget`` candidate group elements for one that makes
     the conjugated pair spherical.  Returns None when the budget is exhausted
     (inconclusive — never a proof of non-sphericity).  A pair that is already
-    spherical returns the identity on the first attempt."""
+    spherical returns the identity on the first attempt.
+
+    Each candidate moves h's basis by GroupWord.ad, in g's structure
+    constants; no matrix is built unless the result's ``element`` is
+    read."""
     cd = pair.cartan
+    g = cd.algebra
     attempts = 0
-    for element, desc in group_element_candidates(cd, seed):
+    for word, desc in group_element_candidates(cd, seed):
         if attempts >= budget:
             break
         attempts += 1
-        conj = apply_ad(cd.algebra, element, pair.h)
+        conj = canonical_basis([word.ad(v) for v in pair.h.basis], g.dim)
         moved = spherical_pair(cd, conj, label=pair.label)
         if is_spherical(moved)[0]:
-            return ConjugationResult(element=element, description=desc,
+            return ConjugationResult(word=word, description=desc,
                                      conjugated=conj, attempts=attempts)
     return None
 
@@ -416,18 +473,29 @@ class TransitivityReport:
     on h; a compact-type subalgebra must satisfy the identity for every g,
     while a non-compact-type one must fail it somewhere.  Sampling can only
     certify a witness of failure; verdicts are ``consistent-with-compact``,
-    ``witness-of-noncompactness`` or ``inconclusive``.
+    ``witness-of-noncompactness`` or ``inconclusive``.  ``witness`` is the
+    failing element's matrix, multiplied out from ``witness_word`` when
+    read.
     """
 
     verdict: str
     compact_type: bool
     samples_run: int
-    witness: Optional[Matrix]
+    witness_word: Optional[GroupWord]
     witness_description: Optional[str]
+
+    @property
+    def witness(self) -> Optional[Matrix]:
+        return None if self.witness_word is None else self.witness_word.matrix
 
 
 def compact_transitivity_check(pair: SphericalPair, samples: int = 100,
                                seed: int = 0) -> TransitivityReport:
+    """Sample the candidate stream for a g with h + Ad(g)p != g.
+
+    Each sample tests the equivalent identity Ad(g⁻¹)h + p = g: h's basis
+    moves by the word's ``inverse.ad`` and one elimination decides the span,
+    with no matrix built, inverted or multiplied."""
     cd = pair.cartan
     g = cd.algebra
     h = pair.h
@@ -449,24 +517,23 @@ def compact_transitivity_check(pair: SphericalPair, samples: int = 100,
     compact_type = symmetric_signature(gram) == (0, h.dim, 0)
 
     run = 0
-    for element, desc in group_element_candidates(cd, seed):
+    for word, desc in group_element_candidates(cd, seed):
         if run >= samples:
             break
         run += 1
-        # one elimination of h's basis and the conjugated basis of p
-        moved_p = _conjugated(g, element, cd.p)
-        if canonical_basis(list(h.basis) + moved_p, g.dim).dim != g.dim:
+        moved_h = [word.inverse.ad(v) for v in h.basis]
+        if canonical_basis(list(cd.p.basis) + moved_h, g.dim).dim != g.dim:
             if compact_type:
                 raise CertificationError(
                     f"h is compact-type (negative definite invariant form) "
                     f"but h + Ad(g)p != g for g = {desc}")
             return TransitivityReport(
                 verdict="witness-of-noncompactness", compact_type=False,
-                samples_run=run, witness=element, witness_description=desc)
+                samples_run=run, witness_word=word, witness_description=desc)
     if compact_type:
         return TransitivityReport(
             verdict="consistent-with-compact", compact_type=True,
-            samples_run=run, witness=None, witness_description=None)
+            samples_run=run, witness_word=None, witness_description=None)
     return TransitivityReport(
         verdict="inconclusive", compact_type=False,
-        samples_run=run, witness=None, witness_description=None)
+        samples_run=run, witness_word=None, witness_description=None)

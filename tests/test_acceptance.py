@@ -142,8 +142,8 @@ def test_criterion_4_rank_invariant_under_open_orbit_conjugations(
         # a compact pair has no root-space exponentials, so the exact
         # candidate stream is the identity alone; openness survives it
         target = CONJUGATES_PER_ENTRY if cd.positive_roots else 1
-        for element, _desc in itertools.islice(stream, 1000):
-            conjugated = apply_ad(g, element, result.final_pair.h)
+        for word, _desc in itertools.islice(stream, 1000):
+            conjugated = apply_ad(g, word.matrix, result.final_pair.h)
             moved = spherical_pair(cd, conjugated, label=result.entry.name)
             if not is_spherical(moved)[0]:
                 continue

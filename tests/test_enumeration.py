@@ -189,3 +189,17 @@ def test_standard_parabolic_runs_only_on_subsets_passing_the_filter(
     called = counting_standard_parabolic(monkeypatch)
     assert candidate_subsets(pair) == [()]
     assert called == dimension_filter(pair) == [()]
+
+
+def test_levi_adjustment_inverse_on_catalog_and_ladder(ladder):
+    from sphlie.linalg import identity_matrix, mat_mul
+    from sphlie.spherical import adapted_parabolic
+
+    pairs = [pair for _, pair, _ in catalog_pairs()] + list(ladder)
+    for pair in pairs:
+        pd = adapted_parabolic(pair)
+        phi, phi_inv = spherical._levi_adjustment(
+            pair.cartan, pd, subspace_intersect(pd.q, pair.h))
+        eye = identity_matrix(pair.cartan.algebra.dim)
+        assert mat_mul(phi, phi_inv) == eye == mat_mul(phi_inv, phi), \
+            pair.label

@@ -341,8 +341,8 @@ def test_build_pair_full_sl3_smoke():
 
 def analyze_counting(monkeypatch, tmp_path, problem, *options):
     """Run ``sphlie analyze`` on a problem; return its exit code, the number
-    of times each algebra's center kernel was solved and the subalgebras
-    normalizer_report normalized."""
+    of times each algebra's center kernel was solved, the subalgebras
+    normalizer_report normalized and the subspaces is_subalgebra checked."""
     import sys
     from collections import Counter
 
@@ -360,19 +360,24 @@ def analyze_counting(monkeypatch, tmp_path, problem, *options):
         return real_kernel(rows, ncols)
 
     normalized = []
-    real_normalizer = normalizer.normalizer_in
+    real_normalizer = normalizer._normalizer
+    checked = []
+    real_is_subalgebra = liealg.LieAlgebra.is_subalgebra
     monkeypatch.setattr(liealg, "kernel", counting_kernel)
-    monkeypatch.setattr(normalizer, "normalizer_in",
+    monkeypatch.setattr(normalizer, "_normalizer",
                         lambda g, h: normalized.append(h) or real_normalizer(g, h))
+    monkeypatch.setattr(
+        liealg.LieAlgebra, "is_subalgebra",
+        lambda g, s: checked.append(s) or real_is_subalgebra(g, s))
     path = tmp_path / "problem.json"
     path.write_text(problem_to_json(problem), encoding="utf-8")
     code = main(["analyze", str(path), "--samples", "2", *options])
-    return code, center_solves, normalized
+    return code, center_solves, normalized, checked
 
 
 def test_one_analyze_solves_each_center_once_and_normalizes_once(
         monkeypatch, tmp_path, capsys):
-    code, center_solves, normalized = analyze_counting(
+    code, center_solves, normalized, _ = analyze_counting(
         monkeypatch, tmp_path,
         Problem("sl4_so4", 4, tuple(sl_basis(4)), tuple(so_basis(4))))
     assert code == 0
@@ -381,11 +386,21 @@ def test_one_analyze_solves_each_center_once_and_normalizes_once(
     assert len(normalized) == 1
 
 
+def test_one_analyze_certifies_closure_twice(monkeypatch, tmp_path, capsys):
+    code, _, _, checked = analyze_counting(
+        monkeypatch, tmp_path,
+        Problem("sl4_so4", 4, tuple(sl_basis(4)), tuple(so_basis(4))))
+    assert code == 0
+    # spherical_pair certifies h and derivation_pair the nilradical u; the
+    # normalizer reuses h's certificate and N(h) = h needs none of its own
+    assert [s.dim for s in checked] == [6, 6]
+
+
 def test_hinted_analyze_solves_each_center_once(monkeypatch, tmp_path, capsys):
     from sphlie.catalog import get_entry
 
     entry = get_entry("sl2x3_diag_mixed")
-    code, center_solves, _ = analyze_counting(
+    code, center_solves, _, _ = analyze_counting(
         monkeypatch, tmp_path, entry.problem,
         "--conjugate-search", str(entry.search_budget))
     assert code == 0

@@ -227,8 +227,8 @@ def test_apply_ad_is_bracket_automorphism():
     reg = g.from_matrix(regular_diagonal_positivity(3))
     cd = cartan_data(g, positivity_basis=[reg, g.from_matrix(sl_basis(3)[0])])
     elems = []
-    for m, _ in group_element_candidates(cd, seed=3):
-        elems.append(m)
+    for word, _ in group_element_candidates(cd, seed=3):
+        elems.append(word.matrix)
         if len(elems) == 8:
             break
 
@@ -314,6 +314,12 @@ def test_levi_adjustment_engages_for_shifted_diagonal():
     assert meet.is_contained_in(rep.adjusted_levi)
     assert not meet.is_contained_in(rep.adapted.levi)
     assert rep.standard_form_h == pair.h
+    # the adjustment's inverse is its factors' inverses in reverse order
+    from sphlie.linalg import mat_mul
+    from sphlie.spherical import _levi_adjustment
+    phi, phi_inv = _levi_adjustment(moved.cartan, rep.adapted, meet)
+    assert phi == rep.levi_adjustment
+    assert mat_mul(phi, phi_inv) == identity_matrix(g.dim)
 
 
 def test_rank_constant_over_openness_preserving_conjugates():
@@ -321,8 +327,9 @@ def test_rank_constant_over_openness_preserving_conjugates():
         base = structure_report(pair).rank
         cd = pair.cartan
         kept = 0
-        for element, _ in group_element_candidates(cd, seed=5):
-            moved = spherical_pair(cd, apply_ad(cd.algebra, element, pair.h))
+        for word, _ in group_element_candidates(cd, seed=5):
+            moved = spherical_pair(cd, apply_ad(cd.algebra, word.matrix,
+                                                pair.h))
             if not is_spherical(moved)[0]:
                 continue
             assert structure_report(moved).rank == base
@@ -378,19 +385,165 @@ def test_transitivity_precondition_no_ideal_inside_h():
         compact_transitivity_check(pair, samples=10)
 
 
-def test_transitivity_makes_two_eliminations_per_sample(monkeypatch):
+def count_kernel_calls(monkeypatch, names):
+    """Count calls to the named sphlie.linalg kernels, rebinding each in
+    every sphlie module that imported it."""
+    import sys
+    from collections import Counter
+
     import sphlie.linalg as linalg
 
-    pair = sl3_so3_pair()
+    calls = Counter()
+    for name in names:
+        real = getattr(linalg, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if (mod_name.startswith("sphlie")
+                    and getattr(mod, name, None) is real):
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+MATRIX_KERNELS = ("mat_invert", "mat_mul", "exp_nilpotent_matrix")
+
+
+def test_transitivity_makes_one_elimination_per_sample(monkeypatch):
     counts = []
-    real = linalg.rref
     for samples in (5, 10):
-        calls = []
-        monkeypatch.setattr(linalg, "rref",
-                            lambda rows: calls.append(rows) or real(rows))
-        rep = compact_transitivity_check(pair, samples=samples)
-        monkeypatch.setattr(linalg, "rref", real)
+        pair = sl3_so3_pair()
+        with monkeypatch.context() as m:
+            calls = count_kernel_calls(m, ("rref",) + MATRIX_KERNELS)
+            rep = compact_transitivity_check(pair, samples=samples)
         assert rep.samples_run == samples
-        counts.append(len(calls))
-    # per sample: the inverse of the element and one span of h + Ad(g)p
-    assert counts[1] - counts[0] == 2 * 5
+        counts.append(calls)
+    # per sample: one span of p + Ad(g^-1)h; no matrix is built, inverted
+    # or multiplied (the stream's nilpotency certificate is per stream)
+    assert counts[1]["rref"] - counts[0]["rref"] == 5
+    for name in MATRIX_KERNELS:
+        assert counts[1][name] == counts[0][name], name
+
+
+def test_exhausted_search_builds_no_matrix(monkeypatch):
+    from sphlie.catalog import get_entry
+    from sphlie.problem import build_pair
+
+    pair = build_pair(get_entry("sl2_zero").problem)
+    with monkeypatch.context() as m:
+        calls = count_kernel_calls(m, ("mat_invert", "exp_nilpotent_matrix"))
+        assert conjugate_search(pair, budget=30) is None
+    assert not calls
+
+
+def test_matrix_is_built_only_for_the_returned_element(monkeypatch):
+    g = gl(2)
+    line = spherical_pair(cartan_data(g),
+                          g.span_of_matrices([elementary(2, 0, 0)]))
+    borel = sl2_pair([(1, 0, 0), (0, 0, 1)])
+    with monkeypatch.context() as m:
+        calls = count_kernel_calls(m, ("exp_nilpotent_matrix",))
+        found = conjugate_search(line, budget=50)
+        rep = compact_transitivity_check(borel, samples=100, seed=1)
+        assert found.attempts == 3 and rep.samples_run == 2
+        assert not calls
+        assert found.element == ((F(1), F(0)), (F(1), F(1)))
+        assert calls["exp_nilpotent_matrix"] == 1     # exp(E21)
+        assert rep.witness == ((F(0), F(1)), (F(-1), F(0)))
+        assert calls["exp_nilpotent_matrix"] == 4     # exp(E)exp(-F)exp(E)
+        assert found.element is found.element and rep.witness is rep.witness
+        assert calls["exp_nilpotent_matrix"] == 4
+
+
+# -- the word path against the matrix path -------------------------------------
+
+
+def matrix_stream(cd, seed):
+    """The candidate stream as explicit matrix products: Weyl elements
+    exp(M)exp(theta M)exp(M), single exponentials exp(tM), then seeded
+    products of 2-4 such exponentials, with the descriptions' names."""
+    import random
+
+    from sphlie.linalg import exp_nilpotent_matrix, mat_apply, mat_mul, mat_scale
+
+    g = cd.algebra
+
+    def fmt(root):
+        return "(" + ",".join(str(x) for x in root) + ")"
+
+    yield identity_matrix(g.matrix_size), "identity"
+    for root in sorted(cd.positive_roots):
+        for i, v in enumerate(cd.root_space(root).basis):
+            e = exp_nilpotent_matrix(g.to_matrix(v))
+            te = exp_nilpotent_matrix(g.to_matrix(mat_apply(cd.theta, v)))
+            yield mat_mul(mat_mul(e, te), e), f"weyl[{fmt(root)}#{i}]"
+    pool = [(f"g[{fmt(root)}#{i}]", g.to_matrix(v))
+            for root in sorted(cd.roots)
+            for i, v in enumerate(cd.root_space(root).basis)]
+    ts = [F(1), F(-1), F(2), F(-2), F(3), F(-3)]
+    for t in ts:
+        for name, mat in pool:
+            yield exp_nilpotent_matrix(mat_scale(t, mat)), f"exp({t}*{name})"
+    rng = random.Random(seed)
+    coeffs = [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3), F(-3)]
+    while pool:
+        acc = identity_matrix(g.matrix_size)
+        names = []
+        for _ in range(rng.randint(2, 4)):
+            name, mat = pool[rng.randrange(len(pool))]
+            t = coeffs[rng.randrange(len(coeffs))]
+            acc = mat_mul(acc, exp_nilpotent_matrix(mat_scale(t, mat)))
+            names.append(f"exp({t}*{name})")
+        yield acc, "*".join(names)
+
+
+def word_test_pairs():
+    from sphlie.catalog import catalog_entries
+    from sphlie.problem import Problem, build_pair
+
+    problems = [e.problem for e in catalog_entries()]
+    problems.append(
+        Problem("sl4_so4", 4, tuple(sl_basis(4)), tuple(so_basis(4))))
+    return [build_pair(p) for p in problems]
+
+
+def test_word_action_matches_the_matrix_stream():
+    from itertools import islice
+
+    from sphlie.linalg import mat_invert, mat_mul, unit_vector
+
+    for pair in word_test_pairs():
+        cd = pair.cartan
+        g = cd.algebra
+        units = [unit_vector(g.dim, i) for i in range(g.dim)]
+        streams = zip(group_element_candidates(cd, seed=2),
+                      matrix_stream(cd, seed=2))
+        for (word, desc), (mat, ref_desc) in islice(streams, 40):
+            assert desc == ref_desc, pair.label
+            assert word.matrix == mat, (pair.label, desc)
+            inv = mat_invert(mat)
+            for e in units:
+                moved = word.ad(e)
+                conj = g.from_matrix(mat_mul(mat_mul(mat, g.to_matrix(e)), inv))
+                assert moved == conj, (pair.label, desc)
+                assert apply_ad(g, mat, canonical_basis([e])) == \
+                    canonical_basis([moved]), (pair.label, desc)
+                assert word.inverse.ad(moved) == e, (pair.label, desc)
+                assert word.ad(word.inverse.ad(e)) == e, (pair.label, desc)
+
+
+def test_stream_rejects_a_factor_with_non_nilpotent_matrix():
+    from dataclasses import replace
+
+    from sphlie.errors import DimensionMismatch
+
+    cd = cartan_data(sl(2))
+    # theta sends the positive root vector E to a multiple of H, so the
+    # Weyl element would need exp of a diagonalizable nonzero matrix
+    bad = replace(cd, theta=((F(1), F(1), F(0)), (F(0),) * 3, (F(0),) * 3))
+    stream = group_element_candidates(bad)
+    assert next(stream)[1] == "identity"
+    with pytest.raises(DimensionMismatch):
+        next(stream)
