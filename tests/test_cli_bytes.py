@@ -1,5 +1,5 @@
 """Every CLI command prints exactly what it printed before, on every
-catalog export.
+catalog export and on one problem whose structure report moves the Levi.
 
 Each command variant runs in process on all twelve catalog problem files,
 in text and in JSON, with the entry's own conjugate-search budget.  The
@@ -7,17 +7,22 @@ argument list, exit code, stdout and stderr of every run are appended to one
 transcript per variant, and the transcript's sha256 is compared with a
 recorded digest.  A change that alters any printed basis, dimension, flag
 or verdict, or any exit code, changes a digest.
+
+No catalog pair needs a Levi adjustment, so ``sl2x2_shifted_diag`` pins the
+``levi_adjusted: true`` path separately with digests of its own.
 """
 
 import contextlib
 import hashlib
 import io
+from fractions import Fraction
 
 import pytest
 
+from sphlie.builders import direct_sum_basis, sl_basis
 from sphlie.catalog import catalog_entries
 from sphlie.cli import main
-from sphlie.problem import problem_to_json
+from sphlie.problem import Problem, problem_to_json
 
 SAMPLES = "10"
 
@@ -61,6 +66,33 @@ DIGESTS = {
         "be8be5989e91919df54feda1dc7bafc36c57f4bf28b4fb82f90e25816011ec49",
 }
 
+LEVI_ADJUSTED_DIGESTS = {
+    "adapted text":
+        "36bdb24fad54269f7be8130309ce02483884acd703964d6e34fa39ca24cd2cb0",
+    "adapted json":
+        "aca6d109143401831a6c3a94c7e07c74ff026122d81fa4e683e1226a3b663968",
+    "adapted-list text":
+        "971bd1318699f5d2ff4836275ca01bed2068a6db5a5d60b02a25f508a65e3132",
+    "adapted-list json":
+        "1983e5de796214e5bdbf2011e3dbb91226794d72cbf1cb233842de783d8a0e75",
+    "analyze text":
+        "73ec2c5af5c7fbc687534123d13f8c7b399b3120729a07f8a2a69134a0cb5a0c",
+    "analyze json":
+        "2a3a5cf761411312a086d6cb0b0a991514e6cc1e8f7079944cf18660bf82dd8e",
+    "normalizer text":
+        "99f5d3bc60847604ced6ca6a15b698a3c51d8714ba83cb1ff92aaaa4ea9c4802",
+    "normalizer json":
+        "ae5240db5a7852dd1cf93936c334de29f8c5be321635a86b8c83c4e52ef9ca0a",
+    "orbit-check text":
+        "97d59b134dddcad5379073ee8bec8a7d061321d2e9e3f8bc7e5df8323f4e3a58",
+    "orbit-check json":
+        "9b526d211b0fd3dab6eea24318016ffd93f29f2b8cf4cdeb53e7870c3378c9db",
+    "rank text":
+        "581ce3abbaa029c5ef6712031997f4b37fd8c75e382cfd2cf6e20e7f68e9afe5",
+    "rank json":
+        "d0e9890b08bf5cf46e2a0e380f1515b5bdbc1eabbf28e7bb24fb2e518516f1c8",
+}
+
 
 def run_cli(argv: list) -> bytes:
     out, err = io.StringIO(), io.StringIO()
@@ -80,6 +112,25 @@ def exports(tmp_path_factory):
         path.write_text(problem_to_json(entry.problem), encoding="utf-8")
         out.append((path.name, str(path), entry.search_budget))
     return out
+
+
+@pytest.fixture(scope="module")
+def shifted_diag(tmp_path_factory):
+    """(file name, path) of the diagonal sl(2) in sl(2) + sl(2), moved by
+    Ad(exp(E, 0)), with opposite orientations of the two factors: q ∩ h
+    leaves the standard Levi, so every report runs through the adjustment."""
+    problem = Problem(
+        name="sl2x2_shifted_diag", matrix_size=4,
+        basis=tuple(direct_sum_basis([sl_basis(2), sl_basis(2)])),
+        subalgebra_basis=tuple(
+            tuple(tuple(Fraction(e) for e in row) for row in m) for m in (
+                [[1, -2, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+                [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+                [[1, -1, 0, 0], [1, -1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])),
+        minimal_parabolic_hint=(1, -1))
+    path = tmp_path_factory.mktemp("levi") / f"{problem.name}.json"
+    path.write_text(problem_to_json(problem), encoding="utf-8")
+    return path.name, str(path)
 
 
 def transcript(variant: str, fmt: str, exports) -> bytes:
@@ -107,3 +158,13 @@ def test_cli_output_is_unchanged(key, exports):
     variant, fmt = key.split(" ")
     got = hashlib.sha256(transcript(variant, fmt, exports)).hexdigest()
     assert got == DIGESTS[key]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_levi_adjusted_output_is_unchanged(variant, fmt, shifted_diag):
+    name, path = shifted_diag
+    run = run_cli(VARIANTS[variant] + ["--format", fmt, path]).replace(
+        path.encode(), name.encode())
+    got = hashlib.sha256(run).hexdigest()
+    assert got == LEVI_ADJUSTED_DIGESTS[f"{variant} {fmt}"]
