@@ -31,7 +31,6 @@ from .linalg import (
     canonical_basis,
     complement_in,
     membership,
-    subspace_combine,
     subspace_intersect,
     subspace_sum,
 )

@@ -27,7 +27,7 @@ from .errors import (
     UniquenessViolation,
     UnreachableTarget,
 )
-from .linalg import Subspace, identity_matrix
+from .linalg import Subspace
 from .normalizer import normalizer_report
 from .orbits import parabolic_orbit_check
 from .problem import (
@@ -147,8 +147,7 @@ def _structure_blocks(doc: dict, lines: list, final: SphericalPair,
 
     if "checks" in want:
         doc["checks"] = dict(report.checks)
-        doc["levi_adjusted"] = (
-            report.levi_adjustment != identity_matrix(cd.algebra.dim))
+        doc["levi_adjusted"] = bool(report.levi_adjustment.factors)
         lines.append("structure checks:")
         for key, val in report.checks.items():
             lines.append(f"  {key}: {'ok' if val else 'FAILED'}")

@@ -266,17 +266,6 @@ def complement_in(a: Subspace, b: Subspace) -> Subspace:
     return canonical_basis(rows, b.ambient_dim)
 
 
-def subspace_combine(a: Subspace, b: Subspace, kind: str) -> Subspace:
-    """Dispatcher: kind in {"sum", "intersect", "complement_in"}."""
-    if kind == "sum":
-        return subspace_sum(a, b)
-    if kind == "intersect":
-        return subspace_intersect(a, b)
-    if kind == "complement_in":
-        return complement_in(a, b)
-    raise ValueError(f"unknown combine kind {kind!r}")
-
-
 def membership(v: Sequence, s: Subspace) -> Optional[Vector]:
     """Coordinates of v in s's canonical basis, or None if v is not in s."""
     return s.coordinates_of(as_vector(v))

@@ -16,8 +16,6 @@ from .liealg import LieAlgebra, transporter
 from .linalg import (
     Subspace,
     complement_in,
-    identity_matrix,
-    image_subspace,
     is_direct_sum,
     is_zero_vector,
     kernel,
@@ -93,18 +91,15 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
     cd = pair.cartan
     g = cd.algebra
     fs = sr.levi_structure
-    phi = sr.levi_adjustment
+    word = sr.levi_adjustment
+    h_std = sr.standard_form_h
 
     # spherical_pair certified h, and the Levi adjustment's automorphism
     # carries it to h_std, so neither is re-certified here
-    ntilde = _normalizer(g, pair.h)
-    if phi == identity_matrix(g.dim):
-        h_std = pair.h
-        n_std = ntilde
-    else:
-        h_std = sr.standard_form_h
+    ntilde = n_std = _normalizer(g, pair.h)
+    if word.factors:
         n_std = _normalizer(g, h_std)
-        if image_subspace(phi, n_std) != ntilde:
+        if word.image(n_std) != ntilde:
             raise CertificationError(
                 "normalizer is not conjugation-equivariant (library bug)")
 
@@ -159,9 +154,9 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
 
     return NormalizerReport(
         normalizer=ntilde,
-        complement=image_subspace(phi, c_std),
-        split_part=image_subspace(phi, a_std),
-        compact_factor=image_subspace(phi, m_std),
+        complement=word.image(c_std),
+        split_part=word.image(a_std),
+        compact_factor=word.image(m_std),
         split_ok=split_ok,
         elementary_ok=elementary_ok,
         self_normalizing_ok=self_normalizing_ok,

@@ -138,18 +138,16 @@ def parse_problem_dict(data) -> Problem:
                             "subalgebra_basis")
     theta = None
     if data.get("theta") is not None:
-        dim = len(basis)
-        if (not isinstance(data["theta"], list)
-                or len(data["theta"]) != dim):
+        dim, raw = len(basis), data["theta"]
+        if (not isinstance(raw, list) or len(raw) != dim
+                or any(not isinstance(row, list) or len(row) != dim
+                       for row in raw)):
             raise ProblemFormatError(
                 f"theta: expected a {dim}x{dim} coordinate matrix")
         theta = tuple(
             tuple(parse_rational(e, f"theta[{i}][{j}]")
                   for j, e in enumerate(row))
-            for i, row in enumerate(data["theta"]))
-        if any(len(row) != dim for row in theta):
-            raise ProblemFormatError(
-                f"theta: expected a {dim}x{dim} coordinate matrix")
+            for i, row in enumerate(raw))
     a_seed = None
     if data.get("a_seed") is not None:
         a_seed = parse_matrix_list(data["a_seed"], size, "a_seed")
@@ -166,10 +164,10 @@ def parse_problem_dict(data) -> Problem:
             raise ProblemFormatError(
                 "minimal_parabolic_hint: expected a list of 1/-1 signs")
         hint = tuple(raw)
-    if positivity is not None and hint is not None:
-        raise ProblemFormatError(
-            "positivity_basis and minimal_parabolic_hint are mutually "
-            "exclusive")
+    for key, given in (("a_seed", a_seed), ("positivity_basis", positivity)):
+        if given is not None and hint is not None:
+            raise ProblemFormatError(
+                f"{key} and minimal_parabolic_hint are mutually exclusive")
     return Problem(name=name, matrix_size=size, basis=basis,
                    subalgebra_basis=sub, theta=theta, a_seed=a_seed,
                    positivity_basis=positivity,
@@ -265,6 +263,19 @@ def positivity_from_hint(g: LieAlgebra, theta: Optional[Matrix],
     return seed, positivity
 
 
+def _coordinates(g: LieAlgebra, matrices: Sequence[Matrix],
+                 key: str) -> list[Vector]:
+    """g's coordinates of each matrix of a problem field."""
+    out = []
+    for i, m in enumerate(matrices):
+        v = g.from_matrix(m)
+        if v is None:
+            raise ProblemFormatError(
+                f"{key}[{i}]: not an element of the algebra")
+        out.append(v)
+    return out
+
+
 def build_pair(problem: Problem) -> SphericalPair:
     """Assemble the spherical pair a problem describes.
 
@@ -281,21 +292,11 @@ def build_pair(problem: Problem) -> SphericalPair:
             g, problem.theta, problem.minimal_parabolic_hint)
     else:
         if problem.a_seed is not None:
-            vectors = [g.from_matrix(m) for m in problem.a_seed]
-            missing = [i for i, v in enumerate(vectors) if v is None]
-            if missing:
-                raise ProblemFormatError(
-                    f"a_seed[{missing[0]}]: not an element of the algebra")
-            a_seed = canonical_basis(vectors, g.dim)
+            a_seed = canonical_basis(
+                _coordinates(g, problem.a_seed, "a_seed"), g.dim)
         if problem.positivity_basis is not None:
-            positivity = []
-            for i, m in enumerate(problem.positivity_basis):
-                v = g.from_matrix(m)
-                if v is None:
-                    raise ProblemFormatError(
-                        f"positivity_basis[{i}]: not an element of the "
-                        "algebra")
-                positivity.append(v)
+            positivity = _coordinates(g, problem.positivity_basis,
+                                      "positivity_basis")
     cd = cartan_data(g, theta=problem.theta, a_seed=a_seed,
                      positivity_basis=positivity)
     return spherical_pair(cd, h, label=problem.name)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     CertificationError,
@@ -50,7 +50,6 @@ from .linalg import (
     complement_in,
     exp_nilpotent_matrix,
     identity_matrix,
-    image_subspace,
     is_direct_sum,
     lin_comb,
     mat_apply,
@@ -100,10 +99,17 @@ def spherical_pair(cd: CartanData, h: Subspace, label: str = "") -> SphericalPai
     return SphericalPair(cartan=cd, h=h, label=label)
 
 
+def _open_defect(cd: CartanData, vectors: Sequence[Vector]) -> int:
+    """dim g - dim(p + span vectors), from one elimination of p's basis
+    stacked with the vectors."""
+    g = cd.algebra
+    return g.dim - canonical_basis(list(cd.p.basis) + list(vectors),
+                                   g.dim).dim
+
+
 def is_spherical(pair: SphericalPair) -> tuple[bool, int]:
     """Whether p + h = g, together with the defect dim g - dim(p + h)."""
-    cd = pair.cartan
-    defect = cd.algebra.dim - subspace_sum(cd.p, pair.h).dim
+    defect = _open_defect(pair.cartan, pair.h.basis)
     return defect == 0, defect
 
 
@@ -170,9 +176,9 @@ class StructureReport:
 
     The defining identities hold for *some* Levi complement of the adapted
     parabolic; the complements are all conjugate under exponentials of the
-    nilradical, and ``levi_adjustment`` is the coordinate automorphism
-    (a finite exponential product, identity in the standard situation)
-    carrying the standard Levi onto the one that works.  ``checks`` records
+    nilradical, and ``levi_adjustment`` is the GroupWord exp(w_1)···exp(w_k),
+    w_i in the nilradical and empty when the standard Levi works, whose Ad
+    carries the standard Levi onto the one that works.  ``checks`` records
     the five identities for that Levi; construction fails with the offending
     identity if any is violated.  ``candidates`` are the subsets that passed
     the enumeration (exactly one, the adapted subset).
@@ -181,15 +187,15 @@ class StructureReport:
     adjusted Levi; its projection to the noncompact center gives
     ``h_split_part``, whose deterministic complement ``rank_torus`` has
     dimension ``rank``.  ``levi_structure`` describes the standard Levi;
-    ``standard_form_h`` is the pull-back of h under the adjustment (equal to
-    h whenever no adjustment was needed).
+    ``standard_form_h`` is the pull-back of h under the adjustment (h
+    itself whenever no adjustment was needed).
     """
 
     pair: SphericalPair
     adapted: ParabolicData
     candidates: tuple[tuple[int, ...], ...]
     levi_structure: LeviStructure
-    levi_adjustment: Matrix
+    levi_adjustment: GroupWord
     standard_form_h: Subspace
     checks: dict[str, bool]
     h_reductive_part: Subspace
@@ -207,27 +213,27 @@ class StructureReport:
 
     @property
     def adjusted_levi(self) -> Subspace:
-        return image_subspace(self.levi_adjustment, self.adapted.levi)
+        return self.levi_adjustment.image(self.adapted.levi)
 
 
 def _levi_adjustment(cd: CartanData, pd: ParabolicData,
-                     meet: Subspace) -> tuple[Matrix, Matrix]:
-    """Coordinate automorphism Phi, a product of exp(ad w) with w in the
-    nilradical, such that Phi^{-1}(q ∩ h) lies in the standard Levi;
-    returned with Phi^{-1}, the reversed product of the exp(-ad w).
+                     meet: Subspace) -> GroupWord:
+    """The word exp(w_1)···exp(w_k), w_i in the nilradical, whose inverse
+    carries q ∩ h into the standard Levi: one factor per eigenvalue layer,
+    and the empty word when q ∩ h already lies in the standard Levi.
 
     Found by peeling the grading of the characteristic element: on each
     eigenvalue layer the requirement is a linear system whose solvability
     the structure theory guarantees; an unsolvable layer is reported.
     """
     g = cd.algebra
-    phi = phi_inv = identity_matrix(g.dim)
     if meet.is_contained_in(pd.levi) or pd.nilradical.dim == 0:
-        return phi, phi_inv
+        return GroupWord(g, ())
     grading = mat_scale(Fraction(-1), g.ad(characteristic_element(cd, pd.subset)))
     layers = eigen_split(grading, pd.nilradical)
     split = DirectSum([pd.levi] + [layer for _, layer in layers])
     current = meet
+    factors = []
     for k, (lam, layer) in enumerate(layers, start=1):
         if lam <= 0:
             raise CertificationError(
@@ -249,16 +255,14 @@ def _levi_adjustment(cd: CartanData, pd: ParabolicData,
                 "no Levi complement of the adapted parabolic contains q ∩ h "
                 "(layer system unsolvable); the pair violates the structure "
                 "theory hypotheses")
-        adw = g.ad(lin_comb(sol, layer.basis, g.dim))
-        step_inv = exp_nilpotent_matrix(mat_scale(Fraction(-1), adw))
-        phi = mat_mul(phi, exp_nilpotent_matrix(adw))
-        phi_inv = mat_mul(step_inv, phi_inv)
-        current = image_subspace(step_inv, current)
+        w = lin_comb(sol, layer.basis, g.dim)
+        factors.append(w)
+        current = GroupWord(g, (vec_scale(-1, w),)).image(current)
     if not current.is_contained_in(pd.levi):
         raise CertificationError(
             "Levi adjustment did not absorb q ∩ h; the pair violates the "
             "structure theory hypotheses")
-    return phi, phi_inv
+    return GroupWord(g, tuple(factors))
 
 
 def structure_report(pair: SphericalPair) -> StructureReport:
@@ -268,8 +272,8 @@ def structure_report(pair: SphericalPair) -> StructureReport:
     pd, passing = _adapted(pair)
     fs = levi_fine_structure(cd, pd.levi)
 
-    phi, phi_inv = _levi_adjustment(cd, pd, subspace_intersect(pd.q, h))
-    h_std = image_subspace(phi_inv, h)
+    word = _levi_adjustment(cd, pd, subspace_intersect(pd.q, h))
+    h_std = word.inverse.image(h)
 
     nh = subspace_intersect(cd.n, h)
     lh = subspace_intersect(pd.levi, h_std)
@@ -304,10 +308,10 @@ def structure_report(pair: SphericalPair) -> StructureReport:
             "noncompact-ideal part")
     return StructureReport(
         pair=pair, adapted=pd, candidates=tuple(passing), levi_structure=fs,
-        levi_adjustment=phi, standard_form_h=h_std, checks=checks,
-        h_reductive_part=image_subspace(phi, core),
-        h_split_part=image_subspace(phi, h_split),
-        rank_torus=image_subspace(phi, rank_torus), rank=rank)
+        levi_adjustment=word, standard_form_h=h_std, checks=checks,
+        h_reductive_part=word.image(core),
+        h_split_part=word.image(h_split),
+        rank_torus=word.image(rank_torus), rank=rank)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +340,14 @@ def apply_ad(g: LieAlgebra, element: Matrix, sub: Subspace) -> Subspace:
 @dataclass(frozen=True, eq=False)
 class GroupWord:
     """The group element exp(x_1)···exp(x_k), held as its factors x_i ∈ g
-    in coordinates.
+    in coordinates; the empty word is the identity.
 
     Ad(exp X) = e^{ad X} for every matrix X, so Ad(word) is
     e^{ad x_1}∘…∘e^{ad x_k} and acts through g's structure constants with no
-    matrix product or inverse.  The factors must have nilpotent matrices
-    (group_element_candidates certifies its pool once per stream); the
-    exact matrix is multiplied out on first use of ``matrix``.
+    matrix product or inverse.  ``ad`` and ``image`` need only ad-nilpotent
+    factors, which exp_ad_apply certifies per vector; ``matrix``, multiplied
+    out on first use, also needs nilpotent matrices and raises
+    DimensionMismatch otherwise.
     """
 
     algebra: LieAlgebra
@@ -353,6 +358,14 @@ class GroupWord:
         for x in reversed(self.factors):
             y = exp_ad_apply(self.algebra, x, y)
         return y
+
+    def image(self, sub: Subspace) -> Subspace:
+        """Ad(word) sub in its canonical basis; sub itself for the empty
+        word."""
+        if not self.factors:
+            return sub
+        return canonical_basis([self.ad(v) for v in sub.basis],
+                               sub.ambient_dim)
 
     @cached_property
     def inverse(self) -> GroupWord:
@@ -444,20 +457,21 @@ def conjugate_search(pair: SphericalPair, budget: int,
     spherical returns the identity on the first attempt.
 
     Each candidate moves h's basis by GroupWord.ad, in g's structure
-    constants; no matrix is built unless the result's ``element`` is
-    read."""
+    constants, and one elimination of p's basis stacked with the moved
+    basis decides it.  Ad(word) is an automorphism, so the moved h needs no
+    closure check; only the winner is canonicalised, and no matrix is built
+    unless the result's ``element`` is read."""
     cd = pair.cartan
-    g = cd.algebra
     attempts = 0
     for word, desc in group_element_candidates(cd, seed):
         if attempts >= budget:
             break
         attempts += 1
-        conj = canonical_basis([word.ad(v) for v in pair.h.basis], g.dim)
-        moved = spherical_pair(cd, conj, label=pair.label)
-        if is_spherical(moved)[0]:
-            return ConjugationResult(word=word, description=desc,
-                                     conjugated=conj, attempts=attempts)
+        moved = [word.ad(v) for v in pair.h.basis]
+        if _open_defect(cd, moved) == 0:
+            return ConjugationResult(
+                word=word, description=desc, attempts=attempts,
+                conjugated=canonical_basis(moved, cd.algebra.dim))
     return None
 
 
@@ -521,8 +535,7 @@ def compact_transitivity_check(pair: SphericalPair, samples: int = 100,
         if run >= samples:
             break
         run += 1
-        moved_h = [word.inverse.ad(v) for v in h.basis]
-        if canonical_basis(list(cd.p.basis) + moved_h, g.dim).dim != g.dim:
+        if _open_defect(cd, [word.inverse.ad(v) for v in h.basis]) != 0:
             if compact_type:
                 raise CertificationError(
                     f"h is compact-type (negative definite invariant form) "

@@ -220,6 +220,30 @@ def test_unreadable_and_malformed_inputs_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_theta_rows_that_are_not_lists_exit_2(capsys, tmp_path):
+    doc = json.loads(problem_to_json(get_entry("sl2_so2").problem))
+    for bad_row in (1, "100"):
+        doc["theta"] = [[1, 0, 0], bad_row, [0, 0, 1]]
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert "theta: expected a 3x3 coordinate matrix" in err
+
+
+def test_a_seed_with_hint_exits_2(capsys, tmp_path):
+    # a rotation lies in k, not in the split part; with the hint present the
+    # seed used to be ignored silently
+    doc = json.loads(problem_to_json(get_entry("sl3_so3").problem))
+    assert "minimal_parabolic_hint" in doc
+    doc["a_seed"] = [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]]
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert "a_seed and minimal_parabolic_hint are mutually exclusive" in err
+
+
 def test_non_reductive_input_exits_2(capsys, tmp_path):
     # span(E11, E12) in gl(2): solvable, non-reductive, closed under bracket.
     doc = {"schema_version": 1, "name": "borel", "matrix_size": 2,

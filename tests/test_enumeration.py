@@ -192,14 +192,25 @@ def test_standard_parabolic_runs_only_on_subsets_passing_the_filter(
 
 
 def test_levi_adjustment_inverse_on_catalog_and_ladder(ladder):
-    from sphlie.linalg import identity_matrix, mat_mul
+    from sphlie.linalg import (
+        exp_nilpotent_matrix,
+        identity_matrix,
+        mat_apply,
+        mat_mul,
+        unit_vector,
+    )
     from sphlie.spherical import adapted_parabolic
 
     pairs = [pair for _, pair, _ in catalog_pairs()] + list(ladder)
     for pair in pairs:
+        g = pair.cartan.algebra
         pd = adapted_parabolic(pair)
-        phi, phi_inv = spherical._levi_adjustment(
+        word = spherical._levi_adjustment(
             pair.cartan, pd, subspace_intersect(pd.q, pair.h))
-        eye = identity_matrix(pair.cartan.algebra.dim)
-        assert mat_mul(phi, phi_inv) == eye == mat_mul(phi_inv, phi), \
-            pair.label
+        phi = identity_matrix(g.dim)
+        for w in word.factors:
+            phi = mat_mul(phi, exp_nilpotent_matrix(g.ad(w)))
+        for j in range(g.dim):
+            e_j = unit_vector(g.dim, j)
+            assert word.ad(e_j) == mat_apply(phi, e_j), pair.label
+            assert word.inverse.ad(word.ad(e_j)) == e_j, pair.label

@@ -18,7 +18,6 @@ from sphlie.linalg import (
     membership,
     restrict_bilinear_form,
     solve_linear,
-    subspace_combine,
     subspace_intersect,
     subspace_sum,
     symmetric_signature,
@@ -83,8 +82,8 @@ def test_mixed_dimension_rejected():
 def test_sum_and_intersection_of_coordinate_planes():
     xy = span((1, 0, 0), (0, 1, 0))
     yz = span((0, 1, 0), (0, 0, 1))
-    assert subspace_combine(xy, yz, "sum") == full_subspace(3)
-    assert subspace_combine(xy, yz, "intersect") == span((0, 1, 0))
+    assert subspace_sum(xy, yz) == full_subspace(3)
+    assert subspace_intersect(xy, yz) == span((0, 1, 0))
 
 
 def test_membership_returns_coordinates():

@@ -305,7 +305,8 @@ def test_levi_adjustment_engages_for_shifted_diagonal():
     moved = spherical_pair(pair.cartan, conj)
     assert is_spherical(moved) == (True, 0)
     rep = structure_report(moved)
-    assert rep.levi_adjustment != identity_matrix(g.dim)
+    word = rep.levi_adjustment
+    assert word.factors
     assert rep.rank == 1
     assert rep.adapted_subset == ()
     # the adjusted Levi really contains q ∩ h, the standard one does not
@@ -314,12 +315,23 @@ def test_levi_adjustment_engages_for_shifted_diagonal():
     assert meet.is_contained_in(rep.adjusted_levi)
     assert not meet.is_contained_in(rep.adapted.levi)
     assert rep.standard_form_h == pair.h
-    # the adjustment's inverse is its factors' inverses in reverse order
-    from sphlie.linalg import mat_mul
+    # Ad(word) is the product of the exp(ad w_i), and word.inverse undoes it
+    from sphlie.linalg import (
+        exp_nilpotent_matrix,
+        mat_apply,
+        mat_mul,
+        unit_vector,
+    )
     from sphlie.spherical import _levi_adjustment
-    phi, phi_inv = _levi_adjustment(moved.cartan, rep.adapted, meet)
-    assert phi == rep.levi_adjustment
-    assert mat_mul(phi, phi_inv) == identity_matrix(g.dim)
+    assert _levi_adjustment(moved.cartan, rep.adapted, meet).factors == \
+        word.factors
+    phi = identity_matrix(g.dim)
+    for w in word.factors:
+        phi = mat_mul(phi, exp_nilpotent_matrix(g.ad(w)))
+    for j in range(g.dim):
+        e_j = unit_vector(g.dim, j)
+        assert word.ad(e_j) == mat_apply(phi, e_j)
+        assert word.inverse.ad(word.ad(e_j)) == e_j
 
 
 def test_rank_constant_over_openness_preserving_conjugates():
@@ -436,6 +448,28 @@ def test_exhausted_search_builds_no_matrix(monkeypatch):
         calls = count_kernel_calls(m, ("mat_invert", "exp_nilpotent_matrix"))
         assert conjugate_search(pair, budget=30) is None
     assert not calls
+
+
+def test_one_elimination_decides_each_search_attempt(monkeypatch):
+    from sphlie.catalog import get_entry
+    from sphlie.problem import build_pair
+
+    pair = build_pair(get_entry("sl2_zero").problem)
+    closure_checks = []
+    real = LieAlgebra.is_subalgebra
+    with monkeypatch.context() as m:
+        calls = count_kernel_calls(m, ("rref",))
+        m.setattr(LieAlgebra, "is_subalgebra",
+                  lambda g, h: closure_checks.append(h) or real(g, h))
+        assert conjugate_search(pair, budget=30) is None
+    # p + Ad(g)h is one elimination; Ad(g)h is closed by construction
+    assert calls["rref"] == 30
+    assert closure_checks == []
+    # with no Levi adjustment, h is its own standard form
+    open_pair = sl3_so3_pair()
+    rep = structure_report(open_pair)
+    assert rep.levi_adjustment.factors == ()
+    assert rep.standard_form_h is open_pair.h
 
 
 def test_matrix_is_built_only_for_the_returned_element(monkeypatch):
