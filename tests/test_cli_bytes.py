@@ -9,7 +9,9 @@ recorded digest.  A change that alters any printed basis, dimension, flag
 or verdict, or any exit code, changes a digest.
 
 No catalog pair needs a Levi adjustment, so ``sl2x2_shifted_diag`` pins the
-``levi_adjusted: true`` path separately with digests of its own.
+``levi_adjusted: true`` path separately with digests of its own.  Every
+catalog pair has dim g <= 9, so ``analyze`` of sl(6)/so(6) (dim 35) pins
+one pair beyond the benchmark sizes.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphlie.builders import direct_sum_basis, sl_basis
+from sphlie.builders import direct_sum_basis, sl_basis, so_basis
 from sphlie.catalog import catalog_entries
 from sphlie.cli import main
 from sphlie.problem import Problem, problem_to_json
@@ -92,6 +94,9 @@ LEVI_ADJUSTED_DIGESTS = {
     "rank json":
         "d0e9890b08bf5cf46e2a0e380f1515b5bdbc1eabbf28e7bb24fb2e518516f1c8",
 }
+
+SL6_SO6_ANALYZE_JSON = (
+    "07d193726e160e51a852755ec8ab2c54d46ad03e6c5597b3b3d7a1c479e331e0")
 
 
 def run_cli(argv: list) -> bytes:
@@ -168,3 +173,14 @@ def test_levi_adjusted_output_is_unchanged(variant, fmt, shifted_diag):
         path.encode(), name.encode())
     got = hashlib.sha256(run).hexdigest()
     assert got == LEVI_ADJUSTED_DIGESTS[f"{variant} {fmt}"]
+
+
+def test_sl6_so6_analyze_output_is_unchanged(tmp_path):
+    problem = Problem(name="sl6_so6", matrix_size=6,
+                      basis=tuple(sl_basis(6)),
+                      subalgebra_basis=tuple(so_basis(6)))
+    path = tmp_path / f"{problem.name}.json"
+    path.write_text(problem_to_json(problem), encoding="utf-8")
+    run = run_cli(["analyze", "--format", "json", "--samples", SAMPLES,
+                   str(path)]).replace(str(path).encode(), path.name.encode())
+    assert hashlib.sha256(run).hexdigest() == SL6_SO6_ANALYZE_JSON
