@@ -13,10 +13,15 @@ Conventions
 * A restricted root is stored as the tuple of its values on the echelon basis
   of ``a``; positivity is lexicographic with respect to a chosen ordered
   basis of ``a`` (the echelon basis unless the caller supplies one).
+* The structure constants are stored sparsely: ``_terms[i][j]`` lists the
+  nonzero (k, c) with [e_i, e_j] = sum_k c e_k.  The constructor forms each
+  [e_i, e_j] with i < j from the basis matrices' nonzero entries and takes
+  [e_j, e_i] as its negative; a subalgebra's table is read off the ambient
+  one.  ``structure``, the dense d x d x d table, is a read-only view built
+  on first read, and nothing in the package reads it.
 * The center, the derived algebra, the Killing and invariant forms and each
   validated Cartan decomposition are computed once, on first use, and cached
-  on the :class:`LieAlgebra` instance, so they die with it.  A subalgebra's
-  structure table is read off the ambient one.
+  on the :class:`LieAlgebra` instance, so they die with it.
 
 Every operator whose eigenvalues are consumed must act semisimply with
 rational spectrum; otherwise :class:`~sphlie.errors.SpectrumError` is raised
@@ -25,6 +30,7 @@ rational spectrum; otherwise :class:`~sphlie.errors.SpectrumError` is raised
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -53,14 +59,12 @@ from .linalg import (
     kernel,
     lin_comb,
     mat_add,
-    mat_apply,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_trace,
     mat_transpose,
     mat_unflatten,
-    residual_operator,
     restrict_bilinear_form,
     subspace_intersect,
     subspace_sum,
@@ -77,6 +81,26 @@ def commutator(x: Matrix, y: Matrix) -> Matrix:
     """xy - yx; zero entries of yx subtract nothing."""
     return tuple(tuple(a - b if b else a for a, b in zip(r, s))
                  for r, s in zip(mat_mul(x, y), mat_mul(y, x)))
+
+
+def _row_entries(m: Matrix) -> list[list[tuple[int, Fraction]]]:
+    """Per row of m, its nonzero (column, entry) pairs."""
+    return [[(c, a) for c, a in enumerate(row) if a] for row in m]
+
+
+def _flat_commutator(x: list, y: list, n: int) -> list[Fraction]:
+    """xy - yx, flattened row by row, from the nonzero entries of x and y
+    as :func:`_row_entries` gives them."""
+    acc = [ZERO] * (n * n)
+    for r, (xr, yr) in enumerate(zip(x, y)):
+        base = r * n
+        for k, a in xr:
+            for c, b in y[k]:
+                acc[base + c] += a * b
+        for k, b in yr:
+            for c, a in x[k]:
+                acc[base + c] -= b * a
+    return acc
 
 
 class LieAlgebra:
@@ -98,8 +122,9 @@ class LieAlgebra:
             self._solver = SpanSolver(flat, n * n)
         except DimensionMismatch:
             raise DimensionMismatch("basis matrices are linearly dependent")
+        entries = [_row_entries(b) for b in basis]
         self._finish(basis, flat, name, lambda i, j: self._solver.coordinates(
-            tuple(e for r in commutator(basis[i], basis[j]) for e in r)),
+            _flat_commutator(entries[i], entries[j], n)),
             "bracket of basis elements {i} and {j} escapes the span")
 
     def _finish(self, basis: tuple, flat: list, name: str,
@@ -112,19 +137,35 @@ class LieAlgebra:
         self.name = name
         self.dim = d = len(basis)
         self._flat = flat
-        structure = [[(ZERO,) * d] * d for _ in range(d)]
-        for i in range(d):
+        # _terms[i][j]: the nonzero (k, c) of [e_i, e_j] = sum_k c e_k
+        terms = [[[] for _ in range(d)] for _ in range(d)]
+        for i, ti in enumerate(terms):
             for j in range(i + 1, d):
                 coords = bracket_coords(i, j)
                 if coords is None:
                     raise NotClosed(escape.format(i=i, j=j))
-                structure[i][j] = coords
-                structure[j][i] = tuple(-c for c in coords)
-        self.structure = tuple(tuple(row) for row in structure)
-        # _terms[i][j]: the nonzero (k, c) of [e_i, e_j] = sum_k c e_k
-        self._terms = [[[(k, c) for k, c in enumerate(sij) if c] for sij in si]
-                       for si in structure]
+                ti[j] = [(k, c) for k, c in enumerate(coords) if c]
+                terms[j][i] = [(k, -c) for k, c in ti[j]]
+        self._terms = terms
         self._cartan: dict = {}  # validated (theta, k, s); key None is -X^T
+
+    @property
+    def structure(self) -> tuple:
+        """Dense view of the table: ``structure[i][j][k]`` is the e_k
+        coefficient of [e_i, e_j].  Built on first read."""
+        return self._structure
+
+    @cached_property
+    def _structure(self) -> tuple:
+        return tuple(tuple(self._dense(tij) for tij in ti)
+                     for ti in self._terms)
+
+    def _dense(self, terms: list) -> Vector:
+        """The coordinate vector with the given nonzero (k, c) entries."""
+        out = [ZERO] * self.dim
+        for k, c in terms:
+            out[k] = c
+        return tuple(out)
 
     @cached_property
     def _solver(self) -> SpanSolver:
@@ -192,20 +233,23 @@ class LieAlgebra:
 
     @cached_property
     def _center(self) -> Subspace:
-        rows = []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                rows.append([self.structure[i][j][k] for i in range(self.dim)])
-        return kernel(rows, self.dim)
+        # x is central iff sum_i x_i [e_i, e_j] = 0 for every j: one row per
+        # (j, k) where some [e_i, e_j] has an e_k term
+        rows: dict = {}
+        for i, ti in enumerate(self._terms):
+            for j, tij in enumerate(ti):
+                for k, c in tij:
+                    rows.setdefault((j, k), [ZERO] * self.dim)[i] = c
+        return kernel(list(rows.values()), self.dim)
 
     def derived_algebra(self) -> Subspace:
         return self._derived
 
     @cached_property
     def _derived(self) -> Subspace:
-        gens = [self.structure[i][j]
-                for i in range(self.dim) for j in range(i + 1, self.dim)]
-        return canonical_basis(gens, self.dim) if gens else self.zero_space()
+        return canonical_basis([self._dense(tij)
+                                for i, ti in enumerate(self._terms)
+                                for tij in ti[i + 1:] if tij], self.dim)
 
     def is_subalgebra(self, s: Subspace) -> bool:
         return all(s.contains(self.bracket(u, v))
@@ -219,14 +263,22 @@ class LieAlgebra:
 
     @cached_property
     def _killing(self) -> Matrix:
-        out = []
-        for ti in self._terms:
-            # nonzero entries (k, l, a) of ad e_i, with a = (ad e_i)[k][l]
-            nz = [(k, l, a) for l, til in enumerate(ti) for k, a in til]
-            out.append(tuple(
-                sum((a * sj[k][l] for k, l, a in nz if sj[k][l]), ZERO)
-                for sj in self.structure))
-        return tuple(out)
+        # B(e_i, e_j) = sum over (k, l) of (ad e_i)[k][l] (ad e_j)[l][k], where
+        # (ad e_i)[k][l] is the e_k coefficient of [e_i, e_l]
+        at = defaultdict(list)  # (k, l) -> the nonzero (i, (ad e_i)[k][l])
+        for i, ti in enumerate(self._terms):
+            for l, til in enumerate(ti):
+                for k, a in til:
+                    at[k, l].append((i, a))
+        out = [[ZERO] * self.dim for _ in range(self.dim)]
+        for (k, l), left in at.items():
+            right = at.get((l, k))
+            if right:
+                for i, a in left:
+                    row = out[i]
+                    for j, b in right:
+                        row[j] += a * b
+        return tuple(tuple(row) for row in out)
 
     def invariant_form(self) -> Matrix:
         """Killing form plus the matrix trace form on the center.
@@ -290,17 +342,17 @@ def transporter(g: LieAlgebra, s: Subspace, t: Subspace,
 
     The kernel of a bracket condition, solved as one exact kernel in the
     coordinates of ``within``: for every u in the basis of s, the residual
-    of [x, u] modulo t (see residual_operator) must vanish.
+    of [x, u] modulo t (:meth:`Subspace.residual`, in t's non-pivot
+    coordinates) must vanish.
     """
     w = within if within is not None else g.full_space()
     if w.dim == 0 or s.dim == 0:
         return w
-    res = residual_operator(t)
-    brk = [[mat_apply(res, g.bracket(wb, u)) for u in s.basis]
-           for wb in w.basis]
-    rows = [[brk[m][uidx][k] for m in range(w.dim)]
-            for uidx in range(s.dim) for k in range(g.dim)]
-    ker = kernel(rows, w.dim)
+    # res[m][uidx]: residual of [w_m, s_uidx]; one kernel row per (uidx, k)
+    res = [[t.residual(g.bracket(wb, u)) for u in s.basis] for wb in w.basis]
+    rows = ([res_m[uidx][k] for res_m in res]
+            for uidx in range(s.dim) for k in range(g.dim - t.dim))
+    ker = kernel([row for row in rows if any(row)], w.dim)
     # coordinates in the full space (identity basis) are already ambient
     return ker if w.dim == g.dim else lift_subspace(ker, w)
 
@@ -334,12 +386,15 @@ def _validate_involution(g: LieAlgebra, theta: Matrix) -> None:
     if sq != identity_matrix(d):
         raise CertificationError("theta is not involutive")
     cols = mat_transpose(theta)  # cols[i] = theta(e_i)
+    col_entries = _row_entries(cols)
     # both sides are antisymmetric in (i, j) and vanish for i = j
-    for i in range(d):
+    for i, ti in enumerate(g._terms):
         for j in range(i + 1, d):
-            lhs = mat_apply(theta, g.structure[i][j])
-            rhs = g.bracket(cols[i], cols[j])
-            if lhs != rhs:
+            lhs = [ZERO] * d
+            for k, c in ti[j]:
+                for r, a in col_entries[k]:
+                    lhs[r] += c * a
+            if tuple(lhs) != g.bracket(cols[i], cols[j]):
                 raise CertificationError(
                     f"theta is not an automorphism (fails on basis pair {i},{j})")
 

@@ -12,8 +12,10 @@ coordinates in a span (:meth:`Subspace.coordinates_of`, and
 :class:`SpanSolver` for a fixed independent list), splitting along a direct
 sum (:class:`DirectSum`), certifying ``whole = a ⊕ b ⊕ ...``
 (:func:`is_direct_sum`), combinations (:func:`lin_comb`), kernels and
-genuine linear systems (:func:`kernel`, :func:`solve_linear`).  The kernel
-of a bracket condition lives in :func:`sphlie.liealg.transporter`.
+genuine linear systems (:func:`kernel`, :func:`solve_linear`), and a
+vector's residual modulo a subspace (:meth:`Subspace.residual`), which turns
+membership into linear conditions.  The kernel of a bracket condition lives
+in :func:`sphlie.liealg.transporter`.
 """
 
 from __future__ import annotations
@@ -168,6 +170,27 @@ class Subspace:
                 for j, a in nz:
                     residual[j] -= c * a
         return coords, residual
+
+    @cached_property
+    def _free(self) -> tuple[int, ...]:
+        """The non-pivot coordinates, in increasing order."""
+        pivots = set(self.pivots)
+        return tuple(j for j in range(self.ambient_dim) if j not in pivots)
+
+    def residual(self, v: Sequence[Fraction]) -> Vector:
+        """v's residual modulo the subspace, in its non-pivot coordinates.
+
+        Back substitution against the echelon basis leaves a zero at every
+        pivot, so these entries carry the whole residual: they vanish
+        exactly when v is inside, and the map is linear with kernel the
+        subspace.  Membership thus becomes linear conditions usable inside
+        kernels and ranks.
+        """
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch(
+                f"vector length {len(v)} != ambient {self.ambient_dim}")
+        _, residual = self._back_substitute(v)
+        return tuple(residual[j] for j in self._free)
 
     def contains(self, v: Vector) -> bool:
         return self.coordinates_of(v) is not None
@@ -544,7 +567,8 @@ def restrict_bilinear_form(form: Matrix, s: Subspace) -> Matrix:
 def residual_operator(s: Subspace) -> Matrix:
     """Matrix R with R v = v minus its echelon reduction; R v = 0 iff v in s.
 
-    Turns subspace membership into linear conditions usable inside kernels.
+    The dense d x d form of :meth:`Subspace.residual`, whose entries are
+    R v's non-pivot rows (its pivot rows vanish).
     """
     n = s.ambient_dim
     rows = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]

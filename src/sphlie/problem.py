@@ -164,14 +164,24 @@ def parse_problem_dict(data) -> Problem:
             raise ProblemFormatError(
                 "minimal_parabolic_hint: expected a list of 1/-1 signs")
         hint = tuple(raw)
-    for key, given in (("a_seed", a_seed), ("positivity_basis", positivity)):
-        if given is not None and hint is not None:
+    problem = Problem(name=name, matrix_size=size, basis=basis,
+                      subalgebra_basis=sub, theta=theta, a_seed=a_seed,
+                      positivity_basis=positivity,
+                      minimal_parabolic_hint=hint)
+    _check_hint_exclusive(problem)
+    return problem
+
+
+def _check_hint_exclusive(problem: Problem) -> None:
+    """A minimal-parabolic hint fixes a and its positivity itself, so it
+    excludes ``a_seed`` and ``positivity_basis``; raise rather than ignore
+    them."""
+    if problem.minimal_parabolic_hint is None:
+        return
+    for key in ("a_seed", "positivity_basis"):
+        if getattr(problem, key) is not None:
             raise ProblemFormatError(
                 f"{key} and minimal_parabolic_hint are mutually exclusive")
-    return Problem(name=name, matrix_size=size, basis=basis,
-                   subalgebra_basis=sub, theta=theta, a_seed=a_seed,
-                   positivity_basis=positivity,
-                   minimal_parabolic_hint=hint)
 
 
 def parse_problem_text(text: str) -> Problem:
@@ -283,6 +293,7 @@ def build_pair(problem: Problem) -> SphericalPair:
     through unchanged; they are input errors in the same sense as parse
     errors.
     """
+    _check_hint_exclusive(problem)
     g = LieAlgebra(problem.basis, name=problem.name or "g")
     h = g.span_of_matrices(problem.subalgebra_basis)
     a_seed = None

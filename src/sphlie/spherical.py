@@ -59,6 +59,7 @@ from .linalg import (
     mat_scale,
     project_along,
     restrict_bilinear_form,
+    rref,
     solve_linear,
     subspace_intersect,
     subspace_sum,
@@ -100,11 +101,10 @@ def spherical_pair(cd: CartanData, h: Subspace, label: str = "") -> SphericalPai
 
 
 def _open_defect(cd: CartanData, vectors: Sequence[Vector]) -> int:
-    """dim g - dim(p + span vectors), from one elimination of p's basis
-    stacked with the vectors."""
-    g = cd.algebra
-    return g.dim - canonical_basis(list(cd.p.basis) + list(vectors),
-                                   g.dim).dim
+    """dim g - dim(p + span vectors), from one elimination of the vectors'
+    residuals modulo p: their rank is dim(p + span vectors) - dim p."""
+    rows, _ = rref([cd.p.residual(v) for v in vectors])
+    return cd.algebra.dim - cd.p.dim - len(rows)
 
 
 def is_spherical(pair: SphericalPair) -> tuple[bool, int]:

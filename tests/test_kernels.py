@@ -6,22 +6,28 @@ mismatch.  Inputs are random sparse rational matrices and vectors.
 """
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphlie.builders import gl, sl, so
-from sphlie.liealg import SpanSolver, commutator
+from sphlie.catalog import catalog_entries, get_entry
+from sphlie.liealg import SpanSolver, centralizer_in, commutator, transporter
 from sphlie.linalg import (
     as_vector,
     canonical_basis,
+    kernel,
     lin_comb,
     mat_apply,
     mat_mul,
+    residual_operator,
     rref,
     subspace_intersect,
     unit_vector,
 )
+from sphlie.problem import build_pair
+from sphlie.spherical import _open_defect
 
 PROPS = settings(max_examples=60, deadline=None)
 
@@ -220,3 +226,65 @@ def test_subspace_intersect_eliminates_twice(monkeypatch):
     # the null space of the stacked system, then the span of its a-parts;
     # the null-space generators are sliced, never re-eliminated
     assert len(calls) == 2
+
+
+# -- residuals modulo a subspace: transporter and the open-orbit defect -------
+
+
+@lru_cache(maxsize=None)
+def catalog_pair(name):
+    return build_pair(get_entry(name).problem)
+
+
+def subspaces(g, max_gens=3):
+    return st.lists(vectors(g.dim), max_size=max_gens).map(
+        lambda vecs: canonical_basis(vecs, g.dim))
+
+
+def catalog_subspaces():
+    """(g, s, t, within) in a catalog algebra: t is often 0 or g, s often
+    0, and ``within`` either g (passed as None) or a random subspace."""
+    def draw(g):
+        t = st.one_of(st.just(g.zero_space()), st.just(g.full_space()),
+                      subspaces(g))
+        within = st.one_of(st.none(), subspaces(g, 4))
+        return st.tuples(st.just(g), subspaces(g), t, within)
+    return st.sampled_from(sorted(e.name for e in catalog_entries())).map(
+        lambda name: catalog_pair(name).algebra).flatmap(draw)
+
+
+def residual_operator_transporter(g, s, t, w):
+    """{x in w : [x, s] in t}: the kernel, in w's coordinates, of the dense
+    residual operator of t applied to every bracket [w_m, u], lifted to g."""
+    if w.dim == 0:
+        return w
+    res = residual_operator(t)
+    brk = [[dense_apply(res, dense_bracket(g, wb, u)) for u in s.basis]
+           for wb in w.basis]
+    rows = [[brk[m][uidx][k] for m in range(w.dim)]
+            for uidx in range(s.dim) for k in range(g.dim)]
+    return canonical_basis([w.from_coordinates(c)
+                            for c in kernel(rows, w.dim).basis], g.dim)
+
+
+@PROPS
+@given(catalog_subspaces())
+def test_transporter_matches_the_residual_operator_kernel(data):
+    g, s, t, within = data
+    w = g.full_space() if within is None else within
+    assert transporter(g, s, t, within) == residual_operator_transporter(
+        g, s, t, w)
+    assert centralizer_in(g, s, within) == residual_operator_transporter(
+        g, s, g.zero_space(), w)
+
+
+@PROPS
+@given(st.sampled_from(sorted(e.name for e in catalog_entries())).flatmap(
+    lambda name: st.tuples(
+        st.just(catalog_pair(name).cartan),
+        st.lists(vectors(catalog_pair(name).algebra.dim), max_size=4))))
+def test_open_defect_is_the_codimension_of_p_plus_the_span(data):
+    cd, vecs = data
+    g = cd.algebra
+    assert _open_defect(cd, vecs) == g.dim - canonical_basis(
+        list(cd.p.basis) + vecs, g.dim).dim

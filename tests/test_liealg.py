@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,7 @@ from sphlie.linalg import (
     as_vector,
     canonical_basis,
     is_zero_vector,
+    kernel,
     mat_apply,
     membership,
     solve_linear,
@@ -145,13 +147,44 @@ def reference_structure(basis):
     return tuple(out)
 
 
+def rational_mixing(basis, seed):
+    """A seeded invertible rational change of basis: row i of a random
+    matrix with entries like 2/3 and -5/2, certified invertible by its
+    rank, combines the matrices of ``basis``."""
+    rng = random.Random(seed)
+    d, n = len(basis), len(basis[0])
+    while True:
+        mix = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
+               for _ in range(d)]
+        if canonical_basis(mix, d).dim == d:
+            break
+    return [tuple(tuple(sum((c * F(b[r][col]) for c, b in zip(row, basis)),
+                            F(0)) for col in range(n)) for r in range(n))
+            for row in mix]
+
+
 def test_structure_table_matches_every_matrix_commutator():
     bases = [sl_basis(n) for n in (2, 3, 4)]
     bases += [so_basis(n) for n in (2, 3, 4)]
     bases += [gl_basis(n) for n in (1, 2, 3, 4)]
     bases += [e.problem.basis for e in catalog_entries()]
+    # non-unit rational entries, so no product or coefficient is +-1 by luck
+    bases += [rational_mixing(basis, seed) for seed, basis in enumerate(
+        (sl_basis(3), gl_basis(2), so3_plus_centre().basis))]
     for basis in bases:
-        assert LieAlgebra(basis).structure == reference_structure(basis)
+        g, ref = LieAlgebra(basis), reference_structure(basis)
+        assert g.structure == ref
+        d = g.dim
+        # dense references, from the reference table alone
+        assert g.killing_form() == tuple(
+            tuple(sum((ref[i][l][k] * ref[j][k][l]
+                       for k in range(d) for l in range(d)), F(0))
+                  for j in range(d)) for i in range(d))
+        assert g.center() == kernel(
+            [[ref[i][j][k] for i in range(d)]
+             for j in range(d) for k in range(d)], d)
+        assert g.derived_algebra() == canonical_basis(
+            [ref[i][j] for i in range(d) for j in range(d)], d)
 
 
 def test_bracket_and_ad_reject_wrong_lengths():
@@ -581,3 +614,61 @@ def test_restricted_root_decomposition_certifies_an_arbitrary_a():
         restricted_root_decomposition(g, not_abelian)
     with pytest.raises(CertificationError, match="z_s"):
         restricted_root_decomposition(g, small)
+
+
+# -- counting guards: the sparse table end to end ------------------------------
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of ``sphlie.linalg.<name>`` through every sphlie
+    module that imported it."""
+    import sys
+
+    import sphlie.linalg as linalg
+
+    real, calls = getattr(linalg, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.split(".")[0] == "sphlie"
+                and getattr(mod, name, None) is real):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_the_structure_table_multiplies_no_matrix(monkeypatch):
+    calls = count_calls(monkeypatch, "mat_mul")
+    g = LieAlgebra(sl_basis(4))
+    assert calls == []
+    assert g.structure == reference_structure(sl_basis(4))
+
+
+def test_transporter_applies_no_matrix(monkeypatch):
+    from sphlie.liealg import largest_ideal_within, transporter
+
+    g = sl(3)
+    calls = count_calls(monkeypatch, "mat_apply")
+    h = canonical_basis([unit_vector(8, 0), unit_vector(8, 1)], 8)
+    transporter(g, h, h)
+    centralizer_in(g, h, within=h)
+    largest_ideal_within(g, h)
+    assert calls == []
+
+
+def test_analyze_never_builds_the_dense_table(monkeypatch, tmp_path, capsys):
+    from sphlie.cli import main
+    from sphlie.problem import Problem, problem_to_json
+
+    reads = []
+    monkeypatch.setattr(LieAlgebra, "structure",
+                        property(lambda g: reads.append(g.name)))
+    problem = Problem(name="sl4_so4", matrix_size=4, basis=tuple(sl_basis(4)),
+                      subalgebra_basis=tuple(so_basis(4)))
+    path = tmp_path / "sl4_so4.json"
+    path.write_text(problem_to_json(problem), encoding="utf-8")
+    assert main(["analyze", "--samples", "2", str(path)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert reads == []

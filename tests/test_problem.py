@@ -1,10 +1,12 @@
 """Problem-file format: parsing, positioned errors, serialization, assembly."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from sphlie.builders import sl_basis, so_basis
+from sphlie.catalog import get_entry
 from sphlie.errors import NotClosed, ProblemFormatError
 from sphlie.liealg import LieAlgebra
 from sphlie.problem import (
@@ -307,6 +309,18 @@ def test_build_pair_a_seed_path_and_membership_errors():
     with pytest.raises(ProblemFormatError,
                        match=r"positivity_basis\[0\]: not an element"):
         build_pair(sl2_problem([J], positivity_basis=(e11,)))
+
+
+def test_build_pair_rejects_fields_a_hint_excludes():
+    """A Problem built in code meets the same exclusion as a parsed one:
+    with a hint, a seed or positivity basis is refused, not ignored."""
+    problem = get_entry("sl2x2_diag_opposite").problem
+    assert build_pair(problem).cartan.a.dim == 2
+    first = problem.basis[0]
+    for key in ("a_seed", "positivity_basis"):
+        with pytest.raises(ProblemFormatError, match=(
+                f"{key} and minimal_parabolic_hint are mutually exclusive")):
+            build_pair(dataclasses.replace(problem, **{key: (first,)}))
 
 
 def test_build_pair_theta_override_matches_default_for_so3():
