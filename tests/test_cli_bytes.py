@@ -11,7 +11,9 @@ or verdict, or any exit code, changes a digest.
 No catalog pair needs a Levi adjustment, so ``sl2x2_shifted_diag`` pins the
 ``levi_adjusted: true`` path separately with digests of its own.  Every
 catalog pair has dim g <= 9, so ``analyze`` of sl(6)/so(6) (dim 35) pins
-one pair beyond the benchmark sizes.
+one pair beyond the benchmark sizes.  ``analyze`` of sl(2) + sl(2) + so(3)
+with h = sl(2) + sl(2) + so(2), unhinted and hinted, pins a Levi whose
+ideals are of both kinds, compact and noncompact.
 """
 
 import contextlib
@@ -97,6 +99,17 @@ LEVI_ADJUSTED_DIGESTS = {
 
 SL6_SO6_ANALYZE_JSON = (
     "07d193726e160e51a852755ec8ab2c54d46ad03e6c5597b3b3d7a1c479e331e0")
+
+SL2X2_SO3_ANALYZE_DIGESTS = {
+    "unhinted text":
+        "b041d4e49308ee6c2e6927d91d283df6c1f54bd6aaf6f3165864d1fba14027d3",
+    "unhinted json":
+        "4f0666040934d125c166291febe5a2a4ff73914a538638ff985b331f81188714",
+    "hinted text":
+        "b041d4e49308ee6c2e6927d91d283df6c1f54bd6aaf6f3165864d1fba14027d3",
+    "hinted json":
+        "4386e247621e9fe1669f6d762056d0438a4be361584151ddd8e0912152f3f90c",
+}
 
 
 def run_cli(argv: list) -> bytes:
@@ -184,3 +197,25 @@ def test_sl6_so6_analyze_output_is_unchanged(tmp_path):
     run = run_cli(["analyze", "--format", "json", "--samples", SAMPLES,
                    str(path)]).replace(str(path).encode(), path.name.encode())
     assert hashlib.sha256(run).hexdigest() == SL6_SO6_ANALYZE_JSON
+
+
+def sl2x2_so3_problem(hint) -> Problem:
+    """sl(2) + sl(2) + so(3) in 7 x 7 blocks, block basis, with h the two
+    sl(2) factors and the first so(3) matrix."""
+    basis = direct_sum_basis([sl_basis(2), sl_basis(2), so_basis(3)])
+    return Problem(name="sl2x2_so3", matrix_size=7, basis=tuple(basis),
+                   subalgebra_basis=tuple(basis[:7]),
+                   minimal_parabolic_hint=hint)
+
+
+@pytest.mark.parametrize("hint", [None, (1, -1)],
+                         ids=["unhinted", "hinted"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_mixed_levi_analyze_output_is_unchanged(hint, fmt, tmp_path):
+    problem = sl2x2_so3_problem(hint)
+    path = tmp_path / f"{problem.name}.json"
+    path.write_text(problem_to_json(problem), encoding="utf-8")
+    run = run_cli(["analyze", "--format", fmt, "--samples", SAMPLES,
+                   str(path)]).replace(str(path).encode(), path.name.encode())
+    key = f"{'unhinted' if hint is None else 'hinted'} {fmt}"
+    assert hashlib.sha256(run).hexdigest() == SL2X2_SO3_ANALYZE_DIGESTS[key]
