@@ -16,6 +16,7 @@ local structure (``structure_report``), the normalizer decomposition
 from .errors import (
     CertificationError,
     DimensionMismatch,
+    NotCartanInvolution,
     NotClosed,
     NotNilpotent,
     NotReductive,

@@ -18,6 +18,7 @@ from .catalog import catalog_entries, get_entry, run_entry
 from .errors import (
     CertificationError,
     DimensionMismatch,
+    NotCartanInvolution,
     NotClosed,
     NotNilpotent,
     NotReductive,
@@ -42,7 +43,7 @@ from .spherical import SphericalPair, structure_report
 SCHEMA_VERSION = 1
 
 _INPUT_ERRORS = (ProblemFormatError, NotClosed, DimensionMismatch,
-                 NotReductive)
+                 NotReductive, NotCartanInvolution)
 _CHECK_ERRORS = (NotSpherical, UniquenessViolation, CertificationError,
                  SpectrumError, UnreachableTarget, NotNilpotent)
 

@@ -21,6 +21,10 @@ class NotReductive(SphlieError):
     """An algebra fails the reductive split g = z(g) + [g, g]."""
 
 
+class NotCartanInvolution(SphlieError):
+    """An involutive automorphism of g is not a Cartan involution."""
+
+
 class SpectrumError(SphlieError):
     """An operator that must act semisimply with rational eigenvalues does not."""
 

@@ -22,6 +22,11 @@ Conventions
 * The center, the derived algebra, the Killing and invariant forms and each
   validated Cartan decomposition are computed once, on first use, and cached
   on the :class:`LieAlgebra` instance, so they die with it.
+* :func:`cartan_data` certifies theta as a *Cartan* involution (Killing form
+  negative definite on k ∩ [g, g], positive definite on s ∩ [g, g]) and
+  raises :class:`~sphlie.errors.NotCartanInvolution` otherwise.
+* A Levi's center, compact part and noncompact simple ideals are read off
+  the restricted roots (:func:`_levi_split`), never off g's basis.
 
 Every operator whose eigenvalues are consumed must act semisimply with
 rational spectrum; otherwise :class:`~sphlie.errors.SpectrumError` is raised
@@ -39,6 +44,7 @@ from typing import Callable, Optional, Sequence
 from .errors import (
     CertificationError,
     DimensionMismatch,
+    NotCartanInvolution,
     NotClosed,
     NotReductive,
 )
@@ -328,14 +334,6 @@ def subalgebra(g: LieAlgebra, s: Subspace, name: Optional[str] = None) -> LieAlg
     return sub
 
 
-def lift_subspace(s_in_sub: Subspace, carrier: Subspace) -> Subspace:
-    """Map a subspace expressed in a carrier's echelon coordinates back to the
-    ambient coordinates of the carrier."""
-    return canonical_basis(
-        [carrier.from_coordinates(row) for row in s_in_sub.basis],
-        carrier.ambient_dim)
-
-
 def transporter(g: LieAlgebra, s: Subspace, t: Subspace,
                 within: Optional[Subspace] = None) -> Subspace:
     """{x in ``within`` : [x, s] contained in t} (``within`` defaults to g).
@@ -354,7 +352,9 @@ def transporter(g: LieAlgebra, s: Subspace, t: Subspace,
             for uidx in range(s.dim) for k in range(g.dim - t.dim))
     ker = kernel([row for row in rows if any(row)], w.dim)
     # coordinates in the full space (identity basis) are already ambient
-    return ker if w.dim == g.dim else lift_subspace(ker, w)
+    if w.dim == g.dim:
+        return ker
+    return canonical_basis([w.from_coordinates(r) for r in ker.basis], g.dim)
 
 
 def centralizer_in(g: LieAlgebra, s: Subspace, within: Optional[Subspace] = None) -> Subspace:
@@ -612,14 +612,29 @@ def _root_decomposition(g: LieAlgebra, a: Subspace, positivity_basis,
     )
 
 
+def _certify_cartan(g: LieAlgebra, k: Subspace, s: Subspace) -> None:
+    """theta is a Cartan involution: the Killing form is negative definite
+    on k ∩ [g, g] and positive definite on s ∩ [g, g]."""
+    for part, name, sign in ((k, "k", "negative"), (s, "s", "positive")):
+        sub = subspace_intersect(part, g.derived_algebra())
+        sig = symmetric_signature(restrict_bilinear_form(g.killing_form(), sub))
+        if sig != ((0, sub.dim, 0) if sign == "negative" else (sub.dim, 0, 0)):
+            raise NotCartanInvolution(
+                f"theta is not a Cartan involution: the Killing form on "
+                f"{name} ∩ [g, g] (dim {sub.dim}) has signature {sig}, not "
+                f"{sign} definite")
+
+
 def cartan_data(g: LieAlgebra,
                 theta: Optional[Matrix] = None,
                 a_seed: Optional[Subspace] = None,
                 positivity_basis: Optional[Sequence[Sequence[Fraction]]] = None
                 ) -> CartanData:
-    """Convenience pipeline: involution, Cartan split, maximal split torus,
-    restricted roots."""
+    """Convenience pipeline: involution, Cartan split certified Cartan
+    (:class:`~sphlie.errors.NotCartanInvolution` otherwise), maximal split
+    torus, restricted roots."""
     cartan = cartan_decompose(g, theta)
+    _certify_cartan(g, *cartan[1:])
     a = maximal_abelian(g, cartan[2], seed=a_seed)
     return _root_decomposition(g, a, positivity_basis, *cartan)
 
@@ -642,104 +657,107 @@ def largest_ideal_within(g: LieAlgebra, h: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# reductive splitting into center and minimal ideals
+# reductive splitting: center, compact part and noncompact simple ideals
 
 
 @dataclass(frozen=True, eq=False)
 class ReductiveSplit:
-    """g = center + sum of minimal ideals, each flagged compact iff its own
-    Killing form is negative definite (exact signature test)."""
+    """g = center + compact part + noncompact simple ideals: ``ideals``
+    holds (ideal, False) for each noncompact one, in the order of the simple
+    roots, then (l_c, True) for the sum l_c of the compact simple ideals
+    when it is nonzero."""
 
     center: Subspace
     ideals: tuple[tuple[Subspace, bool], ...]
 
-    @property
-    def compact_part(self) -> list[Subspace]:
-        return [sp for sp, c in self.ideals if c]
 
-    @property
-    def noncompact_part(self) -> list[Subspace]:
-        return [sp for sp, c in self.ideals if not c]
+def _noncompact_ideals(cd: CartanData, inside: Sequence[int], levi: Subspace
+                       ) -> list[Subspace]:
+    """l_n,C for each connected component C of the simple roots with
+    indices ``inside`` (joined when one root's support holds both), where
+    ``levi`` = l_F for those roots: the span of the root spaces g_alpha with
+    support(alpha) in C and of [g_alpha, g_-alpha], one elimination, then
+    certified an ideal of l by bracket containment."""
+    g, inside = cd.algebra, set(inside)
+    roots = [(r, sup) for r in cd.positive_roots
+             if (sup := cd.support(r)) <= inside]
+    comps: list[frozenset[int]] = []
+    for _, sup in roots:
+        comps = ([c for c in comps if not c & sup]
+                 + [sup.union(*(c for c in comps if c & sup))])
+    ideals = []
+    for comp in sorted(comps, key=min):
+        gens = []
+        for r, sup in roots:
+            if sup <= comp:
+                plus = cd.root_space(r).basis
+                minus = cd.root_space(tuple(-x for x in r)).basis
+                gens += [*plus, *minus,
+                         *(g.bracket(u, v) for u in plus for v in minus)]
+        ideal = canonical_basis(gens, g.dim)
+        if not all(ideal.contains(g.bracket(x, u))
+                   for x in levi.basis for u in ideal.basis):
+            raise CertificationError(
+                f"[l, l_n,C] ⊆ l_n,C fails for the simple roots "
+                f"{sorted(comp)}: dim l = {levi.dim}, dim l_n,C = {ideal.dim}")
+        ideals.append(ideal)
+    return ideals
 
 
-def _ad_closure(g: LieAlgebra, seed: Subspace) -> Subspace:
-    """Smallest ad-stable subspace containing ``seed``: each round is one
-    elimination of w together with all its brackets [e_j, u]."""
-    w = seed
-    while True:
-        nxt = canonical_basis(
-            list(w.basis) + [g.bracket(unit_vector(g.dim, j), u)
-                             for u in w.basis for j in range(g.dim)], g.dim)
-        if nxt == w:
-            return w
-        w = nxt
+def _levi_split(cd: CartanData, inside: Sequence[int], levi: Subspace
+                ) -> tuple[Subspace, Subspace, list[Subspace]]:
+    """(z(l), l_c, [l_n,C, ...]) of ``levi`` = l_F, F the simple roots with
+    indices ``inside``, read off the restricted roots, not g's basis.
+
+    z(l) is the centralizer of l in l, and l_c = [C', C'] for C' the
+    centralizer in l of the noncompact ideals.  Certified: l = z(l) ⊕ l_c ⊕
+    (⊕_C l_n,C), and g's Killing form is negative definite on l_c."""
+    g = cd.algebra
+    ideals = _noncompact_ideals(cd, inside, levi)
+    center = centralizer_in(g, levi, within=levi)
+    ln = canonical_basis([v for ideal in ideals for v in ideal.basis], g.dim)
+    rest = centralizer_in(g, ln, within=levi).basis
+    lc = canonical_basis([g.bracket(u, v) for i, u in enumerate(rest)
+                          for v in rest[i + 1:]], g.dim)
+    if not is_direct_sum(levi, center, lc, *ideals):
+        raise CertificationError(
+            f"l = z(l) ⊕ l_c ⊕ (⊕_C l_n,C) fails: dim l = {levi.dim}, parts "
+            f"of dims {' + '.join(str(p.dim) for p in [center, lc, *ideals])}")
+    sig = symmetric_signature(restrict_bilinear_form(g.killing_form(), lc))
+    if sig != (0, lc.dim, 0):
+        raise CertificationError(f"Killing form is not negative definite on "
+                                 f"l_c (dim {lc.dim}): signature {sig}")
+    return center, lc, ideals
+
+
+def _diagonal_cartan_data(g: LieAlgebra, theta: Optional[Matrix] = None
+                          ) -> CartanData:
+    """cartan_data with a grown from the diagonal matrices in s: they
+    commute, have rational ad-eigenvalues and do not depend on g's basis."""
+    s = cartan_decompose(g, theta)[2]
+    n = g.matrix_size
+    off_diagonal = [[f[r * n + c] for f in g._flat]
+                    for r in range(n) for c in range(n) if r != c]
+    diagonal = kernel([row for row in off_diagonal if any(row)], g.dim)
+    return cartan_data(g, theta, a_seed=subspace_intersect(diagonal, s))
 
 
 def simple_ideal_split(g: LieAlgebra) -> ReductiveSplit:
-    """Split a reductive algebra into its center and minimal ideals.
-
-    Candidate ideals are the ad-closures of single basis vectors of [g, g],
-    refined by pairwise intersections; the resulting minimal elements are
-    then *verified* to commute pairwise, to be Killing-orthogonal and to sum
-    directly to [g, g].  If the verification fails a CertificationError is
-    raised rather than returning an uncertified decomposition.
-    """
-    z = g.center()
-    der = g.derived_algebra()
+    """Split a reductive algebra, realized closed under X -> -X^T, into its
+    center, its compact part and its noncompact simple ideals: the split of
+    the Levi with every simple root (:func:`_levi_split`) in the restricted
+    roots of :func:`_diagonal_cartan_data`, so it does not depend on g's
+    basis.  The compact part is one entry (l_c, True), not one entry per
+    compact simple ideal."""
+    z, der = g.center(), g.derived_algebra()
     if not is_direct_sum(g.full_space(), z, der):
         raise NotReductive(f"{g.name} is not reductive")
     if der.dim == 0:
         return ReductiveSplit(center=z, ideals=())
-    sub = subalgebra(g, der, name=f"[{g.name},{g.name}]")
-    bsub = sub.killing_form()
-    _, _, nz = symmetric_signature(bsub)
-    if nz != 0:
-        raise NotReductive(
-            f"Killing form of [{g.name},{g.name}] is degenerate; the derived "
-            f"algebra is not semisimple")
-
-    cands: list[Subspace] = []
-    for i in range(sub.dim):
-        c = _ad_closure(sub, canonical_basis([unit_vector(sub.dim, i)], sub.dim))
-        if c not in cands:
-            cands.append(c)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cands)):
-            for j in range(i + 1, len(cands)):
-                inter = subspace_intersect(cands[i], cands[j])
-                if inter.dim > 0 and inter not in cands:
-                    cands.append(inter)
-                    changed = True
-    minimal = [c for c in cands
-               if not any(o.dim < c.dim and o.is_contained_in(c) for o in cands)]
-    minimal.sort(key=lambda sp: sp.basis)
-
-    # verification: a direct sum, of commuting, Killing-orthogonal ideals
-    total = canonical_basis([v for c in minimal for v in c.basis], sub.dim)
-    if total.dim != sum(c.dim for c in minimal):
-        raise CertificationError(
-            "minimal ideal candidates overlap; basis does not separate "
-            "the simple factors")
-    for idx, ideal in enumerate(minimal):
-        for other in minimal[idx + 1:]:
-            for u in ideal.basis:
-                for v in other.basis:
-                    if not is_zero_vector(sub.bracket(u, v)):
-                        raise CertificationError(
-                            "minimal ideal candidates fail to commute")
-                    if bilinear_value(bsub, u, v) != 0:
-                        raise CertificationError(
-                            "minimal ideal candidates are not Killing-orthogonal")
-    if total.dim != sub.dim:
-        raise CertificationError(
-            "minimal ideals do not reconstruct the derived algebra")
-
-    out = []
-    for ideal in minimal:
-        gram = restrict_bilinear_form(bsub, ideal)
-        sig = symmetric_signature(gram)
-        compact = sig == (0, ideal.dim, 0)
-        out.append((lift_subspace(ideal, der), compact))
-    return ReductiveSplit(center=z, ideals=tuple(out))
+    cd = _diagonal_cartan_data(g)
+    center, lc, ideals = _levi_split(cd, range(len(cd.simple_roots)),
+                                     g.full_space())
+    entries = [(ideal, False) for ideal in ideals]
+    if lc.dim:
+        entries.append((lc, True))
+    return ReductiveSplit(center=center, ideals=tuple(entries))

@@ -263,6 +263,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     p, q = a.dim, b.dim
     if p == 0 or q == 0:
         return zero_subspace(a.ambient_dim)
+    if q == b.ambient_dim or p == a.ambient_dim:  # one side is everything
+        return a if q == b.ambient_dim else b
     # rows of the homogeneous system, one per ambient coordinate
     rows = []
     for coord in range(a.ambient_dim):
@@ -559,9 +561,15 @@ def bilinear_value(form: Matrix, u: Vector, v: Vector) -> Fraction:
 
 
 def restrict_bilinear_form(form: Matrix, s: Subspace) -> Matrix:
-    """Gram matrix of a bilinear form on the echelon basis of s."""
-    return tuple(tuple(bilinear_value(form, u, v) for v in s.basis)
-                 for u in s.basis)
+    """Gram matrix of a bilinear form on the echelon basis of s: form·v per
+    basis vector v, as a combination of form's columns over v's nonzeros,
+    then u·(form·v) over u's nonzeros."""
+    cols = mat_transpose(form)
+    images = [lin_comb(v, cols, len(form)) for v in s.basis]
+    return tuple(tuple(sum((a * w[i] for i, a in nz if w[i]), ZERO)
+                       for w in images)
+                 for nz in ([(i, a) for i, a in enumerate(u) if a]
+                            for u in s.basis))
 
 
 def residual_operator(s: Subspace) -> Matrix:

@@ -5,7 +5,8 @@ roots: the Levi l_F collects the zero space and all root spaces of roots in
 span(F); the nilradical u_F collects the positive root spaces outside
 span(F).  The simple roots are certified linearly independent, so a root
 lies in span(F) exactly when its support (the simple roots with a nonzero
-coordinate in it, or in its negative) is inside F.
+coordinate in it, or in its negative) is inside F.  The Levi's noncompact
+simple ideals are read off the connected components of F.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import CertificationError, DimensionMismatch
-from .liealg import (
-    CartanData,
-    Root,
-    ReductiveSplit,
-    lift_subspace,
-    simple_ideal_split,
-    subalgebra,
-)
+from .liealg import CartanData, Root, _levi_split
 from .linalg import (
     Subspace,
     Vector,
@@ -89,11 +83,12 @@ def standard_parabolic(cd: CartanData, f: Iterable) -> ParabolicData:
 
 @dataclass(frozen=True, eq=False)
 class LeviStructure:
-    """Fine structure of a theta-stable Levi l.
+    """Fine structure of a standard Levi l.
 
     l = z_np + z_cp + l_c + l_n where z_np/z_cp are the noncompact/compact
-    parts of the center of l and l_c/l_n collect its compact/noncompact
-    minimal ideals.  All six subspaces are in the ambient coordinates of g.
+    parts of the center of l, l_c is the sum of its compact simple ideals
+    and l_n the sum of its noncompact ones.  All six subspaces are in the
+    ambient coordinates of g.
     """
 
     levi: Subspace
@@ -102,7 +97,6 @@ class LeviStructure:
     z_cp: Subspace
     compact_ideals: Subspace
     noncompact_ideals: Subspace
-    split: ReductiveSplit
 
     @property
     def reductive_complement(self) -> Subspace:
@@ -110,33 +104,27 @@ class LeviStructure:
         return subspace_sum(self.center, self.compact_ideals)
 
 
-def levi_fine_structure(cd: CartanData, levi: Subspace) -> LeviStructure:
-    """Split a Levi into center (noncompact/compact parts) and compact and
-    noncompact ideal sums, with the direct-sum identities certified."""
+def levi_fine_structure(pd: ParabolicData) -> LeviStructure:
+    """Split the Levi of a standard parabolic into center (noncompact and
+    compact parts) and compact and noncompact ideal sums, read off the
+    restricted roots (:func:`~sphlie.liealg._levi_split`, which certifies
+    l = z(l) ⊕ l_c ⊕ l_n), with the splittings of z(l) and a certified."""
+    cd, levi = pd.cartan, pd.levi
     g = cd.algebra
-    sub = subalgebra(g, levi, name="levi")
-    split = simple_ideal_split(sub)
-    center = lift_subspace(split.center, levi)
-    lc = canonical_basis([levi.from_coordinates(row)
-                          for ideal in split.compact_part
-                          for row in ideal.basis], g.dim)
-    ln = canonical_basis([levi.from_coordinates(row)
-                          for ideal in split.noncompact_part
-                          for row in ideal.basis], g.dim)
+    center, lc, ideals = _levi_split(cd, pd.subset_indices, levi)
+    ln = canonical_basis([v for ideal in ideals for v in ideal.basis], g.dim)
     z_np = subspace_intersect(center, cd.s)
     z_cp = subspace_intersect(center, cd.k)
     if subspace_sum(z_np, z_cp) != center:
         raise CertificationError(
             "center of the Levi is not theta-stable; its compact/noncompact "
             "parts do not span it")
-    if not is_direct_sum(levi, z_np, z_cp, lc, ln):
-        raise CertificationError("Levi fine structure does not sum directly")
     # a = z_np + (a intersect l_n) must split a
     if not is_direct_sum(cd.a, z_np, subspace_intersect(cd.a, ln)):
         raise CertificationError(
             "a does not split as z(l)_np + (a intersect l_n)")
     return LeviStructure(levi=levi, center=center, z_np=z_np, z_cp=z_cp,
-                         compact_ideals=lc, noncompact_ideals=ln, split=split)
+                         compact_ideals=lc, noncompact_ideals=ln)
 
 
 def characteristic_element(cd: CartanData, f: Iterable) -> Vector:

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 from .errors import ProblemFormatError
 from .liealg import (
     LieAlgebra,
+    _diagonal_cartan_data,
+    _noncompact_ideals,
     cartan_data,
-    cartan_decompose,
     maximal_abelian,
-    simple_ideal_split,
 )
 from .linalg import (
     Matrix,
@@ -252,11 +252,14 @@ def positivity_from_hint(g: LieAlgebra, theta: Optional[Matrix],
     block-diagonal construction this is block order).  A +1 keeps the
     factor's split torus orientation as found, a -1 reverses it, flipping
     which root spaces count as positive in that factor.  The center's split
-    part is appended last with positive orientation.
+    part is appended last with positive orientation.  The ideals come from
+    the restricted roots of one throwaway Cartan data, not from g's basis.
     """
-    _, _, s = cartan_decompose(g, theta)
-    split = simple_ideal_split(g)
-    noncompact = sorted(split.noncompact_part, key=lambda sp: sp.pivots)
+    cd = _diagonal_cartan_data(g, theta)
+    s = cd.s
+    noncompact = sorted(
+        _noncompact_ideals(cd, range(len(cd.simple_roots)), g.full_space()),
+        key=lambda sp: sp.pivots)
     if len(signs) != len(noncompact):
         raise ProblemFormatError(
             f"minimal_parabolic_hint: expected {len(noncompact)} signs "

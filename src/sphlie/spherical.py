@@ -270,7 +270,7 @@ def structure_report(pair: SphericalPair) -> StructureReport:
     g = cd.algebra
     h = pair.h
     pd, passing = _adapted(pair)
-    fs = levi_fine_structure(cd, pd.levi)
+    fs = levi_fine_structure(pd)
 
     word = _levi_adjustment(cd, pd, subspace_intersect(pd.q, h))
     h_std = word.inverse.image(h)

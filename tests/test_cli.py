@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+import mixed_levi
+from sphlie.builders import sl_basis, so_basis
 from sphlie.cli import main
 from sphlie.catalog import get_entry
-from sphlie.problem import problem_to_json
+from sphlie.problem import Problem, build_pair, problem_to_json
+from sphlie.spherical import structure_report
 
 
 def no_floats(text: str) -> dict:
@@ -202,6 +205,47 @@ def test_catalog_export_round_trips_through_analyze(capsys, tmp_path):
     assert no_floats(out)["rank"]["value"] == 2
 
 
+@pytest.mark.parametrize("hint", [None, (1, -1)], ids=["unhinted", "hinted"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["block", "mixed"])
+def test_levi_split_does_not_depend_on_the_basis(capsys, tmp_path, mixed,
+                                                 hint):
+    problem = mixed_levi.problem(mixed=mixed, hint=hint)
+    path = tmp_path / "sl2x2_so3.json"
+    path.write_text(problem_to_json(problem), encoding="utf-8")
+    code, out, err = run(capsys, ["analyze", "--format", "json", str(path)])
+    assert code == 0 and err == ""
+    assert no_floats(out)["pass"] is True
+    fs = structure_report(build_pair(problem)).levi_structure
+    assert (fs.compact_ideals.dim, fs.noncompact_ideals.dim) == (3, 6)
+
+
+def test_analyze_builds_no_subalgebra(capsys, monkeypatch, tmp_path):
+    import sys
+
+    import sphlie.liealg as liealg
+
+    real, calls = liealg.subalgebra, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.split(".")[0] == "sphlie"
+                and getattr(mod, "subalgebra", None) is real):
+            monkeypatch.setattr(mod, "subalgebra", counted)
+    sl4 = Problem(name="sl4_so4", matrix_size=4, basis=tuple(sl_basis(4)),
+                  subalgebra_basis=tuple(so_basis(4)))
+    mixed = get_entry("sl2x3_diag_mixed")
+    for problem, budget in ((sl4, 0), (mixed.problem, mixed.search_budget)):
+        path = tmp_path / f"{problem.name}.json"
+        path.write_text(problem_to_json(problem), encoding="utf-8")
+        code, _, _ = run(capsys, ["analyze", "--conjugate-search",
+                                  str(budget), str(path)])
+        assert code == 0
+    assert calls == []
+
+
 # -- error handling -----------------------------------------------------------
 
 
@@ -253,6 +297,22 @@ def test_non_reductive_input_exits_2(capsys, tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, ["analyze", str(path)])
     assert code == 2 and err != ""
+
+
+def test_non_cartan_theta_exits_2(capsys, tmp_path):
+    # theta = Ad(diag(1, -1)) on (H, E, F) is an involutive automorphism of
+    # sl(2), but it fixes H, on which the Killing form is positive
+    doc = {"schema_version": 1, "name": "sl2_theta_fixes_H", "matrix_size": 2,
+           "basis": [[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]],
+           "subalgebra_basis": [],
+           "theta": [[1, 0, 0], [0, -1, 0], [0, 0, -1]]}
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert err == ("input error: theta is not a Cartan involution: the "
+                   "Killing form on k ∩ [g, g] (dim 1) has signature "
+                   "(1, 0, 0), not negative definite\n")
 
 
 def test_usage_errors_raise_system_exit(capsys):

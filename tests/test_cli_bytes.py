@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import pytest
 
+import mixed_levi
 from sphlie.builders import direct_sum_basis, sl_basis, so_basis
 from sphlie.catalog import catalog_entries
 from sphlie.cli import main
@@ -199,20 +200,11 @@ def test_sl6_so6_analyze_output_is_unchanged(tmp_path):
     assert hashlib.sha256(run).hexdigest() == SL6_SO6_ANALYZE_JSON
 
 
-def sl2x2_so3_problem(hint) -> Problem:
-    """sl(2) + sl(2) + so(3) in 7 x 7 blocks, block basis, with h the two
-    sl(2) factors and the first so(3) matrix."""
-    basis = direct_sum_basis([sl_basis(2), sl_basis(2), so_basis(3)])
-    return Problem(name="sl2x2_so3", matrix_size=7, basis=tuple(basis),
-                   subalgebra_basis=tuple(basis[:7]),
-                   minimal_parabolic_hint=hint)
-
-
 @pytest.mark.parametrize("hint", [None, (1, -1)],
                          ids=["unhinted", "hinted"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_mixed_levi_analyze_output_is_unchanged(hint, fmt, tmp_path):
-    problem = sl2x2_so3_problem(hint)
+    problem = mixed_levi.problem(hint=hint)
     path = tmp_path / f"{problem.name}.json"
     path.write_text(problem_to_json(problem), encoding="utf-8")
     run = run_cli(["analyze", "--format", fmt, "--samples", SAMPLES,

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import mixed_levi
 from sphlie.builders import (
     add,
     block_embed,
@@ -24,6 +27,7 @@ from sphlie.catalog import catalog_entries
 from sphlie.errors import (
     CertificationError,
     DimensionMismatch,
+    NotCartanInvolution,
     NotClosed,
     NotReductive,
     SpectrumError,
@@ -457,6 +461,87 @@ def test_simple_ideal_split_rejects_nonreductive():
     g = LieAlgebra([sl2_H(), sl2_E()])
     with pytest.raises(NotReductive):
         simple_ideal_split(g)
+
+
+def test_simple_ideal_split_sums_the_compact_ideals():
+    basis = direct_sum_basis([so_basis(3), so_basis(3), sl_basis(2)])
+    g = LieAlgebra(basis, name="so3+so3+sl2")
+    sp = simple_ideal_split(g)
+    assert sp.center.dim == 0
+    assert sorted((ideal.dim, c) for ideal, c in sp.ideals) == [
+        (3, False), (6, True)]
+    compact = next(ideal for ideal, c in sp.ideals if c)
+    assert compact == g.span_of_matrices(basis[:6])
+
+
+def matrix_span(g, sub):
+    """The span of the matrices of a subspace of g, flattened."""
+    n = g.matrix_size
+    return canonical_basis(
+        [tuple(e for row in g.to_matrix(v) for e in row) for v in sub.basis],
+        n * n)
+
+
+def split_spans(g):
+    """(matrix span of the compact ideals, sorted matrix spans of the
+    noncompact ideals) of simple_ideal_split(g): no trace of g's basis."""
+    sp = simple_ideal_split(g)
+    compact = canonical_basis(
+        [v for ideal, c in sp.ideals if c for v in ideal.basis], g.dim)
+    return (matrix_span(g, compact),
+            sorted(matrix_span(g, ideal).basis
+                   for ideal, c in sp.ideals if not c))
+
+
+def mixed(mats, seed):
+    """An invertible recombination of ``mats``: a random unit lower
+    triangular matrix times a random unit upper triangular one, with
+    off-diagonal entries in {-1, 0, 1} (kept small: the torus's root values
+    are rationals whose size grows with the mixing's)."""
+    rng = random.Random(seed)
+    d = len(mats)
+
+    def unit_triangular(below):
+        return [[F(1) if i == j else
+                 F(rng.choice((-1, 0, 0, 1)))
+                 if (j < i) == below and i != j else F(0)
+                 for j in range(d)] for i in range(d)]
+
+    low, up = unit_triangular(True), unit_triangular(False)
+    mix = [[sum(low[i][k] * up[k][j] for k in range(d)) for j in range(d)]
+           for i in range(d)]
+    return [add(*(scale(c, m) for c, m in zip(row, mats))) for row in mix]
+
+
+SPLIT_BASES = {entry.name: entry.problem.basis for entry in catalog_entries()
+               if len(entry.problem.basis) <= 9}
+SPLIT_BASES["sl2x2_so3"] = mixed_levi.basis()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(SPLIT_BASES)), st.integers(0, 2 ** 32))
+@example("sl2x2_so3", 0)
+def test_simple_ideal_split_is_basis_free(name, seed):
+    basis = SPLIT_BASES[name]
+    assert (split_spans(LieAlgebra(mixed(basis, seed)))
+            == split_spans(LieAlgebra(basis)))
+
+
+def test_simple_ideal_split_of_the_mixed_repro_basis():
+    block = split_spans(LieAlgebra(mixed_levi.basis()))
+    assert split_spans(LieAlgebra(mixed_levi.basis(mixed=True))) == block
+    assert block[0].dim == 3 and [len(b) for b in block[1]] == [3, 3]
+
+
+def test_cartan_data_rejects_an_involution_that_is_not_cartan():
+    # Ad(diag(1, -1)) fixes H: an involutive automorphism, which
+    # cartan_decompose accepts, but B(H, H) > 0 on its fixed space
+    g = sl(2)
+    theta = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
+    _, k, _ = cartan_decompose(g, theta)
+    assert k == canonical_basis([(1, 0, 0)], 3)
+    with pytest.raises(NotCartanInvolution, match=r"k ∩ \[g, g\] \(dim 1\)"):
+        cartan_data(g, theta)
 
 
 def test_subalgebra_roundtrip():

@@ -150,7 +150,7 @@ def test_characteristic_element_centralizer_is_levi():
 def test_levi_fine_structure_sl3_gl2_block():
     g, cd = sl3_data()
     pd = standard_parabolic(cd, [(2, -1)])
-    fs = levi_fine_structure(cd, pd.levi)
+    fs = levi_fine_structure(pd)
     # center of the block levi: diag(t, t, -2t)
     assert fs.center == g.span_of_matrices(
         [((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(-2)))])
@@ -165,12 +165,12 @@ def test_levi_fine_structure_sl3_gl2_block():
 def test_levi_fine_structure_extremes():
     g, cd = sl3_data()
     # minimal parabolic: levi = a, all center, all noncompact-center
-    fs0 = levi_fine_structure(cd, standard_parabolic(cd, []).levi)
+    fs0 = levi_fine_structure(standard_parabolic(cd, []))
     assert fs0.center == cd.a and fs0.z_np == cd.a
     assert fs0.z_cp.dim == 0
     assert fs0.compact_ideals.dim == 0 and fs0.noncompact_ideals.dim == 0
     # full parabolic: levi = g, no center, one noncompact ideal
-    fsg = levi_fine_structure(cd, standard_parabolic(cd, [0, 1]).levi)
+    fsg = levi_fine_structure(standard_parabolic(cd, [0, 1]))
     assert fsg.center.dim == 0
     assert fsg.noncompact_ideals == g.full_space()
     assert fsg.compact_ideals.dim == 0
@@ -181,7 +181,7 @@ def test_levi_with_compact_ideal():
     g = LieAlgebra(basis, name="sl2+so3")
     cd = cartan_data(g)
     pd = standard_parabolic(cd, [])
-    fs = levi_fine_structure(cd, pd.levi)
+    fs = levi_fine_structure(pd)
     assert fs.z_np == cd.a and fs.z_cp.dim == 0
     assert fs.compact_ideals == g.span_of_matrices(
         [block_embed(m, 5, 2) for m in so_basis(3)])
@@ -194,7 +194,7 @@ def test_levi_with_compact_center_part():
     basis = direct_sum_basis([gl_basis(2), so_basis(2)])
     g = LieAlgebra(basis, name="gl2+so2")
     cd = cartan_data(g)
-    fs = levi_fine_structure(cd, standard_parabolic(cd, []).levi)
+    fs = levi_fine_structure(standard_parabolic(cd, []))
     assert fs.z_np == cd.a
     assert fs.z_cp == g.span_of_matrices([block_embed(so_basis(2)[0], 4, 2)])
     assert fs.z_cp.dim == 1
