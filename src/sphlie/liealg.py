@@ -36,7 +36,7 @@ rational spectrum; otherwise :class:`~sphlie.errors.SpectrumError` is raised
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -55,6 +55,7 @@ from .linalg import (
     Vector,
     ZERO,
     as_matrix,
+    as_vector,
     bilinear_value,
     canonical_basis,
     full_subspace,
@@ -449,6 +450,11 @@ class CartanData:
     lexicographically to decide which roots are positive.
     ``simple_coordinates[i]`` are the (unique, nonnegative) coordinates of
     ``positive_roots[i]`` in ``simple_roots``.
+
+    The fields up to ``m`` come from the weight stage
+    (:func:`_root_decomposition`); constructing a CartanData runs the
+    ordering stage, which derives and certifies the fields after them, so
+    ``dataclasses.replace(cd, positivity=...)`` reorders the same roots.
     """
 
     algebra: LieAlgebra
@@ -461,28 +467,81 @@ class CartanData:
     _spaces: tuple[Subspace, ...]
     zero_space: Subspace
     m: Subspace
-    n: Subspace
-    p: Subspace
-    positive_roots: tuple[Root, ...]
-    simple_roots: tuple[Root, ...]
-    simple_coordinates: tuple[Vector, ...]
+    n: Subspace = field(init=False)
+    p: Subspace = field(init=False)
+    positive_roots: tuple[Root, ...] = field(init=False)
+    simple_roots: tuple[Root, ...] = field(init=False)
+    simple_coordinates: tuple[Vector, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        """The ordering stage: positive roots by ``positivity``, simple
+        roots and the coordinates of each positive root in them, n and p.
+        ``positivity`` must be a basis of a."""
+        a, roots = self.a, self.roots
+        pos_coords = [a.coordinates_of(v) for v in self.positivity]
+        positives = tuple(
+            r for r in roots
+            if _lex_positive([sum((c * x for c, x in zip(coords, r)), ZERO)
+                              for coords in pos_coords]))
+        posset = set(positives)
+        for r in roots:
+            if (r in posset) == (_negative(r) in posset):
+                raise CertificationError(
+                    f"root {r} and its negative get the same sign; positivity "
+                    f"basis does not order the roots")
+
+        simples = tuple(sorted(
+            r for r in positives
+            if not any(tuple(x - y for x, y in zip(r, b)) in posset
+                       for b in positives)))
+
+        # independent simple roots give every positive root unique
+        # coordinates in them, which must be nonnegative
+        try:
+            solver = SpanSolver(simples, a.dim)
+        except DimensionMismatch:
+            raise CertificationError(
+                "simple roots are linearly dependent") from None
+        coordinates = tuple(solver.coordinates(r) for r in positives)
+        for r, sol in zip(positives, coordinates):
+            if sol is None or any(c < 0 for c in sol):
+                raise CertificationError(
+                    f"positive root {r} is not a nonnegative combination of "
+                    f"the simple roots")
+
+        n = canonical_basis([v for r, sp in zip(roots, self._spaces)
+                             if r in posset for v in sp.basis], a.ambient_dim)
+        for name, value in (("n", n), ("p", subspace_sum(self.zero_space, n)),
+                            ("positive_roots", positives),
+                            ("simple_roots", simples),
+                            ("simple_coordinates", coordinates)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def _by_root(self) -> dict[Root, tuple[Subspace, Optional[Vector]]]:
+        """Each root's space and, for a positive root, its coordinates in
+        the simple roots (None for a negative one)."""
+        coords = dict(zip(self.positive_roots, self.simple_coordinates))
+        return {r: (sp, coords.get(r))
+                for r, sp in zip(self.roots, self._spaces)}
 
     def support(self, root: Root) -> frozenset[int]:
         """Indices of the simple roots in the support of ``root`` (of -root
         for a negative root)."""
-        if not self.is_positive(root):
-            root = tuple(-x for x in root)
-        coords = self.simple_coordinates[self.positive_roots.index(root)]
+        coords = self._by_root[root][1]
+        if coords is None:
+            coords = self._by_root[_negative(root)][1]
         return frozenset(i for i, c in enumerate(coords) if c)
 
     def root_space(self, root: Root) -> Subspace:
         try:
-            return self._spaces[self.roots.index(root)]
-        except ValueError:
+            return self._by_root[root][0]
+        except KeyError:
             raise KeyError(f"{root} is not a restricted root here") from None
 
     def is_positive(self, root: Root) -> bool:
-        return root in set(self.positive_roots)
+        entry = self._by_root.get(root)
+        return entry is not None and entry[1] is not None
 
     def root_value(self, root: Root, h: Sequence[Fraction]) -> Fraction:
         """Value of the root functional on an element h of a (g-coordinates)."""
@@ -492,6 +551,10 @@ class CartanData:
         return sum((c * r for c, r in zip(coords, root)), ZERO)
 
 
+def _negative(root: Root) -> Root:
+    return tuple(-x for x in root)
+
+
 def _lex_positive(values: Sequence[Fraction]) -> bool:
     for v in values:
         if v != 0:
@@ -499,117 +562,39 @@ def _lex_positive(values: Sequence[Fraction]) -> bool:
     return False
 
 
-def restricted_root_decomposition(
-        g: LieAlgebra,
-        a: Subspace,
-        positivity_basis: Optional[Sequence[Sequence[Fraction]]] = None,
-        theta: Optional[Matrix] = None) -> CartanData:
-    """Simultaneous ad-eigenspace decomposition of g under a, with validated
-    Iwasawa-type consequences (g0 = m + a, n from the positive roots)."""
-    th, k, s = cartan_decompose(g, theta)
-    # maximal_abelian certifies a inside s and abelian, and returns a
-    # itself exactly when z_s(a) = a
-    if maximal_abelian(g, s, seed=a) != a:
-        raise CertificationError("a is not maximal abelian in s (z_s(a) != a)")
-    return _root_decomposition(g, a, positivity_basis, th, k, s)
-
-
-def _root_decomposition(g: LieAlgebra, a: Subspace, positivity_basis,
-                        th: Matrix, k: Subspace, s: Subspace) -> CartanData:
-    """restricted_root_decomposition for an already validated theta, k, s
-    and a maximal abelian a inside s."""
+def _root_decomposition(g: LieAlgebra, a: Subspace,
+                        positivity: Sequence[Vector], th: Matrix,
+                        k: Subspace, s: Subspace) -> CartanData:
+    """The weight stage, run once per a (maximal abelian in s, for a
+    validated theta, k, s): the simultaneous ad-eigenspaces of a, certified
+    g0 = m ⊕ a and theta(g_alpha) = g_-alpha.  The CartanData it returns
+    orders the roots by ``positivity``, a basis of a."""
     pieces: list[tuple[tuple[Fraction, ...], Subspace]] = [((), g.full_space())]
-    for idx, h in enumerate(a.basis):
+    for h in a.basis:
         adh = g.ad(h)
-        nxt = []
-        for w, sub in pieces:
-            for lam, eig in eigen_split(adh, sub):
-                nxt.append((w + (lam,), eig))
-        pieces = nxt
+        pieces = [(w + (lam,), eig) for w, sub in pieces
+                  for lam, eig in eigen_split(adh, sub)]
 
-    zero = (ZERO,) * a.dim
-    zero_sp = None
-    roots: list[Root] = []
-    spaces: list[Subspace] = []
-    for w, sub in pieces:
-        if w == zero:
-            zero_sp = sub
-        else:
-            roots.append(w)
-            spaces.append(sub)
+    weights = dict(pieces)
+    zero_sp = weights.pop((ZERO,) * a.dim, None)
     if zero_sp is None:  # pragma: no cover - a is inside its own 0-space
         raise CertificationError("zero weight space is missing")
-    order = sorted(range(len(roots)), key=lambda i: roots[i])
-    roots = [roots[i] for i in order]
-    spaces = [spaces[i] for i in order]
-
-    # positivity
-    if positivity_basis is None:
-        pos_basis = tuple(a.basis)
-    else:
-        pos_basis = tuple(tuple(Fraction(c) for c in v) for v in positivity_basis)
-        if len(pos_basis) != a.dim:
-            raise DimensionMismatch("positivity basis must have dim(a) vectors")
-        if canonical_basis(pos_basis, g.dim) != a:
-            raise DimensionMismatch("positivity basis must span a")
-    pos_coords = [a.coordinates_of(v) for v in pos_basis]
-
-    def on_positivity(root: Root) -> tuple[Fraction, ...]:
-        return tuple(sum((c * r for c, r in zip(coords, root)), ZERO)
-                     for coords in pos_coords)
-
-    positives = [r for r in roots if _lex_positive(on_positivity(r))]
-    posset = set(positives)
-    for r in roots:
-        neg = tuple(-x for x in r)
-        if (r in posset) == (neg in posset):
-            raise CertificationError(
-                f"root {r} and its negative get the same sign; positivity "
-                f"basis does not order the roots")
-
-    simples = sorted(r for r in positives
-                     if not any(tuple(x - y for x, y in zip(r, b)) in posset
-                                for b in positives))
-
-    # independent simple roots give every positive root unique coordinates
-    # in them, which must be nonnegative
-    try:
-        solver = SpanSolver(simples, a.dim)
-    except DimensionMismatch:
-        raise CertificationError("simple roots are linearly dependent") from None
-    coordinates = [solver.coordinates(r) for r in positives]
-    for r, sol in zip(positives, coordinates):
-        if sol is None or any(c < 0 for c in sol):
-            raise CertificationError(
-                f"positive root {r} is not a nonnegative combination of "
-                f"the simple roots")
+    roots = tuple(sorted(weights))
 
     m = subspace_intersect(zero_sp, k)
     if not is_direct_sum(zero_sp, m, a):
         raise CertificationError("g0 does not split as m + a")
 
-    n = canonical_basis([v for r in positives
-                         for v in spaces[roots.index(r)].basis], g.dim)
-    p = subspace_sum(zero_sp, n)
-
     # theta must carry each root space onto the opposite one
-    for r, sp in zip(roots, spaces):
-        neg = tuple(-x for x in r)
-        if image_subspace(th, sp) != spaces[roots.index(neg)]:
+    for r in roots:
+        if image_subspace(th, weights[r]) != weights[_negative(r)]:
             raise CertificationError(
                 f"theta does not map the root space of {r} onto its negative")
 
     return CartanData(
-        algebra=g, theta=th, k=k, s=s, a=a,
-        positivity=pos_basis,
-        roots=tuple(roots),
-        _spaces=tuple(spaces),
-        zero_space=zero_sp,
-        m=m, n=n, p=p,
-        positive_roots=tuple(positives),
-        simple_roots=tuple(simples),
-        simple_coordinates=tuple(coordinates),
-    )
+        algebra=g, theta=th, k=k, s=s, a=a, positivity=tuple(positivity),
+        roots=roots, _spaces=tuple(weights[r] for r in roots),
+        zero_space=zero_sp, m=m)
 
 
 def _certify_cartan(g: LieAlgebra, k: Subspace, s: Subspace) -> None:
@@ -630,13 +615,21 @@ def cartan_data(g: LieAlgebra,
                 a_seed: Optional[Subspace] = None,
                 positivity_basis: Optional[Sequence[Sequence[Fraction]]] = None
                 ) -> CartanData:
-    """Convenience pipeline: involution, Cartan split certified Cartan
+    """Involution, Cartan split certified Cartan
     (:class:`~sphlie.errors.NotCartanInvolution` otherwise), maximal split
-    torus, restricted roots."""
+    torus grown from ``a_seed``, restricted roots ordered by
+    ``positivity_basis`` (default: the echelon basis of a)."""
     cartan = cartan_decompose(g, theta)
     _certify_cartan(g, *cartan[1:])
     a = maximal_abelian(g, cartan[2], seed=a_seed)
-    return _root_decomposition(g, a, positivity_basis, *cartan)
+    positivity = a.basis
+    if positivity_basis is not None:
+        positivity = tuple(as_vector(v) for v in positivity_basis)
+        if len(positivity) != a.dim or canonical_basis(positivity, g.dim) != a:
+            raise DimensionMismatch(
+                f"positivity basis of {len(positivity)} vectors is not a "
+                f"basis of a (dim {a.dim})")
+    return _root_decomposition(g, a, positivity, *cartan)
 
 
 def largest_ideal_within(g: LieAlgebra, h: Subspace) -> Subspace:

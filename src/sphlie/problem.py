@@ -9,25 +9,24 @@ e.g. ``basis[2][0][1]``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ProblemFormatError
+from .errors import CertificationError, ProblemFormatError
 from .liealg import (
+    CartanData,
     LieAlgebra,
     _diagonal_cartan_data,
     _noncompact_ideals,
     cartan_data,
-    maximal_abelian,
 )
 from .linalg import (
     Matrix,
-    Subspace,
     Vector,
     canonical_basis,
+    is_direct_sum,
     subspace_intersect,
-    subspace_sum,
     vec_scale,
 )
 from .spherical import (
@@ -244,19 +243,18 @@ def problem_to_json(problem: Problem) -> str:
 
 
 def positivity_from_hint(g: LieAlgebra, theta: Optional[Matrix],
-                         signs: Sequence[int]
-                         ) -> tuple[Subspace, list[Vector]]:
-    """Split torus and positivity from one sign per noncompact simple ideal.
+                         signs: Sequence[int]) -> CartanData:
+    """The Cartan data of the diagonal torus a, its roots ordered by one
+    sign per noncompact simple ideal l_n,C.
 
     Ideals are ordered by the pivots of their echelon bases (for a
-    block-diagonal construction this is block order).  A +1 keeps the
-    factor's split torus orientation as found, a -1 reverses it, flipping
-    which root spaces count as positive in that factor.  The center's split
-    part is appended last with positive orientation.  The ideals come from
-    the restricted roots of one throwaway Cartan data, not from g's basis.
+    block-diagonal construction this is block order).  Positivity runs
+    through a ∩ l_n,C ideal by ideal: a +1 keeps its echelon basis, a -1
+    negates it, flipping which root spaces count as positive in that
+    factor.  The split part of the center comes last with positive
+    orientation.  Certified: a = (z(g) ∩ s) ⊕ (⊕_C a ∩ l_n,C).
     """
     cd = _diagonal_cartan_data(g, theta)
-    s = cd.s
     noncompact = sorted(
         _noncompact_ideals(cd, range(len(cd.simple_roots)), g.full_space()),
         key=lambda sp: sp.pivots)
@@ -264,16 +262,16 @@ def positivity_from_hint(g: LieAlgebra, theta: Optional[Matrix],
         raise ProblemFormatError(
             f"minimal_parabolic_hint: expected {len(noncompact)} signs "
             f"(one per noncompact simple ideal), got {len(signs)}")
-    seed = g.zero_space()
-    positivity: list[Vector] = []
-    for sign, ideal in zip(signs, noncompact):
-        part = maximal_abelian(g, subspace_intersect(ideal, s))
-        seed = subspace_sum(seed, part)
-        positivity.extend(vec_scale(sign, v) for v in part.basis)
-    center_split = subspace_intersect(g.center(), s)
-    seed = subspace_sum(seed, center_split)
-    positivity.extend(center_split.basis)
-    return seed, positivity
+    parts = [subspace_intersect(cd.a, ideal) for ideal in noncompact]
+    center_split = subspace_intersect(g.center(), cd.s)
+    if not is_direct_sum(cd.a, center_split, *parts):
+        raise CertificationError(
+            f"a = (z ∩ s) ⊕ (⊕_C a ∩ l_n,C) fails: dim a = {cd.a.dim}, "
+            f"parts of dims "
+            f"{' + '.join(str(p.dim) for p in [center_split, *parts])}")
+    positivity = [vec_scale(sign, v)
+                  for sign, part in zip(signs, parts) for v in part.basis]
+    return replace(cd, positivity=(*positivity, *center_split.basis))
 
 
 def _coordinates(g: LieAlgebra, matrices: Sequence[Matrix],
@@ -299,20 +297,19 @@ def build_pair(problem: Problem) -> SphericalPair:
     _check_hint_exclusive(problem)
     g = LieAlgebra(problem.basis, name=problem.name or "g")
     h = g.span_of_matrices(problem.subalgebra_basis)
-    a_seed = None
-    positivity = None
     if problem.minimal_parabolic_hint is not None:
-        a_seed, positivity = positivity_from_hint(
-            g, problem.theta, problem.minimal_parabolic_hint)
+        cd = positivity_from_hint(g, problem.theta,
+                                  problem.minimal_parabolic_hint)
     else:
+        a_seed = positivity = None
         if problem.a_seed is not None:
             a_seed = canonical_basis(
                 _coordinates(g, problem.a_seed, "a_seed"), g.dim)
         if problem.positivity_basis is not None:
             positivity = _coordinates(g, problem.positivity_basis,
                                       "positivity_basis")
-    cd = cartan_data(g, theta=problem.theta, a_seed=a_seed,
-                     positivity_basis=positivity)
+        cd = cartan_data(g, theta=problem.theta, a_seed=a_seed,
+                         positivity_basis=positivity)
     return spherical_pair(cd, h, label=problem.name)
 
 

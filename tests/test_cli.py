@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, text/JSON output, byte stability."""
 
+import dataclasses
 import json
 
 import pytest
 
 import mixed_levi
-from sphlie.builders import sl_basis, so_basis
+from sphlie.builders import add, sl_basis, so_basis
 from sphlie.cli import main
 from sphlie.catalog import get_entry
 from sphlie.problem import Problem, build_pair, problem_to_json
@@ -217,6 +218,31 @@ def test_levi_split_does_not_depend_on_the_basis(capsys, tmp_path, mixed,
     assert no_floats(out)["pass"] is True
     fs = structure_report(build_pair(problem)).levi_structure
     assert (fs.compact_ideals.dim, fs.noncompact_ideals.dim) == (3, 6)
+
+
+def test_hinted_analyze_does_not_depend_on_the_basis(capsys, tmp_path):
+    """sl2x2_diag_opposite with its first basis matrix H1 replaced by
+    H1 + E1 + F1: the same algebra, h and hint.  A torus grown greedily in
+    the order of g's basis picks H1 + E1 + F1, whose ad has the irrational
+    eigenvalues ±2√2."""
+    block = get_entry("sl2x2_diag_opposite").problem
+    h1, e1, f1 = block.basis[:3]
+    mixed = dataclasses.replace(
+        block, basis=(add(h1, e1, f1), *block.basis[1:]))
+    answers = []
+    for problem in (block, mixed):
+        path = tmp_path / "problem.json"
+        path.write_text(problem_to_json(problem), encoding="utf-8")
+        code, out, err = run(capsys, ["analyze", "--format", "json",
+                                      str(path)])
+        assert code == 0 and err == ""
+        doc = no_floats(out)
+        assert doc["pass"] is True
+        answers.append((doc["spherical"], doc["adapted"]["subset_indices"],
+                        doc["rank"]["value"], doc["normalizer"]["dim"],
+                        doc["normalizer"]["complement_dim"], doc["checks"]))
+    assert answers[1] == answers[0]
+    assert answers[0][2:5] == (1, 3, 0)
 
 
 def test_analyze_builds_no_subalgebra(capsys, monkeypatch, tmp_path):

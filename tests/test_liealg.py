@@ -34,12 +34,12 @@ from sphlie.errors import (
 )
 from sphlie.liealg import (
     LieAlgebra,
+    _root_decomposition,
     cartan_data,
     cartan_decompose,
     centralizer_in,
     default_involution,
     maximal_abelian,
-    restricted_root_decomposition,
     simple_ideal_split,
     subalgebra,
 )
@@ -373,12 +373,42 @@ def test_theta_is_validated_once_per_cartan_data(monkeypatch):
     real = liealg.cartan_decompose
     monkeypatch.setattr(liealg, "cartan_decompose",
                         lambda g, theta=None: calls.append(g) or real(g, theta))
-    cd = cartan_data(sl(3))
+    cartan_data(sl(3))
     assert len(calls) == 1
-    # the public entry point still validates its own input
-    again = restricted_root_decomposition(cd.algebra, cd.a)
-    assert len(calls) == 2
-    assert again.roots == cd.roots and again.n == cd.n
+
+
+def test_root_lookups_match_the_list_scans():
+    from sphlie.problem import build_pair
+
+    for entry in catalog_entries():
+        cd = build_pair(entry.problem).cartan
+        for r in cd.roots:
+            assert cd.is_positive(r) == (r in cd.positive_roots)
+            assert cd.root_space(r) is cd._spaces[cd.roots.index(r)]
+            pos = r if r in cd.positive_roots else tuple(-x for x in r)
+            coords = cd.simple_coordinates[cd.positive_roots.index(pos)]
+            assert cd.support(r) == frozenset(
+                i for i, c in enumerate(coords) if c)
+        non_roots = [(F(0),) * cd.a.dim]
+        non_roots += [tuple(3 * x for x in r) for r in cd.roots[:1]]
+        for r in non_roots:
+            assert not cd.is_positive(r)
+            with pytest.raises(KeyError, match="not a restricted root here"):
+                cd.root_space(r)
+
+
+def test_cartan_data_rejects_a_positivity_basis_that_is_not_a_basis_of_a():
+    g = sl(3)
+    h1, h2, e12 = unit_vector(8, 0), unit_vector(8, 1), unit_vector(8, 2)
+    for bad in ([h1], [h1, h1], [h1, e12], [h1, h2, h1]):
+        with pytest.raises(DimensionMismatch,
+                           match=r"not a basis of a \(dim 2\)"):
+            cartan_data(g, positivity_basis=bad)
+    # a reordered basis of a orders the same roots differently
+    default = cartan_data(g)
+    flipped = cartan_data(g, positivity_basis=[h2, h1])
+    assert flipped.roots == default.roots
+    assert set(flipped.positive_roots) != set(default.positive_roots)
 
 
 def test_so3_has_no_roots():
@@ -393,7 +423,8 @@ def test_so3_has_no_roots():
 def test_nonsemisimple_ad_spectrum_raises():
     # euclidean motion algebra: J rotates the translation plane (X, Y);
     # custom theta fixes J and flips X, Y, so a = span(X, Y) and ad X is a
-    # nonzero nilpotent -> exact spectrum error, no float fallback
+    # nonzero nilpotent -> exact spectrum error, no float fallback.  This
+    # theta is not Cartan, so only the weight stage can be handed it.
     J = ((0, -1, 0), (1, 0, 0), (0, 0, 0))
     X = elementary(3, 0, 2)
     Y = elementary(3, 1, 2)
@@ -403,15 +434,11 @@ def test_nonsemisimple_ad_spectrum_raises():
     a = maximal_abelian(g, s)
     assert a.dim == 2
     with pytest.raises(SpectrumError):
-        restricted_root_decomposition(g, a, theta=theta)
-
-
-def test_maximality_certificate_enforced():
-    g = sl(3)
-    th, k, s = cartan_decompose(g)
-    small = canonical_basis([unit_vector(8, 0)], 8)  # span(H1) only
-    with pytest.raises(CertificationError):
-        restricted_root_decomposition(g, small)
+        _root_decomposition(g, a, a.basis, th, k, s)
+    # in sl(2), ad(H + E + F) has the irrational eigenvalues 0, ±2√2
+    g = sl(2)
+    with pytest.raises(SpectrumError):
+        cartan_data(g, a_seed=canonical_basis([(1, 1, 1)], 3))
 
 
 def test_simple_ideal_split_sl2_so3():
@@ -685,20 +712,17 @@ def test_transporter_into_the_full_space_skips_the_lift(monkeypatch):
         assert len(calls) == 2
 
 
-def test_restricted_root_decomposition_certifies_an_arbitrary_a():
+def test_cartan_data_certifies_an_arbitrary_a_seed():
     g = sl(3)
     _, k, s = cartan_decompose(g)
     outside = canonical_basis([k.basis[0]], 8)
     not_abelian = canonical_basis(s.basis[:3], 8)
     assert any(not is_zero_vector(g.bracket(u, v))
                for u in not_abelian.basis for v in not_abelian.basis)
-    small = canonical_basis([unit_vector(8, 0)], 8)  # span(H1) only
     with pytest.raises(DimensionMismatch):
-        restricted_root_decomposition(g, outside)
+        cartan_data(g, a_seed=outside)
     with pytest.raises(NotClosed):
-        restricted_root_decomposition(g, not_abelian)
-    with pytest.raises(CertificationError, match="z_s"):
-        restricted_root_decomposition(g, small)
+        cartan_data(g, a_seed=not_abelian)
 
 
 # -- counting guards: the sparse table end to end ------------------------------

@@ -1,14 +1,26 @@
 """Problem-file format: parsing, positioned errors, serialization, assembly."""
 
 import dataclasses
+import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sphlie.builders import sl_basis, so_basis
+from sphlie.builders import (
+    add,
+    direct_sum_basis,
+    gl_basis,
+    scale,
+    sl_basis,
+    so_basis,
+)
 from sphlie.catalog import get_entry
 from sphlie.errors import NotClosed, ProblemFormatError
 from sphlie.liealg import LieAlgebra
+from sphlie.linalg import canonical_basis
 from sphlie.problem import (
     Problem,
     build_pair,
@@ -260,11 +272,11 @@ def sl2_times_sl2():
 
 def test_positivity_from_hint_flips_the_marked_factor():
     g = sl2_times_sl2()
-    seed, positivity = positivity_from_hint(g, None, (1, -1))
+    cd = positivity_from_hint(g, None, (1, -1))
     h1 = g.from_matrix(embed(H, 0, 4))
     h2 = g.from_matrix(embed(H, 2, 4))
-    assert seed.contains(h1) and seed.contains(h2) and seed.dim == 2
-    assert positivity == [h1, tuple(-c for c in h2)]
+    assert cd.a.contains(h1) and cd.a.contains(h2) and cd.a.dim == 2
+    assert cd.positivity == (h1, tuple(-c for c in h2))
 
 
 def test_positivity_from_hint_sign_count_must_match_ideals():
@@ -273,10 +285,19 @@ def test_positivity_from_hint_sign_count_must_match_ideals():
                        match="expected 2 signs .*got 1"):
         positivity_from_hint(g, None, (1,))
     so3 = LieAlgebra(so_basis(3), name="so3")
-    seed, positivity = positivity_from_hint(so3, None, ())
-    assert seed.dim == 0 and positivity == []
+    cd = positivity_from_hint(so3, None, ())
+    assert cd.a.dim == 0 and cd.positivity == ()
     with pytest.raises(ProblemFormatError, match="expected 0 signs"):
         positivity_from_hint(so3, None, (1,))
+
+
+def test_positivity_from_hint_appends_the_split_center():
+    gl2 = LieAlgebra(gl_basis(2), name="gl2")   # E11, E22, E12, E21
+    cd = positivity_from_hint(gl2, None, (-1,))
+    one, zero = Fraction(1), Fraction(0)
+    # -(E11 - E22) for the sl(2) factor, then the identity
+    assert cd.positivity == ((-one, one, zero, zero), (one, one, zero, zero))
+    assert cd.n == canonical_basis([(0, 0, 0, 1)], 4)
 
 
 def test_build_pair_hint_controls_which_root_spaces_are_positive():
@@ -437,3 +458,95 @@ def test_hinted_build_validates_theta_once(monkeypatch):
     assert len(calls) == 1
     build_pair(problem)   # a new algebra validates its own theta
     assert len(calls) == 2
+
+
+def test_hinted_build_decomposes_g_once(monkeypatch):
+    """One root decomposition per hinted build: the hint orders the roots
+    of the diagonal torus and grows no second torus."""
+    import sphlie.liealg as liealg
+
+    counts = {"maximal_abelian": 0, "_certify_cartan": 0}
+    for name in counts:
+        real = getattr(liealg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if (mod_name.split(".")[0] == "sphlie"
+                    and getattr(mod, name, None) is real):
+                monkeypatch.setattr(mod, name, counted)
+    build_pair(get_entry("sl2x3_diag_mixed").problem)
+    assert counts == {"maximal_abelian": 1, "_certify_cartan": 1}
+
+
+# -- a hinted build does not depend on g's basis ------------------------------
+
+
+HINTED = {
+    "sl2x2": (direct_sum_basis([sl_basis(2)] * 2), (1, -1)),
+    "sl2x3": (direct_sum_basis([sl_basis(2)] * 3), (1, -1, 1)),
+    "sl3": (sl_basis(3), (1,)),
+}
+
+
+def is_diagonal(m) -> bool:
+    return all(not e for r, row in enumerate(m) for c, e in enumerate(row)
+               if r != c)
+
+
+def remix(mats, seed, keep_frame):
+    """An invertible rational recombination of ``mats``.
+
+    With ``keep_frame``, basis matrix i gains rational multiples of later,
+    non-diagonal basis matrices only.  Every subspace then keeps its pivots
+    and leading coefficients, and the diagonal torus keeps its echelon
+    basis, so the ideals' order and each torus's orientation, which a
+    hint's signs refer to, stay the same.  Otherwise the mixing is a unit
+    lower times a unit upper triangular one with entries in {-1, 0, 1}
+    (kept small: the torus's root values are rationals whose size grows
+    with the mixing's)."""
+    rng = random.Random(seed)
+    d = len(mats)
+
+    def entry(choices):
+        return Fraction(rng.choice(choices))
+
+    if keep_frame:
+        rational = (-1, 0, 0, 1, Fraction(1, 2), -2)
+        mix = [[Fraction(1) if i == j else entry(rational)
+                if j > i and not is_diagonal(mats[j]) else Fraction(0)
+                for j in range(d)] for i in range(d)]
+    else:
+        small = (-1, 0, 0, 1)
+        low = [[Fraction(1) if i == j else entry(small) if j < i
+                else Fraction(0) for j in range(d)] for i in range(d)]
+        up = [[Fraction(1) if i == j else entry(small) if j > i
+               else Fraction(0) for j in range(d)] for i in range(d)]
+        mix = [[sum(low[i][k] * up[k][j] for k in range(d))
+                for j in range(d)] for i in range(d)]
+    return [add(*(scale(c, m) for c, m in zip(row, mats))) for row in mix]
+
+
+def hinted_spans(name, mats):
+    """The matrix spans of a and n of the hinted build on basis ``mats``."""
+    hint = HINTED[name][1]
+    cd = build_pair(Problem(name=name, matrix_size=len(mats[0]),
+                            basis=tuple(mats), subalgebra_basis=(),
+                            minimal_parabolic_hint=hint)).cartan
+    g, n = cd.algebra, cd.algebra.matrix_size
+    return tuple(canonical_basis(
+        [tuple(e for row in g.to_matrix(v) for e in row) for v in sub.basis],
+        n * n) for sub in (cd.a, cd.n))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(HINTED)), st.integers(0, 2 ** 32))
+@example("sl2x2", 0)
+@example("sl3", 0)
+def test_hinted_build_does_not_depend_on_the_basis(name, seed):
+    basis = HINTED[name][0]
+    a, n = hinted_spans(name, basis)
+    assert hinted_spans(name, remix(basis, seed, keep_frame=True)) == (a, n)
+    assert hinted_spans(name, remix(basis, seed, keep_frame=False))[0] == a
