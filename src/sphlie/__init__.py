@@ -1,6 +1,7 @@
 """sphlie: exact-arithmetic structure certificates for real spherical pairs.
 
-Everything is computed over Q with ``fractions.Fraction``; every verdict the
+Everything is computed exactly over Q: an entry is an ``int`` when integral
+and a ``fractions.Fraction`` otherwise, never a float; every verdict the
 package emits is backed by an exact linear-algebra identity rather than a
 numerical tolerance.
 

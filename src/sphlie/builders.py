@@ -7,13 +7,10 @@ assumed from the construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .liealg import LieAlgebra
-from .linalg import Matrix, ZERO, ONE
-
-F = Fraction
+from .linalg import Matrix, ZERO, ONE, mat_scale
 
 
 def elementary(n: int, i: int, j: int) -> Matrix:
@@ -29,8 +26,7 @@ def add(*mats: Matrix) -> Matrix:
 
 
 def scale(c, m: Matrix) -> Matrix:
-    c = F(c)
-    return tuple(tuple(c * e for e in row) for row in m)
+    return mat_scale(c, m)
 
 
 def sl_basis(n: int) -> list[Matrix]:
@@ -104,5 +100,5 @@ def sl2_F() -> Matrix:
 def regular_diagonal_positivity(n: int) -> Matrix:
     """diag(n-1, n-3, ..., 1-n): a regular element making the upper
     triangular matrices the positive side."""
-    return tuple(tuple(F(n - 1 - 2 * i) if i == j else ZERO for j in range(n))
+    return tuple(tuple(n - 1 - 2 * i if i == j else ZERO for j in range(n))
                  for i in range(n))

@@ -10,10 +10,10 @@ against the frozen block, collecting any mismatch as a failure string.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .builders import block_embed, gl_basis, sl_basis, so_basis
+from .linalg import as_matrix
 from .normalizer import NormalizerReport, normalizer_in, normalizer_report
 from .orbits import OrbitIdentityReport, parabolic_orbit_check
 from .problem import Problem, find_open_pair
@@ -74,8 +74,7 @@ class EntryResult:
 
 
 def _mats(*ms):
-    return tuple(tuple(tuple(Fraction(e) for e in row) for row in m)
-                 for m in ms)
+    return tuple(as_matrix(m) for m in ms)
 
 
 _H = [[1, 0], [0, -1]]

@@ -10,9 +10,10 @@ Conventions
   d-dimensional coordinate space.
 * The Cartan involution defaults to ``theta(X) = -X^T`` and is stored as the
   d x d matrix it induces on coordinates.
-* A restricted root is stored as the tuple of its values on the echelon basis
-  of ``a``; positivity is lexicographic with respect to a chosen ordered
-  basis of ``a`` (the echelon basis unless the caller supplies one).
+* A restricted root is stored as the tuple of its values, as Fractions, on
+  the echelon basis of ``a``; positivity is lexicographic with respect to a
+  chosen ordered basis of ``a`` (the echelon basis unless the caller
+  supplies one).
 * The structure constants are stored sparsely: ``_terms[i][j]`` lists the
   nonzero (k, c) with [e_i, e_j] = sum_k c e_k.  The constructor forms each
   [e_i, e_j] with i < j from the basis matrices' nonzero entries and takes
@@ -50,10 +51,13 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    Scalar,
     SpanSolver,
     Subspace,
     Vector,
     ZERO,
+    _exact,
+    _exact_row,
     as_matrix,
     as_vector,
     bilinear_value,
@@ -90,12 +94,12 @@ def commutator(x: Matrix, y: Matrix) -> Matrix:
                  for r, s in zip(mat_mul(x, y), mat_mul(y, x)))
 
 
-def _row_entries(m: Matrix) -> list[list[tuple[int, Fraction]]]:
+def _row_entries(m: Matrix) -> list[list[tuple[int, Scalar]]]:
     """Per row of m, its nonzero (column, entry) pairs."""
     return [[(c, a) for c, a in enumerate(row) if a] for row in m]
 
 
-def _flat_commutator(x: list, y: list, n: int) -> list[Fraction]:
+def _flat_commutator(x: list, y: list, n: int) -> list[Scalar]:
     """xy - yx, flattened row by row, from the nonzero entries of x and y
     as :func:`_row_entries` gives them."""
     acc = [ZERO] * (n * n)
@@ -180,7 +184,7 @@ class LieAlgebra:
 
     # -- element conversions -------------------------------------------------
 
-    def to_matrix(self, coords: Sequence[Fraction]) -> Matrix:
+    def to_matrix(self, coords: Sequence[Scalar]) -> Matrix:
         n = self.matrix_size
         return mat_unflatten(lin_comb(coords, self._flat, n * n), n)
 
@@ -189,7 +193,7 @@ class LieAlgebra:
 
     # -- bracket and ad ------------------------------------------------------
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+    def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch(
                 f"bracket of vectors of lengths {len(x)}, {len(y)} in an "
@@ -202,9 +206,9 @@ class LieAlgebra:
                     c = xi * yj
                     for k, s in ti[j]:
                         acc[k] += c * s
-        return tuple(acc)
+        return _exact_row(acc)
 
-    def ad(self, x: Sequence[Fraction]) -> Matrix:
+    def ad(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of y -> [x, y]; column j is [x, e_j]."""
         if len(x) != self.dim:
             raise DimensionMismatch(
@@ -216,7 +220,7 @@ class LieAlgebra:
                 for j, tij in enumerate(ti):
                     for k, s in tij:
                         rows[k][j] += xi * s
-        return tuple(tuple(r) for r in rows)
+        return tuple(_exact_row(r) for r in rows)
 
     # -- canonical subspaces -------------------------------------------------
 
@@ -285,7 +289,7 @@ class LieAlgebra:
                     row = out[i]
                     for j, b in right:
                         row[j] += a * b
-        return tuple(tuple(row) for row in out)
+        return tuple(_exact_row(row) for row in out)
 
     def invariant_form(self) -> Matrix:
         """Killing form plus the matrix trace form on the center.
@@ -314,8 +318,8 @@ class LieAlgebra:
         split = SpanSolver(z.basis + der.basis, self.dim)
         zc = [split.coordinates(unit_vector(self.dim, i))[:z.dim]
               for i in range(self.dim)]
-        return tuple(tuple(bij + bilinear_value(gram, ci, cj)
-                           for bij, cj in zip(bi, zc))
+        return tuple(_exact_row(bij + bilinear_value(gram, ci, cj)
+                                for bij, cj in zip(bi, zc))
                      for bi, ci in zip(b, zc))
 
 
@@ -342,15 +346,21 @@ def transporter(g: LieAlgebra, s: Subspace, t: Subspace,
     The kernel of a bracket condition, solved as one exact kernel in the
     coordinates of ``within``: for every u in the basis of s, the residual
     of [x, u] modulo t (:meth:`Subspace.residual`, in t's non-pivot
-    coordinates) must vanish.
+    coordinates) must vanish.  On all of g, whose basis is the identity,
+    [e_m, u] is minus column m of ad(u), so ad(u) is built once per u in
+    place of dim g brackets; the sign leaves the kernel unchanged.
     """
     w = within if within is not None else g.full_space()
     if w.dim == 0 or s.dim == 0:
         return w
-    # res[m][uidx]: residual of [w_m, s_uidx]; one kernel row per (uidx, k)
-    res = [[t.residual(g.bracket(wb, u)) for u in s.basis] for wb in w.basis]
-    rows = ([res_m[uidx][k] for res_m in res]
-            for uidx in range(s.dim) for k in range(g.dim - t.dim))
+    # res[uidx][m]: residual of ±[w_m, s_uidx]; one kernel row per (uidx, k)
+    if w.dim == g.dim:
+        res = [[t.residual(col) for col in zip(*g.ad(u))] for u in s.basis]
+    else:
+        res = [[t.residual(g.bracket(wb, u)) for wb in w.basis]
+               for u in s.basis]
+    rows = ([res_m[k] for res_m in res_u]
+            for res_u in res for k in range(g.dim - t.dim))
     ker = kernel([row for row in rows if any(row)], w.dim)
     # coordinates in the full space (identity basis) are already ambient
     if w.dim == g.dim:
@@ -372,7 +382,7 @@ def default_involution(g: LieAlgebra) -> Matrix:
     not closed under transpose."""
     cols = []
     for i, b in enumerate(g.basis):
-        img = g.from_matrix(mat_scale(Fraction(-1), mat_transpose(b)))
+        img = g.from_matrix(mat_scale(-1, mat_transpose(b)))
         if img is None:
             raise NotClosed(
                 "realization is not closed under X -> -X^T; supply an explicit "
@@ -543,19 +553,19 @@ class CartanData:
         entry = self._by_root.get(root)
         return entry is not None and entry[1] is not None
 
-    def root_value(self, root: Root, h: Sequence[Fraction]) -> Fraction:
+    def root_value(self, root: Root, h: Sequence[Scalar]) -> Scalar:
         """Value of the root functional on an element h of a (g-coordinates)."""
         coords = self.a.coordinates_of(tuple(h))
         if coords is None:
             raise DimensionMismatch("element is not in a")
-        return sum((c * r for c, r in zip(coords, root)), ZERO)
+        return _exact(sum((c * r for c, r in zip(coords, root)), ZERO))
 
 
 def _negative(root: Root) -> Root:
     return tuple(-x for x in root)
 
 
-def _lex_positive(values: Sequence[Fraction]) -> bool:
+def _lex_positive(values: Sequence[Scalar]) -> bool:
     for v in values:
         if v != 0:
             return v > 0
@@ -569,7 +579,7 @@ def _root_decomposition(g: LieAlgebra, a: Subspace,
     validated theta, k, s): the simultaneous ad-eigenspaces of a, certified
     g0 = m ⊕ a and theta(g_alpha) = g_-alpha.  The CartanData it returns
     orders the roots by ``positivity``, a basis of a."""
-    pieces: list[tuple[tuple[Fraction, ...], Subspace]] = [((), g.full_space())]
+    pieces: list[tuple[Root, Subspace]] = [((), g.full_space())]
     for h in a.basis:
         adh = g.ad(h)
         pieces = [(w + (lam,), eig) for w, sub in pieces
@@ -613,7 +623,7 @@ def _certify_cartan(g: LieAlgebra, k: Subspace, s: Subspace) -> None:
 def cartan_data(g: LieAlgebra,
                 theta: Optional[Matrix] = None,
                 a_seed: Optional[Subspace] = None,
-                positivity_basis: Optional[Sequence[Sequence[Fraction]]] = None
+                positivity_basis: Optional[Sequence[Sequence[Scalar]]] = None
                 ) -> CartanData:
     """Involution, Cartan split certified Cartan
     (:class:`~sphlie.errors.NotCartanInvolution` otherwise), maximal split

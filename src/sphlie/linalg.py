@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of :class:`fractions.Fraction`; matrices are tuples of row
-tuples.  A :class:`Subspace` stores the reduced row-echelon basis of its span,
-which is *unique*, so two subspaces are equal iff their stored data are equal
-and all downstream decompositions are reproducible.  No floating point is used
-anywhere.
+Vectors are tuples of exact rationals; matrices are tuples of row tuples.
+Every entry the package builds is an ``int`` when its value is integral
+(0 and 1 included) and otherwise a :class:`fractions.Fraction` with
+denominator > 1, so integral data stays in ``int`` arithmetic.  Scalars are
+normalised where they are made, and every division goes through one exact
+helper, because ``int / int`` would give a float.  A :class:`Subspace` stores
+the reduced row-echelon basis of its span, which is *unique*, so two
+subspaces are equal iff their stored data are equal and all downstream
+decompositions are reproducible.  No floating point is used anywhere.
 
 Each linear-algebra idea has one implementation, which the Lie-theory
 layers call instead of re-deriving it: spans (:func:`canonical_basis`),
@@ -27,17 +31,39 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
 
-Scalar = Fraction
-Vector = tuple[Fraction, ...]
-Matrix = tuple[tuple[Fraction, ...], ...]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
+Matrix = tuple[Vector, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
+
+
+def _exact(x: Scalar) -> Scalar:
+    """x as an int when it is an integral Fraction.  Hot loops inline the
+    same test."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _exact_row(xs: Iterable[Scalar]) -> Vector:
+    """A tuple of the entries of xs, each normalised as by :func:`_exact`."""
+    return tuple([x.numerator if type(x) is Fraction and x.denominator == 1
+                  else x for x in xs])
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b, normalised; the package's only division."""
+    if type(a) is int and type(b) is int:
+        return a // b if a % b == 0 else Fraction(a, b)
+    q = (a if type(a) is Fraction else Fraction(a)) / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def as_vector(entries: Iterable) -> Vector:
     """Coerce an iterable of rational-like entries to a Vector."""
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+    return tuple([e if type(e) is int else
+                  _exact(e if type(e) is Fraction else Fraction(e))
+                  for e in entries])
 
 
 def zero_vector(n: int) -> Vector:
@@ -51,18 +77,18 @@ def unit_vector(n: int, i: int) -> Vector:
 def vec_add(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths {len(u)} != {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
+    return _exact_row(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths {len(u)} != {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
+    return _exact_row(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a if a else ZERO for a in v)
+    c = _exact(Fraction(c))
+    return _exact_row(c * a if a else ZERO for a in v)
 
 
 def lin_comb(coeffs: Iterable, vectors: Iterable[Sequence], n: int) -> Vector:
@@ -74,19 +100,21 @@ def lin_comb(coeffs: Iterable, vectors: Iterable[Sequence], n: int) -> Vector:
             for k, a in enumerate(v):
                 if a:
                     acc[k] += c * a
-    return tuple(acc)
+    return _exact_row(acc)
 
 
 def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vector], list[int]]:
     """Reduced row-echelon form.
 
     Returns ``(rows, pivots)`` where ``rows`` are the nonzero rows (each with
     leading entry 1 in a strictly increasing pivot column, and zeros above and
-    below every pivot) and ``pivots`` are their pivot columns.
+    below every pivot) and ``pivots`` are their pivot columns.  A row is
+    normalised when it becomes a pivot row and every entry on each write,
+    so integral entries stay ints.
     """
     work = [list(r) for r in rows]
     ncols = len(work[0]) if work else 0
@@ -99,17 +127,23 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
         sel = next((r for r in range(row, len(work)) if work[r][col]), None)
         if sel is None:
             continue
-        work[row], work[sel] = work[sel], work[row]
-        prow = work[row]
-        inv = ONE / prow[col]
+        prow = list(_exact_row(work[sel]))
+        work[sel] = work[row]
+        work[row] = prow
         nz = [j for j, a in enumerate(prow) if a]
-        for j in nz:
-            prow[j] *= inv
+        if prow[col] != 1:
+            inv = _div(ONE, prow[col])
+            for j in nz:
+                x = prow[j] * inv
+                prow[j] = (x.numerator if type(x) is Fraction
+                           and x.denominator == 1 else x)
         for r, other in enumerate(work):
             c = other[col]
             if c and r != row:
                 for j in nz:
-                    other[j] -= c * prow[j]
+                    x = other[j] - c * prow[j]
+                    other[j] = (x.numerator if type(x) is Fraction
+                                and x.denominator == 1 else x)
         pivots.append(col)
         row += 1
         if row == len(work):
@@ -137,7 +171,7 @@ class Subspace:
         return tuple(p for p, _ in self._echelon)
 
     @cached_property
-    def _echelon(self) -> tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]:
+    def _echelon(self) -> tuple[tuple[int, tuple[tuple[int, Scalar], ...]], ...]:
         """Per basis row: its pivot and its nonzero (column, entry) pairs."""
         rows = [tuple((j, a) for j, a in enumerate(row) if a)
                 for row in self.basis]
@@ -158,17 +192,22 @@ class Subspace:
             return None
         return tuple(coords)
 
-    def _back_substitute(self, v: Sequence[Fraction]
-                         ) -> tuple[list[Fraction], list[Fraction]]:
-        """v's echelon coordinates and v minus their combination."""
+    def _back_substitute(self, v: Sequence[Scalar]
+                         ) -> tuple[list[Scalar], list[Scalar]]:
+        """v's echelon coordinates and v minus their combination; entries
+        of v that no row touches are passed through as given."""
         residual = list(v)
         coords = []
         for p, nz in self._echelon:
             c = residual[p]  # = v[p]: every other row vanishes at p
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
             coords.append(c)
             if c:
                 for j, a in nz:
-                    residual[j] -= c * a
+                    x = residual[j] - c * a
+                    residual[j] = (x.numerator if type(x) is Fraction
+                                   and x.denominator == 1 else x)
         return coords, residual
 
     @cached_property
@@ -177,7 +216,7 @@ class Subspace:
         pivots = set(self.pivots)
         return tuple(j for j in range(self.ambient_dim) if j not in pivots)
 
-    def residual(self, v: Sequence[Fraction]) -> Vector:
+    def residual(self, v: Sequence[Scalar]) -> Vector:
         """v's residual modulo the subspace, in its non-pivot coordinates.
 
         Back substitution against the echelon basis leaves a zero at every
@@ -200,7 +239,7 @@ class Subspace:
             raise DimensionMismatch("subspaces live in different ambients")
         return all(other.contains(row) for row in self.basis)
 
-    def from_coordinates(self, coords: Sequence[Fraction]) -> Vector:
+    def from_coordinates(self, coords: Sequence[Scalar]) -> Vector:
         return lin_comb(coords, self.basis, self.ambient_dim)
 
     def __repr__(self) -> str:  # keep reprs short in test output
@@ -319,7 +358,7 @@ class SpanSolver:
     coefficients in the list.  A dependent list raises DimensionMismatch.
     """
 
-    def __init__(self, rows: Sequence[Sequence[Fraction]], n: int):
+    def __init__(self, rows: Sequence[Sequence[Scalar]], n: int):
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("spanning vectors do not all have length n")
         self.n, self.k = n, len(rows)
@@ -331,7 +370,7 @@ class SpanSolver:
             raise DimensionMismatch("spanning list is linearly dependent")
         self._augmented = Subspace(n + self.k, tuple(red))
 
-    def coordinates(self, v: Sequence[Fraction]) -> Optional[Vector]:
+    def coordinates(self, v: Sequence[Scalar]) -> Optional[Vector]:
         """Coefficients writing v in the list, or None if v is outside."""
         if len(v) != self.n:
             raise DimensionMismatch(
@@ -361,7 +400,7 @@ class DirectSum:
         except DimensionMismatch:
             raise DimensionMismatch("direct-sum pieces overlap") from None
 
-    def components(self, v: Sequence[Fraction]) -> Optional[list[Vector]]:
+    def components(self, v: Sequence[Scalar]) -> Optional[list[Vector]]:
         """v's part in each piece, in order, or None if v lies outside the
         sum."""
         coords = self._solver.coordinates(v)
@@ -378,8 +417,8 @@ class DirectSum:
 # solving utilities
 
 
-def _null_generators(rows: Sequence[Sequence[Fraction]], ncols: int
-                     ) -> list[list[Fraction]]:
+def _null_generators(rows: Sequence[Sequence[Scalar]], ncols: int
+                     ) -> list[list[Scalar]]:
     """One null-space vector per free column of the rows' RREF; together a
     basis of the kernel, though not an echelon one."""
     red, pivots = rref(rows)
@@ -395,13 +434,13 @@ def _null_generators(rows: Sequence[Sequence[Fraction]], ncols: int
     return gens
 
 
-def kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> Subspace:
+def kernel(rows: Sequence[Sequence[Scalar]], ncols: int) -> Subspace:
     """Null space of the matrix with the given rows (acting on Q^ncols)."""
     gens = _null_generators(rows, ncols)
     return canonical_basis(gens, ncols) if gens else zero_subspace(ncols)
 
 
-def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[Vector]:
+def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Optional[Vector]:
     """One exact solution of A x = b with free variables set to 0, or None."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
@@ -434,8 +473,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * e for e in row) for row in a)
+    return tuple(vec_scale(c, row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -452,7 +490,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             if x:
                 for j, y in terms:
                     acc[j] += x * y
-        out.append(tuple(acc))
+        out.append(_exact_row(acc))
     return tuple(out)
 
 
@@ -461,15 +499,16 @@ def mat_apply(a: Matrix, v: Vector) -> Vector:
     if a and len(a[0]) != len(v):
         raise DimensionMismatch("matrix/vector size mismatch")
     nz = [(j, y) for j, y in enumerate(v) if y]
-    return tuple(sum((row[j] * y for j, y in nz if row[j]), ZERO) for row in a)
+    return _exact_row(sum((row[j] * y for j, y in nz if row[j]), ZERO)
+                      for row in a)
 
 
 def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else a
 
 
-def mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), ZERO)
+def mat_trace(a: Matrix) -> Scalar:
+    return _exact(sum((a[i][i] for i in range(len(a))), ZERO))
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -546,7 +585,7 @@ def symmetric_signature(a: Matrix) -> tuple[int, int, int]:
         live.remove(piv)
         for i in live:
             if w[i][piv] != 0:
-                c = w[i][piv] / d
+                c = _div(w[i][piv], d)
                 for k in range(n):
                     w[i][k] = w[i][k] - c * w[piv][k]
                 for k in range(n):
@@ -554,10 +593,10 @@ def symmetric_signature(a: Matrix) -> tuple[int, int, int]:
     return npos, nneg, n - npos - nneg
 
 
-def bilinear_value(form: Matrix, u: Vector, v: Vector) -> Fraction:
-    return sum((u[i] * form[i][j] * v[j]
-                for i in range(len(u)) if u[i] != 0
-                for j in range(len(v)) if v[j] != 0), ZERO)
+def bilinear_value(form: Matrix, u: Vector, v: Vector) -> Scalar:
+    return _exact(sum((u[i] * form[i][j] * v[j]
+                       for i in range(len(u)) if u[i] != 0
+                       for j in range(len(v)) if v[j] != 0), ZERO))
 
 
 def restrict_bilinear_form(form: Matrix, s: Subspace) -> Matrix:
@@ -566,8 +605,8 @@ def restrict_bilinear_form(form: Matrix, s: Subspace) -> Matrix:
     then u·(form·v) over u's nonzeros."""
     cols = mat_transpose(form)
     images = [lin_comb(v, cols, len(form)) for v in s.basis]
-    return tuple(tuple(sum((a * w[i] for i, a in nz if w[i]), ZERO)
-                       for w in images)
+    return tuple(_exact_row(sum((a * w[i] for i, a in nz if w[i]), ZERO)
+                            for w in images)
                  for nz in ([(i, a) for i, a in enumerate(u) if a]
                             for u in s.basis))
 
@@ -584,7 +623,7 @@ def residual_operator(s: Subspace) -> Matrix:
         for r in range(n):
             if b[r] != 0:
                 rows[r][p] -= b[r]
-    return tuple(tuple(row) for row in rows)
+    return tuple(_exact_row(row) for row in rows)
 
 
 def project_along(s: Subspace, target: Subspace, along: Subspace) -> Subspace:

@@ -28,6 +28,8 @@ from .linalg import (
     DirectSum,
     Subspace,
     Vector,
+    _div,
+    _exact_row,
     canonical_basis,
     is_zero_vector,
     lin_comb,
@@ -60,11 +62,11 @@ def exp_ad_apply(g: LieAlgebra, element: Vector, y: Vector) -> Vector:
         term = g.bracket(element, term)
         nz = [i for i, c in enumerate(term) if c]
         if not nz:
-            return tuple(out)
+            return _exact_row(out)
         if k > 1:
             term = list(term)
             for i in nz:
-                term[i] /= k
+                term[i] = _div(term[i], k)
         for i in nz:
             out[i] += term[i]
     raise NotNilpotent("ad of the given element is not nilpotent on y; "
@@ -149,9 +151,8 @@ class OrbitIdentityReport:
     witness: Optional[Vector] = None   # a U for which the identity failed
 
 
-_COEFF_POOL = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-               Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3),
-               Fraction(0), Fraction(1, 3))
+_COEFF_POOL = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3, 0,
+               Fraction(1, 3))
 
 
 def random_u_element(dp: DerivationPair, rng: Random) -> Vector:
@@ -210,7 +211,7 @@ def solve_conjugator(dp: DerivationPair, w: Vector) -> Vector:
         if parts is None:
             raise CertificationError("vector left u during the layer solve "
                                      "(library bug)")
-        answer = vec_add(answer, vec_scale(Fraction(1) / lam, parts[idx]))
+        answer = vec_add(answer, vec_scale(_div(1, lam), parts[idx]))
         residual = vec_sub(target, exp_ad_apply(g, answer, dp.x0))
     if not is_zero_vector(residual):
         raise CertificationError("solved conjugator failed exact "

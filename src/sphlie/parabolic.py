@@ -143,7 +143,7 @@ def characteristic_element(cd: CartanData, f: Iterable) -> Vector:
     rhs = []
     for root in cd.simple_roots:
         rows.append(list(root))
-        rhs.append(ZERO if root in subset else Fraction(-1))
+        rhs.append(ZERO if root in subset else -1)
     if not rows:
         return zero_vector(cd.algebra.dim)
     sol = solve_linear(rows, rhs)

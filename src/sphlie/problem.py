@@ -23,7 +23,9 @@ from .liealg import (
 )
 from .linalg import (
     Matrix,
+    Scalar,
     Vector,
+    _exact,
     canonical_basis,
     is_direct_sum,
     subspace_intersect,
@@ -62,14 +64,15 @@ class Problem:
 # -- rational / matrix parsing ------------------------------------------------
 
 
-def parse_rational(value, where: str) -> Fraction:
+def parse_rational(value, where: str) -> Scalar:
+    """An int or a 'p/q' string as a Scalar: an int when integral."""
     if isinstance(value, bool):
         raise ProblemFormatError(f"{where}: expected a number, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _exact(Fraction(value))
         except (ValueError, ZeroDivisionError):
             raise ProblemFormatError(
                 f"{where}: malformed rational {value!r}") from None
@@ -203,7 +206,7 @@ def parse_problem(path) -> Problem:
 # -- serialization ------------------------------------------------------------
 
 
-def format_rational(f: Fraction):
+def format_rational(f: Scalar):
     """Exact JSON value: plain int when integral, 'p/q' string otherwise."""
     if f.denominator == 1:
         return int(f)

@@ -23,6 +23,10 @@ from .linalg import (
     Vector,
     ZERO,
     ONE,
+    Scalar,
+    _div,
+    _exact,
+    _exact_row,
     canonical_basis,
     kernel,
     mat_apply,
@@ -30,14 +34,14 @@ from .linalg import (
     zero_subspace,
 )
 
-Poly = list[Fraction]  # dense, low degree first, leading coefficient nonzero
+Poly = list[Scalar]  # dense, low degree first, leading coefficient nonzero
 
 
 def poly_degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def poly_normalize(p: Sequence[Fraction]) -> Poly:
+def poly_normalize(p: Sequence[Scalar]) -> Poly:
     q = list(p)
     while q and q[-1] == 0:
         q.pop()
@@ -46,14 +50,14 @@ def poly_normalize(p: Sequence[Fraction]) -> Poly:
 
 def poly_monic(p: Poly) -> Poly:
     lead = p[-1]
-    return [c / lead for c in p]
+    return [_div(c, lead) for c in p]
 
 
 def poly_derivative(p: Poly) -> Poly:
     return poly_normalize([c * i for i, c in enumerate(p)][1:])
 
 
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
+def poly_eval(p: Poly, x: Scalar) -> Scalar:
     acc = ZERO
     for c in reversed(p):
         acc = acc * x + c
@@ -69,11 +73,11 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         a = poly_normalize(a)
         if len(a) < len(b):
             break
-        coef = a[-1] / b[-1]
+        coef = _div(a[-1], b[-1])
         deg = len(a) - len(b)
         q[deg] = coef
         for i, c in enumerate(b):
-            a[deg + i] -= coef * c
+            a[deg + i] = _exact(a[deg + i] - coef * c)
         a = a[:-1]
     return poly_normalize(q), poly_normalize(a)
 
@@ -103,7 +107,8 @@ def _divisors(n: int, cap: int = 1_000_000_000_000) -> list[int]:
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
-    """All roots of a monic rational polynomial that splits over Q.
+    """All roots, as Fractions, of a monic rational polynomial that splits
+    over Q.
 
     Raises SpectrumError if ``p`` has a repeated root (non-semisimple action)
     or an irreducible factor of degree >= 2 (irrational spectrum).
@@ -118,7 +123,7 @@ def rational_roots(p: Poly) -> list[Fraction]:
     roots: list[Fraction] = []
     # strip zero roots first
     while p[0] == 0:
-        roots.append(ZERO)
+        roots.append(Fraction(0))
         p = p[1:]
     if poly_degree(p) == 0:
         return roots
@@ -167,10 +172,10 @@ def vector_minimal_polynomial(apply_op: Callable[[Vector], Vector], v: Vector) -
                     trail[j] -= c * x
         p = next((j for j, x in enumerate(red) if x), None)
         if p is None:
-            return trail
-        inv = ONE / red[p]
-        rows.append((p, [(j, x * inv) for j, x in enumerate(red) if x],
-                     [(j, x * inv) for j, x in enumerate(trail) if x]))
+            return list(_exact_row(trail))
+        inv = _div(ONE, red[p])
+        rows.append((p, [(j, _exact(x * inv)) for j, x in enumerate(red) if x],
+                     [(j, _exact(x * inv)) for j, x in enumerate(trail) if x]))
         cur = apply_op(cur)
     raise SpectrumError("Krylov sequence failed to close")  # pragma: no cover
 
@@ -222,7 +227,8 @@ def eigen_split(op: Matrix, sub: Subspace) -> list[tuple[Fraction, Subspace]]:
                                 "subspace (eigenspaces do not exhaust it)")
         for lam in new:
             shifted = tuple(
-                tuple(small[i][j] - (lam if i == j else 0) for j in range(s))
+                _exact_row(small[i][j] - (lam if i == j else 0)
+                           for j in range(s))
                 for i in range(s))
             spaces[lam] = kernel(shifted, s)
         covered = canonical_basis(

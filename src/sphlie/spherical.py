@@ -229,7 +229,7 @@ def _levi_adjustment(cd: CartanData, pd: ParabolicData,
     g = cd.algebra
     if meet.is_contained_in(pd.levi) or pd.nilradical.dim == 0:
         return GroupWord(g, ())
-    grading = mat_scale(Fraction(-1), g.ad(characteristic_element(cd, pd.subset)))
+    grading = mat_scale(-1, g.ad(characteristic_element(cd, pd.subset)))
     layers = eigen_split(grading, pd.nilradical)
     split = DirectSum([pd.levi] + [layer for _, layer in layers])
     current = meet
@@ -414,15 +414,13 @@ def group_element_candidates(cd: CartanData, seed: int = 0
                 "matrix is not nilpotent; exp series does not end")
     for root, i, v, tv in weyl:
         yield GroupWord(g, (v, tv, v)), f"weyl[{_fmt_root(root)}#{i}]"
-    for t in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-              Fraction(3), Fraction(-3)):
+    for t in (1, -1, 2, -2, 3, -3):
         for name, v in pool:
             yield GroupWord(g, (vec_scale(t, v),)), f"exp({t}*{name})"
     if not pool:
         return
     rng = random.Random(seed)
-    coeffs = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-              Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3)]
+    coeffs = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3]
     while True:
         factors = []
         names = []

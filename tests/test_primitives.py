@@ -42,7 +42,7 @@ from sphlie.problem import build_pair
 
 def dense_rref(rows):
     """Textbook Gauss-Jordan; the nonzero reduced rows as tuples."""
-    work = [list(r) for r in rows]
+    work = [[F(x) for x in r] for r in rows]
     ncols = len(work[0]) if work else 0
     top = 0
     for col in range(ncols):
