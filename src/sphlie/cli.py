@@ -11,6 +11,7 @@ pass, 1 a check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -391,7 +392,10 @@ def _add_common(sub, samples: bool = False) -> None:
                          help="number of exact random samples (default 100)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused: parsing keeps
+    no state on it, and building it costs more than a small analysis."""
     parser = argparse.ArgumentParser(
         prog="sphlie",
         description="Exact open-orbit analysis of pairs (g, h) of rational "

@@ -578,14 +578,24 @@ def _root_decomposition(g: LieAlgebra, a: Subspace,
     """The weight stage, run once per a (maximal abelian in s, for a
     validated theta, k, s): the simultaneous ad-eigenspaces of a, certified
     g0 = m ⊕ a and theta(g_alpha) = g_-alpha.  The CartanData it returns
-    orders the roots by ``positivity``, a basis of a."""
-    pieces: list[tuple[Root, Subspace]] = [((), g.full_space())]
-    for h in a.basis:
-        adh = g.ad(h)
-        pieces = [(w + (lam,), eig) for w, sub in pieces
-                  for lam, eig in eigen_split(adh, sub)]
+    orders the roots by ``positivity``, a basis of a.
 
-    weights = dict(pieces)
+    g is split by the echelon basis of a's matrices, flattened to n x n
+    coordinates: those elements, and so the eigenvalues of their ad, do not
+    depend on g's basis.  Each joint eigenspace's root is then read on a's
+    echelon basis at the pivot p of its first vector v, where v_p = 1:
+    alpha(h) = [h, v]_p, one bracket per basis element of a."""
+    nn = g.matrix_size ** 2
+    flat = canonical_basis([lin_comb(h, g._flat, nn) for h in a.basis], nn)
+    pieces = [g.full_space()]
+    for f in flat.basis:
+        adh = g.ad(g._solver.coordinates(f))
+        pieces = [eig for sub in pieces for _, eig in eigen_split(adh, sub)]
+
+    weights = {}
+    for sp in pieces:
+        v, p = sp.basis[0], sp.pivots[0]
+        weights[tuple(Fraction(g.bracket(h, v)[p]) for h in a.basis)] = sp
     zero_sp = weights.pop((ZERO,) * a.dim, None)
     if zero_sp is None:  # pragma: no cover - a is inside its own 0-space
         raise CertificationError("zero weight space is missing")

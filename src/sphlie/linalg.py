@@ -495,12 +495,18 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_apply(a: Matrix, v: Vector) -> Vector:
-    """Exact matrix-vector product over the nonzero entries of v."""
+    """Exact matrix-vector product, column by column over the nonzero
+    entries of v."""
     if a and len(a[0]) != len(v):
         raise DimensionMismatch("matrix/vector size mismatch")
-    nz = [(j, y) for j, y in enumerate(v) if y]
-    return _exact_row(sum((row[j] * y for j, y in nz if row[j]), ZERO)
-                      for row in a)
+    acc = [ZERO] * len(a)
+    for j, y in enumerate(v):
+        if y:
+            for i, row in enumerate(a):
+                x = row[j]
+                if x:
+                    acc[i] += x * y
+    return _exact_row(acc)
 
 
 def mat_transpose(a: Matrix) -> Matrix:

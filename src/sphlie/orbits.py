@@ -98,27 +98,25 @@ class DerivationPair:
 def derivation_pair(g: LieAlgebra, x0: Vector, u: Subspace) -> DerivationPair:
     """Validate and package (x0, u); see DerivationPair for the invariants.
 
-    Besides the lower central series of u, each basis element of u is
-    checked to act nilpotently on g.  With u nilpotent (so solvable), Lie's
-    theorem makes every eigenvalue of ad(U) linear in U, so this covers
-    every U in u, including each sample that orbit_identity_check draws.
+    Checked in order: u is a subalgebra, [x0, u] ⊆ u, and -ad(x0) splits u
+    into layers u_λ with rational λ >= 0.  Nilpotency is then read off the
+    grading.  If [x0, U] = cU with c ≠ 0, then (ad x0 - μ - c)[U, y] =
+    [U, (ad x0 - μ)y], so ad U maps each generalized eigenspace g_μ of
+    ad x0 into g_{μ+c}.  For U = U_0 + U_+ with U_0 in the zero layer u_0
+    and U_+ in the positive layers, ad U is therefore triangular with
+    respect to the g_μ ordered by real part, with diagonal blocks those of
+    ad U_0: ad U is nilpotent on g once ad U_0 is, and then u is nilpotent
+    by Engel's theorem.  So only u_0 is checked, by its lower central series
+    and by each of its basis elements acting nilpotently on g; with u_0
+    nilpotent (so solvable), Lie's theorem makes every eigenvalue of ad(U_0)
+    linear in U_0, which covers every element of u_0.  On a parabolic's
+    nilradical under its characteristic element u_0 = 0, and neither check
+    runs.
     """
     if len(x0) != g.dim or u.ambient_dim != g.dim:
         raise NotClosed("x0 and u must live in the given algebra")
     if not g.is_subalgebra(u):
         raise NotClosed("u must be a subalgebra")
-    series = u
-    for _ in range(u.dim + 1):
-        if series.dim == 0:
-            break
-        series = canonical_basis(
-            [g.bracket(a, b) for a in u.basis for b in series.basis], g.dim)
-    else:
-        raise NotNilpotent("the lower central series of u does not reach 0")
-    for idx, b in enumerate(u.basis):
-        if not mat_is_nilpotent(g.ad(b)):
-            raise NotNilpotent(f"ad of basis element {idx} of u is not "
-                               f"nilpotent on g")
     brackets = [g.bracket(x0, b) for b in u.basis]
     for w in brackets:
         if not u.contains(w):
@@ -129,6 +127,23 @@ def derivation_pair(g: LieAlgebra, x0: Vector, u: Subspace) -> DerivationPair:
         raise SpectrumError(
             "ad(x0) must have nonpositive eigenvalues on u "
             "(equivalently -ad(x0) nonnegative)")
+    zero_layer = next((sp for lam, sp in layers if lam == 0), None)
+    if zero_layer is not None:
+        series = zero_layer
+        for _ in range(zero_layer.dim + 1):
+            if series.dim == 0:
+                break
+            series = canonical_basis(
+                [g.bracket(a, b) for a in zero_layer.basis
+                 for b in series.basis], g.dim)
+        else:
+            raise NotNilpotent(
+                "the lower central series of the zero layer of u does not "
+                "reach 0")
+        for idx, b in enumerate(zero_layer.basis):
+            if not mat_is_nilpotent(g.ad(b)):
+                raise NotNilpotent(f"ad of basis element {idx} of the zero "
+                                   f"layer of u is not nilpotent on g")
     image = canonical_basis(brackets, g.dim)
     positive = zero_subspace(g.dim)
     for lam, layer in layers:

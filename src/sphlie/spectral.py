@@ -6,8 +6,9 @@ must be diagonalizable over Q.  Anything else -- irrational eigenvalues or
 nontrivial Jordan blocks -- raises :class:`SpectrumError` instead of silently
 switching number systems.
 
-Eigenvalues are found from vector minimal polynomials (Krylov sequences plus
-the rational root theorem), never from floating-point routines.
+Eigenvalues are read off a diagonal restriction, or else found from vector
+minimal polynomials (Krylov sequences plus the rational root theorem), never
+from floating-point routines.
 """
 
 from __future__ import annotations
@@ -198,15 +199,29 @@ def eigen_split(op: Matrix, sub: Subspace) -> list[tuple[Fraction, Subspace]]:
     """Split an invariant subspace into eigenspaces of a semisimple rational
     operator.
 
-    Returns (eigenvalue, eigenspace) pairs sorted by eigenvalue; the
-    eigenspaces are subspaces of the ambient space and their dimensions add
-    up to dim(sub).  Raises SpectrumError when the restricted operator is not
-    semisimple with rational spectrum.
+    Returns (eigenvalue, eigenspace) pairs sorted by eigenvalue, with each
+    eigenvalue a Fraction; the eigenspaces are subspaces of the ambient
+    space and their dimensions add up to dim(sub).  Raises SpectrumError
+    when the restricted operator is not semisimple with rational spectrum.
+
+    When the restriction to sub's echelon basis is diagonal, the grading is
+    read off: rows with equal diagonal entries span one eigenspace.  Any
+    other restriction is split from vector minimal polynomials, one kernel
+    per eigenvalue, lifted back to the ambient space.
     """
     if sub.dim == 0:
         return []
     small = restriction_matrix(op, sub)
     s = sub.dim
+    if all(not x for i, row in enumerate(small) for j, x in enumerate(row)
+           if i != j):
+        # every echelon row of sub is an eigenvector, and a subset of RREF
+        # rows is the RREF of its span
+        rows: dict[Fraction, list[Vector]] = {}
+        for i, b in enumerate(sub.basis):
+            rows.setdefault(Fraction(small[i][i]), []).append(b)
+        return [(lam, Subspace(sub.ambient_dim, tuple(rows[lam])))
+                for lam in sorted(rows)]
 
     def apply_small(v: Vector) -> Vector:
         return mat_apply(small, v)

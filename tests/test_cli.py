@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -346,3 +350,29 @@ def test_usage_errors_raise_system_exit(capsys):
         main(["analyze"])          # missing the problem-file argument
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_one_process_answers_like_separate_runs(capsys, sl2_so2):
+    # the parser is built once per process; reusing it must not carry
+    # anything from one call to the next.  rank takes no --samples: exit 2
+    calls = [["analyze", "--samples", "5", sl2_so2], ["rank", sl2_so2],
+             ["catalog", "list"], ["rank", "--samples", "5", sl2_so2],
+             ["analyze", "--format", "json", "--samples", "5", sl2_so2]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    separate = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "sphlie.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              check=False)
+        separate.append((proc.returncode, proc.stdout))
+    together = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        together.append((code, capsys.readouterr().out))
+    assert [code for code, _ in together] == [0, 0, 0, 2, 0]
+    assert together == separate

@@ -10,10 +10,11 @@ or verdict, or any exit code, changes a digest.
 
 No catalog pair needs a Levi adjustment, so ``sl2x2_shifted_diag`` pins the
 ``levi_adjusted: true`` path separately with digests of its own.  Every
-catalog pair has dim g <= 9, so ``analyze`` of sl(6)/so(6) (dim 35) pins
-one pair beyond the benchmark sizes.  ``analyze`` of sl(2) + sl(2) + so(3)
-with h = sl(2) + sl(2) + so(2), unhinted and hinted, pins a Levi whose
-ideals are of both kinds, compact and noncompact.
+catalog pair has dim g <= 9, so ``analyze`` of sl(6)/so(6) (dim 35) and
+of sl(8)/so(8) (dim 63) pin two pairs beyond the benchmark sizes.
+``analyze`` of sl(2) + sl(2) + so(3) with h = sl(2) + sl(2) + so(2),
+unhinted and hinted, pins a Levi whose ideals are of both kinds, compact
+and noncompact.
 """
 
 import contextlib
@@ -100,6 +101,9 @@ LEVI_ADJUSTED_DIGESTS = {
 
 SL6_SO6_ANALYZE_JSON = (
     "07d193726e160e51a852755ec8ab2c54d46ad03e6c5597b3b3d7a1c479e331e0")
+
+SL8_SO8_ANALYZE_JSON = (
+    "562cf7f04801e7e7dfa821210150ef1d3543075491ac4333172726d47ff628ed")
 
 SL2X2_SO3_ANALYZE_DIGESTS = {
     "unhinted text":
@@ -189,15 +193,24 @@ def test_levi_adjusted_output_is_unchanged(variant, fmt, shifted_diag):
     assert got == LEVI_ADJUSTED_DIGESTS[f"{variant} {fmt}"]
 
 
-def test_sl6_so6_analyze_output_is_unchanged(tmp_path):
-    problem = Problem(name="sl6_so6", matrix_size=6,
-                      basis=tuple(sl_basis(6)),
-                      subalgebra_basis=tuple(so_basis(6)))
+def sl_so_analyze_json(n: int, samples: str, tmp_path) -> str:
+    """sha256 of the ``analyze --format json`` transcript of sl(n)/so(n)."""
+    problem = Problem(name=f"sl{n}_so{n}", matrix_size=n,
+                      basis=tuple(sl_basis(n)),
+                      subalgebra_basis=tuple(so_basis(n)))
     path = tmp_path / f"{problem.name}.json"
     path.write_text(problem_to_json(problem), encoding="utf-8")
-    run = run_cli(["analyze", "--format", "json", "--samples", SAMPLES,
+    run = run_cli(["analyze", "--format", "json", "--samples", samples,
                    str(path)]).replace(str(path).encode(), path.name.encode())
-    assert hashlib.sha256(run).hexdigest() == SL6_SO6_ANALYZE_JSON
+    return hashlib.sha256(run).hexdigest()
+
+
+def test_sl6_so6_analyze_output_is_unchanged(tmp_path):
+    assert sl_so_analyze_json(6, SAMPLES, tmp_path) == SL6_SO6_ANALYZE_JSON
+
+
+def test_sl8_so8_analyze_output_is_unchanged(tmp_path):
+    assert sl_so_analyze_json(8, "5", tmp_path) == SL8_SO8_ANALYZE_JSON
 
 
 @pytest.mark.parametrize("hint", [None, (1, -1)],

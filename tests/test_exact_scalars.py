@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from sphlie.builders import add, scale, sl
 from sphlie.catalog import catalog_entries, get_entry, run_entry
-from sphlie.errors import DimensionMismatch, SpectrumError
+from sphlie.errors import DimensionMismatch
 from sphlie.linalg import (
     SpanSolver,
     Subspace,
@@ -25,6 +25,7 @@ from sphlie.linalg import (
     rref,
 )
 from sphlie.orbits import exp_ad_apply
+from sphlie.problem import build_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sphlie"
 PROPS = settings(max_examples=40, deadline=None)
@@ -143,14 +144,14 @@ def test_catalog_analyses_hold_no_float(name):
     assert_no_float(run_entry(get_entry(name), orbit_samples=3))
 
 
-def mixed(mats, seed):
+def mixed(mats, seed, entries=(-1, 0, 1)):
     """A unit lower times unit upper triangular recombination of ``mats``
-    with off-diagonal entries in {-1, 0, 1}."""
+    with off-diagonal entries drawn from ``entries``."""
     rng = random.Random(seed)
     d = len(mats)
-    low = [[1 if i == j else rng.choice((-1, 0, 1)) if j < i else 0
+    low = [[1 if i == j else rng.choice(entries) if j < i else 0
             for j in range(d)] for i in range(d)]
-    up = [[1 if i == j else rng.choice((-1, 0, 1)) if j > i else 0
+    up = [[1 if i == j else rng.choice(entries) if j > i else 0
            for j in range(d)] for i in range(d)]
     mix = [[sum(low[i][k] * up[k][j] for k in range(d)) for j in range(d)]
            for i in range(d)]
@@ -175,14 +176,28 @@ def remixed(problem, seed):
 @given(st.sampled_from(NAMES), st.integers(0, 2 ** 32))
 def test_mixed_basis_analyses_hold_no_float(name, seed):
     entry = get_entry(name)
-    try:
-        result = run_entry(replace(entry, problem=remixed(entry.problem, seed)),
-                           orbit_samples=3)
-    except SpectrumError:
-        # a mixed basis can push the torus's root values past the rational
-        # root search's budget; that refusal builds nothing to inspect
-        return
-    assert_no_float(result)
+    assert_no_float(run_entry(
+        replace(entry, problem=remixed(entry.problem, seed)), orbit_samples=3))
+
+
+def root_shape(problem):
+    cd = build_pair(problem).cartan
+    return len(cd.roots), sorted(cd.root_space(r).dim for r in cd.roots)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hinted_torus_splits_on_a_widely_mixed_basis(seed):
+    # the weight stage splits by elements of a that do not depend on g's
+    # basis, so their ad-eigenvalues stay small however g is mixed
+    problem = get_entry("sl2x3_diag_mixed").problem
+    wide = replace(problem, basis=mixed(problem.basis, seed,
+                                        (-1, 0, 1, F(1, 2), -2)))
+    assert root_shape(wide) == root_shape(problem)
+
+
+def test_remixed_sl3_so3_builds():
+    problem = get_entry("sl3_so3").problem
+    assert root_shape(remixed(problem, 5)) == root_shape(problem)
 
 
 # -- the division lint ---------------------------------------------------------

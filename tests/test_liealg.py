@@ -781,3 +781,25 @@ def test_analyze_never_builds_the_dense_table(monkeypatch, tmp_path, capsys):
     assert main(["analyze", "--samples", "2", str(path)]) == 0
     assert "PASS" in capsys.readouterr().out
     assert reads == []
+
+
+def test_weight_stage_reads_the_grading_off(monkeypatch):
+    # on g's own basis the weight stage sees only diagonal restrictions,
+    # so no Krylov sequence runs, unhinted on sl(4) and hinted on sl(2)^6
+    import sphlie.spectral as spectral
+    from sphlie.problem import Problem, build_pair
+
+    calls = []
+    real = spectral.vector_minimal_polynomial
+    monkeypatch.setattr(spectral, "vector_minimal_polynomial",
+                        lambda *args: calls.append(1) or real(*args))
+    assert len(cartan_data(sl(4)).roots) == 12
+    j = ((0, 1), (-1, 0))
+    sl2x6 = build_pair(Problem(
+        name="sl2x6_so2x6_hinted", matrix_size=12,
+        basis=tuple(direct_sum_basis([sl_basis(2)] * 6)),
+        subalgebra_basis=tuple(block_embed(j, 12, off)
+                               for off in range(0, 12, 2)),
+        minimal_parabolic_hint=(1, -1, 1, -1, 1, -1)))
+    assert len(sl2x6.cartan.roots) == 12
+    assert calls == []

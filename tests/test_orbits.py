@@ -185,6 +185,51 @@ def test_derivation_pair_rejects_non_semisimple_action():
         derivation_pair(g, x0, u)
 
 
+def test_derivation_pair_checks_the_zero_layer():
+    # x0 = diag(-1/3, -1/3, 2/3) grades u = span(H1, E13, E23) with zero
+    # layer span(H1) beside the layer 1: the positive layer is nilpotent by
+    # the grading, but ad H1 is semisimple on sl3
+    g = sl(3)
+    x0 = g.from_matrix([[F(-1, 3), 0, 0], [0, F(-1, 3), 0], [0, 0, F(2, 3)]])
+    u = g.span_of_matrices([
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+    ])
+    with pytest.raises(NotNilpotent, match="zero layer"):
+        derivation_pair(g, x0, u)
+    # with E12 in place of H1 the zero layer is nilpotent and u is accepted
+    u = g.span_of_matrices([
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+    ])
+    dp = derivation_pair(g, x0, u)
+    assert [(lam, sp.dim) for lam, sp in dp.layers] == [(0, 1), (1, 2)]
+
+
+def test_analyze_proves_nilpotency_by_the_grading(monkeypatch, tmp_path,
+                                                   capsys):
+    # the characteristic element grades the nilradical with no zero layer,
+    # so no power of an ad matrix is taken
+    import sphlie.orbits as orbits
+    from sphlie.builders import sl_basis, so_basis
+    from sphlie.cli import main
+    from sphlie.problem import Problem, problem_to_json
+
+    calls = []
+    real = orbits.mat_is_nilpotent
+    monkeypatch.setattr(orbits, "mat_is_nilpotent",
+                        lambda m: calls.append(1) or real(m))
+    path = tmp_path / "sl4_so4.json"
+    path.write_text(problem_to_json(Problem(
+        name="sl4_so4", matrix_size=4, basis=tuple(sl_basis(4)),
+        subalgebra_basis=tuple(so_basis(4)))), encoding="utf-8")
+    assert main(["analyze", "--samples", "5", str(path)]) == 0
+    assert "orbit identity: ok (5 samples)" in capsys.readouterr().out
+    assert calls == []
+
+
 # -- orbit identity ----------------------------------------------------------
 
 

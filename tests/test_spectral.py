@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphlie.spectral as spectral
 from sphlie.builders import sl
@@ -9,7 +11,11 @@ from sphlie.linalg import (
     as_matrix,
     canonical_basis,
     full_subspace,
+    kernel,
     mat_apply,
+    mat_invert,
+    mat_mul,
+    subspace_intersect,
     unit_vector,
 )
 from sphlie.spectral import (
@@ -86,18 +92,80 @@ def test_eigen_split_rejects_jordan_block():
         eigen_split(m, full_subspace(2))
 
 
+# a fixed unit upper triangular P; conjugating by it leaves the operator
+# diagonalizable but not diagonal, so eigen_split takes the Krylov path
+P8 = tuple(tuple(1 if j == i else (-1) ** j if j == i + 1 else
+                 2 if j == i + 3 else 0 for j in range(8)) for i in range(8))
+
+
 def test_eigen_split_computes_each_kernel_once(monkeypatch):
-    # ad H1 on sl3 has the five eigenvalues -2, -1, 0, 1, 2; several probe
-    # rounds are needed, and each eigenvalue's kernel is computed once.
+    # P ad(H1) P^-1 on sl3 has the five eigenvalues -2, -1, 0, 1, 2; each
+    # eigenvalue's kernel is computed once.
     g = sl(3)
+    op = mat_mul(mat_mul(P8, g.ad(unit_vector(g.dim, 0))), mat_invert(P8))
     calls = []
     real = spectral.kernel
     monkeypatch.setattr(spectral, "kernel",
                         lambda rows, n: calls.append(n) or real(rows, n))
-    split = eigen_split(g.ad(unit_vector(g.dim, 0)), g.full_space())
+    split = eigen_split(op, g.full_space())
     assert [lam for lam, _ in split] == [F(-2), F(-1), F(0), F(1), F(2)]
     assert [sp.dim for _, sp in split] == [1, 2, 2, 2, 1]
     assert len(calls) == 5
+
+
+def reference_split(op, sub, candidates):
+    """Reference: sub ∩ ker(op - lam) for each candidate eigenvalue, from
+    one kernel of the whole operator each."""
+    n = len(op)
+    out = []
+    for lam in sorted(set(candidates)):
+        shifted = [[op[i][j] - (lam if i == j else 0) for j in range(n)]
+                   for i in range(n)]
+        space = subspace_intersect(sub, kernel(shifted, n))
+        if space.dim:
+            out.append((lam, space))
+    return out
+
+
+def is_diagonal(m):
+    return all(not x for i, row in enumerate(m) for j, x in enumerate(row)
+               if i != j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from((0, 1, -1, 2, F(1, 2), F(-3, 2))),
+             min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.lists(st.sampled_from((0, 0, 1, -1, 2, F(1, 3))),
+             min_size=n * n, max_size=n * n),
+    st.booleans())))
+def test_eigen_split_matches_the_kernel_reference(data):
+    # diagonal D on a coordinate subspace, or P D P^-1 on its image under a
+    # unit lower times unit upper triangular P
+    diag, keep, mix, conjugate = data
+    n = len(diag)
+    d = tuple(tuple(diag[i] if i == j else 0 for j in range(n))
+              for i in range(n))
+    coords = [unit_vector(n, i) for i in range(n) if keep[i]]
+    op, sub = d, canonical_basis(coords, n)
+    if conjugate:
+        low, up = (tuple(tuple(1 if i == j else mix[i * n + j] if side(i, j)
+                               else 0 for j in range(n)) for i in range(n))
+                   for side in (int.__gt__, int.__lt__))
+        p = mat_mul(low, up)
+        op = mat_mul(mat_mul(p, d), mat_invert(p))
+        sub = canonical_basis([mat_apply(p, v) for v in coords], n)
+    calls = []
+    real = spectral.vector_minimal_polynomial
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "vector_minimal_polynomial",
+                   lambda *args: calls.append(1) or real(*args))
+        split = eigen_split(op, sub)
+    assert split == reference_split(op, sub, diag)
+    assert all(type(lam) is F for lam, _ in split)
+    diagonal = sub.dim == 0 or is_diagonal(restriction_matrix(op, sub))
+    assert (not calls) == diagonal
 
 
 def resolving_minimal_polynomial(apply_op, v):
