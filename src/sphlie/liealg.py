@@ -9,17 +9,19 @@ Conventions
   (``k``, ``s``, ``a``, root spaces, subalgebras under study) live in the
   d-dimensional coordinate space.
 * The Cartan involution defaults to ``theta(X) = -X^T`` and is stored as the
-  d x d matrix it induces on coordinates.
+  d x d matrix it induces on coordinates.  The default is proved, a given
+  theta checked, an involutive automorphism (:func:`cartan_decompose`).
 * A restricted root is stored as the tuple of its values, as Fractions, on
   the echelon basis of ``a``; positivity is lexicographic with respect to a
   chosen ordered basis of ``a`` (the echelon basis unless the caller
   supplies one).
 * The structure constants are stored sparsely: ``_terms[i][j]`` lists the
   nonzero (k, c) with [e_i, e_j] = sum_k c e_k.  The constructor forms each
-  [e_i, e_j] with i < j from the basis matrices' nonzero entries and takes
-  [e_j, e_i] as its negative; a subalgebra's table is read off the ambient
-  one.  ``structure``, the dense d x d x d table, is a read-only view built
-  on first read, and nothing in the package reads it.
+  [e_i, e_j] with i < j from the basis matrices' nonzero entries and reads
+  it off pivots (:meth:`~sphlie.linalg.SpanSolver.terms`, certified by a
+  zero sparse residual); [e_j, e_i] is its negative.  A subalgebra's table
+  is read off the ambient one.  ``structure``, the dense d x d x d table, is
+  a read-only view built on first read, and nothing in the package reads it.
 * The center, the derived algebra, the Killing and invariant forms and each
   validated Cartan decomposition are computed once, on first use, and cached
   on the :class:`LieAlgebra` instance, so they die with it.
@@ -40,6 +42,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -64,12 +67,12 @@ from .linalg import (
     canonical_basis,
     full_subspace,
     identity_matrix,
-    image_subspace,
     is_direct_sum,
     is_zero_vector,
     kernel,
     lin_comb,
     mat_add,
+    mat_apply,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -99,18 +102,19 @@ def _row_entries(m: Matrix) -> list[list[tuple[int, Scalar]]]:
     return [[(c, a) for c, a in enumerate(row) if a] for row in m]
 
 
-def _flat_commutator(x: list, y: list, n: int) -> list[Scalar]:
-    """xy - yx, flattened row by row, from the nonzero entries of x and y
-    as :func:`_row_entries` gives them."""
-    acc = [ZERO] * (n * n)
+def _flat_commutator(x: list, y: list, n: int) -> dict[int, Scalar]:
+    """xy - yx as its flattened entries {row * n + column: value}, formed
+    from the nonzero entries of x and y as :func:`_row_entries` gives them;
+    an entry that cancels stays as a zero."""
+    acc: dict[int, Scalar] = {}
     for r, (xr, yr) in enumerate(zip(x, y)):
         base = r * n
         for k, a in xr:
             for c, b in y[k]:
-                acc[base + c] += a * b
+                acc[base + c] = acc.get(base + c, ZERO) + a * b
         for k, b in yr:
             for c, a in x[k]:
-                acc[base + c] -= b * a
+                acc[base + c] = acc.get(base + c, ZERO) - b * a
     return acc
 
 
@@ -134,15 +138,16 @@ class LieAlgebra:
         except DimensionMismatch:
             raise DimensionMismatch("basis matrices are linearly dependent")
         entries = [_row_entries(b) for b in basis]
-        self._finish(basis, flat, name, lambda i, j: self._solver.coordinates(
+        self._finish(basis, flat, name, lambda i, j: self._solver.terms(
             _flat_commutator(entries[i], entries[j], n)),
             "bracket of basis elements {i} and {j} escapes the span")
 
     def _finish(self, basis: tuple, flat: list, name: str,
-                bracket_coords: Callable, escape: str) -> None:
+                bracket_terms: Callable, escape: str) -> None:
         """Set the fields every construction path shares.  The structure
-        table needs ``bracket_coords(i, j)``, the coordinates of [e_i, e_j]
-        or None, only for i < j: [e_j, e_i] = -[e_i, e_j], [e_i, e_i] = 0."""
+        table needs ``bracket_terms(i, j)``, the nonzero (k, c) of
+        [e_i, e_j] in increasing k or None, only for i < j:
+        [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0."""
         self.matrix_size = len(basis[0])
         self.basis = basis
         self.name = name
@@ -152,11 +157,11 @@ class LieAlgebra:
         terms = [[[] for _ in range(d)] for _ in range(d)]
         for i, ti in enumerate(terms):
             for j in range(i + 1, d):
-                coords = bracket_coords(i, j)
-                if coords is None:
+                tij = bracket_terms(i, j)
+                if tij is None:
                     raise NotClosed(escape.format(i=i, j=j))
-                ti[j] = [(k, c) for k, c in enumerate(coords) if c]
-                terms[j][i] = [(k, -c) for k, c in ti[j]]
+                ti[j] = tij
+                terms[j][i] = [(k, -c) for k, c in tij]
         self._terms = terms
         self._cartan: dict = {}  # validated (theta, k, s); key None is -X^T
 
@@ -331,10 +336,15 @@ def subalgebra(g: LieAlgebra, s: Subspace, name: Optional[str] = None) -> LieAlg
         raise DimensionMismatch("a subalgebra needs a nonzero subspace of g")
     n = g.matrix_size
     flat = [lin_comb(row, g._flat, n * n) for row in s.basis]
+
+    def bracket_terms(i: int, j: int) -> Optional[list]:
+        coords = s.coordinates_of(g.bracket(s.basis[i], s.basis[j]))
+        return (None if coords is None
+                else [(k, c) for k, c in enumerate(coords) if c])
+
     sub = LieAlgebra.__new__(LieAlgebra)
     sub._finish(tuple(mat_unflatten(f, n) for f in flat), flat,
-                name or f"{g.name}|sub",
-                lambda i, j: s.coordinates_of(g.bracket(s.basis[i], s.basis[j])),
+                name or f"{g.name}|sub", bracket_terms,
                 "subspace is not closed under the bracket")
     return sub
 
@@ -378,8 +388,9 @@ def centralizer_in(g: LieAlgebra, s: Subspace, within: Optional[Subspace] = None
 
 
 def default_involution(g: LieAlgebra) -> Matrix:
-    """Matrix on coordinates of theta(X) = -X^T; errors if the realization is
-    not closed under transpose."""
+    """Matrix on coordinates of theta(X) = -X^T, one exact solve of -b^T in
+    g per basis matrix b; raises NotClosed if the realization is not closed
+    under transpose."""
     cols = []
     for i, b in enumerate(g.basis):
         img = g.from_matrix(mat_scale(-1, mat_transpose(b)))
@@ -391,7 +402,8 @@ def default_involution(g: LieAlgebra) -> Matrix:
     return tuple(tuple(cols[j][k] for j in range(g.dim)) for k in range(g.dim))
 
 
-def _validate_involution(g: LieAlgebra, theta: Matrix) -> None:
+def _validate_involution(g: LieAlgebra, theta: Matrix) -> Matrix:
+    """theta, once checked an involutive automorphism of g."""
     d = g.dim
     sq = mat_mul(theta, theta)
     if sq != identity_matrix(d):
@@ -408,17 +420,22 @@ def _validate_involution(g: LieAlgebra, theta: Matrix) -> None:
             if tuple(lhs) != g.bracket(cols[i], cols[j]):
                 raise CertificationError(
                     f"theta is not an automorphism (fails on basis pair {i},{j})")
+    return theta
 
 
 def cartan_decompose(g: LieAlgebra, theta: Optional[Matrix] = None
                      ) -> tuple[Matrix, Subspace, Subspace]:
     """Validated Cartan decomposition g = k + s for an involution theta
-    (default -X^T).  Returns (theta, k, s), validated once per algebra and
-    involution and cached on ``g``."""
+    (default -X^T).  Returns (theta, k, s), once per algebra and involution,
+    cached on ``g``.  A given theta is checked: theta^2 = 1 and theta is
+    multiplicative on every pair of basis elements.  The default is proved:
+    :func:`default_involution` solves -b^T in g for every basis matrix b, so
+    it is X -> -X^T on g's coordinates, and for all matrices
+    -[X, Y]^T = [-X^T, -Y^T] and -(-X^T)^T = X."""
     key = None if theta is None else as_matrix(theta)
     if key not in g._cartan:
-        th = default_involution(g) if key is None else key
-        _validate_involution(g, th)
+        th = (default_involution(g) if key is None
+              else _validate_involution(g, key))
         d, one = g.dim, identity_matrix(g.dim)
         k = kernel(mat_sub(th, one), d)
         s = kernel(mat_add(th, one), d)
@@ -465,6 +482,8 @@ class CartanData:
     (:func:`_root_decomposition`); constructing a CartanData runs the
     ordering stage, which derives and certifies the fields after them, so
     ``dataclasses.replace(cd, positivity=...)`` reorders the same roots.
+    That stage works on the roots by position in ints, with no set or dict
+    keyed by Fraction tuples; the root fields stay tuples of Fractions.
     """
 
     algebra: LieAlgebra
@@ -486,44 +505,50 @@ class CartanData:
     def __post_init__(self) -> None:
         """The ordering stage: positive roots by ``positivity``, simple
         roots and the coordinates of each positive root in them, n and p.
-        ``positivity`` must be a basis of a."""
+        ``positivity`` must be a basis of a.  Scaled to ints by one common
+        denominator, the roots keep their signs, order and coordinates."""
         a, roots = self.a, self.roots
-        pos_coords = [a.coordinates_of(v) for v in self.positivity]
-        positives = tuple(
-            r for r in roots
-            if _lex_positive([sum((c * x for c, x in zip(coords, r)), ZERO)
-                              for coords in pos_coords]))
-        posset = set(positives)
-        for r in roots:
-            if (r in posset) == (_negative(r) in posset):
+        scaled = _integral(roots)
+        pos_coords = [_integral([a.coordinates_of(v)])[0]
+                      for v in self.positivity]
+        positive = [_lex_positive([sum(c * x for c, x in zip(coords, r))
+                                   for coords in pos_coords])
+                    for r in scaled]
+        index = {r: i for i, r in enumerate(scaled)}
+        for i, r in enumerate(scaled):
+            neg = index.get(tuple(-x for x in r))
+            if positive[i] == (neg is not None and positive[neg]):
                 raise CertificationError(
-                    f"root {r} and its negative get the same sign; positivity "
-                    f"basis does not order the roots")
+                    f"root {roots[i]} and its negative get the same sign; "
+                    f"positivity basis does not order the roots")
 
-        simples = tuple(sorted(
-            r for r in positives
-            if not any(tuple(x - y for x, y in zip(r, b)) in posset
-                       for b in positives)))
+        pos = [i for i, up in enumerate(positive) if up]
+        posset = {scaled[i] for i in pos}
+        simple = sorted(
+            (i for i in pos
+             if not any(tuple(x - y for x, y in zip(scaled[i], scaled[b]))
+                        in posset for b in pos)),
+            key=scaled.__getitem__)
 
         # independent simple roots give every positive root unique
         # coordinates in them, which must be nonnegative
         try:
-            solver = SpanSolver(simples, a.dim)
+            solver = SpanSolver([scaled[i] for i in simple], a.dim)
         except DimensionMismatch:
             raise CertificationError(
                 "simple roots are linearly dependent") from None
-        coordinates = tuple(solver.coordinates(r) for r in positives)
-        for r, sol in zip(positives, coordinates):
+        coordinates = tuple(solver.coordinates(scaled[i]) for i in pos)
+        for i, sol in zip(pos, coordinates):
             if sol is None or any(c < 0 for c in sol):
                 raise CertificationError(
-                    f"positive root {r} is not a nonnegative combination of "
-                    f"the simple roots")
+                    f"positive root {roots[i]} is not a nonnegative "
+                    f"combination of the simple roots")
 
-        n = canonical_basis([v for r, sp in zip(roots, self._spaces)
-                             if r in posset for v in sp.basis], a.ambient_dim)
+        n = canonical_basis([v for i in pos for v in self._spaces[i].basis],
+                            a.ambient_dim)
         for name, value in (("n", n), ("p", subspace_sum(self.zero_space, n)),
-                            ("positive_roots", positives),
-                            ("simple_roots", simples),
+                            ("positive_roots", tuple(roots[i] for i in pos)),
+                            ("simple_roots", tuple(roots[i] for i in simple)),
                             ("simple_coordinates", coordinates)):
             object.__setattr__(self, name, value)
 
@@ -540,7 +565,7 @@ class CartanData:
         for a negative root)."""
         coords = self._by_root[root][1]
         if coords is None:
-            coords = self._by_root[_negative(root)][1]
+            coords = self._by_root[tuple(-x for x in root)][1]
         return frozenset(i for i, c in enumerate(coords) if c)
 
     def root_space(self, root: Root) -> Subspace:
@@ -561,8 +586,11 @@ class CartanData:
         return _exact(sum((c * r for c, r in zip(coords, root)), ZERO))
 
 
-def _negative(root: Root) -> Root:
-    return tuple(-x for x in root)
+def _integral(vectors: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
+    """The vectors times the lcm of their entries' denominators, as ints."""
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    return [tuple([x.numerator * (den // x.denominator) for x in v])
+            for v in vectors]
 
 
 def _lex_positive(values: Sequence[Scalar]) -> bool:
@@ -582,38 +610,51 @@ def _root_decomposition(g: LieAlgebra, a: Subspace,
 
     g is split by the echelon basis of a's matrices, flattened to n x n
     coordinates: those elements, and so the eigenvalues of their ad, do not
-    depend on g's basis.  Each joint eigenspace's root is then read on a's
+    depend on g's basis.  When all their ads are diagonal on g's basis, the
+    unit vectors with equal tuples of diagonal entries span one joint
+    eigenspace, already in RREF; otherwise each ad refines the split by
+    :func:`eigen_split`.  Each joint eigenspace's root is then read on a's
     echelon basis at the pivot p of its first vector v, where v_p = 1:
-    alpha(h) = [h, v]_p, one bracket per basis element of a."""
-    nn = g.matrix_size ** 2
+    alpha(h) = [h, v]_p.  theta is invertible, so theta(g_alpha) = g_-alpha
+    when their dimensions agree and theta maps g_alpha into g_-alpha."""
+    nn, d = g.matrix_size ** 2, g.dim
     flat = canonical_basis([lin_comb(h, g._flat, nn) for h in a.basis], nn)
-    pieces = [g.full_space()]
-    for f in flat.basis:
-        adh = g.ad(g._solver.coordinates(f))
-        pieces = [eig for sub in pieces for _, eig in eigen_split(adh, sub)]
+    ads = [g.ad(g._solver.coordinates(f)) for f in flat.basis]
+    if all(not any(row[:i]) and not any(row[i + 1:])
+           for adh in ads for i, row in enumerate(adh)):
+        groups = defaultdict(list)
+        for i in range(d):
+            groups[tuple(adh[i][i] for adh in ads)].append(unit_vector(d, i))
+        pieces = [Subspace(d, tuple(vs)) for vs in groups.values()]
+    else:
+        pieces = [g.full_space()]
+        for adh in ads:
+            pieces = [eig for sub in pieces for _, eig in eigen_split(adh, sub)]
 
     weights = {}
     for sp in pieces:
         v, p = sp.basis[0], sp.pivots[0]
-        weights[tuple(Fraction(g.bracket(h, v)[p]) for h in a.basis)] = sp
+        weights[tuple(g.bracket(h, v)[p] for h in a.basis)] = sp
     zero_sp = weights.pop((ZERO,) * a.dim, None)
     if zero_sp is None:  # pragma: no cover - a is inside its own 0-space
         raise CertificationError("zero weight space is missing")
-    roots = tuple(sorted(weights))
+    keys = sorted(weights)
+    roots = tuple(tuple(Fraction(x) for x in key) for key in keys)
 
     m = subspace_intersect(zero_sp, k)
     if not is_direct_sum(zero_sp, m, a):
         raise CertificationError("g0 does not split as m + a")
 
-    # theta must carry each root space onto the opposite one
-    for r in roots:
-        if image_subspace(th, weights[r]) != weights[_negative(r)]:
+    for r, key in zip(roots, keys):
+        sp, neg = weights[key], weights.get(tuple(-x for x in key))
+        if (neg is None or neg.dim != sp.dim
+                or not all(neg.contains(mat_apply(th, v)) for v in sp.basis)):
             raise CertificationError(
                 f"theta does not map the root space of {r} onto its negative")
 
     return CartanData(
         algebra=g, theta=th, k=k, s=s, a=a, positivity=tuple(positivity),
-        roots=roots, _spaces=tuple(weights[r] for r in roots),
+        roots=roots, _spaces=tuple(weights[key] for key in keys),
         zero_space=zero_sp, m=m)
 
 

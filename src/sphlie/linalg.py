@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -87,7 +88,7 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
 
 
 def vec_scale(c, v: Vector) -> Vector:
-    c = _exact(Fraction(c))
+    c = c if type(c) is int else _exact(Fraction(c))
     return _exact_row(c * a if a else ZERO for a in v)
 
 
@@ -168,47 +169,43 @@ class Subspace:
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self._echelon)
+        return tuple(self._rows_at)
 
     @cached_property
-    def _echelon(self) -> tuple[tuple[int, tuple[tuple[int, Scalar], ...]], ...]:
-        """Per basis row: its pivot and its nonzero (column, entry) pairs."""
-        rows = [tuple((j, a) for j, a in enumerate(row) if a)
-                for row in self.basis]
-        return tuple((nz[0][0], nz) for nz in rows)
+    def _rows_at(self) -> dict[int, tuple[tuple[int, Scalar], ...]]:
+        """Per basis row, in order: its pivot -> its nonzero (column, entry)
+        pairs off the pivot."""
+        rows = [[(j, a) for j, a in enumerate(row) if a] for row in self.basis]
+        return {nz[0][0]: tuple(nz[1:]) for nz in rows}
 
     def coordinates_of(self, v: Vector) -> Optional[Vector]:
         """Coordinates of v in the echelon basis, or None if v is outside.
 
-        Because the basis is in RREF the coordinates are v's pivot entries;
-        subtracting them over the rows' nonzero entries leaves a zero
-        residual exactly when v is inside.
+        Because the basis is in RREF the coordinates are v's pivot entries,
+        and v is inside exactly when :meth:`_read_off` leaves no residual.
         """
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient {self.ambient_dim}")
-        coords, residual = self._back_substitute(v)
-        if any(residual):
+        if any(self._read_off(dict(compress(enumerate(v), v))).values()):
             return None
-        return tuple(coords)
+        return _exact_row([v[p] for p in self.pivots])
 
-    def _back_substitute(self, v: Sequence[Scalar]
-                         ) -> tuple[list[Scalar], list[Scalar]]:
-        """v's echelon coordinates and v minus their combination; entries
-        of v that no row touches are passed through as given."""
-        residual = list(v)
-        coords = []
-        for p, nz in self._echelon:
-            c = residual[p]  # = v[p]: every other row vanishes at p
-            if type(c) is Fraction and c.denominator == 1:
-                c = c.numerator
-            coords.append(c)
-            if c:
+    def _read_off(self, v: dict[int, Scalar]) -> dict[int, Scalar]:
+        """v minus its combination of the echelon rows, for v and the result
+        given by their entries {column: value} (a column left out is zero).
+        Every row vanishes at the other rows' pivots, so the row with pivot
+        p has coefficient v[p], and only rows with p in v's support count."""
+        res = dict(v)
+        rows = self._rows_at
+        for p, c in v.items():
+            if c and (nz := rows.get(p)) is not None:
+                del res[p]
                 for j, a in nz:
-                    x = residual[j] - c * a
-                    residual[j] = (x.numerator if type(x) is Fraction
-                                   and x.denominator == 1 else x)
-        return coords, residual
+                    x = res.get(j, ZERO) - c * a
+                    res[j] = (x.numerator if type(x) is Fraction
+                              and x.denominator == 1 else x)
+        return res
 
     @cached_property
     def _free(self) -> tuple[int, ...]:
@@ -219,17 +216,16 @@ class Subspace:
     def residual(self, v: Sequence[Scalar]) -> Vector:
         """v's residual modulo the subspace, in its non-pivot coordinates.
 
-        Back substitution against the echelon basis leaves a zero at every
-        pivot, so these entries carry the whole residual: they vanish
-        exactly when v is inside, and the map is linear with kernel the
-        subspace.  Membership thus becomes linear conditions usable inside
-        kernels and ranks.
+        The residual of :meth:`_read_off` is zero at every pivot, so these
+        entries carry all of it: they vanish exactly when v is inside, and
+        the map is linear with kernel the subspace.  Membership thus becomes
+        linear conditions usable inside kernels and ranks.
         """
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient {self.ambient_dim}")
-        _, residual = self._back_substitute(v)
-        return tuple(residual[j] for j in self._free)
+        res = self._read_off(dict(compress(enumerate(v), v)))
+        return tuple(map(res.get, self._free, repeat(ZERO)))
 
     def contains(self, v: Vector) -> bool:
         return self.coordinates_of(v) is not None
@@ -352,10 +348,11 @@ def is_direct_sum(whole: Subspace, *parts: Subspace) -> bool:
 class SpanSolver:
     """Expresses vectors of Q^n in a fixed independent list, exactly.
 
-    Row-reduces ``[A | -I]`` once.  Back substitution of ``(v, 0)`` against
-    those echelon rows leaves a residual whose first n entries vanish
-    exactly when v is in the span and whose last k entries are then v's
-    coefficients in the list.  A dependent list raises DimensionMismatch.
+    Row-reduces ``[A | -I]`` once.  The residual of ``(v, 0)`` modulo those
+    echelon rows (:meth:`Subspace._read_off`, which visits only the rows
+    whose pivot lies in v's support) vanishes in its first n entries exactly
+    when v is in the span, and its last k entries are then v's coefficients
+    in the list.  A dependent list raises DimensionMismatch.
     """
 
     def __init__(self, rows: Sequence[Sequence[Scalar]], n: int):
@@ -375,11 +372,17 @@ class SpanSolver:
         if len(v) != self.n:
             raise DimensionMismatch(
                 f"vector length {len(v)} != span ambient {self.n}")
-        _, residual = self._augmented._back_substitute(
-            list(v) + [ZERO] * self.k)
-        if any(residual[:self.n]):
+        terms = self.terms(dict(compress(enumerate(v), v)))
+        return None if terms is None else tuple(
+            map(dict(terms).get, range(self.k), repeat(ZERO)))
+
+    def terms(self, v: dict[int, Scalar]) -> Optional[list[tuple[int, Scalar]]]:
+        """The nonzero (i, c), in increasing i, with v = sum c * rows[i],
+        for v given by its entries {column: value}; None if v is outside."""
+        res = self._augmented._read_off(v)
+        if any(x for j, x in res.items() if j < self.n):
             return None
-        return tuple(residual[self.n:])
+        return sorted((j - self.n, x) for j, x in res.items() if x)
 
 
 class DirectSum:
@@ -547,12 +550,6 @@ def mat_invert(a: Matrix) -> Matrix:
     if list(pivots) != list(range(n)):
         raise DimensionMismatch("matrix is singular")
     return tuple(tuple(row[n:]) for row in red)
-
-
-def image_subspace(m: Matrix, s: Subspace) -> Subspace:
-    """Span of m applied to a basis of s (m given in ambient coordinates)."""
-    return canonical_basis([mat_apply(m, row) for row in s.basis],
-                           len(m) if m else s.ambient_dim)
 
 
 def symmetric_signature(a: Matrix) -> tuple[int, int, int]:

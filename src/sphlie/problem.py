@@ -82,6 +82,8 @@ def parse_rational(value, where: str) -> Scalar:
 
 
 def parse_matrix(value, size: int, where: str) -> Matrix:
+    """A size x size matrix.  A row of plain ints (not bools) passes
+    through; only other rows format their entries' ``where[i][j]``."""
     if not isinstance(value, list) or len(value) != size:
         raise ProblemFormatError(
             f"{where}: expected {size} rows, got "
@@ -94,7 +96,8 @@ def parse_matrix(value, size: int, where: str) -> Matrix:
                 f"{where}[{i}]: expected {size} entries, got "
                 + (str(len(row)) if isinstance(row, list) else
                    type(row).__name__))
-        rows.append(tuple(parse_rational(e, f"{where}[{i}][{j}]")
+        rows.append(tuple(row) if all(type(e) is int for e in row) else
+                    tuple(parse_rational(e, f"{where}[{i}][{j}]")
                           for j, e in enumerate(row)))
     return tuple(rows)
 
@@ -146,10 +149,7 @@ def parse_problem_dict(data) -> Problem:
                        for row in raw)):
             raise ProblemFormatError(
                 f"theta: expected a {dim}x{dim} coordinate matrix")
-        theta = tuple(
-            tuple(parse_rational(e, f"theta[{i}][{j}]")
-                  for j, e in enumerate(row))
-            for i, row in enumerate(raw))
+        theta = parse_matrix(raw, dim, "theta")
     a_seed = None
     if data.get("a_seed") is not None:
         a_seed = parse_matrix_list(data["a_seed"], size, "a_seed")

@@ -14,7 +14,9 @@ catalog pair has dim g <= 9, so ``analyze`` of sl(6)/so(6) (dim 35) and
 of sl(8)/so(8) (dim 63) pin two pairs beyond the benchmark sizes.
 ``analyze`` of sl(2) + sl(2) + so(3) with h = sl(2) + sl(2) + so(2),
 unhinted and hinted, pins a Levi whose ideals are of both kinds, compact
-and noncompact.
+and noncompact.  ``analyze`` of sl(3)/so(3) with θ given as the coordinate
+matrix of −Xᵀ pins the path that checks a given θ, where the default is
+proved.
 """
 
 import contextlib
@@ -105,6 +107,9 @@ SL6_SO6_ANALYZE_JSON = (
 SL8_SO8_ANALYZE_JSON = (
     "562cf7f04801e7e7dfa821210150ef1d3543075491ac4333172726d47ff628ed")
 
+SL3_SO3_GIVEN_THETA_ANALYZE_JSON = (
+    "4ff47c433c8a03564c3bcc39d4e1f7576d0b32b242c5c65e55db3ab8c2ec2fdd")
+
 SL2X2_SO3_ANALYZE_DIGESTS = {
     "unhinted text":
         "b041d4e49308ee6c2e6927d91d283df6c1f54bd6aaf6f3165864d1fba14027d3",
@@ -193,11 +198,12 @@ def test_levi_adjusted_output_is_unchanged(variant, fmt, shifted_diag):
     assert got == LEVI_ADJUSTED_DIGESTS[f"{variant} {fmt}"]
 
 
-def sl_so_analyze_json(n: int, samples: str, tmp_path) -> str:
-    """sha256 of the ``analyze --format json`` transcript of sl(n)/so(n)."""
+def sl_so_analyze_json(n: int, samples: str, tmp_path, theta=None) -> str:
+    """sha256 of the ``analyze --format json`` transcript of sl(n)/so(n),
+    with ``theta`` as the problem's involution when given."""
     problem = Problem(name=f"sl{n}_so{n}", matrix_size=n,
                       basis=tuple(sl_basis(n)),
-                      subalgebra_basis=tuple(so_basis(n)))
+                      subalgebra_basis=tuple(so_basis(n)), theta=theta)
     path = tmp_path / f"{problem.name}.json"
     path.write_text(problem_to_json(problem), encoding="utf-8")
     run = run_cli(["analyze", "--format", "json", "--samples", samples,
@@ -211,6 +217,17 @@ def test_sl6_so6_analyze_output_is_unchanged(tmp_path):
 
 def test_sl8_so8_analyze_output_is_unchanged(tmp_path):
     assert sl_so_analyze_json(8, "5", tmp_path) == SL8_SO8_ANALYZE_JSON
+
+
+def test_sl3_so3_given_theta_analyze_output_is_unchanged(tmp_path):
+    """theta given as the coordinate matrix of -X^T: a problem's own theta
+    takes the fully checked path, where the default is proved.  On
+    sl_basis(3), -b^T is minus the basis matrix b^T."""
+    basis = sl_basis(3)
+    theta = tuple(tuple(-1 if basis[k] == tuple(zip(*b)) else 0 for b in basis)
+                  for k in range(len(basis)))
+    assert (sl_so_analyze_json(3, SAMPLES, tmp_path, theta)
+            == SL3_SO3_GIVEN_THETA_ANALYZE_JSON)
 
 
 @pytest.mark.parametrize("hint", [None, (1, -1)],

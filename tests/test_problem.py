@@ -187,6 +187,42 @@ def test_positioned_error_for_wrong_row_count_and_non_list_rows():
         parse_problem_dict(doc)
 
 
+@pytest.mark.parametrize("field, at, value, message", [
+    ("basis", (1, 0, 1), True,
+     "basis[1][0][1]: expected a number, got a boolean"),
+    ("basis", (0, 1, 1), 0.5,
+     "basis[0][1][1]: expected an integer or a 'p/q' string, got float"),
+    ("subalgebra_basis", (0, 1, 0), "1/0",
+     "subalgebra_basis[0][1][0]: malformed rational '1/0'"),
+    ("basis", (2, 0, 0), "one/2",
+     "basis[2][0][0]: malformed rational 'one/2'"),
+    ("theta", (1, 2), False,
+     "theta[1][2]: expected a number, got a boolean"),
+    ("theta", (2, 0), "3/x",
+     "theta[2][0]: malformed rational '3/x'"),
+])
+def test_bad_matrix_entries_are_located(field, at, value, message):
+    doc = good_doc()
+    doc["theta"] = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    *path, last = at
+    target = doc[field]
+    for k in path:
+        target = target[k]
+    target[last] = value
+    with pytest.raises(ProblemFormatError) as err:
+        parse_problem_dict(doc)
+    assert str(err.value) == message
+
+
+def test_int_rows_pass_through_and_other_rows_are_parsed():
+    doc = good_doc()
+    doc["basis"][0] = [[1, 0], ["0/3", "-1"]]
+    p = parse_problem_dict(doc)
+    assert p.basis[0] == ((1, 0), (0, -1))
+    assert p.basis[1] == ((0, 1), (0, 0))
+    assert all(type(e) is int for m in p.basis for row in m for e in row)
+
+
 def test_empty_basis_rejected_but_empty_subalgebra_allowed():
     doc = good_doc()
     doc["basis"] = []
@@ -445,18 +481,46 @@ def test_hinted_analyze_solves_each_center_once(monkeypatch, tmp_path, capsys):
 
 
 def test_hinted_build_validates_theta_once(monkeypatch):
+    """The default theta = -X^T is validated by one default_involution per
+    build, which solves -b^T in g for each basis matrix b; its automorphism
+    property is then proved, so cartan_decompose makes no bracket."""
     import sphlie.liealg as liealg
     from sphlie.catalog import get_entry
 
     calls = []
-    real = liealg._validate_involution
-    monkeypatch.setattr(liealg, "_validate_involution",
-                        lambda g, th: calls.append(g) or real(g, th))
+    real = liealg.default_involution
+    monkeypatch.setattr(liealg, "default_involution",
+                        lambda g: calls.append(g) or real(g))
     problem = get_entry("sl2x3_diag_mixed").problem
     assert problem.minimal_parabolic_hint is not None
     build_pair(problem)
     assert len(calls) == 1
     build_pair(problem)   # a new algebra validates its own theta
+    assert len(calls) == 2
+
+    brackets = []
+    real_bracket = liealg.LieAlgebra.bracket
+    monkeypatch.setattr(liealg.LieAlgebra, "bracket",
+                        lambda g, x, y: brackets.append(1) or real_bracket(g, x, y))
+    liealg.cartan_decompose(LieAlgebra(problem.basis))
+    assert brackets == []
+
+
+def test_hinted_build_checks_a_given_theta_once(monkeypatch):
+    """A theta given in the problem keeps the full check, once per build."""
+    import sphlie.liealg as liealg
+    from sphlie.catalog import get_entry
+
+    problem = get_entry("sl2x3_diag_mixed").problem
+    problem = dataclasses.replace(problem, theta=liealg.default_involution(
+        LieAlgebra(problem.basis)))
+    calls = []
+    real = liealg._validate_involution
+    monkeypatch.setattr(liealg, "_validate_involution",
+                        lambda g, th: calls.append(g) or real(g, th))
+    build_pair(problem)
+    assert len(calls) == 1
+    build_pair(problem)
     assert len(calls) == 2
 
 
