@@ -61,6 +61,7 @@ from .linalg import (
     ZERO,
     _exact,
     _exact_row,
+    _from_entries,
     as_matrix,
     as_vector,
     bilinear_value,
@@ -199,33 +200,42 @@ class LieAlgebra:
     # -- bracket and ad ------------------------------------------------------
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
+        """[x, y], accumulated over the table entries at the nonzero
+        coordinates of both; only the nonzero sums are normalised."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch(
                 f"bracket of vectors of lengths {len(x)}, {len(y)} in an "
                 f"algebra of dimension {self.dim}")
-        acc = [ZERO] * self.dim
+        acc: dict[int, Scalar] = {}
         ynz = [(j, yj) for j, yj in enumerate(y) if yj]
         for xi, ti in zip(x, self._terms):
             if xi:
                 for j, yj in ynz:
-                    c = xi * yj
-                    for k, s in ti[j]:
-                        acc[k] += c * s
-        return _exact_row(acc)
+                    if tij := ti[j]:
+                        c = xi * yj
+                        for k, s in tij:
+                            acc[k] = acc.get(k, ZERO) + c * s
+        return _from_entries(acc, self.dim)
 
     def ad(self, x: Sequence[Scalar]) -> Matrix:
-        """Matrix of y -> [x, y]; column j is [x, e_j]."""
+        """Matrix of y -> [x, y]; column j is [x, e_j].  Only the nonzero
+        entries are normalised."""
         if len(x) != self.dim:
             raise DimensionMismatch(
                 f"ad of a vector of length {len(x)} in an algebra of "
                 f"dimension {self.dim}")
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
+        acc: dict[tuple[int, int], Scalar] = {}
         for xi, ti in zip(x, self._terms):
             if xi:
                 for j, tij in enumerate(ti):
                     for k, s in tij:
-                        rows[k][j] += xi * s
-        return tuple(_exact_row(r) for r in rows)
+                        acc[k, j] = acc.get((k, j), ZERO) + xi * s
+        rows = [[ZERO] * self.dim for _ in range(self.dim)]
+        for (k, j), v in acc.items():
+            if v:
+                rows[k][j] = (v.numerator if type(v) is Fraction
+                              and v.denominator == 1 else v)
+        return tuple(map(tuple, rows))
 
     # -- canonical subspaces -------------------------------------------------
 

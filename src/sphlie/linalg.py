@@ -18,8 +18,12 @@ sum (:class:`DirectSum`), certifying ``whole = a ⊕ b ⊕ ...``
 (:func:`is_direct_sum`), combinations (:func:`lin_comb`), kernels and
 genuine linear systems (:func:`kernel`, :func:`solve_linear`), and a
 vector's residual modulo a subspace (:meth:`Subspace.residual`), which turns
-membership into linear conditions.  The kernel of a bracket condition lives
-in :func:`sphlie.liealg.transporter`.
+membership into linear conditions: :func:`subspace_intersect` is the kernel
+of the smaller side's residuals modulo the larger.  The kernel of a bracket
+condition lives in :func:`sphlie.liealg.transporter`.  Sparse vectors are
+dicts {coordinate: value} of their nonzero entries; :meth:`Subspace._read_off`
+reduces one, and the exponential series of :mod:`sphlie.orbits` runs on them
+in ints scaled by a common denominator.
 """
 
 from __future__ import annotations
@@ -50,6 +54,18 @@ def _exact_row(xs: Iterable[Scalar]) -> Vector:
     """A tuple of the entries of xs, each normalised as by :func:`_exact`."""
     return tuple([x.numerator if type(x) is Fraction and x.denominator == 1
                   else x for x in xs])
+
+
+def _from_entries(entries: dict[int, Scalar], n: int) -> Vector:
+    """The vector of length n with the given entries {coordinate: value},
+    each nonzero one normalised as by :func:`_exact`; a coordinate left out
+    is zero."""
+    out = [ZERO] * n
+    for k, x in entries.items():
+        if x:
+            out[k] = (x.numerator if type(x) is Fraction and x.denominator == 1
+                      else x)
+    return tuple(out)
 
 
 def _div(a: Scalar, b: Scalar) -> Scalar:
@@ -288,26 +304,27 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked coefficient system.
+    """a ∩ b, solved in the coordinates of the smaller side.
 
-    Solve sum_i x_i a_i - sum_j y_j b_j = 0; the x-part of each kernel basis
-    vector yields a generator of the intersection.
+    With a the side of smaller dimension p, v = sum_i x_i a_i lies in b
+    exactly when b.residual(v) = sum_i x_i b.residual(a_i) vanishes, since
+    the residual is linear with kernel b.  So the kernel of the matrix whose
+    columns are the residuals of a's basis, one row per non-pivot
+    coordinate of b, gives the intersection in a's p coordinates; a itself
+    when every residual is zero.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("intersection of subspaces of different ambients")
-    p, q = a.dim, b.dim
-    if p == 0 or q == 0:
-        return zero_subspace(a.ambient_dim)
-    if q == b.ambient_dim or p == a.ambient_dim:  # one side is everything
-        return a if q == b.ambient_dim else b
-    # rows of the homogeneous system, one per ambient coordinate
-    rows = []
-    for coord in range(a.ambient_dim):
-        rows.append([a.basis[i][coord] for i in range(p)]
-                    + [-b.basis[j][coord] for j in range(q)])
-    gens = [lin_comb(kv[:p], a.basis, a.ambient_dim)
-            for kv in _null_generators(rows, p + q)]
-    return canonical_basis(gens, a.ambient_dim)
+    if a.dim > b.dim:
+        a, b = b, a
+    if a.dim == 0 or b.dim == b.ambient_dim:
+        return a
+    rows = [row for row in zip(*[b.residual(v) for v in a.basis]) if any(row)]
+    if not rows:
+        return a
+    return canonical_basis([a.from_coordinates(x)
+                            for x in _null_generators(rows, a.dim)],
+                           a.ambient_dim)
 
 
 def complement_in(a: Subspace, b: Subspace) -> Subspace:

@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from random import Random
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (
     CertificationError,
+    DimensionMismatch,
     NotClosed,
     NotNilpotent,
     SpectrumError,
@@ -26,10 +28,12 @@ from .errors import (
 from .liealg import LieAlgebra
 from .linalg import (
     DirectSum,
+    Scalar,
     Subspace,
     Vector,
+    ZERO,
     _div,
-    _exact_row,
+    _from_entries,
     canonical_basis,
     is_zero_vector,
     lin_comb,
@@ -45,6 +49,77 @@ from .parabolic import ParabolicData, characteristic_element
 from .spectral import eigen_split
 
 
+def _scaled(v: Vector) -> tuple[dict[int, int], int]:
+    """v as (entries, den): the ints {coordinate: den * value} at v's
+    nonzero coordinates, for den the least common denominator of them."""
+    den = lcm(*[a.denominator for a in v if a])
+    return {i: a.numerator * (den // a.denominator)
+            for i, a in enumerate(v) if a}, den
+
+
+def _exponent(g: LieAlgebra, x: Vector) -> tuple[list, int]:
+    """x as (rows, dx) for :func:`_exp_ad_series`: x = xs / dx for ints
+    xs, and rows pairs each nonzero xs_i with the structure-table row
+    g._terms[i]."""
+    if len(x) != g.dim:
+        raise DimensionMismatch(
+            f"exponent of length {len(x)} in an algebra of dimension {g.dim}")
+    xs, dx = _scaled(x)
+    return [(c, g._terms[i]) for i, c in xs.items()], dx
+
+
+def _exp_ad_series(g: LieAlgebra, x: tuple[list, int], y: dict[int, Scalar],
+                   den: int) -> tuple[dict[int, Scalar], int]:
+    """e^{ad x} applied to y / den, as (entries, den') standing for
+    entries / den', for x given by :func:`_exponent` and y and entries by
+    {coordinate: value}.
+
+    With x = xs / dx, the k-th term t_k = (ad xs)^k y is formed from
+    t_{k-1} over the table rows of xs's nonzero coordinates, at t_{k-1}'s
+    nonzero coordinates only, and the partial sum is kept scaled by
+    k!·dx^k: S_k = k·dx·S_{k-1} + t_k.  So nothing is divided, and with
+    integral structure constants and y every entry stays an int.  The
+    series is its own certificate: once t_k = 0 it is exact, and since the
+    Krylov space of y has dimension at most dim g, a nonzero t_{dim g}
+    raises NotNilpotent.
+    """
+    rows, dx = x
+    total, term = dict(y), y
+    for k in range(1, g.dim + 1):
+        acc: dict[int, Scalar] = {}
+        for j, v in term.items():
+            for c, ti in rows:
+                if tij := ti[j]:
+                    cv = c * v
+                    for m, s in tij:
+                        acc[m] = acc.get(m, ZERO) + cv * s
+        term = {m: v for m, v in acc.items() if v}
+        if not term:
+            return total, den
+        f = k * dx
+        den *= f
+        for m, v in total.items():
+            total[m] = v * f
+        for m, v in term.items():
+            total[m] = total.get(m, ZERO) + v
+    raise NotNilpotent("ad of the given element is not nilpotent on y; "
+                       "the exponential series would not terminate")
+
+
+def _exp_ad_word(g: LieAlgebra, exponents: Sequence[tuple[list, int]],
+                 y: Vector) -> Vector:
+    """e^{ad x_1}(…(e^{ad x_k} y)) for the exponents of x_k, …, x_1 in
+    that order (:func:`_exponent`), by :func:`_exp_ad_series` on one scaled
+    sparse vector; each nonzero entry is divided once, at the end."""
+    if len(y) != g.dim:
+        raise DimensionMismatch(
+            f"vector of length {len(y)} in an algebra of dimension {g.dim}")
+    v, den = _scaled(y)
+    for x in exponents:
+        v, den = _exp_ad_series(g, x, v, den)
+    return _from_entries({m: _div(a, den) for m, a in v.items() if a}, g.dim)
+
+
 def exp_ad_apply(g: LieAlgebra, element: Vector, y: Vector) -> Vector:
     """e^{ad element} applied to y, as an exact finite series.
 
@@ -54,23 +129,10 @@ def exp_ad_apply(g: LieAlgebra, element: Vector, y: Vector) -> Vector:
     nilpotent on y and NotNilpotent is raised.  Nilpotency on all of g is
     not re-proved here: derivation_pair certifies it once for all of u, and
     group_element_candidates once per stream for the factors of its words.
-    Each term touches only its nonzero coordinates.
+    The terms are sparse and scaled to ints (:func:`_exp_ad_series`); each
+    nonzero entry of the sum is divided once.
     """
-    out = list(y)
-    term = y
-    for k in range(1, g.dim + 1):
-        term = g.bracket(element, term)
-        nz = [i for i, c in enumerate(term) if c]
-        if not nz:
-            return _exact_row(out)
-        if k > 1:
-            term = list(term)
-            for i in nz:
-                term[i] = _div(term[i], k)
-        for i in nz:
-            out[i] += term[i]
-    raise NotNilpotent("ad of the given element is not nilpotent on y; "
-                       "the exponential series would not terminate")
+    return _exp_ad_word(g, [_exponent(g, element)], y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +239,21 @@ def random_u_element(dp: DerivationPair, rng: Random) -> Vector:
 
 def orbit_identity_check(dp: DerivationPair, samples: int = 100,
                          seed: int = 0) -> OrbitIdentityReport:
-    """Sample rational U ∈ u and verify e^{ad U}x0 - x0 ∈ [x0, u] exactly."""
+    """Sample rational U ∈ u and verify e^{ad U}x0 - x0 ∈ [x0, u] exactly.
+
+    Membership is linear, so each sample reduces the scaled sparse
+    difference den·(e^{ad U}x0 - x0) by [x0, u]'s echelon rows
+    (:meth:`Subspace._read_off`), with no division and no dense vector."""
     g = dp.algebra
     rng = Random(seed)
+    x0, den0 = _scaled(dp.x0)
     for i in range(samples):
         u_elt = random_u_element(dp, rng)
-        diff = vec_sub(exp_ad_apply(g, u_elt, dp.x0), dp.x0)
-        if not dp.bracket_image.contains(diff):
+        diff, den = _exp_ad_series(g, _exponent(g, u_elt), x0, den0)
+        f = den // den0
+        for m, a in x0.items():
+            diff[m] -= a * f
+        if any(dp.bracket_image._read_off(diff).values()):
             return OrbitIdentityReport(ok=False, samples_run=i + 1,
                                        witness=u_elt)
     return OrbitIdentityReport(ok=True, samples_run=samples)

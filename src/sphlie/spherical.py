@@ -66,7 +66,7 @@ from .linalg import (
     symmetric_signature,
     vec_scale,
 )
-from .orbits import exp_ad_apply
+from .orbits import _exp_ad_word, _exponent
 from .parabolic import (
     LeviStructure,
     ParabolicData,
@@ -345,19 +345,24 @@ class GroupWord:
     Ad(exp X) = e^{ad X} for every matrix X, so Ad(word) is
     e^{ad x_1}∘…∘e^{ad x_k} and acts through g's structure constants with no
     matrix product or inverse.  ``ad`` and ``image`` need only ad-nilpotent
-    factors, which exp_ad_apply certifies per vector; ``matrix``, multiplied
-    out on first use, also needs nilpotent matrices and raises
-    DimensionMismatch otherwise.
+    factors, which the exponential series certifies per vector;
+    ``matrix``, multiplied out on first use, also needs nilpotent matrices
+    and raises DimensionMismatch otherwise.
     """
 
     algebra: LieAlgebra
     factors: tuple[Vector, ...]
 
     def ad(self, y: Vector) -> Vector:
-        """Ad(word) y = e^{ad x_1}(…(e^{ad x_k} y))."""
-        for x in reversed(self.factors):
-            y = exp_ad_apply(self.algebra, x, y)
-        return y
+        """Ad(word) y = e^{ad x_1}(…(e^{ad x_k} y)), with y kept sparse
+        and scaled to ints across all the factors."""
+        return _exp_ad_word(self.algebra, self._exponents, y)
+
+    @cached_property
+    def _exponents(self) -> tuple:
+        """The factors prepared for the series, last factor first."""
+        return tuple(_exponent(self.algebra, x)
+                     for x in reversed(self.factors))
 
     def image(self, sub: Subspace) -> Subspace:
         """Ad(word) sub in its canonical basis; sub itself for the empty

@@ -212,6 +212,46 @@ def test_subspace_intersect_matches_the_zassenhaus_reference(data):
     assert list(subspace_intersect(a, b).basis) == meet
 
 
+def stacked_meet(a, b):
+    """a ∩ b by the stacked formula: the kernel of [A | -B], one row per
+    ambient coordinate, then the span of sum_i x_i a_i over its basis."""
+    n, p, q = a.ambient_dim, a.dim, b.dim
+    if p + q == 0:
+        return []
+    rows = [[u[c] for u in a.basis] + [-w[c] for w in b.basis]
+            for c in range(n)]
+    red, pivots = dense_rref(rows)
+    gens = []
+    for f in (c for c in range(p + q) if c not in pivots):
+        x = [F(0)] * (p + q)
+        x[f] = F(1)
+        for row, col in zip(red, pivots):
+            x[col] = -row[f]
+        gens.append(dense_combination(x[:p], a.basis, n))
+    return dense_rref(gens)[0] if gens else []
+
+
+@PROPS
+@given(dims.flatmap(lambda n: st.tuples(
+    st.just(n), *[st.lists(vectors(n), max_size=4)] * 3)))
+def test_subspace_intersect_matches_the_stacked_kernel(data):
+    n, only_a, only_b, shared = data
+    a = canonical_basis(only_a + shared, n)
+    b = canonical_basis(only_b + shared, n)
+    meet = subspace_intersect(a, b)
+    assert list(meet.basis) == stacked_meet(a, b)
+    assert subspace_intersect(b, a) == meet
+    assert all(type(x) is int or x.denominator > 1
+               for row in meet.basis for x in row)
+    # a ⊆ b gives a, whichever side is passed first
+    both = canonical_basis(only_a + only_b + shared, n)
+    assert subspace_intersect(a, both) == a == subspace_intersect(both, a)
+    zero, full = canonical_basis([], n), canonical_basis(
+        [unit_vector(n, i) for i in range(n)], n)
+    assert subspace_intersect(zero, b) == zero == subspace_intersect(b, zero)
+    assert subspace_intersect(full, b) == b == subspace_intersect(b, full)
+
+
 def test_subspace_intersect_eliminates_twice(monkeypatch):
     import sphlie.linalg as linalg
 
@@ -223,8 +263,8 @@ def test_subspace_intersect_eliminates_twice(monkeypatch):
     b = canonical_basis([(F(1), F(1), F(0), F(0)), unit_vector(4, 2)], 4)
     calls.clear()
     assert subspace_intersect(a, b).basis == ((F(1), F(1), F(0), F(0)),)
-    # the null space of the stacked system, then the span of its a-parts;
-    # the null-space generators are sliced, never re-eliminated
+    # the null space of a's residuals modulo b, then the span of the
+    # combinations of a's basis it gives
     assert len(calls) == 2
 
 
