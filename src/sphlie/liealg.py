@@ -457,8 +457,10 @@ def cartan_decompose(g: LieAlgebra, theta: Optional[Matrix] = None
 
 def maximal_abelian(g: LieAlgebra, s: Subspace,
                     seed: Optional[Subspace] = None) -> Subspace:
-    """Maximal abelian subspace of s containing ``seed``, grown greedily in
-    echelon order.  Termination certificate: z_s(a) = a, checked exactly."""
+    """Maximal abelian subspace of s containing ``seed``, grown past it in
+    the echelon order of g's coordinates, so that growth depends on g's
+    basis; no catalog pair needs it.  Termination certificate: z_s(a) = a,
+    checked exactly, by one centralizer when the seed is already maximal."""
     a = seed if seed is not None else g.zero_space()
     if not a.is_contained_in(s):
         raise DimensionMismatch("seed is not contained in s")
@@ -688,10 +690,18 @@ def cartan_data(g: LieAlgebra,
                 ) -> CartanData:
     """Involution, Cartan split certified Cartan
     (:class:`~sphlie.errors.NotCartanInvolution` otherwise), maximal split
-    torus grown from ``a_seed``, restricted roots ordered by
-    ``positivity_basis`` (default: the echelon basis of a)."""
+    torus grown from ``a_seed`` (default: (diagonal matrices of g) ∩ s,
+    which commute, have rational ad-eigenvalues and do not depend on g's
+    basis), restricted roots ordered by ``positivity_basis`` (default: the
+    echelon basis of a)."""
     cartan = cartan_decompose(g, theta)
     _certify_cartan(g, *cartan[1:])
+    if a_seed is None:
+        n = g.matrix_size
+        off_diagonal = [[f[r * n + c] for f in g._flat]
+                        for r in range(n) for c in range(n) if r != c]
+        diagonal = kernel([row for row in off_diagonal if any(row)], g.dim)
+        a_seed = subspace_intersect(diagonal, cartan[2])
     a = maximal_abelian(g, cartan[2], seed=a_seed)
     positivity = a.basis
     if positivity_basis is not None:
@@ -794,31 +804,19 @@ def _levi_split(cd: CartanData, inside: Sequence[int], levi: Subspace
     return center, lc, ideals
 
 
-def _diagonal_cartan_data(g: LieAlgebra, theta: Optional[Matrix] = None
-                          ) -> CartanData:
-    """cartan_data with a grown from the diagonal matrices in s: they
-    commute, have rational ad-eigenvalues and do not depend on g's basis."""
-    s = cartan_decompose(g, theta)[2]
-    n = g.matrix_size
-    off_diagonal = [[f[r * n + c] for f in g._flat]
-                    for r in range(n) for c in range(n) if r != c]
-    diagonal = kernel([row for row in off_diagonal if any(row)], g.dim)
-    return cartan_data(g, theta, a_seed=subspace_intersect(diagonal, s))
-
-
 def simple_ideal_split(g: LieAlgebra) -> ReductiveSplit:
     """Split a reductive algebra, realized closed under X -> -X^T, into its
     center, its compact part and its noncompact simple ideals: the split of
     the Levi with every simple root (:func:`_levi_split`) in the restricted
-    roots of :func:`_diagonal_cartan_data`, so it does not depend on g's
-    basis.  The compact part is one entry (l_c, True), not one entry per
-    compact simple ideal."""
+    roots of :func:`cartan_data`, whose torus grows from the diagonal
+    matrices, so it does not depend on g's basis.  The compact part is one
+    entry (l_c, True), not one entry per compact simple ideal."""
     z, der = g.center(), g.derived_algebra()
     if not is_direct_sum(g.full_space(), z, der):
         raise NotReductive(f"{g.name} is not reductive")
     if der.dim == 0:
         return ReductiveSplit(center=z, ideals=())
-    cd = _diagonal_cartan_data(g)
+    cd = cartan_data(g)
     center, lc, ideals = _levi_split(cd, range(len(cd.simple_roots)),
                                      g.full_space())
     entries = [(ideal, False) for ideal in ideals]

@@ -19,7 +19,6 @@ from .linalg import (
     is_direct_sum,
     is_zero_vector,
     kernel,
-    project_along,
     restrict_bilinear_form,
     subspace_intersect,
     subspace_sum,
@@ -103,12 +102,14 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
             raise CertificationError(
                 "normalizer is not conjugation-equivariant (library bug)")
 
-    compactish = subspace_sum(fs.z_cp, fs.compact_ideals)
     dsub = fs.reductive_complement
-    c_std = complement_in(subspace_intersect(h_std, dsub),
-                          subspace_intersect(n_std, dsub))
-    a_std = project_along(c_std, fs.z_np, compactish)
-    m_std = project_along(c_std, compactish, fs.z_np)
+    hd = subspace_intersect(h_std, dsub)
+    n_a = subspace_intersect(n_std, fs.z_np)
+    n_m = subspace_intersect(n_std, subspace_sum(fs.z_cp, fs.compact_ideals))
+    # m complements h ∩ d in N_m, a complements (h ∩ d) + N_m in N_a
+    m_std = complement_in(subspace_intersect(hd, n_m), n_m)
+    a_std = complement_in(subspace_intersect(subspace_sum(hd, n_m), n_a), n_a)
+    c_std = subspace_sum(a_std, m_std)
 
     split_ok = (
         is_direct_sum(n_std, h_std, c_std)

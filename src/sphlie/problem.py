@@ -17,7 +17,6 @@ from .errors import CertificationError, ProblemFormatError
 from .liealg import (
     CartanData,
     LieAlgebra,
-    _diagonal_cartan_data,
     _noncompact_ideals,
     cartan_data,
 )
@@ -257,7 +256,7 @@ def positivity_from_hint(g: LieAlgebra, theta: Optional[Matrix],
     factor.  The split part of the center comes last with positive
     orientation.  Certified: a = (z(g) ∩ s) ⊕ (⊕_C a ∩ l_n,C).
     """
-    cd = _diagonal_cartan_data(g, theta)
+    cd = cartan_data(g, theta)
     noncompact = sorted(
         _noncompact_ideals(cd, range(len(cd.simple_roots)), g.full_space()),
         key=lambda sp: sp.pivots)

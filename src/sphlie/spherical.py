@@ -46,6 +46,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _div,
     canonical_basis,
     complement_in,
     exp_nilpotent_matrix,
@@ -396,14 +397,14 @@ def group_element_candidates(cd: CartanData, seed: int = 0
     """Deterministic stream of exact group elements in the realization of g,
     each a GroupWord with its description.
 
-    Order: the identity; one Weyl-type element exp(v) exp(theta v) exp(v) per
-    positive-root basis vector; single exponentials exp(t v) of root-space
-    basis vectors for small t; then seeded random products of such
-    exponentials.  After the identity, every root-space basis vector and
-    theta of every positive one is certified once to have a nilpotent
-    matrix (DimensionMismatch otherwise), so every factor's exponential is
-    a finite exact series.  No matrix is built here: a word's ``matrix``
-    is multiplied out only when asked for.
+    Order: the identity; one Weyl representative exp(v) exp(t theta v) exp(v)
+    per positive-root basis vector v, t = -2/alpha([v, theta v]) at any
+    scale of v; single exponentials exp(t v) of root-space basis vectors
+    for small t; then seeded random products of such exponentials.  After
+    the identity, every root-space basis vector and theta of every positive
+    one is certified once to have a nilpotent matrix (DimensionMismatch
+    otherwise), so every factor's exponential is a finite exact series.  A
+    word's ``matrix`` is multiplied out only when asked for.
     """
     g = cd.algebra
     yield GroupWord(g, ()), "identity"
@@ -418,6 +419,7 @@ def group_element_candidates(cd: CartanData, seed: int = 0
             raise DimensionMismatch(
                 "matrix is not nilpotent; exp series does not end")
     for root, i, v, tv in weyl:
+        tv = vec_scale(_div(-2, cd.root_value(root, g.bracket(v, tv))), tv)
         yield GroupWord(g, (v, tv, v)), f"weyl[{_fmt_root(root)}#{i}]"
     for t in (1, -1, 2, -2, 3, -3):
         for name, v in pool:

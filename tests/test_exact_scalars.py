@@ -160,16 +160,29 @@ def mixed(mats, seed, entries=(-1, 0, 1)):
 
 
 def remixed(problem, seed):
-    """problem on a mixed basis of g.  Unless a hint or a seed already
-    fixes it, the torus is seeded with g's diagonal basis matrices: grown
-    from a mixed echelon basis instead, it may have irrational eigenvalues
-    (SpectrumError)."""
-    a_seed = problem.a_seed
-    if a_seed is None and problem.minimal_parabolic_hint is None:
-        a_seed = tuple(m for m in problem.basis
-                       if all(x == 0 for i, row in enumerate(m)
-                              for j, x in enumerate(row) if i != j)) or None
-    return replace(problem, basis=mixed(problem.basis, seed), a_seed=a_seed)
+    """problem on a mixed basis of g: the same matrix pair, with g's basis
+    moved by :func:`mixed`."""
+    return replace(problem, basis=mixed(problem.basis, seed))
+
+
+# these follow the positive system, which still follows g's basis
+BASIS_BOUND_FIELDS = {"spherical_at_base", "needs_conjugation", "spherical",
+                      "adapted_subset"}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_mixed_basis_run_certifies_every_basis_free_field(name):
+    """The same matrix pair on six mixed bases of g: no SphlieError (the
+    torus grows from the diagonal matrices, so it has rational ad-spectrum
+    whatever g's basis), and every expected field that does not follow the
+    positive system holds, the normalizer split and the Weyl-candidate
+    conjugations included."""
+    entry = get_entry(name)
+    for seed in range(6):
+        moved = replace(entry, problem=remixed(entry.problem, seed))
+        result = run_entry(moved, orbit_samples=3)
+        assert {f.split(":")[0] for f in result.failures} <= \
+            BASIS_BOUND_FIELDS, (seed, result.failures)
 
 
 @settings(max_examples=15, deadline=None)

@@ -290,6 +290,31 @@ def test_maximal_abelian_sl2_default_and_seeded():
     assert centralizer_in(g, a2, within=s) == a2
 
 
+SEEDED_TORUS_ALGEBRAS = (
+    [(e.name, e.problem.basis) for e in catalog_entries()]
+    + [(f"sl{n}", sl_basis(n)) for n in (4, 5, 6)])
+
+
+@pytest.mark.parametrize("basis", [b for _, b in SEEDED_TORUS_ALGEBRAS],
+                         ids=[name for name, _ in SEEDED_TORUS_ALGEBRAS])
+def test_default_torus_seed_is_maximal(basis, monkeypatch):
+    """cartan_data seeds a with (diagonal matrices) ∩ s, which is already
+    maximal here, so the termination certificate z_s(a) = a is the only
+    centralizer_in call."""
+    import sphlie.liealg as liealg
+
+    calls = []
+    real = liealg.centralizer_in
+    monkeypatch.setattr(liealg, "centralizer_in",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    g = LieAlgebra(basis)
+    cd = cartan_data(g)
+    assert len(calls) == 1
+    n = g.matrix_size
+    assert all(m[r][c] == 0 for m in map(g.to_matrix, cd.a.basis)
+               for r in range(n) for c in range(n) if r != c)
+
+
 def test_restricted_roots_sl2():
     cd = cartan_data(sl(2))
     assert cd.roots == ((F(-2),), (F(2),))

@@ -20,7 +20,13 @@ from sphlie.builders import (
 )
 from sphlie.errors import CertificationError, NotClosed, NotReductive, NotSpherical
 from sphlie.liealg import LieAlgebra, cartan_data
-from sphlie.linalg import canonical_basis, identity_matrix, subspace_sum, zero_subspace
+from sphlie.linalg import (
+    canonical_basis,
+    identity_matrix,
+    mat_apply,
+    subspace_sum,
+    zero_subspace,
+)
 from sphlie.spherical import (
     adapted_parabolic,
     apply_ad,
@@ -496,11 +502,22 @@ def test_matrix_is_built_only_for_the_returned_element(monkeypatch):
 
 def matrix_stream(cd, seed):
     """The candidate stream as explicit matrix products: Weyl elements
-    exp(M)exp(theta M)exp(M), single exponentials exp(tM), then seeded
-    products of 2-4 such exponentials, with the descriptions' names."""
+    exp(M)exp(t theta M)exp(M), single exponentials exp(tM), then seeded
+    products of 2-4 such exponentials, with the descriptions' names.  For
+    the Weyl elements H = [M, theta M] satisfies [H, M] = lambda M, and
+    t = -2/lambda."""
     import random
 
-    from sphlie.linalg import exp_nilpotent_matrix, mat_apply, mat_mul, mat_scale
+    from sphlie.linalg import (
+        exp_nilpotent_matrix,
+        mat_apply,
+        mat_mul,
+        mat_scale,
+        mat_sub,
+    )
+
+    def bracket(x, y):
+        return mat_sub(mat_mul(x, y), mat_mul(y, x))
 
     g = cd.algebra
 
@@ -510,8 +527,15 @@ def matrix_stream(cd, seed):
     yield identity_matrix(g.matrix_size), "identity"
     for root in sorted(cd.positive_roots):
         for i, v in enumerate(cd.root_space(root).basis):
-            e = exp_nilpotent_matrix(g.to_matrix(v))
-            te = exp_nilpotent_matrix(g.to_matrix(mat_apply(cd.theta, v)))
+            m = g.to_matrix(v)
+            tm = g.to_matrix(mat_apply(cd.theta, v))
+            hm = bracket(bracket(m, tm), m)
+            r, c = next((r, c) for r, row in enumerate(m)
+                        for c, x in enumerate(row) if x)
+            lam = F(hm[r][c]) / m[r][c]
+            assert hm == mat_scale(lam, m)
+            e = exp_nilpotent_matrix(m)
+            te = exp_nilpotent_matrix(mat_scale(F(-2) / lam, tm))
             yield mat_mul(mat_mul(e, te), e), f"weyl[{fmt(root)}#{i}]"
     pool = [(f"g[{fmt(root)}#{i}]", g.to_matrix(v))
             for root in sorted(cd.roots)
@@ -534,13 +558,53 @@ def matrix_stream(cd, seed):
 
 
 def word_test_pairs():
-    from sphlie.catalog import catalog_entries
+    """Every catalog pair, sl(4)/so(4), and sl(2)/n and sl(3)/so(3) on mixed
+    bases of g, where the Weyl elements' root vectors are rescaled (t = 9;
+    t = 9, 4, 9)."""
+    from sphlie.catalog import catalog_entries, get_entry
     from sphlie.problem import Problem, build_pair
+    from test_exact_scalars import remixed
 
     problems = [e.problem for e in catalog_entries()]
     problems.append(
         Problem("sl4_so4", 4, tuple(sl_basis(4)), tuple(so_basis(4))))
+    problems += [remixed(get_entry("sl2_n").problem, 3),
+                 remixed(get_entry("sl3_so3").problem, 0)]
     return [build_pair(p) for p in problems]
+
+
+def weyl_words(cd):
+    """The Weyl candidates of the stream, which come before the first
+    single exponential."""
+    for word, desc in group_element_candidates(cd):
+        if desc.startswith("exp("):
+            return
+        if desc.startswith("weyl"):
+            yield word, desc
+
+
+def weyl_pairs():
+    from sphlie.catalog import catalog_entries
+    from sphlie.problem import build_pair
+    from test_exact_scalars import remixed
+
+    for entry in catalog_entries():
+        for seed in (None, *range(6)):
+            problem = (entry.problem if seed is None
+                       else remixed(entry.problem, seed))
+            yield f"{entry.name}-{seed}", build_pair(problem).cartan
+
+
+def test_weyl_candidates_normalize_a_on_any_basis():
+    """Ad(exp(v) exp(t theta v) exp(v)) a = a for every Weyl candidate, on
+    each catalog pair in its own basis and on six mixed bases of g, where v
+    is the echelon root vector at whatever scale g's basis gives it."""
+    scales = set()
+    for label, cd in weyl_pairs():
+        for word, desc in weyl_words(cd):
+            assert word.image(cd.a) == cd.a, (label, desc)
+            scales.add(word.factors[1] == mat_apply(cd.theta, word.factors[0]))
+    assert scales == {True, False}
 
 
 def test_word_action_matches_the_matrix_stream():
