@@ -22,8 +22,10 @@ membership into linear conditions: :func:`subspace_intersect` is the kernel
 of the smaller side's residuals modulo the larger.  The kernel of a bracket
 condition lives in :func:`sphlie.liealg.transporter`.  Sparse vectors are
 dicts {coordinate: value} of their nonzero entries; :meth:`Subspace._read_off`
-reduces one, and the exponential series of :mod:`sphlie.orbits` runs on them
-in ints scaled by a common denominator.
+reduces one, :func:`_scaled` scales one to ints by a common denominator, the
+exponential series of :mod:`sphlie.orbits` runs on them in that form, and
+:func:`int_rank` ranks them with no Fraction.  :func:`rref` stays the one
+elimination behind canonical bases.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress, repeat
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -74,6 +77,15 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
         return a // b if a % b == 0 else Fraction(a, b)
     q = (a if type(a) is Fraction else Fraction(a)) / b
     return q.numerator if q.denominator == 1 else q
+
+
+def _scaled(v: dict[int, Scalar]) -> tuple[dict[int, int], int]:
+    """v as (entries, den), for v given by its entries {coordinate: value}:
+    the ints {coordinate: den * value} at v's nonzero coordinates, for den
+    the least common denominator of them."""
+    den = lcm(*[a.denominator for a in v.values() if a])
+    return {i: a.numerator * (den // a.denominator)
+            for i, a in v.items() if a}, den
 
 
 def as_vector(entries: Iterable) -> Vector:
@@ -166,6 +178,42 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vector], list[int]]:
         if row == len(work):
             break
     return [tuple(r) for r in work[:row]], pivots
+
+
+def int_rank(rows: Iterable[dict[int, int]]) -> int:
+    """The rank of integer vectors given by their entries {column: value},
+    by fraction-free elimination.
+
+    Each echelon row is keyed by its least column, its pivot, and kept with
+    its gcd content divided out.  A new row whose least column is a pivot
+    loses that entry to the integer combination a·row - b·echelon_row,
+    with a/b the two entries' ratio in lowest terms; the echelon row has
+    nothing left of its pivot, so the row's least column grows each step.
+    The row vanishes (it was dependent) or reaches a free least column and
+    joins the echelon rows.  Rank is blind to a row's scale, so every step
+    is exact in ints: no Fraction is built and no ``/`` is used.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {j: a for j, a in row.items() if a}
+        while r:
+            lead = min(r)
+            e = echelon.get(lead)
+            if e is None:
+                c = gcd(*r.values())
+                echelon[lead] = r if c == 1 else {
+                    j: a // c for j, a in r.items()}
+                break
+            a, b = e[lead], r[lead]
+            c = gcd(a, b)
+            a, b = a // c, b // c
+            r = {j: a * x for j, x in r.items()}
+            for j, y in e.items():
+                if x := r.get(j, ZERO) - b * y:
+                    r[j] = x
+                else:
+                    del r[j]
+    return len(echelon)
 
 
 @dataclass(frozen=True)

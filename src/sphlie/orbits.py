@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import compress
+from math import gcd, lcm
 from random import Random
 from typing import Optional, Sequence
 
@@ -34,6 +35,7 @@ from .linalg import (
     ZERO,
     _div,
     _from_entries,
+    _scaled,
     canonical_basis,
     is_zero_vector,
     lin_comb,
@@ -49,23 +51,43 @@ from .parabolic import ParabolicData, characteristic_element
 from .spectral import eigen_split
 
 
-def _scaled(v: Vector) -> tuple[dict[int, int], int]:
-    """v as (entries, den): the ints {coordinate: den * value} at v's
-    nonzero coordinates, for den the least common denominator of them."""
-    den = lcm(*[a.denominator for a in v if a])
-    return {i: a.numerator * (den // a.denominator)
-            for i, a in enumerate(v) if a}, den
+def _scaled_in(g: LieAlgebra, y: Vector) -> tuple[dict[int, int], int]:
+    """A vector of g as (entries, den) (:func:`sphlie.linalg._scaled`),
+    after checking its length against dim g."""
+    if len(y) != g.dim:
+        raise DimensionMismatch(
+            f"vector of length {len(y)} in an algebra of dimension {g.dim}")
+    return _scaled(dict(compress(enumerate(y), y)))
 
 
 def _exponent(g: LieAlgebra, x: Vector) -> tuple[list, int]:
     """x as (rows, dx) for :func:`_exp_ad_series`: x = xs / dx for ints
-    xs, and rows pairs each nonzero xs_i with the structure-table row
-    g._terms[i]."""
-    if len(x) != g.dim:
-        raise DimensionMismatch(
-            f"exponent of length {len(x)} in an algebra of dimension {g.dim}")
-    xs, dx = _scaled(x)
+    xs, and rows pairs each nonzero xs_i, in increasing i, with the
+    structure-table row g._terms[i]."""
+    xs, dx = _scaled_in(g, x)
     return [(c, g._terms[i]) for i, c in xs.items()], dx
+
+
+def _combination_exponent(g: LieAlgebra, coeffs: Sequence[Scalar],
+                          basis: Sequence[tuple[dict[int, int], int]]
+                          ) -> tuple[list, int]:
+    """:func:`_exponent` of sum_i coeffs[i]·basis[i], for basis vectors
+    given as (entries, den), with no dense vector.
+
+    The sum is formed in ints over dx = lcm of the coefficients' and the
+    vectors' denominators, then divided by gcd(dx, its entries), which
+    leaves exactly the least common denominator and the ints that
+    :func:`_exponent` reads off the dense sum."""
+    dx = lcm(*[c.denominator * d for c, (_, d) in zip(coeffs, basis) if c])
+    acc: dict[int, int] = {}
+    for c, (e, d) in zip(coeffs, basis):
+        if c:
+            f = c.numerator * (dx // (c.denominator * d))
+            for j, a in e.items():
+                acc[j] = acc.get(j, ZERO) + f * a
+    content = gcd(dx, *acc.values())
+    return [(acc[j] // content, g._terms[j]) for j in sorted(acc)
+            if acc[j]], dx // content
 
 
 def _exp_ad_series(g: LieAlgebra, x: tuple[list, int], y: dict[int, Scalar],
@@ -106,17 +128,23 @@ def _exp_ad_series(g: LieAlgebra, x: tuple[list, int], y: dict[int, Scalar],
                        "the exponential series would not terminate")
 
 
-def _exp_ad_word(g: LieAlgebra, exponents: Sequence[tuple[list, int]],
-                 y: Vector) -> Vector:
+def _exp_ad_scaled(g: LieAlgebra, exponents: Sequence[tuple[list, int]],
+                   y: tuple[dict[int, int], int]) -> tuple[dict[int, int], int]:
     """e^{ad x_1}(…(e^{ad x_k} y)) for the exponents of x_k, …, x_1 in
-    that order (:func:`_exponent`), by :func:`_exp_ad_series` on one scaled
-    sparse vector; each nonzero entry is divided once, at the end."""
-    if len(y) != g.dim:
-        raise DimensionMismatch(
-            f"vector of length {len(y)} in an algebra of dimension {g.dim}")
-    v, den = _scaled(y)
+    that order (:func:`_exponent`), with y and the result given as
+    (entries, den): :func:`_exp_ad_series` on one scaled sparse vector,
+    with nothing divided."""
+    v, den = y
     for x in exponents:
         v, den = _exp_ad_series(g, x, v, den)
+    return v, den
+
+
+def _exp_ad_word(g: LieAlgebra, exponents: Sequence[tuple[list, int]],
+                 y: Vector) -> Vector:
+    """:func:`_exp_ad_scaled` of the dense vector y, with each nonzero
+    entry of the result divided once, at the end."""
+    v, den = _exp_ad_scaled(g, exponents, _scaled_in(g, y))
     return _from_entries({m: _div(a, den) for m, a in v.items() if a}, g.dim)
 
 
@@ -232,30 +260,41 @@ _COEFF_POOL = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3, 0,
                Fraction(1, 3))
 
 
+def _draw(dp: DerivationPair, rng: Random) -> list[Scalar]:
+    """One coefficient from the pool per basis vector of u."""
+    return [rng.choice(_COEFF_POOL) for _ in dp.u.basis]
+
+
 def random_u_element(dp: DerivationPair, rng: Random) -> Vector:
-    coeffs = [rng.choice(_COEFF_POOL) for _ in dp.u.basis]
-    return lin_comb(coeffs, dp.u.basis, dp.algebra.dim)
+    return lin_comb(_draw(dp, rng), dp.u.basis, dp.algebra.dim)
 
 
 def orbit_identity_check(dp: DerivationPair, samples: int = 100,
                          seed: int = 0) -> OrbitIdentityReport:
     """Sample rational U ∈ u and verify e^{ad U}x0 - x0 ∈ [x0, u] exactly.
 
-    Membership is linear, so each sample reduces the scaled sparse
-    difference den·(e^{ad U}x0 - x0) by [x0, u]'s echelon rows
-    (:meth:`Subspace._read_off`), with no division and no dense vector."""
+    Each U is drawn as :func:`random_u_element` draws it, but built
+    straight into the series' scaled sparse form from u's basis, scaled
+    once (:func:`_combination_exponent`); the dense U is formed only as the
+    witness of a failing sample.  Membership is linear, so each sample
+    reduces the scaled sparse difference den·(e^{ad U}x0 - x0) by
+    [x0, u]'s echelon rows (:meth:`Subspace._read_off`), with no division
+    and no dense vector."""
     g = dp.algebra
     rng = Random(seed)
-    x0, den0 = _scaled(dp.x0)
+    x0, den0 = _scaled_in(g, dp.x0)
+    basis = [_scaled_in(g, b) for b in dp.u.basis]
     for i in range(samples):
-        u_elt = random_u_element(dp, rng)
-        diff, den = _exp_ad_series(g, _exponent(g, u_elt), x0, den0)
+        coeffs = _draw(dp, rng)
+        diff, den = _exp_ad_series(
+            g, _combination_exponent(g, coeffs, basis), x0, den0)
         f = den // den0
         for m, a in x0.items():
             diff[m] -= a * f
         if any(dp.bracket_image._read_off(diff).values()):
-            return OrbitIdentityReport(ok=False, samples_run=i + 1,
-                                       witness=u_elt)
+            return OrbitIdentityReport(
+                ok=False, samples_run=i + 1,
+                witness=lin_comb(coeffs, dp.u.basis, g.dim))
     return OrbitIdentityReport(ok=True, samples_run=samples)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     CertificationError,
@@ -44,13 +44,17 @@ from .liealg import (
 from .linalg import (
     DirectSum,
     Matrix,
+    Scalar,
     Subspace,
     Vector,
     _div,
+    _from_entries,
+    _scaled,
     canonical_basis,
     complement_in,
     exp_nilpotent_matrix,
     identity_matrix,
+    int_rank,
     is_direct_sum,
     lin_comb,
     mat_apply,
@@ -60,14 +64,13 @@ from .linalg import (
     mat_scale,
     project_along,
     restrict_bilinear_form,
-    rref,
     solve_linear,
     subspace_intersect,
     subspace_sum,
     symmetric_signature,
     vec_scale,
 )
-from .orbits import _exp_ad_word, _exponent
+from .orbits import _exp_ad_scaled, _exp_ad_word, _exponent, _scaled_in
 from .parabolic import (
     LeviStructure,
     ParabolicData,
@@ -101,16 +104,28 @@ def spherical_pair(cd: CartanData, h: Subspace, label: str = "") -> SphericalPai
     return SphericalPair(cartan=cd, h=h, label=label)
 
 
-def _open_defect(cd: CartanData, vectors: Sequence[Vector]) -> int:
-    """dim g - dim(p + span vectors), from one elimination of the vectors'
-    residuals modulo p: their rank is dim(p + span vectors) - dim p."""
-    rows, _ = rref([cd.p.residual(v) for v in vectors])
-    return cd.algebra.dim - cd.p.dim - len(rows)
+def _open_defect(cd: CartanData, vectors: Iterable[dict[int, Scalar]]
+                 ) -> int:
+    """dim g - dim(p + span vectors), for vectors given by their entries
+    {coordinate: value} at any nonzero scale, such as the series' scaled
+    ints.
+
+    Each vector's residual modulo p (:meth:`Subspace._read_off`) lies in
+    p's non-pivot coordinates, and the residuals' rank is
+    dim(p + span vectors) - dim p.  A rank does not depend on the scale of
+    a row, so each residual is scaled to ints by its entries' least common
+    denominator, which is 1 when p's echelon rows and the vector are
+    integral, and :func:`int_rank` ranks them in one fraction-free
+    elimination."""
+    rank = int_rank([_scaled(cd.p._read_off(v))[0] for v in vectors])
+    return cd.algebra.dim - cd.p.dim - rank
 
 
 def is_spherical(pair: SphericalPair) -> tuple[bool, int]:
     """Whether p + h = g, together with the defect dim g - dim(p + h)."""
-    defect = _open_defect(pair.cartan, pair.h.basis)
+    g = pair.algebra
+    defect = _open_defect(pair.cartan,
+                          [_scaled_in(g, v)[0] for v in pair.h.basis])
     return defect == 0, defect
 
 
@@ -359,6 +374,12 @@ class GroupWord:
         and scaled to ints across all the factors."""
         return _exp_ad_word(self.algebra, self._exponents, y)
 
+    def _ad_scaled(self, y: tuple[dict[int, int], int]
+                   ) -> tuple[dict[int, int], int]:
+        """Ad(word) y for y and the result given as (entries, den) standing
+        for entries / den: the series' own scaled ints, nothing divided."""
+        return _exp_ad_scaled(self.algebra, self._exponents, y)
+
     @cached_property
     def _exponents(self) -> tuple:
         """The factors prepared for the series, last factor first."""
@@ -375,9 +396,16 @@ class GroupWord:
 
     @cached_property
     def inverse(self) -> GroupWord:
-        """word⁻¹ = exp(-x_k)···exp(-x_1)."""
-        return GroupWord(self.algebra, tuple(
-            vec_scale(-1, x) for x in reversed(self.factors)))
+        """word⁻¹ = exp(-x_k)···exp(-x_1).  Its series exponents are this
+        word's, negated and in reverse order, so no factor is scanned or
+        scaled again."""
+        inv = GroupWord(self.algebra, tuple(
+            tuple([-a for a in x]) for x in reversed(self.factors)))
+        # seeds the cached property, which would rescan every factor
+        inv.__dict__["_exponents"] = tuple(
+            ([(-c, t) for c, t in rows], dx)
+            for rows, dx in reversed(self._exponents))
+        return inv
 
     @cached_property
     def matrix(self) -> Matrix:
@@ -461,22 +489,28 @@ def conjugate_search(pair: SphericalPair, budget: int,
     (inconclusive — never a proof of non-sphericity).  A pair that is already
     spherical returns the identity on the first attempt.
 
-    Each candidate moves h's basis by GroupWord.ad, in g's structure
-    constants, and one elimination of p's basis stacked with the moved
-    basis decides it.  Ad(word) is an automorphism, so the moved h needs no
-    closure check; only the winner is canonicalised, and no matrix is built
-    unless the result's ``element`` is read."""
+    h's basis is scaled to ints once per call.  Each candidate moves it
+    by the word's series, in g's structure constants, and keeps the moved
+    vectors as the series' scaled ints; :func:`_open_defect` decides the
+    attempt by one integer rank, with no division and no Fraction on
+    integral data.  Ad(word) is an automorphism, so the moved h needs no
+    closure check.  Only the winner is canonicalised, from the same scaled
+    vectors, whose span is that of the divided ones, and no matrix is
+    built unless the result's ``element`` is read."""
     cd = pair.cartan
+    g = cd.algebra
+    basis = [_scaled_in(g, v) for v in pair.h.basis]
     attempts = 0
     for word, desc in group_element_candidates(cd, seed):
         if attempts >= budget:
             break
         attempts += 1
-        moved = [word.ad(v) for v in pair.h.basis]
+        moved = [word._ad_scaled(v)[0] for v in basis]
         if _open_defect(cd, moved) == 0:
             return ConjugationResult(
                 word=word, description=desc, attempts=attempts,
-                conjugated=canonical_basis(moved, cd.algebra.dim))
+                conjugated=canonical_basis(
+                    [_from_entries(v, g.dim) for v in moved], g.dim))
     return None
 
 
@@ -512,9 +546,12 @@ def compact_transitivity_check(pair: SphericalPair, samples: int = 100,
                                seed: int = 0) -> TransitivityReport:
     """Sample the candidate stream for a g with h + Ad(g)p != g.
 
-    Each sample tests the equivalent identity Ad(g⁻¹)h + p = g: h's basis
-    moves by the word's ``inverse.ad`` and one elimination decides the span,
-    with no matrix built, inverted or multiplied."""
+    Each sample tests the equivalent identity Ad(g⁻¹)h + p = g.  h's
+    basis is scaled to ints once per call; each sample moves it by the
+    series of the word's ``inverse``, whose exponents are the word's own
+    negated, keeps the series' scaled ints, and :func:`_open_defect`
+    decides the span by one integer rank.  No matrix is built, inverted or
+    multiplied, and on integral data no Fraction is built."""
     cd = pair.cartan
     g = cd.algebra
     h = pair.h
@@ -535,12 +572,14 @@ def compact_transitivity_check(pair: SphericalPair, samples: int = 100,
     gram = restrict_bilinear_form(killing, h)
     compact_type = symmetric_signature(gram) == (0, h.dim, 0)
 
+    basis = [_scaled_in(g, v) for v in h.basis]
     run = 0
     for word, desc in group_element_candidates(cd, seed):
         if run >= samples:
             break
         run += 1
-        if _open_defect(cd, [word.inverse.ad(v) for v in h.basis]) != 0:
+        moved = [word.inverse._ad_scaled(v)[0] for v in basis]
+        if _open_defect(cd, moved) != 0:
             if compact_type:
                 raise CertificationError(
                     f"h is compact-type (negative definite invariant form) "

@@ -20,9 +20,13 @@ from hypothesis import strategies as st
 
 from sphlie.catalog import catalog_entries
 from sphlie.errors import DimensionMismatch, NotNilpotent
-from sphlie.linalg import canonical_basis
+from sphlie.linalg import canonical_basis, lin_comb, vec_scale
 from sphlie.liealg import LieAlgebra
 from sphlie.orbits import (
+    _COEFF_POOL,
+    _combination_exponent,
+    _exponent,
+    _scaled_in,
     exp_ad_apply,
     orbit_identity_check,
     parabolic_orbit_check,
@@ -124,6 +128,24 @@ def test_group_word_ad_matches_the_composed_dense_series(name, seed, data):
     assert got == tuple(want)
     assert all(exact(a) for a in got)
     assert word.inverse.ad(got) == tuple(y)
+    # the inverse's exponents are the word's, negated, not a rescan
+    negated = tuple(vec_scale(-1, x) for x in reversed(factors))
+    assert word.inverse.factors == negated
+    assert word.inverse._exponents == GroupWord(g, negated)._exponents
+
+
+@PROPS
+@given(st.sampled_from(NAMES), st.sampled_from(SEEDS), st.data())
+def test_sparse_combination_gives_the_dense_exponent(name, seed, data):
+    # orbit_identity_check draws U straight into the series' form; the
+    # ints and the denominator must be those of the dense U, so every
+    # sample computes exactly what the dense path would
+    g, n, _, _ = algebra(name, seed)
+    coeffs = data.draw(st.lists(st.sampled_from(_COEFF_POOL),
+                                min_size=len(n), max_size=len(n)))
+    basis = [_scaled_in(g, v) for v in n]
+    assert _combination_exponent(g, coeffs, basis) == _exponent(
+        g, lin_comb(coeffs, n, g.dim))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

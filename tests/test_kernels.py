@@ -15,8 +15,10 @@ from sphlie.builders import gl, sl, so
 from sphlie.catalog import catalog_entries, get_entry
 from sphlie.liealg import SpanSolver, centralizer_in, commutator, transporter
 from sphlie.linalg import (
+    _scaled,
     as_vector,
     canonical_basis,
+    int_rank,
     kernel,
     lin_comb,
     mat_apply,
@@ -28,6 +30,7 @@ from sphlie.linalg import (
 )
 from sphlie.problem import build_pair
 from sphlie.spherical import _open_defect
+from test_exact_scalars import remixed
 
 PROPS = settings(max_examples=60, deadline=None)
 
@@ -272,8 +275,11 @@ def test_subspace_intersect_eliminates_twice(monkeypatch):
 
 
 @lru_cache(maxsize=None)
-def catalog_pair(name):
-    return build_pair(get_entry(name).problem)
+def catalog_pair(name, seed=None):
+    """A catalog pair, on g's listed basis or (for a seed) on a mixed one,
+    where p's echelon rows often carry Fractions."""
+    problem = get_entry(name).problem
+    return build_pair(problem if seed is None else remixed(problem, seed))
 
 
 def subspaces(g, max_gens=3):
@@ -318,13 +324,45 @@ def test_transporter_matches_the_residual_operator_kernel(data):
         g, s, g.zero_space(), w)
 
 
+# nonzero scales, small and large, integral and not
+scales = st.one_of(st.integers(1, 10**12), st.integers(-10**12, -1),
+                   st.fractions(-7, 7, max_denominator=9).filter(bool))
+
+
 @PROPS
-@given(st.sampled_from(sorted(e.name for e in catalog_entries())).flatmap(
-    lambda name: st.tuples(
-        st.just(catalog_pair(name).cartan),
-        st.lists(vectors(catalog_pair(name).algebra.dim), max_size=4))))
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(st.one_of(vectors(n), st.just((F(0),) * n),
+                        st.tuples(*[st.integers(-10**30, 10**30)] * n)),
+              scales), max_size=7)), st.data())
+def test_int_rank_is_the_rank_of_rref(rows, data):
+    # zero rows, large entries, and rows repeated at another scale
+    if rows:
+        rows += [(v, s * 3) for v, s in data.draw(
+            st.lists(st.sampled_from(rows), max_size=3))]
+    ints = [_scaled({i: s * a for i, a in enumerate(v) if a})[0]
+            for v, s in rows]
+    assert all(type(a) is int for row in ints for a in row.values())
+    assert int_rank(ints) == len(rref([v for v, _ in rows])[0])
+
+
+def test_int_rank_of_no_rows_is_zero():
+    assert int_rank([]) == 0
+    assert int_rank([{}, {3: 0}]) == 0
+
+
+@PROPS
+@given(st.tuples(st.sampled_from(sorted(e.name for e in catalog_entries())),
+                 st.sampled_from((None, 0, 1, 2, 3))).flatmap(
+    lambda key: st.tuples(
+        st.just(catalog_pair(*key).cartan),
+        st.lists(st.tuples(vectors(catalog_pair(*key).algebra.dim), scales),
+                 max_size=4))))
 def test_open_defect_is_the_codimension_of_p_plus_the_span(data):
-    cd, vecs = data
+    # each vector goes in sparse, at its own scale, as the series' scaled
+    # ints do; on a mixed basis p's echelon rows carry Fractions
+    cd, scaled = data
     g = cd.algebra
-    assert _open_defect(cd, vecs) == g.dim - canonical_basis(
+    vecs = [v for v, _ in scaled]
+    sparse = [{i: s * a for i, a in enumerate(v) if a} for v, s in scaled]
+    assert _open_defect(cd, sparse) == g.dim - canonical_basis(
         list(cd.p.basis) + vecs, g.dim).dim

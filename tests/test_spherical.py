@@ -434,15 +434,46 @@ def test_transitivity_makes_one_elimination_per_sample(monkeypatch):
     for samples in (5, 10):
         pair = sl3_so3_pair()
         with monkeypatch.context() as m:
-            calls = count_kernel_calls(m, ("rref",) + MATRIX_KERNELS)
+            calls = count_kernel_calls(
+                m, ("int_rank", "rref") + MATRIX_KERNELS)
             rep = compact_transitivity_check(pair, samples=samples)
         assert rep.samples_run == samples
         counts.append(calls)
-    # per sample: one span of p + Ad(g^-1)h; no matrix is built, inverted
-    # or multiplied (the stream's nilpotency certificate is per stream)
-    assert counts[1]["rref"] - counts[0]["rref"] == 5
+    # per sample: one integer rank of p + Ad(g^-1)h and no rref; no matrix
+    # is built, inverted or multiplied (the stream's nilpotency certificate
+    # is per stream)
+    assert counts[1]["int_rank"] - counts[0]["int_rank"] == 5
+    assert counts[1]["rref"] == counts[0]["rref"]
     for name in MATRIX_KERNELS:
         assert counts[1][name] == counts[0][name], name
+
+
+def test_open_orbit_test_builds_no_fraction_on_integral_data(monkeypatch):
+    """The per-sample work of compact_transitivity_check and
+    conjugate_search (move h's scaled basis by the word or its inverse,
+    rank it modulo p) stays in ints when the structure constants, p, h
+    and the word's factors are integral."""
+    from itertools import islice
+
+    from sphlie.orbits import _scaled_in
+    from sphlie.spherical import _open_defect
+
+    pair = sl3_so3_pair()
+    cd = pair.cartan
+    basis = [_scaled_in(cd.algebra, v) for v in pair.h.basis]
+    # the identity, the Weyl elements and the single exponentials
+    words = [word for word, _ in islice(group_element_candidates(cd), 40)]
+    assert all(type(a) is int for word in words for x in word.factors
+               for a in x)
+    built = []
+    real = F.__new__
+    with monkeypatch.context() as m:
+        m.setattr(F, "__new__",
+                  lambda cls, *a, **k: built.append(a) or real(cls, *a, **k))
+        defects = [_open_defect(cd, [mover._ad_scaled(v)[0] for v in basis])
+                   for word in words for mover in (word, word.inverse)]
+    assert built == []
+    assert defects == [0] * 80
 
 
 def test_exhausted_search_builds_no_matrix(monkeypatch):
@@ -464,12 +495,14 @@ def test_one_elimination_decides_each_search_attempt(monkeypatch):
     closure_checks = []
     real = LieAlgebra.is_subalgebra
     with monkeypatch.context() as m:
-        calls = count_kernel_calls(m, ("rref",))
+        calls = count_kernel_calls(m, ("int_rank", "rref"))
         m.setattr(LieAlgebra, "is_subalgebra",
                   lambda g, h: closure_checks.append(h) or real(g, h))
         assert conjugate_search(pair, budget=30) is None
-    # p + Ad(g)h is one elimination; Ad(g)h is closed by construction
-    assert calls["rref"] == 30
+    # p + Ad(g)h is one integer rank and no rref; Ad(g)h is closed by
+    # construction
+    assert calls["int_rank"] == 30
+    assert calls["rref"] == 0
     assert closure_checks == []
     # with no Levi adjustment, h is its own standard form
     open_pair = sl3_so3_pair()
@@ -645,3 +678,86 @@ def test_stream_rejects_a_factor_with_non_nilpotent_matrix():
     assert next(stream)[1] == "identity"
     with pytest.raises(DimensionMismatch):
         next(stream)
+
+
+# -- the integer-rank open-orbit test against a dense replay -------------------
+
+
+def dense_defect(cd, vectors):
+    """dim g - dim(p + span vectors), by one rref of the stacked bases."""
+    from sphlie.linalg import rref
+
+    return cd.algebra.dim - len(rref(list(cd.p.basis) + list(vectors))[0])
+
+
+def replayed_transitivity(pair, samples, seed):
+    """compact_transitivity_check's loop, replayed with the dense
+    word.inverse.ad and rref: (verdict, samples_run, witness description)."""
+    from sphlie.linalg import restrict_bilinear_form, symmetric_signature
+
+    cd = pair.cartan
+    compact = symmetric_signature(restrict_bilinear_form(
+        cd.algebra.killing_form(), pair.h)) == (0, pair.h.dim, 0)
+    run = 0
+    for word, desc in group_element_candidates(cd, seed):
+        if run >= samples:
+            break
+        run += 1
+        if dense_defect(cd, [word.inverse.ad(v) for v in pair.h.basis]):
+            return ("compact-type failure" if compact
+                    else "witness-of-noncompactness"), run, desc
+    return ("consistent-with-compact" if compact else "inconclusive"), run, None
+
+
+def replayed_search(pair, budget, seed):
+    """conjugate_search's loop, replayed with the dense word.ad and rref:
+    (attempts, description, conjugated h), or None."""
+    cd = pair.cartan
+    attempts = 0
+    for word, desc in group_element_candidates(cd, seed):
+        if attempts >= budget:
+            break
+        attempts += 1
+        moved = [word.ad(v) for v in pair.h.basis]
+        if dense_defect(cd, moved) == 0:
+            return attempts, desc, canonical_basis(moved, cd.algebra.dim)
+    return None
+
+
+def replay_pairs():
+    """Every catalog pair on its own basis and on three mixed bases of g,
+    where p's echelon rows and h's basis carry Fractions."""
+    from sphlie.catalog import catalog_entries
+    from sphlie.problem import build_pair
+    from test_exact_scalars import remixed
+
+    for entry in catalog_entries():
+        for seed in (None, 1, 2, 3):
+            problem = (entry.problem if seed is None
+                       else remixed(entry.problem, seed))
+            yield f"{entry.name}-{seed}", build_pair(problem)
+
+
+def test_open_orbit_tests_match_the_dense_replay():
+    from sphlie.errors import SphlieError
+
+    compared = set()
+    for label, pair in replay_pairs():
+        cd = pair.cartan
+        defect = dense_defect(cd, pair.h.basis)
+        assert is_spherical(pair) == (defect == 0, defect), label
+        for seed in (0, 3):
+            found = conjugate_search(pair, budget=40, seed=seed)
+            want = replayed_search(pair, 40, seed)
+            assert want == (None if found is None else (
+                found.attempts, found.description, found.conjugated)), label
+            compared.add("found" if found else "exhausted")
+            try:
+                rep = compact_transitivity_check(pair, samples=60, seed=seed)
+            except SphlieError:
+                continue   # the criterion does not apply to this pair
+            assert replayed_transitivity(pair, 60, seed) == (
+                rep.verdict, rep.samples_run, rep.witness_description), label
+            compared.add(rep.verdict)
+    assert compared == {"found", "exhausted", "consistent-with-compact",
+                        "witness-of-noncompactness"}
