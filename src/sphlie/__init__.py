@@ -55,7 +55,6 @@ from .spherical import (
     SphericalPair,
     StructureReport,
     adapted_parabolic,
-    apply_ad,
     compact_transitivity_check,
     conjugate_search,
     group_element_candidates,

@@ -85,18 +85,6 @@ def so(n: int) -> LieAlgebra:
     return LieAlgebra(so_basis(n), name=f"so({n})")
 
 
-def sl2_H() -> Matrix:
-    return add(elementary(2, 0, 0), scale(-1, elementary(2, 1, 1)))
-
-
-def sl2_E() -> Matrix:
-    return elementary(2, 0, 1)
-
-
-def sl2_F() -> Matrix:
-    return elementary(2, 1, 0)
-
-
 def regular_diagonal_positivity(n: int) -> Matrix:
     """diag(n-1, n-3, ..., 1-n): a regular element making the upper
     triangular matrices the positive side."""

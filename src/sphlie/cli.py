@@ -378,9 +378,17 @@ def cmd_catalog_export(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of a count: an int >= 0, so a negative one exits 2."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(sub, samples: bool = False) -> None:
-    sub.add_argument("--conjugate-search", type=int, default=0, metavar="N",
-                     dest="conjugate_search",
+    sub.add_argument("--conjugate-search", type=nonnegative_int, default=0,
+                     metavar="N", dest="conjugate_search",
                      help="try up to N exact group elements to move h into "
                           "an open position (default 0: no search)")
     sub.add_argument("--seed", type=int, default=0,
@@ -388,7 +396,8 @@ def _add_common(sub, samples: bool = False) -> None:
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      help="report format (default text)")
     if samples:
-        sub.add_argument("--samples", type=int, default=100, metavar="K",
+        sub.add_argument("--samples", type=nonnegative_int, default=100,
+                         metavar="K",
                          help="number of exact random samples (default 100)")
 
 
@@ -444,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "frozen expectations")
     p.add_argument("name", help="entry name, or 'all'")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100, metavar="K")
+    p.add_argument("--samples", type=nonnegative_int, default=100,
+                   metavar="K")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_catalog_run)
 

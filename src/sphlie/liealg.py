@@ -19,9 +19,9 @@ Conventions
   nonzero (k, c) with [e_i, e_j] = sum_k c e_k.  The constructor forms each
   [e_i, e_j] with i < j from the basis matrices' nonzero entries and reads
   it off pivots (:meth:`~sphlie.linalg.SpanSolver.terms`, certified by a
-  zero sparse residual); [e_j, e_i] is its negative.  A subalgebra's table
-  is read off the ambient one.  ``structure``, the dense d x d x d table, is
-  a read-only view built on first read, and nothing in the package reads it.
+  zero sparse residual); [e_j, e_i] is its negative.  ``structure``, the
+  dense d x d x d table, is a read-only view built on first read, and
+  nothing in the package reads it.
 * The center, the derived algebra, the Killing and invariant forms and each
   validated Cartan decomposition are computed once, on first use, and cached
   on the :class:`LieAlgebra` instance, so they die with it.
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     CertificationError,
@@ -69,7 +69,6 @@ from .linalg import (
     full_subspace,
     identity_matrix,
     is_direct_sum,
-    is_zero_vector,
     kernel,
     lin_comb,
     mat_add,
@@ -90,12 +89,6 @@ from .linalg import (
 from .spectral import eigen_split
 
 Root = tuple[Fraction, ...]
-
-
-def commutator(x: Matrix, y: Matrix) -> Matrix:
-    """xy - yx; zero entries of yx subtract nothing."""
-    return tuple(tuple(a - b if b else a for a, b in zip(r, s))
-                 for r, s in zip(mat_mul(x, y), mat_mul(y, x)))
 
 
 def _row_entries(m: Matrix) -> list[list[tuple[int, Scalar]]]:
@@ -138,29 +131,22 @@ class LieAlgebra:
             self._solver = SpanSolver(flat, n * n)
         except DimensionMismatch:
             raise DimensionMismatch("basis matrices are linearly dependent")
-        entries = [_row_entries(b) for b in basis]
-        self._finish(basis, flat, name, lambda i, j: self._solver.terms(
-            _flat_commutator(entries[i], entries[j], n)),
-            "bracket of basis elements {i} and {j} escapes the span")
-
-    def _finish(self, basis: tuple, flat: list, name: str,
-                bracket_terms: Callable, escape: str) -> None:
-        """Set the fields every construction path shares.  The structure
-        table needs ``bracket_terms(i, j)``, the nonzero (k, c) of
-        [e_i, e_j] in increasing k or None, only for i < j:
-        [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0."""
-        self.matrix_size = len(basis[0])
+        self.matrix_size = n
         self.basis = basis
         self.name = name
         self.dim = d = len(basis)
         self._flat = flat
-        # _terms[i][j]: the nonzero (k, c) of [e_i, e_j] = sum_k c e_k
+        entries = [_row_entries(b) for b in basis]
+        # _terms[i][j]: the nonzero (k, c) of [e_i, e_j] = sum_k c e_k, formed
+        # only for i < j: [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0
         terms = [[[] for _ in range(d)] for _ in range(d)]
         for i, ti in enumerate(terms):
             for j in range(i + 1, d):
-                tij = bracket_terms(i, j)
+                tij = self._solver.terms(
+                    _flat_commutator(entries[i], entries[j], n))
                 if tij is None:
-                    raise NotClosed(escape.format(i=i, j=j))
+                    raise NotClosed(f"bracket of basis elements {i} and {j} "
+                                    f"escapes the span")
                 ti[j] = tij
                 terms[j][i] = [(k, -c) for k, c in tij]
         self._terms = terms
@@ -183,10 +169,6 @@ class LieAlgebra:
         for k, c in terms:
             out[k] = c
         return tuple(out)
-
-    @cached_property
-    def _solver(self) -> SpanSolver:
-        return SpanSolver(self._flat, self.matrix_size ** 2)
 
     # -- element conversions -------------------------------------------------
 
@@ -277,9 +259,18 @@ class LieAlgebra:
                                 for i, ti in enumerate(self._terms)
                                 for tij in ti[i + 1:] if tij], self.dim)
 
+    def brackets_within(self, a: Subspace, b: Subspace,
+                        target: Subspace) -> bool:
+        """Whether [x, y] lies in ``target`` for every x in a's echelon basis
+        and y in b's: the one bracket-containment certificate.  When a == b
+        only the pairs i <= j are formed, since [y, x] = -[x, y]."""
+        same = a == b
+        return all(target.contains(self.bracket(x, y))
+                   for i, x in enumerate(a.basis)
+                   for y in (b.basis[i:] if same else b.basis))
+
     def is_subalgebra(self, s: Subspace) -> bool:
-        return all(s.contains(self.bracket(u, v))
-                   for i, u in enumerate(s.basis) for v in s.basis[i:])
+        return self.brackets_within(s, s, s)
 
     # -- invariant forms -----------------------------------------------------
 
@@ -336,27 +327,6 @@ class LieAlgebra:
         return tuple(_exact_row(bij + bilinear_value(gram, ci, cj)
                                 for bij, cj in zip(bi, zc))
                      for bi, ci in zip(b, zc))
-
-
-def subalgebra(g: LieAlgebra, s: Subspace, name: Optional[str] = None) -> LieAlgebra:
-    """The subspace ``s`` (which must be bracket closed) as an algebra in its
-    own right, with basis the matrices of s's echelon basis.  Its structure
-    table is read off g's, which also certifies closure."""
-    if s.ambient_dim != g.dim or s.dim == 0:
-        raise DimensionMismatch("a subalgebra needs a nonzero subspace of g")
-    n = g.matrix_size
-    flat = [lin_comb(row, g._flat, n * n) for row in s.basis]
-
-    def bracket_terms(i: int, j: int) -> Optional[list]:
-        coords = s.coordinates_of(g.bracket(s.basis[i], s.basis[j]))
-        return (None if coords is None
-                else [(k, c) for k, c in enumerate(coords) if c])
-
-    sub = LieAlgebra.__new__(LieAlgebra)
-    sub._finish(tuple(mat_unflatten(f, n) for f in flat), flat,
-                name or f"{g.name}|sub", bracket_terms,
-                "subspace is not closed under the bracket")
-    return sub
 
 
 def transporter(g: LieAlgebra, s: Subspace, t: Subspace,
@@ -464,10 +434,8 @@ def maximal_abelian(g: LieAlgebra, s: Subspace,
     a = seed if seed is not None else g.zero_space()
     if not a.is_contained_in(s):
         raise DimensionMismatch("seed is not contained in s")
-    for i, u in enumerate(a.basis):
-        for v in a.basis[i:]:
-            if not is_zero_vector(g.bracket(u, v)):
-                raise NotClosed("seed is not abelian")
+    if not g.brackets_within(a, a, g.zero_space()):
+        raise NotClosed("seed is not abelian")
     while True:
         zs = centralizer_in(g, a, within=s)
         if zs == a:
@@ -769,8 +737,7 @@ def _noncompact_ideals(cd: CartanData, inside: Sequence[int], levi: Subspace
                 gens += [*plus, *minus,
                          *(g.bracket(u, v) for u in plus for v in minus)]
         ideal = canonical_basis(gens, g.dim)
-        if not all(ideal.contains(g.bracket(x, u))
-                   for x in levi.basis for u in ideal.basis):
+        if not g.brackets_within(levi, ideal, ideal):
             raise CertificationError(
                 f"[l, l_n,C] ⊆ l_n,C fails for the simple roots "
                 f"{sorted(comp)}: dim l = {levi.dim}, dim l_n,C = {ideal.dim}")

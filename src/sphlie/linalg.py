@@ -607,16 +607,6 @@ def mat_unflatten(v: Vector, n: int, m: Optional[int] = None) -> Matrix:
     return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(n))
 
 
-def mat_invert(a: Matrix) -> Matrix:
-    """Exact inverse of a square rational matrix; raises on singularity."""
-    n = len(a)
-    aug = [list(row) + list(unit_vector(n, i)) for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if list(pivots) != list(range(n)):
-        raise DimensionMismatch("matrix is singular")
-    return tuple(tuple(row[n:]) for row in red)
-
-
 def symmetric_signature(a: Matrix) -> tuple[int, int, int]:
     """(n_pos, n_neg, n_zero) of a symmetric rational matrix.
 

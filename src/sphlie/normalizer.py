@@ -17,7 +17,6 @@ from .linalg import (
     Subspace,
     complement_in,
     is_direct_sum,
-    is_zero_vector,
     kernel,
     restrict_bilinear_form,
     subspace_intersect,
@@ -49,11 +48,6 @@ def _normalizer(g: LieAlgebra, h: Subspace) -> Subspace:
         raise CertificationError(
             "normalizer certification failed (library bug)")
     return out
-
-
-def _normalizes(g: LieAlgebra, part: Subspace, target: Subspace) -> bool:
-    return all(target.contains(g.bracket(x, u))
-               for x in part.basis for u in target.basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +109,13 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
         is_direct_sum(n_std, h_std, c_std)
         and c_std.is_contained_in(dsub)
         and is_direct_sum(c_std, a_std, m_std)
-        and _normalizes(g, a_std, h_std)
-        and _normalizes(g, m_std, h_std)
+        and g.brackets_within(a_std, h_std, h_std)
+        and g.brackets_within(m_std, h_std, h_std)
     )
 
     def _elementary() -> bool:
-        for i, x in enumerate(a_std.basis):
-            for y in a_std.basis[i:]:
-                if not is_zero_vector(g.bracket(x, y)):
-                    return False
+        if not g.brackets_within(a_std, a_std, g.zero_space()):
+            return False
         for x in a_std.basis:
             try:
                 eigen_split(g.ad(x), g.full_space())
@@ -139,11 +131,7 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
             for coords in radical.basis:
                 if not centre.contains(m_std.from_coordinates(coords)):
                     return False
-        for x in a_std.basis:
-            for y in m_std.basis:
-                if not is_zero_vector(g.bracket(x, y)):
-                    return False
-        return True
+        return g.brackets_within(a_std, m_std, g.zero_space())
 
     elementary_ok = _elementary()
     # N(h) = h makes ntilde its own normalizer by the transporter above

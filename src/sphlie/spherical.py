@@ -58,7 +58,6 @@ from .linalg import (
     is_direct_sum,
     lin_comb,
     mat_apply,
-    mat_invert,
     mat_is_nilpotent,
     mat_mul,
     mat_scale,
@@ -332,25 +331,6 @@ def structure_report(pair: SphericalPair) -> StructureReport:
 
 # ---------------------------------------------------------------------------
 # exact group elements and conjugation
-
-
-def apply_ad(g: LieAlgebra, element: Matrix, sub: Subspace) -> Subspace:
-    """Image of a subspace under conjugation by an invertible matrix.
-
-    The element must normalize g inside the ambient matrix algebra; if a
-    conjugated basis vector leaves the span of g this raises.  The
-    candidate stream's words do not come through here: they act by
-    GroupWord.ad in g's structure constants.
-    """
-    inv = mat_invert(element)
-    out = []
-    for v in sub.basis:
-        c = g.from_matrix(mat_mul(mat_mul(element, g.to_matrix(v)), inv))
-        if c is None:
-            raise NotClosed(
-                "conjugation by the element does not preserve the algebra")
-        out.append(c)
-    return canonical_basis(out, g.dim) if out else sub
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from matrix_helpers import apply_ad
 from oracles import (
     adapted_subsets,
     dim_intersection,
@@ -34,7 +35,6 @@ from sphlie.normalizer import normalizer_in
 from sphlie.orbits import derivation_pair, exp_ad_apply, solve_conjugator
 from sphlie.parabolic import containment_check, standard_parabolic
 from sphlie.spherical import (
-    apply_ad,
     compact_transitivity_check,
     group_element_candidates,
     is_spherical,

@@ -24,7 +24,6 @@ from sphlie.liealg import (
     cartan_data,
     cartan_decompose,
     maximal_abelian,
-    subalgebra,
 )
 from sphlie.linalg import (
     canonical_basis,
@@ -130,19 +129,6 @@ def test_from_matrix_matches_a_dense_solve(name):
     assert [g.from_matrix(m) for m in inside] == [tuple(c) for c in coeffs]
 
 
-@pytest.mark.parametrize("ambient, part", [
-    ("sl4", so_basis(4)),
-    ("sl3_mixed1", [m for m in sl_basis(3)
-                    if all(x == 0 for r, row in enumerate(m)
-                           for c, x in enumerate(row) if r > c)]),
-    ("gl3", so_basis(3) + [((1, 0, 0), (0, 1, 0), (0, 0, 1))]),
-])
-def test_subalgebra_tables_match_a_dense_solve(ambient, part):
-    g = LieAlgebra(BASES[ambient])
-    sub = subalgebra(g, g.span_of_matrices(part))
-    assert_table_matches(sub, sub.basis)
-
-
 E12 = ((0, 1), (0, 0))
 E21 = ((0, 0), (1, 0))
 
@@ -159,13 +145,6 @@ def test_a_basis_that_is_not_closed_names_the_first_pair(basis, message):
     with pytest.raises(NotClosed) as err:
         LieAlgebra(basis)
     assert str(err.value) == message
-
-
-def test_a_subspace_that_is_not_closed_is_refused():
-    g = LieAlgebra(sl_basis(2))
-    with pytest.raises(NotClosed) as err:
-        subalgebra(g, g.span_of_matrices([E12, E21]))
-    assert str(err.value) == "subspace is not closed under the bracket"
 
 
 # -- weight and ordering stages ----------------------------------------------

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import mixed_levi
-from sphlie.builders import add, sl_basis, so_basis
+from sphlie.builders import add
 from sphlie.cli import main
 from sphlie.catalog import get_entry
-from sphlie.problem import Problem, build_pair, problem_to_json
+from sphlie.problem import build_pair, problem_to_json
 from sphlie.spherical import structure_report
 
 
@@ -249,33 +249,6 @@ def test_hinted_analyze_does_not_depend_on_the_basis(capsys, tmp_path):
     assert answers[0][2:5] == (1, 3, 0)
 
 
-def test_analyze_builds_no_subalgebra(capsys, monkeypatch, tmp_path):
-    import sys
-
-    import sphlie.liealg as liealg
-
-    real, calls = liealg.subalgebra, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if (mod_name.split(".")[0] == "sphlie"
-                and getattr(mod, "subalgebra", None) is real):
-            monkeypatch.setattr(mod, "subalgebra", counted)
-    sl4 = Problem(name="sl4_so4", matrix_size=4, basis=tuple(sl_basis(4)),
-                  subalgebra_basis=tuple(so_basis(4)))
-    mixed = get_entry("sl2x3_diag_mixed")
-    for problem, budget in ((sl4, 0), (mixed.problem, mixed.search_budget)):
-        path = tmp_path / f"{problem.name}.json"
-        path.write_text(problem_to_json(problem), encoding="utf-8")
-        code, _, _ = run(capsys, ["analyze", "--conjugate-search",
-                                  str(budget), str(path)])
-        assert code == 0
-    assert calls == []
-
-
 # -- error handling -----------------------------------------------------------
 
 
@@ -350,6 +323,23 @@ def test_usage_errors_raise_system_exit(capsys):
         main(["analyze"])          # missing the problem-file argument
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["orbit-check"], "--samples"),
+    (["analyze"], "--samples"),
+    (["analyze"], "--conjugate-search"),
+    (["catalog", "run", "all"], "--samples"),
+], ids=["orbit-check-samples", "analyze-samples", "analyze-conjugate-search",
+        "catalog-run-samples"])
+def test_a_negative_count_is_a_usage_error(capsys, sl2_so2, command, flag):
+    files = [] if command[0] == "catalog" else [sl2_so2]
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, "-5"] + files)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be >= 0, got -5" in captured.err
 
 
 def test_one_process_answers_like_separate_runs(capsys, sl2_so2):

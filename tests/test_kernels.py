@@ -11,9 +11,10 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrix_helpers import commutator
 from sphlie.builders import gl, sl, so
 from sphlie.catalog import catalog_entries, get_entry
-from sphlie.liealg import SpanSolver, centralizer_in, commutator, transporter
+from sphlie.liealg import SpanSolver, centralizer_in, transporter
 from sphlie.linalg import (
     _scaled,
     as_vector,

@@ -1,11 +1,14 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mixed_levi
+from matrix_helpers import commutator, mat_invert, sl2_E, sl2_F, sl2_H
 from sphlie.builders import (
     add,
     block_embed,
@@ -16,9 +19,6 @@ from sphlie.builders import (
     regular_diagonal_positivity,
     scale,
     sl,
-    sl2_E,
-    sl2_F,
-    sl2_H,
     sl_basis,
     so,
     so_basis,
@@ -41,7 +41,6 @@ from sphlie.liealg import (
     default_involution,
     maximal_abelian,
     simple_ideal_split,
-    subalgebra,
 )
 from sphlie.linalg import (
     as_vector,
@@ -598,90 +597,13 @@ def test_cartan_data_rejects_an_involution_that_is_not_cartan():
         cartan_data(g, theta)
 
 
-def test_subalgebra_roundtrip():
-    g = sl(3)
-    block = g.span_of_matrices([
-        add(elementary(3, 0, 0), scale(-1, elementary(3, 1, 1))),
-        elementary(3, 0, 1), elementary(3, 1, 0)])
-    sub = subalgebra(g, block)
-    assert sub.dim == 3
-    assert symmetric_signature(sub.killing_form()) == (2, 1, 0)  # sl2-type
-
-
-# -- subalgebras from the structure table -------------------------------------
-
-
-def random_subalgebra(rng, g):
-    """The subalgebra generated by one or two sparse random elements."""
-    s = canonical_basis(
-        [tuple(rng.choice((F(1), F(-1), F(2), F(1, 2))) if rng.random() < 0.2
-               else F(0) for _ in range(g.dim))
-         for _ in range(rng.randint(1, 2))], g.dim)
-    while True:
-        grown = subspace_sum(s, canonical_basis(
-            [g.bracket(u, v) for u in s.basis for v in s.basis], g.dim))
-        if grown == s:
-            return s
-        s = grown
-
-
-def assert_table_matches_matrix_build(g, s):
-    mats = [g.to_matrix(row) for row in s.basis]
-    if s.dim == 0:
-        for build in (lambda: subalgebra(g, s), lambda: LieAlgebra(mats)):
-            with pytest.raises(DimensionMismatch):
-                build()
-        return
-    sub, ref = subalgebra(g, s), LieAlgebra(mats)
-    assert sub.basis == ref.basis
-    assert sub.structure == ref.structure
-    assert sub.killing_form() == ref.killing_form()
-    # the matrix solver is built on first use and agrees with the reference
-    assert [sub.from_matrix(m) for m in mats] == [
-        unit_vector(sub.dim, i) for i in range(sub.dim)]
-
-
-def test_subalgebra_table_matches_the_matrix_build():
-    from itertools import combinations
-    import random
-
-    from sphlie.parabolic import standard_parabolic
-    from sphlie.problem import build_pair
-
-    rng = random.Random(11)
-    for make, n in ((sl, 2), (sl, 3), (sl, 4), (so, 3), (so, 4), (gl, 2),
-                    (gl, 3), (gl, 4)):
-        g = make(n)
-        assert_table_matches_matrix_build(g, g.derived_algebra())
-        for _ in range(4):
-            assert_table_matches_matrix_build(g, random_subalgebra(rng, g))
-    for entry in catalog_entries():
-        cd = build_pair(entry.problem).cartan
-        g = cd.algebra
-        assert_table_matches_matrix_build(g, g.derived_algebra())
-        r = len(cd.simple_roots)
-        for size in range(r + 1):
-            for f in combinations(range(r), size):
-                assert_table_matches_matrix_build(
-                    g, standard_parabolic(cd, f).levi)
-
-
-def test_subalgebra_rejects_non_closed_subspaces():
-    g = sl(2)
-    e_f = canonical_basis([g.from_matrix(sl2_E()), g.from_matrix(sl2_F())], 3)
-    with pytest.raises(NotClosed, match="not closed under the bracket"):
-        subalgebra(g, e_f)
-    with pytest.raises(DimensionMismatch):
-        subalgebra(g, canonical_basis([(F(1), F(0))], 2))
-
-
 # -- the invariant form against a dense reference -----------------------------
 
 
 def dense_invariant_form(g):
     """Killing form from dense ad products plus tr(X_i X_j) of the parts of
     every pair of basis elements in z along [g, g]: d^2 matrix products."""
-    from sphlie.linalg import mat_invert, mat_mul, mat_trace
+    from sphlie.linalg import mat_mul, mat_trace
 
     d = g.dim
     ads = [g.ad(unit_vector(d, i)) for i in range(d)]
@@ -748,8 +670,124 @@ def test_cartan_data_certifies_an_arbitrary_a_seed():
                for u in not_abelian.basis for v in not_abelian.basis)
     with pytest.raises(DimensionMismatch):
         cartan_data(g, a_seed=outside)
-    with pytest.raises(NotClosed):
+    with pytest.raises(NotClosed, match="^seed is not abelian$"):
         cartan_data(g, a_seed=not_abelian)
+
+
+def test_a_noncompact_ideal_that_is_not_an_ideal_names_its_roots():
+    from sphlie.liealg import _noncompact_ideals
+
+    cd = cartan_data(sl(3))
+    # all of sl(3) is not the Levi of the first simple root alone, so the
+    # sl(2) of that root is not an ideal of it
+    with pytest.raises(CertificationError) as err:
+        _noncompact_ideals(cd, [0], cd.algebra.full_space())
+    assert str(err.value) == ("[l, l_n,C] ⊆ l_n,C fails for the simple "
+                              "roots [0]: dim l = 8, dim l_n,C = 3")
+
+
+# -- the closure certificate [a, b] ⊆ target ---------------------------------
+
+CLOSURE_ALGEBRAS = {"sl3": sl(3), "gl3": gl(3), "so4": so(4)}
+CLOSURE_ENTRIES = (0, 0, 0, 1, -1, 2, F(1, 2))
+
+
+def dense_brackets_within(g, a, b, target):
+    """[x, y] in target for the full product of a's and b's bases: each
+    bracket a matrix commutator solved back into g, each containment a
+    rank."""
+    return all(canonical_basis(
+        [*target.basis, g.from_matrix(commutator(g.to_matrix(x),
+                                                 g.to_matrix(y)))],
+        g.dim).dim == target.dim for x in a.basis for y in b.basis)
+
+
+@st.composite
+def closure_cases(draw):
+    """(g, a, b, target): a and b spans of up to three sparse vectors, b
+    also a itself or its centralizer; the target zero, g, a random span, or
+    the span of the nonzero brackets [a_i, b_j] or of all but the last."""
+    g = CLOSURE_ALGEBRAS[draw(st.sampled_from(sorted(CLOSURE_ALGEBRAS)))]
+
+    def span(max_size):
+        rows = draw(st.lists(st.tuples(*[st.sampled_from(CLOSURE_ENTRIES)]
+                                       * g.dim), max_size=max_size))
+        return canonical_basis(rows, g.dim)
+
+    a = span(3)
+    b = draw(st.sampled_from(("same", "centralizer", "random")))
+    b = (a if b == "same" else centralizer_in(g, a) if b == "centralizer"
+         else span(3))
+    brackets = [v for x in a.basis for y in b.basis
+                if any(v := g.bracket(x, y))]
+    target = draw(st.sampled_from(("zero", "full", "random", "all", "most")))
+    target = {"zero": g.zero_space, "full": g.full_space,
+              "random": lambda: span(4),
+              "all": lambda: canonical_basis(brackets, g.dim),
+              "most": lambda: canonical_basis(brackets[:-1], g.dim)}[target]()
+    return g, a, b, target
+
+
+@settings(max_examples=80, deadline=None)
+@given(closure_cases())
+def test_brackets_within_matches_the_full_dense_product(case):
+    g, a, b, target = case
+    want = dense_brackets_within(g, a, b, target)
+    assert g.brackets_within(a, b, target) == want
+    assert g.brackets_within(b, a, target) == want
+
+
+def test_brackets_within_forms_each_unordered_pair_once(monkeypatch):
+    g = sl(3)
+    calls = []
+    real = LieAlgebra.bracket
+    monkeypatch.setattr(LieAlgebra, "bracket",
+                        lambda self, x, y: calls.append(1) or real(self, x, y))
+    a = canonical_basis([unit_vector(8, i) for i in (0, 2, 5)], 8)
+    b = canonical_basis([unit_vector(8, i) for i in (1, 3, 4, 7)], 8)
+    assert g.brackets_within(a, a, g.full_space())
+    assert len(calls) == 6          # i <= j of three
+    assert g.brackets_within(a, b, g.full_space())
+    assert len(calls) == 6 + 12     # every pair of three by four
+    assert g.brackets_within(a, b, g.zero_space()) is False
+
+
+def hand_rolled_closures(tree, allowed="brackets_within"):
+    """Lines of ``<...>.contains(<...>.bracket(...))`` and
+    ``is_zero_vector(<...>.bracket(...))`` outside the function named
+    ``allowed``."""
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == allowed
+              for node in ast.walk(fn)}
+
+    def called(node, name):
+        f = getattr(node, "func", None)
+        return (isinstance(node, ast.Call)
+                and getattr(f, "attr", getattr(f, "id", None)) == name)
+
+    return [node.lineno for node in ast.walk(tree)
+            if id(node) not in exempt
+            and (called(node, "contains") or called(node, "is_zero_vector"))
+            and any(called(arg, "bracket") for arg in node.args)]
+
+
+def test_only_the_closure_certificate_tests_bracket_containment():
+    src = Path(__file__).resolve().parent.parent / "src" / "sphlie"
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := hand_rolled_closures(
+                 ast.parse(path.read_text("utf-8"))))}
+    assert found == {}, f"bracket containment outside brackets_within: {found}"
+
+
+def test_the_closure_lint_sees_a_hand_rolled_loop():
+    tree = ast.parse("def f(g, s, u, v):\n"
+                     "    ok = s.contains(g.bracket(u, v))\n"
+                     "    return ok and is_zero_vector(g.bracket(v, u))\n")
+    assert hand_rolled_closures(tree) == [2, 3]
+    tree = ast.parse("def brackets_within(self, a, t):\n"
+                     "    return all(t.contains(self.bracket(x, x))"
+                     " for x in a)\n")
+    assert hand_rolled_closures(tree) == []
 
 
 # -- counting guards: the sparse table end to end ------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from matrix_helpers import mat_invert
 from sphlie.errors import DimensionMismatch
 from sphlie.linalg import (
     as_matrix,
@@ -12,7 +13,6 @@ from sphlie.linalg import (
     full_subspace,
     identity_matrix,
     kernel,
-    mat_invert,
     mat_is_nilpotent,
     mat_mul,
     membership,

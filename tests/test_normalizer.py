@@ -4,6 +4,8 @@ Every expected subspace below is hand linear algebra on explicit matrices;
 bases are written in the coordinate order of the builders.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from sphlie.builders import direct_sum_basis, gl, sl, sl_basis, so_basis
@@ -177,3 +179,49 @@ def test_report_opposite_diagonal_is_self_normalizing():
     assert nr.normalizer == diag
     assert nr.complement.dim == 0
     assert nr.all_ok
+
+
+# -- the closure flags on a misreported Levi split ----------------------------
+
+
+def misreported(h_std, z_np, compact):
+    """normalizer_report for h = 0 in sl(2), with the standard form h_std
+    and the Levi split (center = z_np, compact ideals ``compact``) read off
+    a report of sl(2)/so(2): not a true split, so the closure identities
+    behind split_ok and elementary_ok can fail.  sl(2) coordinates are
+    (H, E, F)."""
+    sr = structure_report(sl2_pair([(0, 1, -1)]))
+    zero = canonical_basis([], 3)
+    levi = replace(sr.levi_structure, center=z_np, z_np=z_np, z_cp=zero,
+                   compact_ideals=compact)
+    return normalizer_report(replace(
+        sr, pair=spherical_pair(sr.pair.cartan, zero), standard_form_h=h_std,
+        levi_structure=levi))
+
+
+H, E_MINUS_F = canonical_basis([(1, 0, 0)], 3), canonical_basis([(0, 1, -1)], 3)
+
+
+def test_a_split_part_that_is_not_abelian_fails_elementary():
+    # a = n(0) = sl(2) itself
+    nr = misreported(canonical_basis([], 3), canonical_basis([
+        (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3), canonical_basis([], 3))
+    assert nr.split_part.dim == 3
+    assert nr.split_ok and not nr.elementary_ok
+
+
+def test_split_and_compact_parts_that_do_not_commute_fail_elementary():
+    # a = span(H), m = span(E - F): [H, E - F] = 2(E + F)
+    nr = misreported(canonical_basis([], 3), H, E_MINUS_F)
+    assert (nr.split_part, nr.compact_factor) == (H, E_MINUS_F)
+    assert not nr.elementary_ok
+
+
+@pytest.mark.parametrize("h_std", [(0, 1, 1), (0, 1, 0)],
+                         ids=["[a, h] not in h", "[m, h] not in h"])
+def test_parts_that_do_not_normalize_h_fail_split(h_std):
+    # n(0) = sl(2) = h_std ⊕ span(H, E - F), but [H, E + F] = 2(E - F)
+    # and [E - F, E] = H leave h_std
+    nr = misreported(canonical_basis([h_std], 3), H, E_MINUS_F)
+    assert (nr.split_part, nr.compact_factor) == (H, E_MINUS_F)
+    assert not nr.split_ok

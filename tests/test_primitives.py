@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphlie.builders import block_embed, gl, sl, sl2_E, sl2_F, sl2_H, so
+from matrix_helpers import sl2_E, sl2_F, sl2_H
+from sphlie.builders import block_embed, gl, sl, so
 from sphlie.catalog import catalog_entries
 from sphlie.errors import DimensionMismatch
 from sphlie.liealg import (
