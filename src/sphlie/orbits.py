@@ -279,7 +279,10 @@ def orbit_identity_check(dp: DerivationPair, samples: int = 100,
     witness of a failing sample.  Membership is linear, so each sample
     reduces the scaled sparse difference den·(e^{ad U}x0 - x0) by
     [x0, u]'s echelon rows (:meth:`Subspace._read_off`), with no division
-    and no dense vector."""
+    and no dense vector.  A sample count below 0 raises
+    DimensionMismatch."""
+    if samples < 0:
+        raise DimensionMismatch(f"samples must be at least 0, got {samples}")
     g = dp.algebra
     rng = Random(seed)
     x0, den0 = _scaled_in(g, dp.x0)

@@ -16,6 +16,13 @@ once per stream that every factor's matrix is nilpotent, so every series
 terminates.  A word acts on g by Ad = e^{ad x_1}∘…∘e^{ad x_k}, in g's
 structure constants; its matrix is multiplied out only when a caller reads
 ConjugationResult.element or TransitivityReport.witness.
+
+The sampled identities depend on a coset of P only.  For x ∈ p with a
+finite series, e^{ad x} maps p onto p, so p + Ad(q)V = Ad(q)(p + V) has
+the dimension of p + V for q = exp(x).  So conjugate_search drops a word's
+leading factors in p and compact_transitivity_check its trailing ones
+(:func:`_trimmed_defect`), and a word with every factor in p costs no
+series and no rank.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CertificationError,
@@ -48,7 +55,6 @@ from .linalg import (
     Subspace,
     Vector,
     _div,
-    _from_entries,
     _scaled,
     canonical_basis,
     complement_in,
@@ -354,12 +360,6 @@ class GroupWord:
         and scaled to ints across all the factors."""
         return _exp_ad_word(self.algebra, self._exponents, y)
 
-    def _ad_scaled(self, y: tuple[dict[int, int], int]
-                   ) -> tuple[dict[int, int], int]:
-        """Ad(word) y for y and the result given as (entries, den) standing
-        for entries / den: the series' own scaled ints, nothing divided."""
-        return _exp_ad_scaled(self.algebra, self._exponents, y)
-
     @cached_property
     def _exponents(self) -> tuple:
         """The factors prepared for the series, last factor first."""
@@ -400,6 +400,91 @@ def _fmt_root(root: Root) -> str:
     return "(" + ",".join(str(x) for x in root) + ")"
 
 
+@dataclass(frozen=True, eq=False)
+class _Factor:
+    """A factor x of a sampled word, prepared once per stream: the dense
+    ``vector``, its series ``exponent`` (:func:`sphlie.orbits._exponent`)
+    and ``in_p``, whether x ∈ p, certified by ``cd.p.contains``."""
+
+    vector: Vector
+    exponent: tuple[list, int]
+    in_p: bool
+
+    @cached_property
+    def negated(self) -> tuple[list, int]:
+        """The exponent of -x: the same rows, each int negated."""
+        rows, dx = self.exponent
+        return [(-c, t) for c, t in rows], dx
+
+
+def _word(g: LieAlgebra, factors: Sequence[_Factor]) -> GroupWord:
+    """The GroupWord of prepared factors, with its series exponents seeded
+    from theirs, so no factor is scanned again."""
+    word = GroupWord(g, tuple(f.vector for f in factors))
+    # seeds the cached property, which would rescan every factor
+    word.__dict__["_exponents"] = tuple(f.exponent for f in reversed(factors))
+    return word
+
+
+def _prepared_words(cd: CartanData, seed: int
+                    ) -> Iterator[tuple[tuple[_Factor, ...], str]]:
+    """The stream of :func:`group_element_candidates`, each word as its
+    prepared factors.
+
+    A random-product factor t·v, for v a pool vector and t a coefficient,
+    is prepared the first time a word uses it and shared by every later
+    word; p-membership does not depend on t ≠ 0, so ``cd.p.contains`` runs
+    once per pool vector, and once per Weyl factor."""
+    g = cd.algebra
+    yield (), "identity"
+    weyl = [(root, i, v, mat_apply(cd.theta, v))
+            for root in sorted(cd.positive_roots)
+            for i, v in enumerate(cd.root_space(root).basis)]
+    pool = [(f"g[{_fmt_root(root)}#{i}]", v)
+            for root in sorted(cd.roots)
+            for i, v in enumerate(cd.root_space(root).basis)]
+    for v in [v for _, v in pool] + [tv for *_, tv in weyl]:
+        if not mat_is_nilpotent(g.to_matrix(v)):
+            raise DimensionMismatch(
+                "matrix is not nilpotent; exp series does not end")
+
+    def prepare(x: Vector, in_p: bool) -> _Factor:
+        return _Factor(x, _exponent(g, x), in_p)
+
+    for root, i, v, tv in weyl:
+        tv = vec_scale(_div(-2, cd.root_value(root, g.bracket(v, tv))), tv)
+        fv = prepare(v, cd.p.contains(v))
+        yield (fv, prepare(tv, cd.p.contains(tv)), fv), \
+            f"weyl[{_fmt_root(root)}#{i}]"
+    in_p = [cd.p.contains(v) for _, v in pool]
+    prepared: dict[tuple[int, Scalar], tuple[_Factor, str]] = {}
+
+    def factor(k: int, t: Scalar) -> tuple[_Factor, str]:
+        """The prepared factor t·pool[k] with its description."""
+        f = prepared.get((k, t))
+        if f is None:
+            name, v = pool[k]
+            f = prepared[k, t] = (prepare(vec_scale(t, v), in_p[k]),
+                                  f"exp({t}*{name})")
+        return f
+
+    for t in (1, -1, 2, -2, 3, -3):
+        for k in range(len(pool)):
+            f, name = factor(k, t)
+            yield (f,), name
+    if not pool:
+        return
+    rng = random.Random(seed)
+    coeffs = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3]
+    while True:
+        # rng draws in the order: length, then pool index and coefficient
+        # per factor
+        picks = [factor(rng.randrange(len(pool)),
+                        coeffs[rng.randrange(len(coeffs))])
+                 for _ in range(rng.randint(2, 4))]
+        yield tuple(f for f, _ in picks), "*".join(n for _, n in picks)
+
+
 def group_element_candidates(cd: CartanData, seed: int = 0
                              ) -> Iterator[tuple[GroupWord, str]]:
     """Deterministic stream of exact group elements in the realization of g,
@@ -411,40 +496,39 @@ def group_element_candidates(cd: CartanData, seed: int = 0
     for small t; then seeded random products of such exponentials.  After
     the identity, every root-space basis vector and theta of every positive
     one is certified once to have a nilpotent matrix (DimensionMismatch
-    otherwise), so every factor's exponential is a finite exact series.  A
-    word's ``matrix`` is multiplied out only when asked for.
+    otherwise), so every factor's exponential is a finite exact series.
+    Each factor is scaled for the series once per stream
+    (:func:`_prepared_words`), not once per word.  A word's ``matrix`` is
+    multiplied out only when asked for.
     """
+    for factors, desc in _prepared_words(cd, seed):
+        yield _word(cd.algebra, factors), desc
+
+
+def _trimmed_defect(cd: CartanData, basis: Sequence[tuple[dict[int, int], int]],
+                    factors: Sequence[_Factor], inverse: bool, known: int
+                    ) -> int:
+    """dim g - dim(p + Ad(w)V) for the word w of ``factors``, or
+    dim g - dim(p + Ad(w⁻¹)V) when ``inverse``, with V spanned by
+    ``basis`` given as (entries, den); ``known`` is the defect of V itself.
+
+    In the order the series applies them, Ad(w) is e^{ad x_k}, …,
+    e^{ad x_1} and Ad(w⁻¹) is e^{-ad x_1}, …, e^{-ad x_k}.  A factor x ∈ p
+    applied last drops out: ad x maps the subalgebra p into p, so
+    e^{ad ±x}, invertible with a finite series, maps p onto p, and
+    p + e^{ad ±x}U = e^{ad ±x}(p + U) has the dimension of p + U.  The
+    trailing run of such factors is dropped, and a word with none left has
+    the defect ``known`` with no series and no rank; otherwise V is moved
+    by the rest and :func:`_open_defect` ranks it once."""
+    steps = list(factors) if inverse else list(reversed(factors))
+    while steps and steps[-1].in_p:
+        steps.pop()
+    if not steps:
+        return known
+    exponents = [f.negated if inverse else f.exponent for f in steps]
     g = cd.algebra
-    yield GroupWord(g, ()), "identity"
-    weyl = [(root, i, v, mat_apply(cd.theta, v))
-            for root in sorted(cd.positive_roots)
-            for i, v in enumerate(cd.root_space(root).basis)]
-    pool = [(f"g[{_fmt_root(root)}#{i}]", v)
-            for root in sorted(cd.roots)
-            for i, v in enumerate(cd.root_space(root).basis)]
-    for v in [v for _, v in pool] + [tv for *_, tv in weyl]:
-        if not mat_is_nilpotent(g.to_matrix(v)):
-            raise DimensionMismatch(
-                "matrix is not nilpotent; exp series does not end")
-    for root, i, v, tv in weyl:
-        tv = vec_scale(_div(-2, cd.root_value(root, g.bracket(v, tv))), tv)
-        yield GroupWord(g, (v, tv, v)), f"weyl[{_fmt_root(root)}#{i}]"
-    for t in (1, -1, 2, -2, 3, -3):
-        for name, v in pool:
-            yield GroupWord(g, (vec_scale(t, v),)), f"exp({t}*{name})"
-    if not pool:
-        return
-    rng = random.Random(seed)
-    coeffs = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3]
-    while True:
-        factors = []
-        names = []
-        for _ in range(rng.randint(2, 4)):
-            name, v = pool[rng.randrange(len(pool))]
-            t = coeffs[rng.randrange(len(coeffs))]
-            factors.append(vec_scale(t, v))
-            names.append(f"exp({t}*{name})")
-        yield GroupWord(g, tuple(factors)), "*".join(names)
+    return _open_defect(
+        cd, [_exp_ad_scaled(g, exponents, v)[0] for v in basis])
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,30 +551,33 @@ def conjugate_search(pair: SphericalPair, budget: int,
     """Search up to ``budget`` candidate group elements for one that makes
     the conjugated pair spherical.  Returns None when the budget is exhausted
     (inconclusive — never a proof of non-sphericity).  A pair that is already
-    spherical returns the identity on the first attempt.
+    spherical returns the identity on the first attempt.  A budget below 0
+    raises DimensionMismatch.
 
-    h's basis is scaled to ints once per call.  Each candidate moves it
-    by the word's series, in g's structure constants, and keeps the moved
-    vectors as the series' scaled ints; :func:`_open_defect` decides the
-    attempt by one integer rank, with no division and no Fraction on
-    integral data.  Ad(word) is an automorphism, so the moved h needs no
-    closure check.  Only the winner is canonicalised, from the same scaled
-    vectors, whose span is that of the divided ones, and no matrix is
-    built unless the result's ``element`` is read."""
+    p + Ad(q·w)h = Ad(q)(p + Ad(w)h) for q ∈ P, so each attempt drops the
+    word's leading factors in p (:func:`_trimmed_defect`).  A word with
+    every factor in p has the identity's defect, which is read once, before
+    the first attempt; any other word moves h's basis, scaled to ints once
+    per call, by the rest of its series, and one integer rank decides it.
+    Ad(word) is an automorphism, so the moved h needs no closure check.
+    Only the winner's h is moved by its full word and canonicalised, and no
+    matrix is built unless the result's ``element`` is read."""
+    if budget < 0:
+        raise DimensionMismatch(f"budget must be at least 0, got {budget}")
     cd = pair.cartan
     g = cd.algebra
     basis = [_scaled_in(g, v) for v in pair.h.basis]
+    known = is_spherical(pair)[1]
     attempts = 0
-    for word, desc in group_element_candidates(cd, seed):
+    for factors, desc in _prepared_words(cd, seed):
         if attempts >= budget:
             break
         attempts += 1
-        moved = [word._ad_scaled(v)[0] for v in basis]
-        if _open_defect(cd, moved) == 0:
+        if _trimmed_defect(cd, basis, factors, False, known) == 0:
+            word = _word(g, factors)
             return ConjugationResult(
                 word=word, description=desc, attempts=attempts,
-                conjugated=canonical_basis(
-                    [_from_entries(v, g.dim) for v in moved], g.dim))
+                conjugated=word.image(pair.h))
     return None
 
 
@@ -524,19 +611,25 @@ class TransitivityReport:
 
 def compact_transitivity_check(pair: SphericalPair, samples: int = 100,
                                seed: int = 0) -> TransitivityReport:
-    """Sample the candidate stream for a g with h + Ad(g)p != g.
+    """Sample the candidate stream for a g with h + Ad(g)p != g.  A sample
+    count below 0 raises DimensionMismatch.
 
-    Each sample tests the equivalent identity Ad(g⁻¹)h + p = g.  h's
-    basis is scaled to ints once per call; each sample moves it by the
-    series of the word's ``inverse``, whose exponents are the word's own
-    negated, keeps the series' scaled ints, and :func:`_open_defect`
-    decides the span by one integer rank.  No matrix is built, inverted or
-    multiplied, and on integral data no Fraction is built."""
+    Each sample tests the equivalent identity Ad(g⁻¹)h + p = g.  For
+    g = w·q with q ∈ P, Ad(g⁻¹)h + p = Ad(q⁻¹)(Ad(w⁻¹)h + p), so the word's
+    trailing factors in p drop out (:func:`_trimmed_defect`).  A word with
+    every factor in p has the defect of h, 0 once is_spherical has passed,
+    and costs no series and no rank.  Any other word moves h's basis,
+    scaled to ints once per call, by the series of the rest of its inverse,
+    whose exponents are the prepared factors' own, negated, and one integer
+    rank decides it.  No matrix is built, inverted or multiplied, and on
+    integral data no Fraction is built."""
+    if samples < 0:
+        raise DimensionMismatch(f"samples must be at least 0, got {samples}")
     cd = pair.cartan
     g = cd.algebra
     h = pair.h
     killing = g.killing_form()
-    if symmetric_signature(killing)[2] != 0:
+    if int_rank([_scaled_in(g, row)[0] for row in killing]) != g.dim:
         raise NotReductive(
             "the transitivity criterion needs a semisimple algebra; the "
             "Killing form is degenerate")
@@ -554,19 +647,19 @@ def compact_transitivity_check(pair: SphericalPair, samples: int = 100,
 
     basis = [_scaled_in(g, v) for v in h.basis]
     run = 0
-    for word, desc in group_element_candidates(cd, seed):
+    for factors, desc in _prepared_words(cd, seed):
         if run >= samples:
             break
         run += 1
-        moved = [word.inverse._ad_scaled(v)[0] for v in basis]
-        if _open_defect(cd, moved) != 0:
+        if _trimmed_defect(cd, basis, factors, True, 0) != 0:
             if compact_type:
                 raise CertificationError(
                     f"h is compact-type (negative definite invariant form) "
                     f"but h + Ad(g)p != g for g = {desc}")
             return TransitivityReport(
                 verdict="witness-of-noncompactness", compact_type=False,
-                samples_run=run, witness_word=word, witness_description=desc)
+                samples_run=run, witness_word=_word(g, factors),
+                witness_description=desc)
     if compact_type:
         return TransitivityReport(
             verdict="consistent-with-compact", compact_type=True,

@@ -431,49 +431,88 @@ def count_kernel_calls(monkeypatch, names):
 MATRIX_KERNELS = ("mat_invert", "mat_mul", "exp_nilpotent_matrix")
 
 
-def test_transitivity_makes_one_elimination_per_sample(monkeypatch):
-    counts = []
-    for samples in (5, 10):
-        pair = sl3_so3_pair()
-        with monkeypatch.context() as m:
-            calls = count_kernel_calls(
-                m, ("int_rank", "rref") + MATRIX_KERNELS)
-            rep = compact_transitivity_check(pair, samples=samples)
-        assert rep.samples_run == samples
-        counts.append(calls)
-    # per sample: one integer rank of p + Ad(g^-1)h and no rref; no matrix
-    # is built, inverted or multiplied (the stream's nilpotency certificate
-    # is per stream)
-    assert counts[1]["int_rank"] - counts[0]["int_rank"] == 5
-    assert counts[1]["rref"] == counts[0]["rref"]
-    for name in MATRIX_KERNELS:
-        assert counts[1][name] == counts[0][name], name
+def words_leaving_p(cd, count, seed=0):
+    """How many of the stream's first ``count`` words have a factor outside
+    p, read off root signs: g is g_0 plus the root spaces, a direct sum,
+    and p = g_0 + the positive root spaces, so a nonzero root vector lies
+    in p exactly when its root is positive."""
+    from itertools import islice
+
+    def root_of(x):
+        return next(r for r in cd.roots if cd.root_space(r).contains(x))
+
+    return sum(
+        any(root_of(x) not in cd.positive_roots for x in word.factors)
+        for word, _ in islice(group_element_candidates(cd, seed), count))
+
+
+def count_closure_checks(monkeypatch):
+    calls = []
+    real = LieAlgebra.brackets_within
+    monkeypatch.setattr(
+        LieAlgebra, "brackets_within",
+        lambda g, *a: calls.append(a) or real(g, *a))
+    return calls
+
+
+def test_transitivity_ranks_each_sample_that_leaves_p(monkeypatch):
+    """Past the preconditions and the stream's nilpotency certificate (the
+    samples=1 run, whose one word is the identity), compact_transitivity_check
+    makes one integer rank per sampled word with a factor outside p, and
+    no rref, closure check or matrix."""
+    from sphlie.catalog import get_entry
+    from sphlie.problem import Problem, build_pair
+
+    sl4_so4 = build_pair(
+        Problem("sl4_so4", 4, tuple(sl_basis(4)), tuple(so_basis(4))))
+    runs = [(sl3_so3_pair(), 1), (sl4_so4, 7),
+            (build_pair(get_entry("sl2_so2").problem), 0)]
+    for pair, seed in runs:
+        counts = []
+        for samples in (1, 100):
+            with monkeypatch.context() as m:
+                calls = count_kernel_calls(
+                    m, ("int_rank", "rref") + MATRIX_KERNELS)
+                closures = count_closure_checks(m)
+                rep = compact_transitivity_check(pair, samples=samples,
+                                                 seed=seed)
+            assert rep.samples_run == samples
+            counts.append((calls, len(closures)))
+        (base, base_closures), (calls, closures) = counts
+        leaving = words_leaving_p(pair.cartan, 100, seed)
+        assert 0 < leaving < 100
+        assert calls["int_rank"] - base["int_rank"] == leaving
+        assert calls["rref"] == base["rref"]
+        assert closures == base_closures
+        for name in MATRIX_KERNELS:
+            assert calls[name] == base[name], name
 
 
 def test_open_orbit_test_builds_no_fraction_on_integral_data(monkeypatch):
     """The per-sample work of compact_transitivity_check and
-    conjugate_search (move h's scaled basis by the word or its inverse,
-    rank it modulo p) stays in ints when the structure constants, p, h
-    and the word's factors are integral."""
+    conjugate_search (trim the word's factors in p, move h's scaled basis
+    by the rest of the word or its inverse, rank it modulo p) stays in
+    ints when the structure constants, p, h and the word's factors are
+    integral."""
     from itertools import islice
 
     from sphlie.orbits import _scaled_in
-    from sphlie.spherical import _open_defect
+    from sphlie.spherical import _prepared_words, _trimmed_defect
 
     pair = sl3_so3_pair()
     cd = pair.cartan
     basis = [_scaled_in(cd.algebra, v) for v in pair.h.basis]
     # the identity, the Weyl elements and the single exponentials
-    words = [word for word, _ in islice(group_element_candidates(cd), 40)]
-    assert all(type(a) is int for word in words for x in word.factors
-               for a in x)
+    words = [factors for factors, _ in islice(_prepared_words(cd, 0), 40)]
+    assert all(type(a) is int for factors in words for f in factors
+               for a in f.vector)
     built = []
     real = F.__new__
     with monkeypatch.context() as m:
         m.setattr(F, "__new__",
                   lambda cls, *a, **k: built.append(a) or real(cls, *a, **k))
-        defects = [_open_defect(cd, [mover._ad_scaled(v)[0] for v in basis])
-                   for word in words for mover in (word, word.inverse)]
+        defects = [_trimmed_defect(cd, basis, factors, inverse, 0)
+                   for factors in words for inverse in (False, True)]
     assert built == []
     assert defects == [0] * 80
 
@@ -489,23 +528,36 @@ def test_exhausted_search_builds_no_matrix(monkeypatch):
     assert not calls
 
 
-def test_one_elimination_decides_each_search_attempt(monkeypatch):
-    from sphlie.catalog import get_entry
+def test_search_ranks_each_attempt_that_leaves_p(monkeypatch):
+    """conjugate_search reads the identity's defect once (one integer
+    rank), then makes one integer rank per attempted word with a factor
+    outside p, and no closure check; the only rref canonicalises the
+    winner's h."""
+    from sphlie.catalog import catalog_entries, get_entry
     from sphlie.problem import build_pair
 
-    pair = build_pair(get_entry("sl2_zero").problem)
-    closure_checks = []
-    real = LieAlgebra.is_subalgebra
-    with monkeypatch.context() as m:
-        calls = count_kernel_calls(m, ("int_rank", "rref"))
-        m.setattr(LieAlgebra, "is_subalgebra",
-                  lambda g, h: closure_checks.append(h) or real(g, h))
-        assert conjugate_search(pair, budget=30) is None
-    # p + Ad(g)h is one integer rank and no rref; Ad(g)h is closed by
-    # construction
-    assert calls["int_rank"] == 30
-    assert calls["rref"] == 0
-    assert closure_checks == []
+    cd = sl3_so3_pair().cartan
+    line = spherical_pair(cd, cd.algebra.span_of_matrices([elementary(3, 0, 2)]))
+    runs = [(build_pair(get_entry("sl2_zero").problem), 30, 0),
+            (line, 100, 0), (line, 100, 5)]
+    runs += [(build_pair(e.problem), 40, 0) for e in catalog_entries()
+             if e.expected.needs_conjugation]
+    outcomes = set()
+    for pair, budget, seed in runs:
+        with monkeypatch.context() as m:
+            calls = count_kernel_calls(m, ("int_rank", "rref"))
+            closures = count_closure_checks(m)
+            found = conjugate_search(pair, budget=budget, seed=seed)
+        attempts = budget if found is None else found.attempts
+        leaving = words_leaving_p(pair.cartan, attempts, seed)
+        assert calls["int_rank"] == 1 + leaving
+        assert calls["rref"] == (0 if found is None else 1)
+        assert closures == []
+        outcomes.add((found is None, leaving < attempts - 1))
+    # dim p + dim h < dim g for the line in sl(3), so no attempt wins; the
+    # exhausted runs meet words in P past the identity
+    assert (True, True) in outcomes
+    assert any(not exhausted for exhausted, _ in outcomes)
     # with no Levi adjustment, h is its own standard form
     open_pair = sl3_so3_pair()
     rep = structure_report(open_pair)
@@ -763,3 +815,185 @@ def test_open_orbit_tests_match_the_dense_replay():
             compared.add(rep.verdict)
     assert compared == {"found", "exhausted", "consistent-with-compact",
                         "witness-of-noncompactness"}
+
+
+# -- trimmed sampling against the untrimmed reference ---------------------------
+
+
+def untrimmed_transitivity(pair, samples, seed):
+    """compact_transitivity_check's loop with h moved by each full word's
+    inverse (GroupWord.image) and h + Ad(g)p = g decided by subspace_sum:
+    (verdict, samples_run, witness description)."""
+    from sphlie.linalg import restrict_bilinear_form, symmetric_signature
+
+    cd = pair.cartan
+    full = cd.algebra.full_space()
+    compact = symmetric_signature(restrict_bilinear_form(
+        cd.algebra.killing_form(), pair.h)) == (0, pair.h.dim, 0)
+    run = 0
+    for word, desc in group_element_candidates(cd, seed):
+        if run >= samples:
+            break
+        run += 1
+        if subspace_sum(cd.p, word.inverse.image(pair.h)) != full:
+            return ("compact-type failure" if compact
+                    else "witness-of-noncompactness"), run, desc
+    return ("consistent-with-compact" if compact else "inconclusive"), run, None
+
+
+def untrimmed_search(pair, budget, seed):
+    """conjugate_search's loop with h moved by each full word
+    (GroupWord.image) and p + Ad(g)h = g decided by subspace_sum:
+    (attempts, description, conjugated h), or None."""
+    cd = pair.cartan
+    full = cd.algebra.full_space()
+    attempts = 0
+    for word, desc in group_element_candidates(cd, seed):
+        if attempts >= budget:
+            break
+        attempts += 1
+        moved = word.image(pair.h)
+        if subspace_sum(cd.p, moved) == full:
+            return attempts, desc, moved
+    return None
+
+
+def test_trimmed_transitivity_matches_the_untrimmed_reference():
+    from sphlie.catalog import catalog_entries
+    from sphlie.errors import SphlieError
+    from sphlie.problem import Problem, build_pair
+
+    problems = [e.problem for e in catalog_entries()
+                if e.expected.spherical_at_base]
+    problems.append(
+        Problem("sl4_so4", 4, tuple(sl_basis(4)), tuple(so_basis(4))))
+    verdicts = set()
+    for problem in problems:
+        pair = build_pair(problem)
+        for seed in range(10):
+            try:
+                rep = compact_transitivity_check(pair, samples=100, seed=seed)
+            except SphlieError:
+                continue   # the criterion does not apply to this pair
+            assert untrimmed_transitivity(pair, 100, seed) == (
+                rep.verdict, rep.samples_run,
+                rep.witness_description), (problem.name, seed)
+            verdicts.add((problem.name, rep.verdict))
+    assert ("sl4_so4", "consistent-with-compact") in verdicts
+    assert ("sl2_opposite_borel", "witness-of-noncompactness") in verdicts
+
+
+def test_trimmed_search_matches_the_untrimmed_reference():
+    from sphlie.catalog import catalog_entries
+    from sphlie.problem import build_pair
+
+    cd = sl3_so3_pair().cartan
+    line = spherical_pair(cd, cd.algebra.span_of_matrices([elementary(3, 0, 2)]))
+    pairs = [build_pair(e.problem) for e in catalog_entries()
+             if e.expected.needs_conjugation or not e.expected.spherical]
+    for pair in pairs + [line]:
+        for seed in range(10):
+            found = conjugate_search(pair, budget=60, seed=seed)
+            assert untrimmed_search(pair, 60, seed) == (None if found is None else (
+                found.attempts, found.description, found.conjugated)), (
+                    pair.label, seed)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pair: compact_transitivity_check(pair, samples=-4),
+    lambda pair: conjugate_search(pair, budget=-3),
+])
+def test_negative_counts_raise_a_named_error(call):
+    from sphlie.errors import DimensionMismatch
+
+    with pytest.raises(DimensionMismatch, match="at least 0"):
+        call(sl3_so3_pair())
+
+
+def test_each_stream_factor_is_prepared_once_with_its_root_sign(monkeypatch):
+    """The stream scales each (pool vector, t) factor for the series once,
+    and each factor's p-membership agrees with the sign of its root."""
+    from itertools import islice
+
+    import sphlie.spherical as spherical
+
+    cd = sl3_so3_pair().cartan
+    scanned = []
+    real = spherical._exponent
+    monkeypatch.setattr(spherical, "_exponent",
+                        lambda g, x: scanned.append(x) or real(g, x))
+    words = list(islice(spherical._prepared_words(cd, 1), 400))
+    weyl = sum(cd.root_space(r).dim for r in cd.positive_roots)
+    pool = sum(cd.root_space(r).dim for r in cd.roots)
+    # two per Weyl word, then one per distinct (pool vector, t)
+    assert len(scanned) <= 2 * weyl + 8 * pool
+    assert len(scanned[2 * weyl:]) == len(set(scanned[2 * weyl:]))
+    for factors, desc in words:
+        for f in factors:
+            root = next(r for r in cd.roots if cd.root_space(r).contains(f.vector))
+            assert f.in_p == (root in cd.positive_roots), desc
+            assert f.exponent == real(cd.algebra, f.vector)
+
+
+# the series and rank calls of spherical.py, and the functions that may
+# make them: the trimming helper for sampled words and is_spherical for h
+# itself
+TRIM_ALLOWED = {"_trimmed_defect": {"_exp_ad_scaled", "_open_defect"},
+                "is_spherical": {"_open_defect"}}
+SERIES_AND_RANK = {"_exp_ad_scaled", "_ad_scaled", "_open_defect"}
+
+
+def untrimmed_moves(tree):
+    """(function, line) of every call of ``_exp_ad_scaled``,
+    ``<...>._ad_scaled`` or ``_open_defect`` that TRIM_ALLOWED does not
+    allow the innermost enclosing function to make."""
+    import ast
+
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = getattr(f, "attr", getattr(f, "id", None))
+            if name in SERIES_AND_RANK and name not in TRIM_ALLOWED.get(fn, ()):
+                found.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_trimming_helper_moves_a_sampled_word():
+    import ast
+    from pathlib import Path
+
+    import sphlie.spherical as spherical
+
+    tree = ast.parse(Path(spherical.__file__).read_text("utf-8"))
+    assert untrimmed_moves(tree) == []
+
+
+def test_the_trimming_lint_sees_an_untrimmed_loop():
+    import ast
+
+    # the sampling loops as they were before trimming
+    tree = ast.parse(
+        "def conjugate_search(pair, budget, seed=0):\n"
+        "    for word, desc in group_element_candidates(cd, seed):\n"
+        "        moved = [word._ad_scaled(v)[0] for v in basis]\n"
+        "        if _open_defect(cd, moved) == 0:\n"
+        "            return word\n"
+        "def compact_transitivity_check(pair, samples=100, seed=0):\n"
+        "    v = _exp_ad_scaled(g, word.inverse._exponents, basis[0])\n"
+        "    def is_spherical(pair):\n"
+        "        return _open_defect(cd, [v])\n")
+    assert untrimmed_moves(tree) == [
+        ("conjugate_search", 3), ("conjugate_search", 4),
+        ("compact_transitivity_check", 7)]
+    tree = ast.parse("def _trimmed_defect(cd, basis, factors, inverse, known):\n"
+                     "    return _open_defect(cd, [_exp_ad_scaled(g, e, v)[0]"
+                     " for v in basis])\n")
+    assert untrimmed_moves(tree) == []
