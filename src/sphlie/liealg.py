@@ -42,7 +42,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -62,6 +61,7 @@ from .linalg import (
     _exact,
     _exact_row,
     _from_entries,
+    _integral,
     as_matrix,
     as_vector,
     bilinear_value,
@@ -566,13 +566,6 @@ class CartanData:
         return _exact(sum((c * r for c, r in zip(coords, root)), ZERO))
 
 
-def _integral(vectors: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
-    """The vectors times the lcm of their entries' denominators, as ints."""
-    den = lcm(*(x.denominator for v in vectors for x in v))
-    return [tuple([x.numerator * (den // x.denominator) for x in v])
-            for v in vectors]
-
-
 def _lex_positive(values: Sequence[Scalar]) -> bool:
     for v in values:
         if v != 0:
@@ -746,9 +739,10 @@ def _noncompact_ideals(cd: CartanData, inside: Sequence[int], levi: Subspace
 
 
 def _levi_split(cd: CartanData, inside: Sequence[int], levi: Subspace
-                ) -> tuple[Subspace, Subspace, list[Subspace]]:
-    """(z(l), l_c, [l_n,C, ...]) of ``levi`` = l_F, F the simple roots with
-    indices ``inside``, read off the restricted roots, not g's basis.
+                ) -> tuple[Subspace, Subspace, Subspace, list[Subspace]]:
+    """(z(l), l_c, l_n, [l_n,C, ...]) of ``levi`` = l_F, F the simple roots
+    with indices ``inside``, read off the restricted roots, not g's basis;
+    l_n is the sum of the l_n,C.
 
     z(l) is the centralizer of l in l, and l_c = [C', C'] for C' the
     centralizer in l of the noncompact ideals.  Certified: l = z(l) ⊕ l_c ⊕
@@ -768,7 +762,7 @@ def _levi_split(cd: CartanData, inside: Sequence[int], levi: Subspace
     if sig != (0, lc.dim, 0):
         raise CertificationError(f"Killing form is not negative definite on "
                                  f"l_c (dim {lc.dim}): signature {sig}")
-    return center, lc, ideals
+    return center, lc, ln, ideals
 
 
 def simple_ideal_split(g: LieAlgebra) -> ReductiveSplit:
@@ -784,8 +778,8 @@ def simple_ideal_split(g: LieAlgebra) -> ReductiveSplit:
     if der.dim == 0:
         return ReductiveSplit(center=z, ideals=())
     cd = cartan_data(g)
-    center, lc, ideals = _levi_split(cd, range(len(cd.simple_roots)),
-                                     g.full_space())
+    center, lc, _, ideals = _levi_split(cd, range(len(cd.simple_roots)),
+                                        g.full_space())
     entries = [(ideal, False) for ideal in ideals]
     if lc.dim:
         entries.append((lc, True))

@@ -22,10 +22,12 @@ membership into linear conditions: :func:`subspace_intersect` is the kernel
 of the smaller side's residuals modulo the larger.  The kernel of a bracket
 condition lives in :func:`sphlie.liealg.transporter`.  Sparse vectors are
 dicts {coordinate: value} of their nonzero entries; :meth:`Subspace._read_off`
-reduces one, :func:`_scaled` scales one to ints by a common denominator, the
-exponential series of :mod:`sphlie.orbits` runs on them in that form, and
-:func:`int_rank` ranks them with no Fraction.  :func:`rref` stays the one
-elimination behind canonical bases.
+reduces one, the exponential series of :mod:`sphlie.orbits` runs on them
+scaled to ints, and :func:`int_rank` ranks them with no Fraction.  Integer
+scaling, by the least common denominator, has one implementation per form:
+:func:`_scaled` for a sparse vector and :func:`_integral` for dense vectors
+at one shared denominator.  :func:`rref` stays the one elimination behind
+canonical bases.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ def _scaled(v: dict[int, Scalar]) -> tuple[dict[int, int], int]:
     den = lcm(*[a.denominator for a in v.values() if a])
     return {i: a.numerator * (den // a.denominator)
             for i, a in v.items() if a}, den
+
+
+def _integral(vectors: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
+    """The vectors times the lcm of their entries' denominators, as ints."""
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    return [tuple([x.numerator * (den // x.denominator) for x in v])
+            for v in vectors]
 
 
 def as_vector(entries: Iterable) -> Vector:
@@ -509,16 +518,15 @@ def kernel(rows: Sequence[Sequence[Scalar]], ncols: int) -> Subspace:
 
 
 def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Optional[Vector]:
-    """One exact solution of A x = b with free variables set to 0, or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    """One exact solution of A x = b with free variables set to 0, or None.
+
+    The last column of [A | -b] is free exactly when A x = b is consistent,
+    and its null generator (:func:`_null_generators`) is then (x, 1) for
+    that solution."""
     ncols = len(rows[0]) if rows else 0
-    red, pivots = rref(aug)
-    x = [ZERO] * ncols
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None  # 0 = 1 row: inconsistent
-        x[p] = row[-1]
-    return tuple(x)
+    gens = _null_generators([list(r) + [-b] for r, b in zip(rows, rhs)],
+                            ncols + 1)
+    return tuple(gens[-1][:-1]) if gens and gens[-1][-1] else None
 
 
 # matrices -------------------------------------------------------------------

@@ -110,9 +110,7 @@ def levi_fine_structure(pd: ParabolicData) -> LeviStructure:
     restricted roots (:func:`~sphlie.liealg._levi_split`, which certifies
     l = z(l) ⊕ l_c ⊕ l_n), with the splittings of z(l) and a certified."""
     cd, levi = pd.cartan, pd.levi
-    g = cd.algebra
-    center, lc, ideals = _levi_split(cd, pd.subset_indices, levi)
-    ln = canonical_basis([v for ideal in ideals for v in ideal.basis], g.dim)
+    center, lc, ln, _ = _levi_split(cd, pd.subset_indices, levi)
     z_np = subspace_intersect(center, cd.s)
     z_cp = subspace_intersect(center, cd.k)
     if subspace_sum(z_np, z_cp) != center:

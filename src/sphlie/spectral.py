@@ -14,7 +14,7 @@ from floating-point routines.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable, Sequence
 
 from .errors import SpectrumError
@@ -28,6 +28,7 @@ from .linalg import (
     _div,
     _exact,
     _exact_row,
+    _integral,
     canonical_basis,
     kernel,
     mat_apply,
@@ -52,10 +53,6 @@ def poly_normalize(p: Sequence[Scalar]) -> Poly:
 def poly_monic(p: Poly) -> Poly:
     lead = p[-1]
     return [_div(c, lead) for c in p]
-
-
-def poly_derivative(p: Poly) -> Poly:
-    return poly_normalize([c * i for i, c in enumerate(p)][1:])
 
 
 def poly_eval(p: Poly, x: Scalar) -> Scalar:
@@ -83,19 +80,15 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return poly_normalize(q), poly_normalize(a)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    a, b = poly_normalize(a), poly_normalize(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a) if a else a
+# the largest |n| whose divisors the rational root search enumerates
+_DIVISOR_CAP = 1_000_000_000_000
 
 
-def _divisors(n: int, cap: int = 1_000_000_000_000) -> list[int]:
+def _divisors(n: int) -> list[int]:
     n = abs(n)
     if n == 0:
         return []
-    if n > cap:
+    if n > _DIVISOR_CAP:
         raise SpectrumError(
             "polynomial constant term too large for exact rational root search")
     out = []
@@ -111,43 +104,30 @@ def rational_roots(p: Poly) -> list[Fraction]:
     """All roots, as Fractions, of a monic rational polynomial that splits
     over Q.
 
+    Zero roots are stripped first; then each candidate of the rational root
+    theorem is divided out for as long as it is a root, so every root leaves
+    once per multiplicity, and a root that leaves twice is repeated.
     Raises SpectrumError if ``p`` has a repeated root (non-semisimple action)
     or an irreducible factor of degree >= 2 (irrational spectrum).
     """
     p = poly_monic(poly_normalize(p))
-    if poly_degree(p) == 0:
-        return []
-    g = poly_gcd(p, poly_derivative(p))
-    if poly_degree(g) > 0:
-        raise SpectrumError("operator is not semisimple (repeated eigenvalue "
-                            "in a minimal polynomial)")
     roots: list[Fraction] = []
-    # strip zero roots first
-    while p[0] == 0:
+    while poly_degree(p) > 0 and p[0] == 0:
         roots.append(Fraction(0))
         p = p[1:]
-    if poly_degree(p) == 0:
-        return roots
-    # clear denominators -> integer polynomial
-    den = 1
-    for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ip = [int(c * den) for c in p]
-    cont = 0
-    for c in ip:
-        cont = gcd(cont, c)
-    ip = [c // cont for c in ip]
-    lead, const = ip[-1], ip[0]
-    cands = set()
-    for num in _divisors(const):
-        for d in _divisors(lead):
-            cands.add(Fraction(num, d))
-            cands.add(Fraction(-num, d))
-    for r in sorted(cands):
-        while poly_degree(p) > 0 and poly_eval(p, r) == 0:
-            roots.append(r)
-            p, rem = poly_divmod(p, [-r, ONE])
-            assert not rem
+    if poly_degree(p) > 0:
+        # p is monic, so at the lcm of its denominators the ints have
+        # content 1
+        ip = _integral([p])[0]
+        cands = {Fraction(sign * num, d) for num in _divisors(ip[0])
+                 for d in _divisors(ip[-1]) for sign in (1, -1)}
+        for r in sorted(cands):
+            while poly_degree(p) > 0 and poly_eval(p, r) == 0:
+                roots.append(r)
+                p = poly_divmod(p, [-r, ONE])[0]
+    if len(set(roots)) < len(roots):
+        raise SpectrumError("operator is not semisimple (repeated eigenvalue "
+                            "in a minimal polynomial)")
     if poly_degree(p) > 0:
         raise SpectrumError("operator has an irrational eigenvalue "
                             "(minimal polynomial does not split over Q)")

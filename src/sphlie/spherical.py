@@ -376,16 +376,9 @@ class GroupWord:
 
     @cached_property
     def inverse(self) -> GroupWord:
-        """word⁻¹ = exp(-x_k)···exp(-x_1).  Its series exponents are this
-        word's, negated and in reverse order, so no factor is scanned or
-        scaled again."""
-        inv = GroupWord(self.algebra, tuple(
+        """word⁻¹ = exp(-x_k)···exp(-x_1)."""
+        return GroupWord(self.algebra, tuple(
             tuple([-a for a in x]) for x in reversed(self.factors)))
-        # seeds the cached property, which would rescan every factor
-        inv.__dict__["_exponents"] = tuple(
-            ([(-c, t) for c, t in rows], dx)
-            for rows, dx in reversed(self._exponents))
-        return inv
 
     @cached_property
     def matrix(self) -> Matrix:
@@ -415,15 +408,6 @@ class _Factor:
         """The exponent of -x: the same rows, each int negated."""
         rows, dx = self.exponent
         return [(-c, t) for c, t in rows], dx
-
-
-def _word(g: LieAlgebra, factors: Sequence[_Factor]) -> GroupWord:
-    """The GroupWord of prepared factors, with its series exponents seeded
-    from theirs, so no factor is scanned again."""
-    word = GroupWord(g, tuple(f.vector for f in factors))
-    # seeds the cached property, which would rescan every factor
-    word.__dict__["_exponents"] = tuple(f.exponent for f in reversed(factors))
-    return word
 
 
 def _prepared_words(cd: CartanData, seed: int
@@ -497,12 +481,10 @@ def group_element_candidates(cd: CartanData, seed: int = 0
     the identity, every root-space basis vector and theta of every positive
     one is certified once to have a nilpotent matrix (DimensionMismatch
     otherwise), so every factor's exponential is a finite exact series.
-    Each factor is scaled for the series once per stream
-    (:func:`_prepared_words`), not once per word.  A word's ``matrix`` is
-    multiplied out only when asked for.
+    A word's ``matrix`` is multiplied out only when asked for.
     """
     for factors, desc in _prepared_words(cd, seed):
-        yield _word(cd.algebra, factors), desc
+        yield GroupWord(cd.algebra, tuple(f.vector for f in factors)), desc
 
 
 def _trimmed_defect(cd: CartanData, basis: Sequence[tuple[dict[int, int], int]],
@@ -574,7 +556,7 @@ def conjugate_search(pair: SphericalPair, budget: int,
             break
         attempts += 1
         if _trimmed_defect(cd, basis, factors, False, known) == 0:
-            word = _word(g, factors)
+            word = GroupWord(g, tuple(f.vector for f in factors))
             return ConjugationResult(
                 word=word, description=desc, attempts=attempts,
                 conjugated=word.image(pair.h))
@@ -658,7 +640,8 @@ def compact_transitivity_check(pair: SphericalPair, samples: int = 100,
                     f"but h + Ad(g)p != g for g = {desc}")
             return TransitivityReport(
                 verdict="witness-of-noncompactness", compact_type=False,
-                samples_run=run, witness_word=_word(g, factors),
+                samples_run=run,
+                witness_word=GroupWord(g, tuple(f.vector for f in factors)),
                 witness_description=desc)
     if compact_type:
         return TransitivityReport(

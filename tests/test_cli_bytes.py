@@ -18,6 +18,9 @@ unhinted and hinted, pins a Levi whose ideals are of both kinds, compact
 and noncompact.  ``analyze`` of sl(3)/so(3) with θ given as the coordinate
 matrix of −Xᵀ pins the path that checks a given θ, where the default is
 proved.
+``analyze`` of sl3_so3 and sl2x3_diag_mixed on the mixed basis
+``remixed(…, 0)`` pins the spectral path: their weight stage splits through
+minimal polynomials and ``rational_roots``, which no other pin reaches.
 """
 
 import contextlib
@@ -29,9 +32,10 @@ import pytest
 
 import mixed_levi
 from sphlie.builders import direct_sum_basis, sl_basis, so_basis
-from sphlie.catalog import catalog_entries
+from sphlie.catalog import catalog_entries, get_entry
 from sphlie.cli import main
 from sphlie.problem import Problem, problem_to_json
+from test_exact_scalars import remixed
 
 SAMPLES = "10"
 
@@ -123,6 +127,17 @@ SL2X2_SO3_ANALYZE_DIGESTS = {
         "b041d4e49308ee6c2e6927d91d283df6c1f54bd6aaf6f3165864d1fba14027d3",
     "hinted json":
         "4386e247621e9fe1669f6d762056d0438a4be361584151ddd8e0912152f3f90c",
+}
+
+REMIXED_ANALYZE_DIGESTS = {
+    "sl3_so3 text":
+        "4bdadaed10ad261252cb969bb1de32fa39f97e9071f278b759e24abfe9c732da",
+    "sl3_so3 json":
+        "612aa35f3c08be07443ab02525e05eb0b9a26d31fe2cc816407a9d8cfef0a972",
+    "sl2x3_diag_mixed text":
+        "823a398f85b831c531619a5baeb0df718309a60ae7d5b81283564a2c2399abff",
+    "sl2x3_diag_mixed json":
+        "cf605f37dedc6babf46d11ce5911f75d1e6ebd1430434be825c4bf12f11edfc4",
 }
 
 
@@ -249,3 +264,17 @@ def test_mixed_levi_analyze_output_is_unchanged(hint, fmt, tmp_path):
                    str(path)]).replace(str(path).encode(), path.name.encode())
     key = f"{'unhinted' if hint is None else 'hinted'} {fmt}"
     assert hashlib.sha256(run).hexdigest() == SL2X2_SO3_ANALYZE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("name", ["sl3_so3", "sl2x3_diag_mixed"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_remixed_analyze_output_is_unchanged(name, fmt, tmp_path):
+    entry = get_entry(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(problem_to_json(remixed(entry.problem, 0)),
+                    encoding="utf-8")
+    run = run_cli(["analyze", "--samples", SAMPLES, "--conjugate-search",
+                   str(entry.search_budget), "--format", fmt, str(path)]
+                  ).replace(str(path).encode(), path.name.encode())
+    assert hashlib.sha256(run).hexdigest() == \
+        REMIXED_ANALYZE_DIGESTS[f"{name} {fmt}"]

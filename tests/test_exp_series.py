@@ -128,7 +128,7 @@ def test_group_word_ad_matches_the_composed_dense_series(name, seed, data):
     assert got == tuple(want)
     assert all(exact(a) for a in got)
     assert word.inverse.ad(got) == tuple(y)
-    # the inverse's exponents are the word's, negated, not a rescan
+    # the inverse is the word of the negated factors in reverse order
     negated = tuple(vec_scale(-1, x) for x in reversed(factors))
     assert word.inverse.factors == negated
     assert word.inverse._exponents == GroupWord(g, negated)._exponents

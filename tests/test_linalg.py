@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matrix_helpers import mat_invert
 from sphlie.errors import DimensionMismatch
@@ -17,6 +19,7 @@ from sphlie.linalg import (
     mat_mul,
     membership,
     restrict_bilinear_form,
+    rref,
     solve_linear,
     subspace_intersect,
     subspace_sum,
@@ -153,6 +156,51 @@ def test_kernel_and_solve():
     x = solve_linear([as_vector((1, 1)), as_vector((1, -1))], as_vector((3, 1)))
     assert x == as_vector((2, 1))
     assert solve_linear([as_vector((1, 1)), as_vector((2, 2))], as_vector((1, 3))) is None
+    assert solve_linear([], []) == ()
+
+
+def back_substitution(rows, rhs):
+    """A x = b by one elimination of [A | b]: the pivot rows give x at the
+    pivots and the free variables are 0; None when a pivot lands on b."""
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    x = [0] * ncols
+    for row, p in zip(red, pivots):
+        if p == ncols:
+            return None
+        x[p] = row[-1]
+    return tuple(x)
+
+
+SMALL = st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_solve_linear_matches_back_substitution(m, n, data):
+    """Consistent, inconsistent and rank-deficient systems: the solution
+    with free variables 0, or None, exactly as back substitution gives."""
+    rows = [data.draw(st.lists(SMALL, min_size=n, max_size=n))
+            for _ in range(m)]
+    if data.draw(st.booleans()):
+        # a combination of two rows makes the system rank-deficient
+        c = data.draw(SMALL)
+        rows.append([c * a + b for a, b in zip(rows[0], rows[-1])])
+    if data.draw(st.booleans()):
+        # b in the column span: consistent
+        x = data.draw(st.lists(SMALL, min_size=n, max_size=n))
+        rhs = [sum(a * y for a, y in zip(r, x)) for r in rows]
+    else:
+        rhs = data.draw(st.lists(SMALL, min_size=len(rows),
+                                 max_size=len(rows)))
+    rows = [as_vector(r) for r in rows]
+    rhs = as_vector(rhs)
+    got = solve_linear(rows, rhs)
+    assert got == back_substitution(rows, rhs)
+    if got is not None:
+        assert all(sum(a * y for a, y in zip(r, got)) == b
+                   for r, b in zip(rows, rhs))
+        assert all(type(a) is int or a.denominator > 1 for a in got)
 
 
 def test_matrix_inverse():

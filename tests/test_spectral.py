@@ -20,7 +20,6 @@ from sphlie.linalg import (
 )
 from sphlie.spectral import (
     eigen_split,
-    poly_gcd,
     rational_roots,
     restriction_matrix,
     vector_minimal_polynomial,
@@ -39,9 +38,10 @@ def test_rational_roots_simple():
 
 
 def test_rational_roots_rejects_repeated():
-    # (x-1)^2
-    with pytest.raises(SpectrumError):
-        rational_roots([F(1), F(-2), F(1)])
+    # (x-1)^2, and x^2 (x-1), whose repeated root is 0
+    for p in ([F(1), F(-2), F(1)], [F(0), F(0), F(-1), F(1)]):
+        with pytest.raises(SpectrumError, match="repeated"):
+            rational_roots(p)
 
 
 def test_rational_roots_rejects_irrational():
@@ -50,11 +50,42 @@ def test_rational_roots_rejects_irrational():
         rational_roots([F(-2), F(0), F(1)])
 
 
-def test_poly_gcd():
-    # gcd(x^2-1, x^2-2x+1) = x-1
-    g = poly_gcd([F(-1), F(0), F(1)], [F(1), F(-2), F(1)])
-    assert g == [F(-1), F(1)]
+def poly_times(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
+
+ROOT_GRID = sorted({F(n, d) for n in range(-4, 5) for d in (1, 2, 3)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(ROOT_GRID), unique=True, max_size=4),
+       st.booleans(),
+       st.sampled_from([None, [F(-2), F(0), F(1)], [F(1), F(0), F(1)]]),
+       st.sampled_from([F(1), F(-3), F(2, 5)]))
+def test_rational_roots_are_the_distinct_roots_or_a_named_error(
+        roots, repeat, quadratic, lead):
+    """A product of linear factors over a grid of rationals, zero included,
+    sometimes with one root repeated and sometimes times x^2 - 2 or
+    x^2 + 1, at one of three leading coefficients: the sorted distinct roots come
+    back exactly when the product is squarefree and splits over Q."""
+    repeat = repeat and bool(roots)
+    factors = [[-r, F(1)] for r in roots + roots[-1:] * repeat]
+    if quadratic is not None:
+        factors.append(quadratic)
+    p = [lead]
+    for f in factors:
+        p = poly_times(p, f)
+    if not repeat and quadratic is None:
+        got = rational_roots(p)
+        assert got == sorted(roots)
+        assert all(type(r) is F for r in got)
+    else:
+        with pytest.raises(SpectrumError):
+            rational_roots(p)
 
 def test_vector_minimal_polynomial():
     m = as_matrix([(0, 2, 0), (0, 0, 0), (0, 0, -2)])

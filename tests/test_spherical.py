@@ -997,3 +997,58 @@ def test_the_trimming_lint_sees_an_untrimmed_loop():
                      "    return _open_defect(cd, [_exp_ad_scaled(g, e, v)[0]"
                      " for v in basis])\n")
     assert untrimmed_moves(tree) == []
+
+
+def dict_writes(tree):
+    """Lines of every assignment to ``<expr>.__dict__[...]``, tuple targets
+    and augmented assignments included."""
+    import ast
+
+    def targets(node):
+        if isinstance(node, ast.Assign):
+            return node.targets
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        return []
+
+    def flat(t):
+        if isinstance(t, (ast.Tuple, ast.List)):
+            return [x for e in t.elts for x in flat(e)]
+        return [t]
+
+    return [node.lineno for node in ast.walk(tree)
+            for t in targets(node) for x in flat(t)
+            if isinstance(x, ast.Subscript)
+            and isinstance(x.value, ast.Attribute)
+            and x.value.attr == "__dict__"]
+
+
+def test_no_module_writes_into_an_instance_dict():
+    """A cached property is computed by its own getter, never seeded by a
+    write into a (frozen) instance's ``__dict__``."""
+    import ast
+    from pathlib import Path
+
+    import sphlie
+
+    src = Path(sphlie.__file__).resolve().parent
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := dict_writes(ast.parse(path.read_text("utf-8"))))}
+    assert found == {}, f"__dict__ writes: {found}"
+
+
+def test_the_dict_write_lint_sees_a_seeded_cache():
+    import ast
+
+    # _word as it was when it seeded the word's series exponents
+    tree = ast.parse(
+        "def _word(g, factors):\n"
+        "    word = GroupWord(g, tuple(f.vector for f in factors))\n"
+        "    word.__dict__[\"_exponents\"] = tuple(\n"
+        "        f.exponent for f in reversed(factors))\n"
+        "    return word\n"
+        "def f(a, b):\n"
+        "    a.__dict__['x'], b.y = 1, 2\n"
+        "    a.b.__dict__['z'] += 1\n"
+        "    return a.__dict__['x'], dict(vars(b))\n")
+    assert dict_writes(tree) == [3, 7, 8]
