@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .builders import block_embed, gl_basis, sl_basis, so_basis
+from .builders import add, block_embed, gl_basis, sl_basis, so_basis
 from .linalg import as_matrix
 from .normalizer import NormalizerReport, normalizer_in, normalizer_report
 from .orbits import OrbitIdentityReport, parabolic_orbit_check
@@ -83,19 +83,11 @@ _F = [[0, 0], [1, 0]]
 _J = [[0, 1], [-1, 0]]
 
 
-def _sum_embed(pieces, total):
-    """One matrix from (offset, small-matrix) pieces on the diagonal."""
-    out = [[0] * total for _ in range(total)]
-    for offset, m in pieces:
-        for i, row in enumerate(m):
-            for j, e in enumerate(row):
-                out[offset + i][offset + j] = e
-    return out
-
-
 def _diag_embed(m, copies):
+    """m repeated ``copies`` times down the diagonal."""
     size = len(m)
-    return _sum_embed([(k * size, m) for k in range(copies)], copies * size)
+    return add(*(block_embed(m, copies * size, k * size)
+                 for k in range(copies)))
 
 
 def _problem(name, size, basis, sub, hint=None):

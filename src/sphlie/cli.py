@@ -1,11 +1,14 @@
 """Command-line frontend: exact analyses of (g, h) pairs from problem files.
 
-Commands: analyze, adapted, rank, normalizer, orbit-check, and catalog
-{list, run, export}.  Reports are text (default) or JSON (--format json);
-the JSON form is byte-stable for a fixed input and seed, carries a
-schema_version, and renders every rational exactly (integers as integers,
-other rationals as "p/q" strings).  Exit codes: 0 all requested checks
-pass, 1 a check failed, 2 input error.
+Commands: analyze, adapted, rank, normalizer, orbit-check (the rows of one
+table, ``_REPORTS``, served by ``cmd_report``), and catalog {list, run,
+export}.  A report is built once, as its JSON document (``_report_doc``);
+--format json prints it and the text form (default) is rendered from it
+(``_report_text``), so every printed value has a JSON field.  The JSON is
+byte-stable for a fixed input and seed, carries a schema_version, and
+renders every rational exactly (integers as ints, others as "p/q"
+strings).  Only ``_emit`` and ``catalog export`` write to stdout.  Exit
+codes: 0 all requested checks pass, 1 a check failed, 2 input error.
 """
 
 from __future__ import annotations
@@ -16,19 +19,7 @@ import json
 import sys
 
 from .catalog import catalog_entries, get_entry, run_entry
-from .errors import (
-    CertificationError,
-    DimensionMismatch,
-    NotCartanInvolution,
-    NotClosed,
-    NotNilpotent,
-    NotReductive,
-    NotSpherical,
-    ProblemFormatError,
-    SpectrumError,
-    UniquenessViolation,
-    UnreachableTarget,
-)
+from . import errors
 from .linalg import Subspace
 from .normalizer import normalizer_report
 from .orbits import parabolic_orbit_check
@@ -39,125 +30,79 @@ from .problem import (
     parse_problem,
     problem_to_json,
 )
-from .spherical import SphericalPair, structure_report
+from .spherical import structure_report
 
 SCHEMA_VERSION = 1
 
-_INPUT_ERRORS = (ProblemFormatError, NotClosed, DimensionMismatch,
-                 NotReductive, NotCartanInvolution)
-_CHECK_ERRORS = (NotSpherical, UniquenessViolation, CertificationError,
-                 SpectrumError, UnreachableTarget, NotNilpotent)
+_INPUT_ERRORS = (errors.ProblemFormatError, errors.NotClosed,
+                 errors.DimensionMismatch, errors.NotReductive,
+                 errors.NotCartanInvolution)
+_CHECK_ERRORS = (errors.NotSpherical, errors.UniquenessViolation,
+                 errors.CertificationError, errors.SpectrumError,
+                 errors.UnreachableTarget, errors.NotNilpotent)
+
+_NORMALIZER_FLAGS = ("split_ok", "elementary_ok", "self_normalizing_ok",
+                     "same_adapted_ok")
 
 
-# -- exact rendering ----------------------------------------------------------
-
-
-def fmt_frac(f) -> str:
-    v = format_rational(f)
-    return str(v)
+# -- the report document -------------------------------------------------------
 
 
 def vec_json(v) -> list:
     return [format_rational(x) for x in v]
 
 
-def vec_text(v) -> str:
-    return "(" + ", ".join(fmt_frac(x) for x in v) + ")"
-
-
 def subspace_json(s: Subspace) -> list:
     return [vec_json(b) for b in s.basis]
 
 
-def subspace_text(s: Subspace) -> str:
-    if s.dim == 0:
-        return "0"
-    return ", ".join(vec_text(b) for b in s.basis)
-
-
-def root_json(root) -> list:
-    return [format_rational(x) for x in root]
-
-
-def _base_doc(command: str, problem: Problem, seed: int) -> dict:
-    return {
+def _report_doc(args, problem: Problem, want: set) -> dict:
+    """The JSON document of a report with the blocks in ``want``, and its
+    ``pass``: the pair is open and every check and flag in it holds."""
+    budget = args.conjugate_search
+    _, ok, defect, search, final = find_open_pair(problem, budget, args.seed)
+    doc = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "name": problem.name,
-        "seed": seed,
+        "seed": args.seed,
+        "spherical_at_base": ok,
+        "defect_at_base": defect,
+        "conjugation": None,
+        "spherical": final is not None,
     }
-
-
-def _sphericity_block(doc: dict, ok: bool, defect: int, search, budget: int,
-                      final) -> None:
-    doc["spherical_at_base"] = ok
-    doc["defect_at_base"] = defect
-    if ok or budget == 0:
-        doc["conjugation"] = None
-    elif search is None:
-        doc["conjugation"] = {"found": False, "budget": budget}
-    else:
+    if search is not None:
         doc["conjugation"] = {
             "found": True,
             "attempts": search.attempts,
             "description": search.description,
             "conjugated_h": subspace_json(search.conjugated),
         }
-    doc["spherical"] = final is not None
+    elif not ok and budget > 0:
+        doc["conjugation"] = {"found": False, "budget": budget}
+    if final is None:
+        doc.update(dict.fromkeys(want - {"candidates"}))
+        if "checks" in want:
+            doc["levi_adjusted"] = None
+        doc["pass"] = False
+        return doc
 
-
-def _sphericity_text(lines: list, doc: dict) -> None:
-    ok = doc["spherical_at_base"]
-    lines.append(f"spherical at base point: {'yes' if ok else 'no'} "
-                 f"(defect {doc['defect_at_base']})")
-    conj = doc["conjugation"]
-    if conj is not None:
-        if conj["found"]:
-            lines.append(f"conjugation: found after {conj['attempts']} "
-                         f"attempts: {conj['description']}")
-        else:
-            lines.append("conjugation: inconclusive within budget "
-                         f"{conj['budget']}")
-    if not ok and conj is not None and conj["found"]:
-        lines.append("spherical after conjugation: yes")
-
-
-def _structure_blocks(doc: dict, lines: list, final: SphericalPair,
-                      want: set) -> tuple:
-    """Fill the requested report blocks; returns (report, passed)."""
     report = structure_report(final)
-    cd = final.cartan
-    passed = True
-
+    simple = final.cartan.simple_roots
+    flags = []
     if "adapted" in want:
-        count = report.candidates_passing
         doc["adapted"] = {
             "subset_indices": list(report.adapted.subset_indices),
-            "subset_roots": [root_json(r) for r in report.adapted.subset],
-            "simple_roots": [root_json(r) for r in cd.simple_roots],
-            "candidates_passing": count,
+            "subset_roots": [vec_json(r) for r in report.adapted.subset],
+            "simple_roots": [vec_json(r) for r in simple],
+            "candidates_passing": report.candidates_passing,
             "levi_dim": report.adapted.levi.dim,
             "nilradical_dim": report.adapted.nilradical.dim,
         }
-        lines.append(f"adapted subset: indices "
-                     f"{list(report.adapted.subset_indices)} of "
-                     f"{len(cd.simple_roots)} simple roots "
-                     f"({count} passing candidate"
-                     f"{'s' if count != 1 else ''})")
-        lines.append(f"  levi dim {report.adapted.levi.dim}, "
-                     f"nilradical dim {report.adapted.nilradical.dim}")
-
     if "checks" in want:
         doc["checks"] = dict(report.checks)
         doc["levi_adjusted"] = bool(report.levi_adjustment.factors)
-        lines.append("structure checks:")
-        for key, val in report.checks.items():
-            lines.append(f"  {key}: {'ok' if val else 'FAILED'}")
-        if doc["levi_adjusted"]:
-            lines.append("  (verified after moving to a compatible Levi "
-                         "complement)")
-        passed = passed and all(report.checks.values())
-
+        flags += report.checks.values()
     if "rank" in want:
         doc["rank"] = {
             "value": report.rank,
@@ -165,130 +110,147 @@ def _structure_blocks(doc: dict, lines: list, final: SphericalPair,
             "rank_torus": subspace_json(report.rank_torus),
             "reductive_part_of_h_dim": report.h_reductive_part.dim,
         }
-        lines.append(f"rank: {report.rank}")
-        lines.append(f"  split part of h in the center of the levi: "
-                     f"{subspace_text(report.h_split_part)}")
-        lines.append(f"  torus acting on the quotient: "
-                     f"{subspace_text(report.rank_torus)}")
-
-    return report, passed
-
-
-def _normalizer_block(doc: dict, lines: list, report) -> bool:
-    nrep = normalizer_report(report)
-    flags = {
-        "split_ok": nrep.split_ok,
-        "elementary_ok": nrep.elementary_ok,
-        "self_normalizing_ok": nrep.self_normalizing_ok,
-        "same_adapted_ok": nrep.same_adapted_ok,
-    }
-    doc["normalizer"] = {
-        "dim": nrep.normalizer.dim,
-        "basis": subspace_json(nrep.normalizer),
-        "complement_dim": nrep.complement.dim,
-        "split_dim": nrep.split_part.dim,
-        "compact_dim": nrep.compact_factor.dim,
-        **flags,
-    }
-    lines.append(f"normalizer: dim {nrep.normalizer.dim} "
-                 f"(complement {nrep.complement.dim} = split "
-                 f"{nrep.split_part.dim} + compact "
-                 f"{nrep.compact_factor.dim})")
-    for key, val in flags.items():
-        lines.append(f"  {key}: {'ok' if val else 'FAILED'}")
-    return all(flags.values())
+    if "candidates" in want:
+        doc["candidates"] = [
+            {"indices": list(s), "roots": [vec_json(simple[i]) for i in s]}
+            for s in report.candidates]
+    if "normalizer" in want:
+        nrep = normalizer_report(report)
+        doc["normalizer"] = {
+            "dim": nrep.normalizer.dim,
+            "basis": subspace_json(nrep.normalizer),
+            "complement_dim": nrep.complement.dim,
+            "split_dim": nrep.split_part.dim,
+            "compact_dim": nrep.compact_factor.dim,
+            **{key: getattr(nrep, key) for key in _NORMALIZER_FLAGS},
+        }
+        flags += (getattr(nrep, key) for key in _NORMALIZER_FLAGS)
+    if "orbit" in want:
+        dp, orb = parabolic_orbit_check(report.adapted, args.samples,
+                                        args.seed)
+        doc["orbit"] = {
+            "ok": orb.ok,
+            "samples_run": orb.samples_run,
+            "witness": None if orb.witness is None else vec_json(orb.witness),
+            "characteristic_element": vec_json(dp.x0),
+            "layer_eigenvalues": [format_rational(lam) for lam, _ in dp.layers],
+        }
+        flags.append(orb.ok)
+    doc["pass"] = all(flags)
+    return doc
 
 
-def _orbit_block(doc: dict, lines: list, report, samples: int,
-                 seed: int) -> bool:
-    dp, orb = parabolic_orbit_check(report.adapted, samples, seed)
-    doc["orbit"] = {
-        "ok": orb.ok,
-        "samples_run": orb.samples_run,
-        "witness": None if orb.witness is None else vec_json(orb.witness),
-        "characteristic_element": vec_json(dp.x0),
-        "layer_eigenvalues": [format_rational(lam) for lam, _ in dp.layers],
-    }
-    lines.append(f"orbit identity: {'ok' if orb.ok else 'FAILED'} "
-                 f"({orb.samples_run} samples)")
-    if orb.witness is not None:
-        lines.append(f"  witness: {vec_text(orb.witness)}")
-    return orb.ok
+# -- text rendering of a document ----------------------------------------------
 
 
-def _emit(doc: dict, lines: list, fmt: str) -> None:
+def _ok(flag: bool) -> str:
+    return "ok" if flag else "FAILED"
+
+
+def _vectors_text(vectors: list) -> str:
+    """JSON vectors as "(a, b), (c, d)"; "0" for none, the zero space."""
+    return ", ".join("(" + ", ".join(map(str, v)) + ")"
+                     for v in vectors) or "0"
+
+
+def _report_text(doc: dict, label: str) -> list:
+    """The text lines of a report document, for the problem ``label``."""
+    lines = [f"problem: {label}",
+             f"spherical at base point: "
+             f"{'yes' if doc['spherical_at_base'] else 'no'} "
+             f"(defect {doc['defect_at_base']})"]
+    conj = doc["conjugation"]
+    if conj is not None and conj["found"]:
+        lines += [f"conjugation: found after {conj['attempts']} attempts: "
+                  f"{conj['description']}",
+                  "spherical after conjugation: yes"]
+    elif conj is not None:
+        lines.append(f"conjugation: inconclusive within budget "
+                     f"{conj['budget']}")
+    if not doc["spherical"]:
+        lines.append("no open orbit: structure analysis not available")
+    if (a := doc.get("adapted")) is not None:
+        count = a["candidates_passing"]
+        lines += [f"adapted subset: indices {a['subset_indices']} of "
+                  f"{len(a['simple_roots'])} simple roots ({count} passing "
+                  f"candidate{'s' if count != 1 else ''})",
+                  f"  levi dim {a['levi_dim']}, "
+                  f"nilradical dim {a['nilradical_dim']}"]
+    if doc.get("checks") is not None:
+        lines.append("structure checks:")
+        lines += [f"  {key}: {_ok(val)}" for key, val in doc["checks"].items()]
+        if doc["levi_adjusted"]:
+            lines.append("  (verified after moving to a compatible Levi "
+                         "complement)")
+    if (r := doc.get("rank")) is not None:
+        lines += [f"rank: {r['value']}",
+                  f"  split part of h in the center of the levi: "
+                  f"{_vectors_text(r['split_part_of_h'])}",
+                  f"  torus acting on the quotient: "
+                  f"{_vectors_text(r['rank_torus'])}"]
+    if doc.get("candidates") is not None:
+        lines.append("passing candidate subsets:")
+        lines += [f"  indices {c['indices']}" for c in doc["candidates"]]
+    if (n := doc.get("normalizer")) is not None:
+        lines.append(f"normalizer: dim {n['dim']} (complement "
+                     f"{n['complement_dim']} = split {n['split_dim']} + "
+                     f"compact {n['compact_dim']})")
+        lines += [f"  {key}: {_ok(n[key])}" for key in _NORMALIZER_FLAGS]
+    if (o := doc.get("orbit")) is not None:
+        lines.append(f"orbit identity: {_ok(o['ok'])} "
+                     f"({o['samples_run']} samples)")
+        if o["witness"] is not None:
+            lines.append(f"  witness: {_vectors_text([o['witness']])}")
+    lines.append(f"result: {'PASS' if doc['pass'] else 'FAIL'}")
+    return lines
+
+
+def _emit(doc: dict, fmt: str, text) -> None:
+    """Print the document as JSON, or the lines ``text(doc)`` renders."""
     if fmt == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print("\n".join(text(doc)))
 
 
 # -- commands ------------------------------------------------------------------
 
+# command: (report blocks, takes --samples, help)
+_REPORTS = {
+    "analyze": (frozenset({"adapted", "checks", "rank", "normalizer",
+                           "orbit"}), True,
+                "full certificate: sphericity, adapted parabolic, structure "
+                "checks, rank, normalizer, orbit sampling"),
+    "adapted": (frozenset({"adapted"}), False,
+                "the unique adapted parabolic"),
+    "rank": (frozenset({"adapted", "rank"}), False, "rank of the open orbit"),
+    "normalizer": (frozenset({"adapted", "normalizer"}), False,
+                   "normalizer of h and its verified splitting"),
+    "orbit-check": (frozenset({"adapted", "orbit"}), True,
+                    "sample the nilpotent orbit identity"),
+}
 
-def _report_command(args, command: str, want: set) -> int:
+
+def cmd_report(args) -> int:
+    """Any of the five report commands: build its document, then print it."""
     problem = parse_problem(args.file)
-    seed = args.seed
-    doc = _base_doc(command, problem, seed)
-    lines = [f"problem: {problem.name or args.file}"]
-    _, ok, defect, search, final = find_open_pair(
-        problem, args.conjugate_search, seed)
-    _sphericity_block(doc, ok, defect, search, args.conjugate_search, final)
-    _sphericity_text(lines, doc)
-
-    passed = final is not None
-    if final is None:
-        for key in sorted(want - {"candidates"}):
-            doc[key] = None
-        if "checks" in want:
-            doc["levi_adjusted"] = None
-        lines.append("no open orbit: structure analysis not available")
-    else:
-        report, ok_struct = _structure_blocks(doc, lines, final, want)
-        passed = passed and ok_struct
-        if "candidates" in want:
-            simple = final.cartan.simple_roots
-            doc["candidates"] = [
-                {"indices": list(s), "roots": [root_json(simple[i]) for i in s]}
-                for s in report.candidates]
-            lines.append("passing candidate subsets:")
-            for s in report.candidates:
-                lines.append(f"  indices {list(s)}")
-        if "normalizer" in want:
-            passed = _normalizer_block(doc, lines, report) and passed
-        if "orbit" in want:
-            passed = _orbit_block(doc, lines, report, args.samples,
-                                  seed) and passed
-
-    doc["pass"] = passed
-    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-    _emit(doc, lines, args.format)
-    return 0 if passed else 1
-
-
-def cmd_analyze(args) -> int:
-    return _report_command(args, "analyze",
-                           {"adapted", "checks", "rank", "normalizer",
-                            "orbit"})
-
-
-def cmd_adapted(args) -> int:
-    want = {"adapted"}
+    want = _REPORTS[args.command][0]
     if args.list_candidates:
-        want.add("candidates")
-    return _report_command(args, "adapted", want)
+        want = want | {"candidates"}
+    doc = _report_doc(args, problem, want)
+    _emit(doc, args.format,
+          lambda d: _report_text(d, problem.name or args.file))
+    return 0 if doc["pass"] else 1
 
 
-def cmd_rank(args) -> int:
-    return _report_command(args, "rank", {"adapted", "rank"})
-
-
-def cmd_normalizer(args) -> int:
-    return _report_command(args, "normalizer", {"adapted", "normalizer"})
-
-
-def cmd_orbit_check(args) -> int:
-    return _report_command(args, "orbit-check", {"adapted", "orbit"})
+def _catalog_list_text(doc: dict) -> list:
+    lines = []
+    for e in doc["entries"]:
+        rank = "-" if e["rank"] is None else str(e["rank"])
+        lines += [f"{e['name']:24s} size {e['matrix_size']}  spherical "
+                  f"{'yes' if e['spherical'] else 'no ':3s} rank {rank}",
+                  f"    {e['notes']}"]
+    return lines
 
 
 def cmd_catalog_list(args) -> int:
@@ -310,15 +272,18 @@ def cmd_catalog_list(args) -> int:
             for e in entries
         ],
     }
-    lines = []
-    for e in entries:
-        rank = "-" if e.expected.rank is None else str(e.expected.rank)
-        lines.append(f"{e.name:24s} size {e.problem.matrix_size}  "
-                     f"spherical {'yes' if e.expected.spherical else 'no ':3s}"
-                     f" rank {rank}")
-        lines.append(f"    {e.notes}")
-    _emit(doc, lines, args.format)
+    _emit(doc, args.format, _catalog_list_text)
     return 0
+
+
+def _catalog_run_text(doc: dict) -> list:
+    lines = []
+    for r in doc["results"]:
+        lines.append(f"{r['name']:24s} {'PASS' if r['passed'] else 'FAIL'}")
+        lines += [f"    {f}" for f in r["failures"]]
+    passed = sum(1 for r in doc["results"] if r["passed"])
+    lines.append(f"{len(doc['results'])} entries, {passed} passed")
+    return lines
 
 
 def cmd_catalog_run(args) -> int:
@@ -351,18 +316,10 @@ def cmd_catalog_run(args) -> int:
             }
             for r in results
         ],
+        "pass": all(r.passed for r in results),
     }
-    lines = []
-    for r in doc["results"]:
-        lines.append(f"{r['name']:24s} {'PASS' if r['passed'] else 'FAIL'}")
-        for f in r["failures"]:
-            lines.append(f"    {f}")
-    ok = all(r.passed for r in results)
-    doc["pass"] = ok
-    lines.append(f"{len(results)} entries, "
-                 f"{sum(1 for r in results if r.passed)} passed")
-    _emit(doc, lines, args.format)
-    return 0 if ok else 1
+    _emit(doc, args.format, _catalog_run_text)
+    return 0 if doc["pass"] else 1
 
 
 def cmd_catalog_export(args) -> int:
@@ -386,7 +343,7 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(sub, samples: bool = False) -> None:
+def _add_common(sub, samples: bool) -> None:
     sub.add_argument("--conjugate-search", type=nonnegative_int, default=0,
                      metavar="N", dest="conjugate_search",
                      help="try up to N exact group elements to move h into "
@@ -411,36 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "matrix Lie algebras.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("analyze", help="full certificate: sphericity, "
-                        "adapted parabolic, structure checks, rank, "
-                        "normalizer, orbit sampling")
-    p.add_argument("file", help="problem file (JSON)")
-    _add_common(p, samples=True)
-    p.set_defaults(func=cmd_analyze)
-
-    p = subs.add_parser("adapted", help="the unique adapted parabolic")
-    p.add_argument("file")
-    p.add_argument("--list-candidates", action="store_true",
-                   help="list every subset passing the complement test")
-    _add_common(p)
-    p.set_defaults(func=cmd_adapted, samples=100)
-
-    p = subs.add_parser("rank", help="rank of the open orbit")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=cmd_rank, samples=100)
-
-    p = subs.add_parser("normalizer", help="normalizer of h and its "
-                        "verified splitting")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=cmd_normalizer, samples=100)
-
-    p = subs.add_parser("orbit-check", help="sample the nilpotent orbit "
-                        "identity")
-    p.add_argument("file")
-    _add_common(p, samples=True)
-    p.set_defaults(func=cmd_orbit_check)
+    for command, (_, samples, text) in _REPORTS.items():
+        p = subs.add_parser(command, help=text)
+        p.add_argument("file", help="problem file (JSON)")
+        if command == "adapted":
+            p.add_argument("--list-candidates", action="store_true",
+                           help="list every subset passing the complement "
+                                "test")
+        _add_common(p, samples)
+        p.set_defaults(func=cmd_report, list_candidates=False)
 
     cat = subs.add_parser("catalog", help="built-in example pairs")
     catsubs = cat.add_subparsers(dest="catalog_command", required=True)

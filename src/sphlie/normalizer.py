@@ -87,14 +87,11 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
     word = sr.levi_adjustment
     h_std = sr.standard_form_h
 
-    # spherical_pair certified h, and the Levi adjustment's automorphism
-    # carries it to h_std, so neither is re-certified here
-    ntilde = n_std = _normalizer(g, pair.h)
-    if word.factors:
-        n_std = _normalizer(g, h_std)
-        if word.image(n_std) != ntilde:
-            raise CertificationError(
-                "normalizer is not conjugation-equivariant (library bug)")
+    # spherical_pair certified h.  Ad(w⁻¹) is an automorphism carrying h to
+    # h_std, so it carries N(h) to N(h_std); canonical bases are unique, so
+    # its image is N(h_std) itself, with no second transporter
+    ntilde = _normalizer(g, pair.h)
+    n_std = word.inverse.image(ntilde)
 
     dsub = fs.reductive_complement
     hd = subspace_intersect(h_std, dsub)

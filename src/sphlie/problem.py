@@ -330,6 +330,8 @@ def find_open_pair(problem: Problem, budget: int, seed: int) -> tuple:
     if not ok and budget > 0:
         search = conjugate_search(pair, budget, seed=seed)
         if search is not None:
-            final = spherical_pair(pair.cartan, search.conjugated,
-                                   label=problem.name)
+            # Ad(word) is an automorphism, so the moved h is closed too and
+            # is not re-certified
+            final = SphericalPair(pair.cartan, search.conjugated,
+                                  label=problem.name)
     return pair, ok, defect, search, final

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, text/JSON output, byte stability."""
 
+import argparse
+import ast
 import dataclasses
 import json
 import os
@@ -11,7 +13,7 @@ import pytest
 
 import mixed_levi
 from sphlie.builders import add
-from sphlie.cli import main
+from sphlie.cli import build_parser, main
 from sphlie.catalog import get_entry
 from sphlie.problem import build_pair, problem_to_json
 from sphlie.spherical import structure_report
@@ -340,6 +342,88 @@ def test_a_negative_count_is_a_usage_error(capsys, sl2_so2, command, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: must be >= 0, got -5" in captured.err
+
+
+# every (sub)command's option strings, then its positional arguments
+SUBCOMMAND_OPTIONS = {
+    (): ["--help", "-h", "command"],
+    ("analyze",): ["--conjugate-search", "--format", "--help", "--samples",
+                   "--seed", "-h", "file"],
+    ("adapted",): ["--conjugate-search", "--format", "--help",
+                   "--list-candidates", "--seed", "-h", "file"],
+    ("rank",): ["--conjugate-search", "--format", "--help", "--seed", "-h",
+                "file"],
+    ("normalizer",): ["--conjugate-search", "--format", "--help", "--seed",
+                      "-h", "file"],
+    ("orbit-check",): ["--conjugate-search", "--format", "--help",
+                       "--samples", "--seed", "-h", "file"],
+    ("catalog",): ["--help", "-h", "catalog_command"],
+    ("catalog", "list"): ["--format", "--help", "-h"],
+    ("catalog", "run"): ["--format", "--help", "--samples", "--seed", "-h",
+                         "name"],
+    ("catalog", "export"): ["--help", "-h", "name"],
+}
+
+
+def subcommand_options(parser, path=()):
+    """{command path: sorted option strings + positional names} for the
+    parser and every subparser under it."""
+    out = {path: sorted(s for a in parser._actions for s in a.option_strings)
+           + [a.dest for a in parser._actions if not a.option_strings]}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(subcommand_options(sub, path + (name,)))
+    return out
+
+
+def test_each_subcommand_keeps_its_options():
+    assert subcommand_options(build_parser()) == SUBCOMMAND_OPTIONS
+
+
+def stdout_writes(tree, allowed=()):
+    """Lines of every ``print`` without ``file=`` and every use of
+    ``sys.stdout`` outside the functions named in ``allowed``."""
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+              for node in ast.walk(fn)}
+
+    def writes(node):
+        if isinstance(node, ast.Call):
+            return (getattr(node.func, "id", "") == "print"
+                    and not any(k.arg == "file" for k in node.keywords))
+        if isinstance(node, ast.ImportFrom) and node.module == "sys":
+            return any(a.name == "stdout" for a in node.names)
+        return (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                and getattr(node.value, "id", "") == "sys")
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if id(node) not in exempt and writes(node))
+
+
+def test_stdout_has_one_writer():
+    """Only the report printer and ``catalog export`` write to stdout, so
+    anything else (diagnostics, traces) cannot move the byte pins."""
+    src = Path(__file__).resolve().parent.parent / "src" / "sphlie"
+    allowed = {"cli.py": ("_emit", "cmd_catalog_export")}
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := stdout_writes(ast.parse(path.read_text("utf-8")),
+                                        allowed.get(path.name, ())))}
+    assert found == {}, f"stdout writes outside cli._emit: {found}"
+
+
+def test_the_stdout_lint_sees_a_seeded_print():
+    tree = ast.parse("import sys\n"
+                     "from sys import stdout\n"
+                     "def trace(span):\n"
+                     "    print(span)\n"
+                     "    print(span, file=sys.stderr)\n"
+                     "    print(span, file=sys.stdout)\n"
+                     "    sys.stdout.write(span)\n"
+                     "def _emit(doc):\n"
+                     "    print(doc)\n")
+    assert stdout_writes(tree, allowed=("_emit",)) == [2, 4, 6, 7]
+    assert stdout_writes(tree) == [2, 4, 6, 7, 9]
 
 
 def test_one_process_answers_like_separate_runs(capsys, sl2_so2):

@@ -167,6 +167,25 @@ def test_report_levi_adjusted_pair():
     assert nr.all_ok
 
 
+def test_a_levi_adjusted_report_solves_one_normalizer(monkeypatch):
+    """N(h_std) is N(h) moved by Ad(w⁻¹), not a second transporter."""
+    import sphlie.normalizer as normalizer
+
+    sr = structure_report(shifted_diagonal_pair())
+    assert sr.levi_adjustment.factors
+    real_transporter = normalizer.transporter
+    calls = []
+    monkeypatch.setattr(
+        normalizer, "transporter",
+        lambda g, s, t, **kw: calls.append(s) or real_transporter(g, s, t,
+                                                                  **kw))
+    nr = normalizer_report(sr)
+    assert calls == [sr.pair.h] and nr.all_ok
+    h_std = sr.standard_form_h
+    assert (real_transporter(sr.pair.algebra, h_std, h_std)
+            == sr.levi_adjustment.inverse.image(nr.normalizer))
+
+
 def test_report_opposite_diagonal_is_self_normalizing():
     g = LieAlgebra(direct_sum_basis([sl_basis(2), sl_basis(2)]), name="sl2+sl2")
     h1 = g.from_matrix(g.basis[0])

@@ -467,6 +467,28 @@ def test_one_analyze_certifies_closure_twice(monkeypatch, tmp_path, capsys):
     assert [s.dim for s in checked] == [6, 6]
 
 
+@pytest.mark.parametrize("name", ["sl2_n", "gl2_projective_line",
+                                  "sl2x3_diag_mixed"])
+def test_a_conjugated_pair_certifies_closure_once(monkeypatch, name):
+    """find_open_pair checks h's closure once, in build_pair: Ad(word) is an
+    automorphism, so the conjugated h is closed without a check of its own."""
+    import sphlie.liealg as liealg
+    from sphlie.problem import find_open_pair
+
+    entry = get_entry(name)
+    checked = []
+    real_is_subalgebra = liealg.LieAlgebra.is_subalgebra
+    monkeypatch.setattr(
+        liealg.LieAlgebra, "is_subalgebra",
+        lambda g, s: checked.append(s) or real_is_subalgebra(g, s))
+    pair, ok, _, search, final = find_open_pair(
+        entry.problem, entry.search_budget, seed=0)
+    assert not ok and search is not None
+    assert final.h == search.conjugated != pair.h
+    assert checked == [pair.h]
+    assert real_is_subalgebra(final.algebra, final.h)
+
+
 def test_hinted_analyze_solves_each_center_once(monkeypatch, tmp_path, capsys):
     from sphlie.catalog import get_entry
 
