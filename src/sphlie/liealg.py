@@ -19,15 +19,14 @@ Conventions
   nonzero (k, c) with [e_i, e_j] = sum_k c e_k.  The constructor forms each
   [e_i, e_j] with i < j from the basis matrices' nonzero entries and reads
   it off pivots (:meth:`~sphlie.linalg.SpanSolver.terms`, certified by a
-  zero sparse residual); [e_j, e_i] is its negative.  ``structure``, the
-  dense d x d x d table, is a read-only view built on first read, and
-  nothing in the package reads it.
+  zero sparse residual); [e_j, e_i] is its negative.
 * The center, the derived algebra, the Killing and invariant forms and each
   validated Cartan decomposition are computed once, on first use, and cached
   on the :class:`LieAlgebra` instance, so they die with it.
-* :func:`cartan_data` certifies theta as a *Cartan* involution (Killing form
-  negative definite on k ∩ [g, g], positive definite on s ∩ [g, g]) and
-  raises :class:`~sphlie.errors.NotCartanInvolution` otherwise.
+* :func:`cartan_data` certifies a given theta as a *Cartan* involution
+  (Killing form negative definite on k ∩ [g, g], positive definite on
+  s ∩ [g, g]) and raises :class:`~sphlie.errors.NotCartanInvolution`
+  otherwise; for the default it proves it.
 * A Levi's center, compact part and noncompact simple ideals are read off
   the restricted roots (:func:`_levi_split`), never off g's basis.
 
@@ -42,7 +41,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import compress
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     CertificationError,
@@ -152,17 +152,6 @@ class LieAlgebra:
         self._terms = terms
         self._cartan: dict = {}  # validated (theta, k, s); key None is -X^T
 
-    @property
-    def structure(self) -> tuple:
-        """Dense view of the table: ``structure[i][j][k]`` is the e_k
-        coefficient of [e_i, e_j].  Built on first read."""
-        return self._structure
-
-    @cached_property
-    def _structure(self) -> tuple:
-        return tuple(tuple(self._dense(tij) for tij in ti)
-                     for ti in self._terms)
-
     def _dense(self, terms: list) -> Vector:
         """The coordinate vector with the given nonzero (k, c) entries."""
         out = [ZERO] * self.dim
@@ -181,23 +170,34 @@ class LieAlgebra:
 
     # -- bracket and ad ------------------------------------------------------
 
+    def _bracket_entries(self, x: Iterable[tuple[int, Scalar]],
+                         y: list[tuple[int, Scalar]]) -> dict[int, Scalar]:
+        """[x, y] for x and y given by their nonzero (coordinate, value)
+        pairs, accumulated over the table entries into its entries
+        {coordinate: value}; an entry that cancels stays as a zero.  The
+        one bracket kernel: :meth:`bracket` and :meth:`brackets_within`
+        both run on it."""
+        acc: dict[int, Scalar] = {}
+        terms = self._terms
+        for i, xi in x:
+            ti = terms[i]
+            for j, yj in y:
+                if tij := ti[j]:
+                    c = xi * yj
+                    for k, s in tij:
+                        acc[k] = acc.get(k, ZERO) + c * s
+        return acc
+
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-        """[x, y], accumulated over the table entries at the nonzero
-        coordinates of both; only the nonzero sums are normalised."""
+        """[x, y] as a dense vector; only the nonzero sums are
+        normalised."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch(
                 f"bracket of vectors of lengths {len(x)}, {len(y)} in an "
                 f"algebra of dimension {self.dim}")
-        acc: dict[int, Scalar] = {}
-        ynz = [(j, yj) for j, yj in enumerate(y) if yj]
-        for xi, ti in zip(x, self._terms):
-            if xi:
-                for j, yj in ynz:
-                    if tij := ti[j]:
-                        c = xi * yj
-                        for k, s in tij:
-                            acc[k] = acc.get(k, ZERO) + c * s
-        return _from_entries(acc, self.dim)
+        return _from_entries(self._bracket_entries(
+            compress(enumerate(x), x), list(compress(enumerate(y), y))),
+            self.dim)
 
     def ad(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of y -> [x, y]; column j is [x, e_j].  Only the nonzero
@@ -263,11 +263,16 @@ class LieAlgebra:
                         target: Subspace) -> bool:
         """Whether [x, y] lies in ``target`` for every x in a's echelon basis
         and y in b's: the one bracket-containment certificate.  When a == b
-        only the pairs i <= j are formed, since [y, x] = -[x, y]."""
+        only the pairs i <= j are formed, since [y, x] = -[x, y].  Each
+        basis row's nonzeros are found once, and each bracket is reduced
+        modulo ``target`` as its entries, with no dense vector."""
+        xs = _row_entries(a.basis)
         same = a == b
-        return all(target.contains(self.bracket(x, y))
-                   for i, x in enumerate(a.basis)
-                   for y in (b.basis[i:] if same else b.basis))
+        ys = xs if same else _row_entries(b.basis)
+        return not any(any(target._read_off(self._bracket_entries(x, y))
+                           .values())
+                       for i, x in enumerate(xs)
+                       for y in (ys[i:] if same else ys))
 
     def is_subalgebra(self, s: Subspace) -> bool:
         return self.brackets_within(s, s, s)
@@ -632,8 +637,8 @@ def _root_decomposition(g: LieAlgebra, a: Subspace,
 
 
 def _certify_cartan(g: LieAlgebra, k: Subspace, s: Subspace) -> None:
-    """theta is a Cartan involution: the Killing form is negative definite
-    on k ∩ [g, g] and positive definite on s ∩ [g, g]."""
+    """A given theta is a Cartan involution: the Killing form is negative
+    definite on k ∩ [g, g] and positive definite on s ∩ [g, g]."""
     for part, name, sign in ((k, "k", "negative"), (s, "s", "positive")):
         sub = subspace_intersect(part, g.derived_algebra())
         sig = symmetric_signature(restrict_bilinear_form(g.killing_form(), sub))
@@ -654,9 +659,21 @@ def cartan_data(g: LieAlgebra,
     torus grown from ``a_seed`` (default: (diagonal matrices of g) ∩ s,
     which commute, have rational ad-eigenvalues and do not depend on g's
     basis), restricted roots ordered by ``positivity_basis`` (default: the
-    echelon basis of a)."""
+    echelon basis of a).
+
+    A given theta is checked by :func:`_certify_cartan`.  The default
+    theta = -X^T is proved Cartan: :func:`default_involution` has shown g
+    closed under transpose.  On g, <A, B> = tr(AB^T) is positive definite,
+    and <[X, A], B> = <A, [X^T, B]>, so ad X is skew-adjoint for X in k
+    (X^T = -X) and self-adjoint for X in s (X^T = X).  Hence
+    B(X, X) = tr(ad X ad X) = -|ad X|^2 on k and +|ad X|^2 on s, which
+    vanishes only where ad X = 0, on z(g).  And z(g) ∩ [g, g] = 0: for z
+    central, <z, [X, Y]> = -<[Y, X], z> = -<X, [Y^T, z]> = 0, as Y^T is
+    in g.  So B is negative definite on k ∩ [g, g] and positive definite
+    on s ∩ [g, g], and the two signatures need no check."""
     cartan = cartan_decompose(g, theta)
-    _certify_cartan(g, *cartan[1:])
+    if theta is not None:
+        _certify_cartan(g, *cartan[1:])
     if a_seed is None:
         n = g.matrix_size
         off_diagonal = [[f[r * n + c] for f in g._flat]
@@ -758,10 +775,11 @@ def _levi_split(cd: CartanData, inside: Sequence[int], levi: Subspace
         raise CertificationError(
             f"l = z(l) ⊕ l_c ⊕ (⊕_C l_n,C) fails: dim l = {levi.dim}, parts "
             f"of dims {' + '.join(str(p.dim) for p in [center, lc, *ideals])}")
-    sig = symmetric_signature(restrict_bilinear_form(g.killing_form(), lc))
-    if sig != (0, lc.dim, 0):
-        raise CertificationError(f"Killing form is not negative definite on "
-                                 f"l_c (dim {lc.dim}): signature {sig}")
+    if lc.dim:  # a zero l_c has an empty Gram matrix: no Killing form
+        sig = symmetric_signature(restrict_bilinear_form(g.killing_form(), lc))
+        if sig != (0, lc.dim, 0):
+            raise CertificationError(f"Killing form is not negative definite "
+                                     f"on l_c (dim {lc.dim}): signature {sig}")
     return center, lc, ln, ideals
 
 

@@ -118,6 +118,8 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
                 eigen_split(g.ad(x), g.full_space())
             except SpectrumError:
                 return False
+        if m_std.dim == 0:  # an empty Gram matrix: no form, no centre
+            return True
         gram = restrict_bilinear_form(g.invariant_form(), m_std)
         npos, _, nzero = symmetric_signature(gram)
         if npos:

@@ -31,7 +31,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -138,35 +137,58 @@ def is_spherical(pair: SphericalPair) -> tuple[bool, int]:
 # adapted parabolic
 
 
+class _Subsets(list):
+    """The passing subsets, as :func:`candidate_subsets` returns them, with
+    ``parabolics``: the ParabolicData its exact test built for each."""
+
+    parabolics: list[ParabolicData]
+
+
 def candidate_subsets(pair: SphericalPair) -> list[tuple[int, ...]]:
     """All subsets F of the simple roots (as index tuples) whose standard
-    parabolic has nilradical complementary to n ∩ h in n.
+    parabolic has nilradical complementary to n ∩ h in n, in the order of
+    :func:`itertools.combinations`: size first, then lexicographic.
 
-    All 2^r subsets are accounted for: dim u_F, the summed dimensions of the
-    positive root spaces whose support is not inside F, rules out every F
-    with dim u_F + dim(n ∩ h) != dim n; the exact test runs on the rest.
+    All 2^r subsets are accounted for by a depth-first walk over bit masks
+    that adds simple roots in increasing index order.  dim u_F, the summed
+    dimensions of the positive root spaces whose support is not inside F,
+    only falls as F grows: a root outside u_F stays outside a larger F', and
+    F ∪ {i} moves at least g_{alpha_i} out of u_F.  F can pass only if
+    dim u_F + dim(n ∩ h) = dim n.  So a branch stops at the first F with
+    dim u_F <= dim n - dim(n ∩ h), since every F' above it has a smaller
+    dim u_F', and the exact test runs on the F where equality holds.
     """
     cd = pair.cartan
     nh = subspace_intersect(cd.n, pair.h)
-    dims = [(cd.support(r), cd.root_space(r).dim) for r in cd.positive_roots]
+    dims = [(sum(1 << i for i in cd.support(r)), cd.root_space(r).dim)
+            for r in cd.positive_roots]
     if sum(dim for _, dim in dims) != cd.n.dim:
         raise CertificationError(
             "positive root spaces do not sum directly to n")
-    out = []
-    indices = range(len(cd.simple_roots))
-    for size in range(len(cd.simple_roots) + 1):
-        for f in combinations(indices, size):
-            dim_u = sum(dim for support, dim in dims
-                        if not support.issubset(f))
-            if (dim_u + nh.dim == cd.n.dim and is_direct_sum(
-                    cd.n, standard_parabolic(cd, f).nilradical, nh)):
-                out.append(f)
+    r, target = len(cd.simple_roots), cd.n.dim - nh.dim
+    sized = []
+    stack = [(0, 0)]  # (bit mask of F, the first index F may still add)
+    while stack:
+        mask, start = stack.pop()
+        dim_u = sum(dim for support, dim in dims if support & ~mask)
+        if dim_u == target:
+            sized.append(tuple(i for i in range(r) if mask >> i & 1))
+        elif dim_u > target:
+            stack.extend((mask | 1 << i, i + 1) for i in range(start, r))
+    out = _Subsets()
+    out.parabolics = []
+    for f in sorted(sized, key=lambda f: (len(f), f)):
+        pd = standard_parabolic(cd, f)
+        if is_direct_sum(cd.n, pd.nilradical, nh):
+            out.append(f)
+            out.parabolics.append(pd)
     return out
 
 
 def _adapted(pair: SphericalPair
              ) -> tuple[ParabolicData, list[tuple[int, ...]]]:
-    """The adapted parabolic together with the passing subsets."""
+    """The adapted parabolic, as the enumeration built it, together with
+    the passing subsets."""
     ok, defect = is_spherical(pair)
     if not ok:
         raise NotSpherical(
@@ -177,7 +199,7 @@ def _adapted(pair: SphericalPair
         raise UniquenessViolation(
             f"{len(passing)} subsets of the simple roots pass the "
             f"complementarity test (expected exactly one): {passing}")
-    return standard_parabolic(pair.cartan, passing[0]), passing
+    return passing.parabolics[0], passing
 
 
 def adapted_parabolic(pair: SphericalPair) -> ParabolicData:

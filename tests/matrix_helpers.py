@@ -1,7 +1,8 @@
 """Dense matrix helpers that only the tests use: the sl(2) basis matrices,
-the matrix commutator, an exact inverse and conjugation of a subspace by an
-invertible matrix.  The package moves subspaces by ``GroupWord.ad``, in g's
-structure constants, and calls none of these.
+the matrix commutator, an exact inverse, conjugation of a subspace by an
+invertible matrix and the dense table of structure constants.  The package
+moves subspaces by ``GroupWord.ad``, in g's sparse structure constants, and
+calls none of these.
 """
 
 from sphlie.builders import add, elementary, scale
@@ -60,3 +61,9 @@ def apply_ad(g: LieAlgebra, element: Matrix, sub: Subspace) -> Subspace:
                 "conjugation by the element does not preserve the algebra")
         out.append(c)
     return canonical_basis(out, g.dim) if out else sub
+
+
+def dense_structure(g: LieAlgebra) -> tuple:
+    """The dense d x d x d table of g's structure constants:
+    ``dense_structure(g)[i][j][k]`` is the e_k coefficient of [e_i, e_j]."""
+    return tuple(tuple(g._dense(tij) for tij in ti) for ti in g._terms)

@@ -107,17 +107,27 @@ def catalog_pairs():
 _J = ((0, 1), (-1, 0))
 
 
+def sl_so(n):
+    return Problem(f"sl{n}_so{n}", n, tuple(sl_basis(n)), tuple(so_basis(n)))
+
+
+def hinted_sl2_so2(k):
+    """so(2)^k in sl(2)^k, block diagonal, with the hint's signs
+    alternating."""
+    size = 2 * k
+    sl2s = [block_embed(m, size, off) for off in range(0, size, 2)
+            for m in sl_basis(2)]
+    so2s = [block_embed(_J, size, off) for off in range(0, size, 2)]
+    return Problem(f"sl2x{k}_so2x{k}_hinted", size, tuple(sl2s), tuple(so2s),
+                   minimal_parabolic_hint=tuple((-1) ** i for i in range(k)))
+
+
+def ladder_problems():
+    return [sl_so(4), sl_so(5), hinted_sl2_so2(6)]
+
+
 def ladder_pairs():
-    sl2x6 = [block_embed(m, 12, off) for off in range(0, 12, 2)
-             for m in sl_basis(2)]
-    so2x6 = [block_embed(_J, 12, off) for off in range(0, 12, 2)]
-    problems = [
-        Problem("sl4_so4", 4, tuple(sl_basis(4)), tuple(so_basis(4))),
-        Problem("sl5_so5", 5, tuple(sl_basis(5)), tuple(so_basis(5))),
-        Problem("sl2x6_so2x6_hinted", 12, tuple(sl2x6), tuple(so2x6),
-                minimal_parabolic_hint=(1, -1, 1, -1, 1, -1)),
-    ]
-    return [build_pair(p) for p in problems]
+    return [build_pair(p) for p in ladder_problems()]
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +162,25 @@ def test_ladder_candidates_match_brute_force(ladder):
     for pair in ladder:
         assert candidate_subsets(pair) == brute_force(pair) == [()], \
             pair.label
+
+
+@pytest.mark.parametrize("problem", [sl_so(n) for n in range(2, 8)]
+                         + [hinted_sl2_so2(k) for k in range(2, 7)],
+                         ids=lambda p: p.name)
+def test_split_ladders_match_brute_force(problem):
+    pair = build_pair(problem)
+    assert candidate_subsets(pair) == brute_force(pair) == [()], pair.label
+
+
+def test_several_passing_subsets_come_in_combinations_order():
+    # h spanned by the sum of the simple root vectors of sl(4): each
+    # {alpha_i} has a nilradical that misses it, so all three pass; the
+    # walk finds them last index first
+    cd = cartan_data(sl(4))
+    tops = [cd.root_space(r).basis[0] for r in cd.simple_roots]
+    pair = spherical_pair(cd, canonical_basis([lin_comb((1, 1, 1), tops,
+                                                        cd.algebra.dim)]))
+    assert candidate_subsets(pair) == brute_force(pair) == [(0,), (1,), (2,)]
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mixed_levi
-from matrix_helpers import commutator, mat_invert, sl2_E, sl2_F, sl2_H
+from matrix_helpers import (
+    commutator,
+    dense_structure,
+    mat_invert,
+    sl2_E,
+    sl2_F,
+    sl2_H,
+)
 from sphlie.builders import (
     add,
     block_embed,
@@ -34,6 +41,7 @@ from sphlie.errors import (
 )
 from sphlie.liealg import (
     LieAlgebra,
+    _certify_cartan,
     _root_decomposition,
     cartan_data,
     cartan_decompose,
@@ -55,6 +63,8 @@ from sphlie.linalg import (
     symmetric_signature,
     unit_vector,
 )
+from test_enumeration import ladder_problems
+from test_exact_scalars import mixed
 
 F = Fraction
 
@@ -176,7 +186,7 @@ def test_structure_table_matches_every_matrix_commutator():
         (sl_basis(3), gl_basis(2), so3_plus_centre().basis))]
     for basis in bases:
         g, ref = LieAlgebra(basis), reference_structure(basis)
-        assert g.structure == ref
+        assert dense_structure(g) == ref
         d = g.dim
         # dense references, from the reference table alone
         assert g.killing_form() == tuple(
@@ -252,14 +262,14 @@ def test_involution_check_names_the_first_failing_pair():
     row-major order over all d^2 ordered pairs, checked here densely."""
     seen_adjacent = False
     for g in (sl(2), sl(3), gl(2)):
-        d = g.dim
+        d, structure = g.dim, dense_structure(g)
         for mask in range(1, 2 ** d):
             signs = [F(-1) if mask >> i & 1 else F(1) for i in range(d)]
             theta = tuple(tuple(signs[i] if i == j else F(0)
                                 for j in range(d)) for i in range(d))
             bad = [(i, j) for i in range(d) for j in range(d)
                    if any(signs[k] * c != signs[i] * signs[j] * c
-                          for k, c in enumerate(g.structure[i][j]))]
+                          for k, c in enumerate(structure[i][j]))]
             if not bad:
                 cartan_decompose(g, theta)
                 continue
@@ -597,6 +607,27 @@ def test_cartan_data_rejects_an_involution_that_is_not_cartan():
         cartan_data(g, theta)
 
 
+# the default theta = -X^T is proved Cartan (cartan_data's docstring); the
+# check it skips must pass on every algebra closed under transpose
+DEFAULT_THETA_BASES = {
+    **{e.name: (e.problem.basis, True) for e in catalog_entries()},
+    **{p.name: (p.basis, False) for p in ladder_problems()},
+    **{f"sl{n}": (sl_basis(n), False) for n in range(2, 7)},
+    **{f"so{n}": (so_basis(n), False) for n in range(3, 7)},
+    "gl3": (gl_basis(3), False),   # a nonzero center
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_THETA_BASES))
+def test_the_default_theta_passes_the_cartan_check_it_skips(name):
+    """On g's own basis and, for a catalog entry, on its six mixed bases
+    (:func:`test_exact_scalars.mixed`, seeds 0-5)."""
+    basis, remix = DEFAULT_THETA_BASES[name]
+    for b in [basis, *(mixed(basis, seed) for seed in range(6) if remix)]:
+        g = LieAlgebra(b)
+        _certify_cartan(g, *cartan_decompose(g)[1:])
+
+
 # -- the invariant form against a dense reference -----------------------------
 
 
@@ -740,8 +771,8 @@ def test_brackets_within_matches_the_full_dense_product(case):
 def test_brackets_within_forms_each_unordered_pair_once(monkeypatch):
     g = sl(3)
     calls = []
-    real = LieAlgebra.bracket
-    monkeypatch.setattr(LieAlgebra, "bracket",
+    real = LieAlgebra._bracket_entries
+    monkeypatch.setattr(LieAlgebra, "_bracket_entries",
                         lambda self, x, y: calls.append(1) or real(self, x, y))
     a = canonical_basis([unit_vector(8, i) for i in (0, 2, 5)], 8)
     b = canonical_basis([unit_vector(8, i) for i in (1, 3, 4, 7)], 8)
@@ -817,7 +848,7 @@ def test_the_structure_table_multiplies_no_matrix(monkeypatch):
     calls = count_calls(monkeypatch, "mat_mul")
     g = LieAlgebra(sl_basis(4))
     assert calls == []
-    assert g.structure == reference_structure(sl_basis(4))
+    assert dense_structure(g) == reference_structure(sl_basis(4))
 
 
 def test_transporter_applies_no_matrix(monkeypatch):
@@ -832,20 +863,14 @@ def test_transporter_applies_no_matrix(monkeypatch):
     assert calls == []
 
 
-def test_analyze_never_builds_the_dense_table(monkeypatch, tmp_path, capsys):
-    from sphlie.cli import main
-    from sphlie.problem import Problem, problem_to_json
-
-    reads = []
-    monkeypatch.setattr(LieAlgebra, "structure",
-                        property(lambda g: reads.append(g.name)))
-    problem = Problem(name="sl4_so4", matrix_size=4, basis=tuple(sl_basis(4)),
-                      subalgebra_basis=tuple(so_basis(4)))
-    path = tmp_path / "sl4_so4.json"
-    path.write_text(problem_to_json(problem), encoding="utf-8")
-    assert main(["analyze", "--samples", "2", str(path)]) == 0
-    assert "PASS" in capsys.readouterr().out
-    assert reads == []
+def test_the_dense_table_lives_in_the_tests():
+    """The package keeps only the sparse table; the dense one is the test
+    helper ``dense_structure``, whose [i][j] is [e_i, e_j]."""
+    assert not hasattr(LieAlgebra, "structure")
+    g = sl(3)
+    table = dense_structure(g)
+    assert all(table[i][j] == g.bracket(unit_vector(8, i), unit_vector(8, j))
+               for i in range(8) for j in range(8))
 
 
 def test_weight_stage_reads_the_grading_off(monkeypatch):

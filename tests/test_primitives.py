@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matrix_helpers import sl2_E, sl2_F, sl2_H
+from matrix_helpers import dense_structure, sl2_E, sl2_F, sl2_H
 from sphlie.builders import block_embed, gl, sl, so
 from sphlie.catalog import catalog_entries
 from sphlie.errors import DimensionMismatch
@@ -78,10 +78,11 @@ def dense_kernel(rows, ncols):
 def dense_bracket(g, x, y):
     """sum_ij x_i y_j [e_i, e_j] from the structure constants."""
     out = [F(0)] * g.dim
+    structure = dense_structure(g)
     for i in range(g.dim):
         for j in range(g.dim):
             if x[i] and y[j]:
-                for k, c in enumerate(g.structure[i][j]):
+                for k, c in enumerate(structure[i][j]):
                     out[k] += x[i] * y[j] * c
     return out
 

@@ -32,6 +32,7 @@ from sphlie.problem import (
     positivity_from_hint,
     problem_to_json,
 )
+from test_enumeration import hinted_sl2_so2, sl_so
 
 H = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
 E = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
@@ -452,7 +453,9 @@ def test_one_analyze_solves_each_center_once_and_normalizes_once(
         monkeypatch, tmp_path,
         Problem("sl4_so4", 4, tuple(sl_basis(4)), tuple(so_basis(4))))
     assert code == 0
-    assert center_solves and set(center_solves.values()) == {1}
+    # each center at most once, and sl(4)'s not at all: the compact factor
+    # m of N(h) is zero, so no invariant form is restricted to it
+    assert not center_solves
     # N(h) = h for sl(4)/so(4), so the self-normalizing check reuses it
     assert len(normalized) == 1
 
@@ -465,6 +468,45 @@ def test_one_analyze_certifies_closure_twice(monkeypatch, tmp_path, capsys):
     # spherical_pair certifies h and derivation_pair the nilradical u; the
     # normalizer reuses h's certificate and N(h) = h needs none of its own
     assert [s.dim for s in checked] == [6, 6]
+
+
+def analyze_ok(tmp_path, problem):
+    from sphlie.cli import main
+
+    path = tmp_path / "problem.json"
+    path.write_text(problem_to_json(problem), encoding="utf-8")
+    return main(["analyze", str(path), "--samples", "2"]) == 0
+
+
+@pytest.mark.parametrize("problem", [sl_so(4), hinted_sl2_so2(6)],
+                         ids=lambda p: p.name)
+def test_one_analyze_builds_one_standard_parabolic(
+        monkeypatch, tmp_path, capsys, problem):
+    """The adapted parabolic is the one the enumeration's exact test built
+    for the passing subset, not a second build."""
+    import sphlie.spherical as spherical
+
+    built = []
+    real = spherical.standard_parabolic
+    monkeypatch.setattr(spherical, "standard_parabolic",
+                        lambda cd, f: built.append(f) or real(cd, f))
+    assert analyze_ok(tmp_path, problem)
+    assert built == [()]
+
+
+def test_one_analyze_builds_no_gram_form_on_sl4_so4(
+        monkeypatch, tmp_path, capsys):
+    """sl(4)/so(4) has a zero compact Levi part l_c and a zero compact
+    factor m of N(h), and theta = -X^T is proved Cartan, so no Killing or
+    invariant form is built."""
+    built = []
+    for name in ("_killing", "_invariant"):
+        real = getattr(LieAlgebra, name).func
+        monkeypatch.setattr(LieAlgebra, name, property(
+            lambda g, _real=real, _name=name: built.append(_name)
+            or _real(g)))
+    assert analyze_ok(tmp_path, sl_so(4))
+    assert built == []
 
 
 @pytest.mark.parametrize("name", ["sl2_n", "gl2_projective_line",
@@ -546,13 +588,13 @@ def test_hinted_build_checks_a_given_theta_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_hinted_build_decomposes_g_once(monkeypatch):
-    """One root decomposition per hinted build: the hint orders the roots
-    of the diagonal torus and grows no second torus."""
+def count_liealg_calls(monkeypatch, *names):
+    """{name: 0} for each ``sphlie.liealg`` function named, counting its
+    calls through every sphlie module that holds it."""
     import sphlie.liealg as liealg
 
-    counts = {"maximal_abelian": 0, "_certify_cartan": 0}
-    for name in counts:
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         real = getattr(liealg, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -563,7 +605,30 @@ def test_hinted_build_decomposes_g_once(monkeypatch):
             if (mod_name.split(".")[0] == "sphlie"
                     and getattr(mod, name, None) is real):
                 monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_hinted_build_decomposes_g_once(monkeypatch):
+    """One root decomposition per hinted build: the hint orders the roots
+    of the diagonal torus and grows no second torus.  The default theta is
+    proved Cartan, so no Killing signature is checked."""
+    counts = count_liealg_calls(monkeypatch, "maximal_abelian",
+                                "_certify_cartan")
     build_pair(get_entry("sl2x3_diag_mixed").problem)
+    assert counts == {"maximal_abelian": 1, "_certify_cartan": 0}
+
+
+def test_hinted_build_certifies_a_given_theta_cartan_once(monkeypatch):
+    """A given theta, here -X^T's own coordinate matrix, keeps its Killing
+    signature check, once per build."""
+    import sphlie.liealg as liealg
+
+    problem = get_entry("sl2x3_diag_mixed").problem
+    problem = dataclasses.replace(problem, theta=liealg.default_involution(
+        LieAlgebra(problem.basis)))
+    counts = count_liealg_calls(monkeypatch, "maximal_abelian",
+                                "_certify_cartan")
+    build_pair(problem)
     assert counts == {"maximal_abelian": 1, "_certify_cartan": 1}
 
 
