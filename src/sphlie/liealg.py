@@ -62,6 +62,7 @@ from .linalg import (
     _exact_row,
     _from_entries,
     _integral,
+    _preimage,
     as_matrix,
     as_vector,
     bilinear_value,
@@ -241,14 +242,7 @@ class LieAlgebra:
 
     @cached_property
     def _center(self) -> Subspace:
-        # x is central iff sum_i x_i [e_i, e_j] = 0 for every j: one row per
-        # (j, k) where some [e_i, e_j] has an e_k term
-        rows: dict = {}
-        for i, ti in enumerate(self._terms):
-            for j, tij in enumerate(ti):
-                for k, c in tij:
-                    rows.setdefault((j, k), [ZERO] * self.dim)[i] = c
-        return kernel(list(rows.values()), self.dim)
+        return centralizer_in(self, self.full_space())
 
     def derived_algebra(self) -> Subspace:
         return self._derived
@@ -266,6 +260,7 @@ class LieAlgebra:
         only the pairs i <= j are formed, since [y, x] = -[x, y].  Each
         basis row's nonzeros are found once, and each bracket is reduced
         modulo ``target`` as its entries, with no dense vector."""
+        self._check_subspaces(a, b, target)
         xs = _row_entries(a.basis)
         same = a == b
         ys = xs if same else _row_entries(b.basis)
@@ -276,6 +271,14 @@ class LieAlgebra:
 
     def is_subalgebra(self, s: Subspace) -> bool:
         return self.brackets_within(s, s, s)
+
+    def _check_subspaces(self, *spaces: Subspace) -> None:
+        """Raise DimensionMismatch unless every space lies in Q^dim."""
+        if any(v.ambient_dim != self.dim for v in spaces):
+            raise DimensionMismatch(
+                f"subspaces of ambient dimensions "
+                f"{[v.ambient_dim for v in spaces]} in an algebra of "
+                f"dimension {self.dim}")
 
     # -- invariant forms -----------------------------------------------------
 
@@ -338,29 +341,18 @@ def transporter(g: LieAlgebra, s: Subspace, t: Subspace,
                 within: Optional[Subspace] = None) -> Subspace:
     """{x in ``within`` : [x, s] contained in t} (``within`` defaults to g).
 
-    The kernel of a bracket condition, solved as one exact kernel in the
-    coordinates of ``within``: for every u in the basis of s, the residual
-    of [x, u] modulo t (:meth:`Subspace.residual`, in t's non-pivot
-    coordinates) must vanish.  On all of g, whose basis is the identity,
-    [e_m, u] is minus column m of ad(u), so ad(u) is built once per u in
-    place of dim g brackets; the sign leaves the kernel unchanged.
+    The kernel of a bracket condition, solved by :func:`linalg._preimage`
+    in the coordinates of ``within``: x = sum_m x_m w_m qualifies when
+    sum_m x_m [w_m, u] lies in t for every u in s's basis.  Each [w_m, u] is
+    formed from the nonzeros of w_m and u as its entries, so g itself and a
+    proper ``within`` take the same path, with no ad matrix and no dense
+    residual.
     """
     w = within if within is not None else g.full_space()
-    if w.dim == 0 or s.dim == 0:
-        return w
-    # res[uidx][m]: residual of ±[w_m, s_uidx]; one kernel row per (uidx, k)
-    if w.dim == g.dim:
-        res = [[t.residual(col) for col in zip(*g.ad(u))] for u in s.basis]
-    else:
-        res = [[t.residual(g.bracket(wb, u)) for wb in w.basis]
-               for u in s.basis]
-    rows = ([res_m[k] for res_m in res_u]
-            for res_u in res for k in range(g.dim - t.dim))
-    ker = kernel([row for row in rows if any(row)], w.dim)
-    # coordinates in the full space (identity basis) are already ambient
-    if w.dim == g.dim:
-        return ker
-    return canonical_basis([w.from_coordinates(r) for r in ker.basis], g.dim)
+    g._check_subspaces(s, t, w)
+    us = _row_entries(s.basis)
+    return _preimage(w, ([g._bracket_entries(x, u) for u in us]
+                         for x in _row_entries(w.basis)), t)
 
 
 def centralizer_in(g: LieAlgebra, s: Subspace, within: Optional[Subspace] = None) -> Subspace:

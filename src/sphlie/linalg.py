@@ -16,14 +16,15 @@ coordinates in a span (:meth:`Subspace.coordinates_of`, and
 :class:`SpanSolver` for a fixed independent list), splitting along a direct
 sum (:class:`DirectSum`), certifying ``whole = a ⊕ b ⊕ ...``
 (:func:`is_direct_sum`), combinations (:func:`lin_comb`), kernels and
-genuine linear systems (:func:`kernel`, :func:`solve_linear`), and a
-vector's residual modulo a subspace (:meth:`Subspace.residual`), which turns
-membership into linear conditions: :func:`subspace_intersect` is the kernel
-of the smaller side's residuals modulo the larger.  The kernel of a bracket
-condition lives in :func:`sphlie.liealg.transporter`.  Sparse vectors are
-dicts {coordinate: value} of their nonzero entries; :meth:`Subspace._read_off`
-reduces one, the exponential series of :mod:`sphlie.orbits` runs on them
-scaled to ints, and :func:`int_rank` ranks them with no Fraction.  Integer
+genuine linear systems (:func:`kernel`, :func:`solve_linear`), and the
+kernel of a linear condition modulo a subspace (:func:`_preimage`), which
+turns membership into rows built from sparse residuals:
+:func:`subspace_intersect` and :func:`sphlie.liealg.transporter` (and so
+every centralizer, normalizer and centre) solve through it.  Sparse vectors
+are dicts {coordinate: value} of their nonzero entries;
+:meth:`Subspace._read_off` reduces one modulo a subspace, the exponential
+series of :mod:`sphlie.orbits` runs on them scaled to ints, and
+:func:`int_rank` ranks them with no Fraction.  Integer
 scaling, by the least common denominator, has one implementation per form:
 :func:`_scaled` for a sparse vector and :func:`_integral` for dense vectors
 at one shared denominator.  :func:`rref` stays the one elimination behind
@@ -280,26 +281,6 @@ class Subspace:
                               and x.denominator == 1 else x)
         return res
 
-    @cached_property
-    def _free(self) -> tuple[int, ...]:
-        """The non-pivot coordinates, in increasing order."""
-        pivots = set(self.pivots)
-        return tuple(j for j in range(self.ambient_dim) if j not in pivots)
-
-    def residual(self, v: Sequence[Scalar]) -> Vector:
-        """v's residual modulo the subspace, in its non-pivot coordinates.
-
-        The residual of :meth:`_read_off` is zero at every pivot, so these
-        entries carry all of it: they vanish exactly when v is inside, and
-        the map is linear with kernel the subspace.  Membership thus becomes
-        linear conditions usable inside kernels and ranks.
-        """
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch(
-                f"vector length {len(v)} != ambient {self.ambient_dim}")
-        res = self._read_off(dict(compress(enumerate(v), v)))
-        return tuple(map(res.get, self._free, repeat(ZERO)))
-
     def contains(self, v: Vector) -> bool:
         return self.coordinates_of(v) is not None
 
@@ -361,27 +342,15 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """a ∩ b, solved in the coordinates of the smaller side.
-
-    With a the side of smaller dimension p, v = sum_i x_i a_i lies in b
-    exactly when b.residual(v) = sum_i x_i b.residual(a_i) vanishes, since
-    the residual is linear with kernel b.  So the kernel of the matrix whose
-    columns are the residuals of a's basis, one row per non-pivot
-    coordinate of b, gives the intersection in a's p coordinates; a itself
-    when every residual is zero.
-    """
+    """a ∩ b, solved in the coordinates of the smaller side: the vectors
+    of the smaller side whose residual modulo the larger vanishes
+    (:func:`_preimage`, one image per basis vector)."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("intersection of subspaces of different ambients")
     if a.dim > b.dim:
         a, b = b, a
-    if a.dim == 0 or b.dim == b.ambient_dim:
-        return a
-    rows = [row for row in zip(*[b.residual(v) for v in a.basis]) if any(row)]
-    if not rows:
-        return a
-    return canonical_basis([a.from_coordinates(x)
-                            for x in _null_generators(rows, a.dim)],
-                           a.ambient_dim)
+    return _preimage(a, ([dict(compress(enumerate(v), v))] for v in a.basis),
+                     b)
 
 
 def complement_in(a: Subspace, b: Subspace) -> Subspace:
@@ -515,6 +484,35 @@ def kernel(rows: Sequence[Sequence[Scalar]], ncols: int) -> Subspace:
     """Null space of the matrix with the given rows (acting on Q^ncols)."""
     gens = _null_generators(rows, ncols)
     return canonical_basis(gens, ncols) if gens else zero_subspace(ncols)
+
+
+def _preimage(w: Subspace, images: Iterable[Iterable[dict[int, Scalar]]],
+              t: Subspace) -> Subspace:
+    """{x in w : sum_m x_m images[m][c] lies in t for every c}, for each
+    image given by its entries {coordinate: value}: the one kernel of a
+    linear condition modulo a subspace.
+
+    The residual modulo t (:meth:`Subspace._read_off`) is linear with
+    kernel t, so the condition is one row per (c, coordinate k) where some
+    residual of images[m][c] is nonzero, ordered by (c, k) and solved in
+    w's coordinates.  No row means all of w.  The null generators are
+    lifted through w's basis only when w is a proper subspace, and, as in
+    :func:`kernel`, eliminated again only when there are any.
+    """
+    rows: dict[tuple[int, int], list[Scalar]] = {}
+    for m, row in enumerate(images):
+        for c, image in enumerate(row):
+            for k, x in t._read_off(image).items():
+                if x:
+                    rows.setdefault((c, k), [ZERO] * w.dim)[m] = x
+    if not rows:
+        return w
+    gens = _null_generators([rows[key] for key in sorted(rows)], w.dim)
+    if not gens:
+        return zero_subspace(w.ambient_dim)
+    if w.dim < w.ambient_dim:
+        gens = [w.from_coordinates(x) for x in gens]
+    return canonical_basis(gens, w.ambient_dim)
 
 
 def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Optional[Vector]:
@@ -680,8 +678,10 @@ def restrict_bilinear_form(form: Matrix, s: Subspace) -> Matrix:
 def residual_operator(s: Subspace) -> Matrix:
     """Matrix R with R v = v minus its echelon reduction; R v = 0 iff v in s.
 
-    The dense d x d form of :meth:`Subspace.residual`, whose entries are
-    R v's non-pivot rows (its pivot rows vanish).
+    The dense d x d form of the residual that :meth:`Subspace._read_off`
+    leaves on a sparse vector: R v's pivot rows vanish and its other rows
+    are that residual's entries.  The package solves through the sparse
+    form; this one is a reference for tests and demos.
     """
     n = s.ambient_dim
     rows = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]

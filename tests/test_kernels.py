@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from matrix_helpers import commutator, dense_structure
 from sphlie.builders import gl, sl, so
 from sphlie.catalog import catalog_entries, get_entry
-from sphlie.liealg import SpanSolver, centralizer_in, transporter
+from sphlie.liealg import LieAlgebra, SpanSolver, centralizer_in, transporter
 from sphlie.linalg import (
     _scaled,
     as_vector,
@@ -31,7 +31,7 @@ from sphlie.linalg import (
 )
 from sphlie.problem import build_pair
 from sphlie.spherical import _open_defect
-from test_exact_scalars import remixed
+from test_exact_scalars import mixed, remixed
 
 PROPS = settings(max_examples=60, deadline=None)
 
@@ -289,16 +289,34 @@ def subspaces(g, max_gens=3):
         lambda vecs: canonical_basis(vecs, g.dim))
 
 
+def catalog_keys():
+    """(name, seed) of a catalog pair: its listed basis or a mixed one."""
+    return st.tuples(st.sampled_from(sorted(e.name for e in catalog_entries())),
+                     st.sampled_from((None, 0, 1, 2, 3)))
+
+
+@lru_cache(maxsize=None)
+def halved_algebra(name, seed):
+    """A catalog algebra on a basis mixed with entries ±1/2, so that its
+    structure constants carry Fractions; the ±1 mix of ``remixed`` is
+    unimodular and keeps them ints."""
+    return LieAlgebra(mixed(get_entry(name).problem.basis, seed,
+                            (F(-1, 2), 0, F(1, 2))))
+
+
 def catalog_subspaces():
-    """(g, s, t, within) in a catalog algebra: t is often 0 or g, s often
-    0, and ``within`` either g (passed as None) or a random subspace."""
+    """(g, s, t, within) in a catalog algebra, on its listed basis, a mixed
+    one, or one mixed with halves: t is often 0 or g, s often 0, and
+    ``within`` either g (passed as None) or a random subspace."""
     def draw(g):
         t = st.one_of(st.just(g.zero_space()), st.just(g.full_space()),
                       subspaces(g))
         within = st.one_of(st.none(), subspaces(g, 4))
         return st.tuples(st.just(g), subspaces(g), t, within)
-    return st.sampled_from(sorted(e.name for e in catalog_entries())).map(
-        lambda name: catalog_pair(name).algebra).flatmap(draw)
+    return st.one_of(
+        catalog_keys().map(lambda key: catalog_pair(*key).algebra),
+        catalog_keys().filter(lambda key: key[1] is not None).map(
+            lambda key: halved_algebra(*key))).flatmap(draw)
 
 
 def residual_operator_transporter(g, s, t, w):
@@ -353,8 +371,7 @@ def test_int_rank_of_no_rows_is_zero():
 
 
 @PROPS
-@given(st.tuples(st.sampled_from(sorted(e.name for e in catalog_entries())),
-                 st.sampled_from((None, 0, 1, 2, 3))).flatmap(
+@given(catalog_keys().flatmap(
     lambda key: st.tuples(
         st.just(catalog_pair(*key).cartan),
         st.lists(st.tuples(vectors(catalog_pair(*key).algebra.dim), scales),

@@ -692,6 +692,67 @@ def test_transporter_into_the_full_space_skips_the_lift(monkeypatch):
         assert len(calls) == 2
 
 
+def test_a_transporter_within_a_proper_subspace_eliminates_twice(
+        monkeypatch):
+    """The null generators are lifted through within's basis and eliminated
+    once, with no canonical basis of the kernel in within's coordinates."""
+    import sphlie.linalg as linalg
+    from sphlie.liealg import transporter
+
+    g = sl(4)
+    h = g.span_of_matrices(so_basis(4))
+    within = canonical_basis([unit_vector(15, i) for i in range(0, 15, 2)],
+                             15)
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda rows: calls.append(rows) or real(rows))
+    out = transporter(g, h, h, within)
+    assert 0 < out.dim < within.dim
+    assert len(calls) == 2
+
+
+def test_the_normalizer_transporter_builds_no_ad_matrix(monkeypatch):
+    """On all of g, [e_m, u] comes from the table like any other bracket."""
+    from sphlie.liealg import transporter
+
+    g = sl(4)
+    h = g.span_of_matrices(so_basis(4))
+    calls = []
+    real = LieAlgebra.ad
+    monkeypatch.setattr(LieAlgebra, "ad",
+                        lambda self, x: calls.append(x) or real(self, x))
+    assert transporter(g, h, h) == h
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_transporter_rejects_subspaces_outside_g(n):
+    from sphlie.liealg import transporter
+
+    g = sl(3)
+    outside = canonical_basis([unit_vector(n, 0)], n)
+    full, zero = g.full_space(), g.zero_space()
+    for s, t, within in ((outside, zero, None), (full, outside, None),
+                         (full, zero, outside)):
+        with pytest.raises(DimensionMismatch):
+            transporter(g, s, t, within)
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_bracket_containment_rejects_subspaces_outside_g(n):
+    from sphlie.normalizer import normalizer_in
+
+    g = sl(3)
+    s = canonical_basis([unit_vector(n, 0), unit_vector(n, 1)], n)
+    with pytest.raises(DimensionMismatch):
+        g.is_subalgebra(s)
+    with pytest.raises(DimensionMismatch):
+        g.brackets_within(s, s, g.full_space())
+    with pytest.raises(DimensionMismatch):
+        normalizer_in(g, s)
+
+
 def test_cartan_data_certifies_an_arbitrary_a_seed():
     g = sl(3)
     _, k, s = cartan_decompose(g)

@@ -413,8 +413,9 @@ def test_build_pair_full_sl3_smoke():
 
 def analyze_counting(monkeypatch, tmp_path, problem, *options):
     """Run ``sphlie analyze`` on a problem; return its exit code, the number
-    of times each algebra's center kernel was solved, the subalgebras
-    normalizer_report normalized and the subspaces is_subalgebra checked."""
+    of times each algebra's center was solved (its centralizer in itself),
+    the subalgebras normalizer_report normalized and the subspaces
+    is_subalgebra checked."""
     import sys
     from collections import Counter
 
@@ -422,20 +423,19 @@ def analyze_counting(monkeypatch, tmp_path, problem, *options):
     import sphlie.normalizer as normalizer
     from sphlie.cli import main
 
-    center_solves = Counter()   # id of the algebra -> kernels solved for z(g)
-    real_kernel = liealg.kernel
+    center_solves = Counter()   # id of the algebra -> solves of z(g)
+    real_centralizer_in = liealg.centralizer_in
 
-    def counting_kernel(rows, ncols):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name in ("center", "_center"):
-            center_solves[id(caller.f_locals["self"])] += 1
-        return real_kernel(rows, ncols)
+    def counting_centralizer_in(g, s, within=None):
+        if sys._getframe(1).f_code.co_name in ("center", "_center"):
+            center_solves[id(g)] += 1
+        return real_centralizer_in(g, s, within)
 
     normalized = []
     real_normalizer = normalizer._normalizer
     checked = []
     real_is_subalgebra = liealg.LieAlgebra.is_subalgebra
-    monkeypatch.setattr(liealg, "kernel", counting_kernel)
+    monkeypatch.setattr(liealg, "centralizer_in", counting_centralizer_in)
     monkeypatch.setattr(normalizer, "_normalizer",
                         lambda g, h: normalized.append(h) or real_normalizer(g, h))
     monkeypatch.setattr(
