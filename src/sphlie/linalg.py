@@ -27,8 +27,12 @@ series of :mod:`sphlie.orbits` runs on them scaled to ints, and
 :func:`int_rank` ranks them with no Fraction.  Integer
 scaling, by the least common denominator, has one implementation per form:
 :func:`_scaled` for a sparse vector and :func:`_integral` for dense vectors
-at one shared denominator.  :func:`rref` stays the one elimination behind
-canonical bases.
+at one shared denominator.  :func:`rref` is the one elimination behind
+canonical bases, :class:`SpanSolver` and every kernel.  It is a sparse
+incremental Gauss–Jordan: each input entry is read, coerced and normalised
+once, and each row is reduced against an echelon of sparse rows that is
+fully reduced after every insert, so one pass over the row's support at the
+pivots suffices.
 """
 
 from __future__ import annotations
@@ -110,7 +114,8 @@ def zero_vector(n: int) -> Vector:
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    """The i-th standard basis vector of Q^n, for 0 <= i < n."""
+    return (ZERO,) * i + (ONE,) + (ZERO,) * (n - i - 1)
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -147,47 +152,80 @@ def is_zero_vector(v: Vector) -> bool:
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vector], list[int]]:
-    """Reduced row-echelon form.
+    """Reduced row-echelon form, by sparse incremental Gauss–Jordan.
 
     Returns ``(rows, pivots)`` where ``rows`` are the nonzero rows (each with
     leading entry 1 in a strictly increasing pivot column, and zeros above and
-    below every pivot) and ``pivots`` are their pivot columns.  A row is
-    normalised when it becomes a pivot row and every entry on each write,
-    so integral entries stay ints.
+    below every pivot) and ``pivots`` are their pivot columns.  Rows of
+    different lengths raise DimensionMismatch.
+
+    Each input row is read once into its nonzero entries {column: value},
+    each entry coerced and normalised as by :func:`as_vector`.  The echelon
+    is kept as such dicts, keyed by pivot, and is fully reduced after every
+    insert: each echelon row is 1 at its pivot and 0 at every other pivot.
+    So a new row is reduced in one pass, by the echelon row of each pivot in
+    its support (the :meth:`Subspace._read_off` rule).  A nonzero remainder
+    is scaled to a leading 1 at its least column, which then joins the
+    pivots and is cleared from the older echelon rows.  Every write is
+    normalised, so integral entries stay ints.  The RREF of a matrix is
+    unique, so the result does not depend on the order of elimination.
     """
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    for r in work:
-        if len(r) != ncols:
+    echelon: dict[int, dict[int, Scalar]] = {}  # pivot -> entries off it
+    ncols = None
+    for row in rows:
+        if ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
             raise DimensionMismatch("ragged rows")
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(row, len(work)) if work[r][col]), None)
-        if sel is None:
+        r = {}
+        for j, a in compress(enumerate(row), row):
+            if type(a) is not int:
+                if type(a) is not Fraction:
+                    a = Fraction(a)
+                if a.denominator == 1:
+                    a = a.numerator
+                if not a:
+                    continue
+            r[j] = a
+        for p in [p for p in r if p in echelon]:
+            c = r.pop(p)
+            for j, a in echelon[p].items():
+                x = r.get(j, ZERO) - c * a
+                if x:
+                    r[j] = (x.numerator if type(x) is Fraction
+                            and x.denominator == 1 else x)
+                else:
+                    del r[j]
+        if not r:
             continue
-        prow = list(_exact_row(work[sel]))
-        work[sel] = work[row]
-        work[row] = prow
-        nz = [j for j, a in enumerate(prow) if a]
-        if prow[col] != 1:
-            inv = _div(ONE, prow[col])
-            for j in nz:
-                x = prow[j] * inv
-                prow[j] = (x.numerator if type(x) is Fraction
-                           and x.denominator == 1 else x)
-        for r, other in enumerate(work):
-            c = other[col]
-            if c and r != row:
-                for j in nz:
-                    x = other[j] - c * prow[j]
-                    other[j] = (x.numerator if type(x) is Fraction
+        lead = min(r)
+        inv = r.pop(lead)
+        if inv != 1:
+            inv = _div(ONE, inv)
+            for j, a in r.items():
+                x = a * inv
+                r[j] = (x.numerator if type(x) is Fraction
+                        and x.denominator == 1 else x)
+        for e in echelon.values():
+            c = e.pop(lead, ZERO)
+            if c:
+                for j, a in r.items():
+                    x = e.get(j, ZERO) - c * a
+                    if x:
+                        e[j] = (x.numerator if type(x) is Fraction
                                 and x.denominator == 1 else x)
-        pivots.append(col)
-        row += 1
-        if row == len(work):
-            break
-    return [tuple(r) for r in work[:row]], pivots
+                    else:
+                        del e[j]
+        echelon[lead] = r
+    pivots = sorted(echelon)
+    out = []
+    for p in pivots:
+        v = [ZERO] * ncols
+        v[p] = ONE
+        for j, a in echelon[p].items():
+            v[j] = a
+        out.append(tuple(v))
+    return out, pivots
 
 
 def int_rank(rows: Iterable[dict[int, int]]) -> int:
@@ -302,11 +340,9 @@ def canonical_basis(vectors: Iterable[Sequence], ambient_dim: Optional[int] = No
     ``ambient_dim`` is required when ``vectors`` is empty and must otherwise
     agree with the vectors' common length.
     """
-    vecs = [as_vector(v) for v in vectors]
+    vecs = list(vectors)
     if vecs:
         n = len(vecs[0])
-        if any(len(v) != n for v in vecs):
-            raise DimensionMismatch("vectors of mixed ambient dimension")
         if ambient_dim is not None and ambient_dim != n:
             raise DimensionMismatch(
                 f"declared ambient {ambient_dim} != vector length {n}")

@@ -40,11 +40,9 @@ from .linalg import (
     is_zero_vector,
     lin_comb,
     mat_is_nilpotent,
-    subspace_sum,
     vec_add,
     vec_scale,
     vec_sub,
-    zero_subspace,
     zero_vector,
 )
 from .parabolic import ParabolicData, characteristic_element
@@ -235,10 +233,8 @@ def derivation_pair(g: LieAlgebra, x0: Vector, u: Subspace) -> DerivationPair:
                 raise NotNilpotent(f"ad of basis element {idx} of the zero "
                                    f"layer of u is not nilpotent on g")
     image = canonical_basis(brackets, g.dim)
-    positive = zero_subspace(g.dim)
-    for lam, layer in layers:
-        if lam > 0:
-            positive = subspace_sum(positive, layer)
+    positive = canonical_basis(
+        [v for lam, layer in layers if lam > 0 for v in layer.basis], g.dim)
     if positive != image:
         raise CertificationError(
             "[x0, u] does not match the positive eigenvalue layers "

@@ -8,12 +8,14 @@ mismatch.  Inputs are random sparse rational matrices and vectors.
 from fractions import Fraction as F
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrix_helpers import commutator, dense_structure
 from sphlie.builders import gl, sl, so
 from sphlie.catalog import catalog_entries, get_entry
+from sphlie.errors import DimensionMismatch
 from sphlie.liealg import LieAlgebra, SpanSolver, centralizer_in, transporter
 from sphlie.linalg import (
     _scaled,
@@ -122,6 +124,80 @@ def test_mat_apply_matches_dense(av):
     lambda s: matrices(s[0], s[1])))
 def test_rref_matches_dense(rows):
     assert rref(rows) == dense_rref(rows)
+
+
+# ints, integral Fractions and proper Fractions, each also as a zero, and
+# units often enough that rows lead with 1 and are not rescaled
+mixed_entries = st.one_of(
+    st.just(0), st.just(F(0)), st.sampled_from([1, -1, F(1), F(-1), F(2)]),
+    st.integers(-4, 4), st.integers(-4, 4).map(F),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@st.composite
+def wide_sparse_rows(draw):
+    """Up to 8 rows of 20-30 columns with 1-3 nonzeros each."""
+    n = draw(st.integers(20, 30))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [0] * n
+        for c in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                               unique=True)):
+            row[c] = draw(mixed_entries.filter(bool))
+        rows.append(tuple(row))
+    return rows
+
+
+def exact_typed(x):
+    return type(x) is int or (type(x) is F and x.denominator > 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(st.integers(0, 6), dims).flatmap(
+    lambda s: st.lists(st.tuples(*[mixed_entries] * s[1]), min_size=s[0],
+                       max_size=s[0])), wide_sparse_rows()), st.data())
+def test_rref_entries_are_exactly_typed(rows, data):
+    # repeated rows and a zero row on top of the drawn ones
+    if rows:
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+        rows.insert(data.draw(st.integers(0, len(rows))),
+                    (F(0),) * len(rows[0]))
+    red, pivots = rref(rows)
+    assert (red, pivots) == dense_rref(rows)
+    assert all(exact_typed(x) for row in red for x in row)
+
+
+def test_rref_rejects_ragged_rows():
+    with pytest.raises(DimensionMismatch):
+        rref([(1, 2, 3), (1, 2)])
+    with pytest.raises(DimensionMismatch):
+        canonical_basis([(F(1), 0), (0, 0, 1)])
+
+
+def test_rref_of_a_unimodular_matrix_builds_no_fraction(monkeypatch):
+    # L U for L lower and U upper unitriangular: every remainder leads with
+    # 1, so the elimination stays in ints.  U has two more columns than
+    # rows, so columns without a pivot are carried too.
+    n = 6
+    low = [[1 if i == j else (i * j + 1) % 5 - 2 if j < i else 0
+            for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else (i + 2 * j) % 7 - 3 if j > i else 0
+           for j in range(n + 2)] for i in range(n)]
+    a = [tuple(sum(low[i][k] * up[k][j] for k in range(n))
+               for j in range(n + 2)) for i in range(n)]
+    built = []
+    real = F.__new__
+    monkeypatch.setattr(F, "__new__", staticmethod(
+        lambda cls, *args, **kwargs: built.append(args)
+        or real(cls, *args, **kwargs)))
+    red, pivots = rref(a)
+    assert built == []
+    assert pivots == list(range(n))
+    assert all(type(x) is int for row in red for x in row)
+    # the counter does see a Fraction the elimination builds
+    assert rref([(2, 1)]) == ([(1, F(1, 2))], [0]) and built
+    monkeypatch.undo()
+    assert (red, pivots) == dense_rref(a)
 
 
 @PROPS

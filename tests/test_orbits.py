@@ -58,20 +58,24 @@ def sl3_heisenberg_dp():
     return derivation_pair(g, x0, u)
 
 
-def sl4_three_layer_dp():
-    # sl4 with u the full upper triangle: layers 1, 2, 3 under
-    # x0 = diag(-3/2, -1/2, 1/2, 3/2).
-    g = sl(4)
-    x0 = g.from_matrix([
-        [F(-3, 2), 0, 0, 0], [0, F(-1, 2), 0, 0],
-        [0, 0, F(1, 2), 0], [0, 0, 0, F(3, 2)]])
+def borel_nilradical_dp(n):
+    # sl(n) with u the full upper triangle: layers 1, ..., n - 1 under
+    # x0 = diag(-(n-1)/2, ..., (n-1)/2), E_ij in layer j - i.
+    g = sl(n)
+    x0 = g.from_matrix([[F(2 * i - n + 1, 2) if i == j else 0
+                         for j in range(n)] for i in range(n)])
     mats = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m = [[0] * 4 for _ in range(4)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = [[0] * n for _ in range(n)]
             m[i][j] = 1
             mats.append(m)
     return derivation_pair(g, x0, g.span_of_matrices(mats))
+
+
+def sl4_three_layer_dp():
+    # x0 = diag(-3/2, -1/2, 1/2, 3/2): layers 1, 2, 3.
+    return borel_nilradical_dp(4)
 
 
 # -- exp_ad_apply -----------------------------------------------------------
@@ -137,6 +141,27 @@ def test_derivation_pair_layers_heisenberg():
     assert [(lam, layer.dim) for lam, layer in dp.layers] == [
         (F(1), 2), (F(2), 1)]
     assert dp.bracket_image == dp.u
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_derivation_pair_sums_the_positive_layers_in_one_elimination(
+        monkeypatch, n):
+    """The image [x0, u] and the sum of the n - 1 positive layers are one
+    canonical basis each, so two eliminations, whatever the number of
+    layers.  eigen_split is replayed from a first run, so that every rref
+    counted belongs to derivation_pair itself."""
+    import sphlie.linalg as linalg
+    import sphlie.orbits as orbits
+    dp = borel_nilradical_dp(n)
+    assert [lam for lam, _ in dp.layers] == list(range(1, n))
+    monkeypatch.setattr(orbits, "eigen_split", lambda a, s: dp.layers)
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda rows: calls.append(len(rows)) or real(rows))
+    again = derivation_pair(dp.algebra, dp.x0, dp.u)
+    assert again.bracket_image == dp.bracket_image
+    assert len(calls) <= 2
 
 
 def test_derivation_pair_rejects_non_subalgebra():
