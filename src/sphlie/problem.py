@@ -188,7 +188,9 @@ def _check_hint_exclusive(problem: Problem) -> None:
 def parse_problem_text(text: str) -> Problem:
     try:
         data = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past Python's digit limit, or arrays
+        # nested past the recursion limit
         raise ProblemFormatError(f"invalid JSON: {exc}") from None
     return parse_problem_dict(data)
 
@@ -197,7 +199,7 @@ def parse_problem(path) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from None
     return parse_problem_text(text)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import SpectrumError
 from .linalg import (
@@ -39,47 +39,6 @@ from .linalg import (
 Poly = list[Scalar]  # dense, low degree first, leading coefficient nonzero
 
 
-def poly_degree(p: Poly) -> int:
-    return len(p) - 1
-
-
-def poly_normalize(p: Sequence[Scalar]) -> Poly:
-    q = list(p)
-    while q and q[-1] == 0:
-        q.pop()
-    return q
-
-
-def poly_monic(p: Poly) -> Poly:
-    lead = p[-1]
-    return [_div(c, lead) for c in p]
-
-
-def poly_eval(p: Poly, x: Scalar) -> Scalar:
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [ZERO] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(c != 0 for c in a):
-        a = poly_normalize(a)
-        if len(a) < len(b):
-            break
-        coef = _div(a[-1], b[-1])
-        deg = len(a) - len(b)
-        q[deg] = coef
-        for i, c in enumerate(b):
-            a[deg + i] = _exact(a[deg + i] - coef * c)
-        a = a[:-1]
-    return poly_normalize(q), poly_normalize(a)
-
-
 # the largest |n| whose divisors the rational root search enumerates
 _DIVISOR_CAP = 1_000_000_000_000
 
@@ -100,35 +59,51 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All roots, as Fractions, of a monic rational polynomial that splits
-    over Q.
+def _deflate(p: Poly, r: Fraction) -> tuple[Poly, Scalar]:
+    """One Horner pass: the quotient of ``p`` by x - r, and the remainder
+    p(r)."""
+    acc, top = ZERO, []  # top: the quotient, high degree first, then p(r)
+    for c in reversed(p):
+        acc = _exact(acc * r + c)
+        top.append(acc)
+    return top[-2::-1], acc
 
-    Zero roots are stripped first; then each candidate of the rational root
-    theorem is divided out for as long as it is a root, so every root leaves
-    once per multiplicity, and a root that leaves twice is repeated.
+
+def rational_roots(p: Poly) -> list[Fraction]:
+    """All roots, as Fractions, of a rational polynomial (low degree first)
+    that splits over Q.
+
+    ``p`` is made monic and its zero roots are stripped first; then each
+    candidate of the rational root theorem is divided out, by one Horner
+    pass that also yields the remainder, for as long as it is a root, so
+    every root leaves once per multiplicity, and a root that leaves twice
+    is repeated.
     Raises SpectrumError if ``p`` has a repeated root (non-semisimple action)
     or an irreducible factor of degree >= 2 (irrational spectrum).
     """
-    p = poly_monic(poly_normalize(p))
-    roots: list[Fraction] = []
-    while poly_degree(p) > 0 and p[0] == 0:
-        roots.append(Fraction(0))
-        p = p[1:]
-    if poly_degree(p) > 0:
+    p = list(p)
+    while p[-1] == 0:
+        p.pop()
+    zeros = next(i for i, c in enumerate(p) if c)
+    roots = [Fraction(0)] * zeros
+    p = [_div(c, p[-1]) for c in p[zeros:]]
+    if len(p) > 1:
         # p is monic, so at the lcm of its denominators the ints have
         # content 1
         ip = _integral([p])[0]
         cands = {Fraction(sign * num, d) for num in _divisors(ip[0])
                  for d in _divisors(ip[-1]) for sign in (1, -1)}
         for r in sorted(cands):
-            while poly_degree(p) > 0 and poly_eval(p, r) == 0:
+            while len(p) > 1:
+                q, rem = _deflate(p, r)
+                if rem:
+                    break
                 roots.append(r)
-                p = poly_divmod(p, [-r, ONE])[0]
+                p = q
     if len(set(roots)) < len(roots):
         raise SpectrumError("operator is not semisimple (repeated eigenvalue "
                             "in a minimal polynomial)")
-    if poly_degree(p) > 0:
+    if len(p) > 1:
         raise SpectrumError("operator has an irrational eigenvalue "
                             "(minimal polynomial does not split over Q)")
     return sorted(roots)

@@ -78,17 +78,36 @@ def test_spherical_entries_carry_full_reports(results):
             assert result.orbit.samples_run == 25
 
 
+# the fields an entry without an open pair still observes
+ALWAYS_COMPARED = {"spherical_at_base", "needs_conjugation", "spherical",
+                   "normalizer_dim"}
+
+
+def tampered(value):
+    if value is None:
+        return 7
+    if isinstance(value, bool):
+        return not value
+    return value + (9,) if isinstance(value, tuple) else value + 1
+
+
 def test_tampered_expectations_are_caught():
-    entry = get_entry("sl2_so2")
-    wrong = dataclasses.replace(
-        entry, expected=dataclasses.replace(entry.expected, rank=2))
-    result = run_entry(wrong, seed=0, orbit_samples=5)
-    assert not result.passed
-    assert any("rank" in f for f in result.failures)
-    wrong_dim = dataclasses.replace(
-        entry, expected=dataclasses.replace(entry.expected, normalizer_dim=9))
-    result = run_entry(wrong_dim, seed=0, orbit_samples=5)
-    assert any("normalizer" in f for f in result.failures)
+    """Each ExpectedResults field tampered in turn fails the replay under
+    that field's name alone; an entry with no open pair (sl2_zero) can only
+    fail the four fields it observes."""
+    for entry in map(get_entry, ["sl2_so2", "sl2_zero"]):
+        exp = entry.expected
+        for field in dataclasses.fields(exp):
+            wrong = dataclasses.replace(exp, **{
+                field.name: tampered(getattr(exp, field.name))})
+            result = run_entry(dataclasses.replace(entry, expected=wrong),
+                               seed=0, orbit_samples=5)
+            named = [f.split(":")[0] for f in result.failures]
+            caught = exp.spherical or field.name in ALWAYS_COMPARED
+            assert named == [field.name] * caught, (entry.name, named)
+            if caught:
+                assert result.failures[0].endswith(
+                    f"got {getattr(exp, field.name)}")
 
 
 def test_run_all_is_sorted_by_name():

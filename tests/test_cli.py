@@ -269,6 +269,19 @@ def test_unreadable_and_malformed_inputs_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"basis": ' + b"1" * 5000 + b"}",      # past Python's int digit limit
+    b"[" * 100_000 + b"]" * 100_000,         # past the recursion limit
+    bytes([0xFF, 0xFE, 0x7B, 0x7D]),         # not UTF-8
+], ids=["long_integer", "deep_nesting", "not_utf8"])
+def test_a_file_json_cannot_read_is_an_input_error(capsys, tmp_path, content):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 def test_theta_rows_that_are_not_lists_exit_2(capsys, tmp_path):
     doc = json.loads(problem_to_json(get_entry("sl2_so2").problem))
     for bad_row in (1, "100"):

@@ -87,6 +87,32 @@ def test_rational_roots_are_the_distinct_roots_or_a_named_error(
         with pytest.raises(SpectrumError):
             rational_roots(p)
 
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(RATIONALS, unique=True, min_size=1, max_size=4),
+       RATIONALS.filter(bool), st.sampled_from(["split", "square", "x2+1",
+                                                "x2-2"]))
+def test_each_root_is_divided_out_exactly_once(roots, lead, shape):
+    """c·∏(x − rᵢ) over distinct rationals gives back the sorted rᵢ; a
+    squared factor is named not semisimple, and a factor x² + 1 or x² − 2
+    irrational."""
+    factors = [[-r, F(1)] for r in roots]
+    factors += {"split": [], "square": [factors[0]],
+                "x2+1": [[F(1), F(0), F(1)]],
+                "x2-2": [[F(-2), F(0), F(1)]]}[shape]
+    p = [lead]
+    for f in factors:
+        p = poly_times(p, f)
+    if shape == "split":
+        assert rational_roots(p) == sorted(roots)
+    else:
+        with pytest.raises(SpectrumError, match="not semisimple"
+                           if shape == "square" else "irrational"):
+            rational_roots(p)
+
 def test_vector_minimal_polynomial():
     m = as_matrix([(0, 2, 0), (0, 0, 0), (0, 0, -2)])
 
