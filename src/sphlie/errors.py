@@ -22,7 +22,9 @@ class NotReductive(SphlieError):
 
 
 class NotCartanInvolution(SphlieError):
-    """An involutive automorphism of g is not a Cartan involution."""
+    """A given theta is not a Cartan involution of g: it is not an
+    involutive automorphism, or it is one but the Killing form is not
+    negative definite on k ∩ [g, g] and positive definite on s ∩ [g, g]."""
 
 
 class SpectrumError(SphlieError):

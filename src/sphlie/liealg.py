@@ -9,12 +9,17 @@ Conventions
   (``k``, ``s``, ``a``, root spaces, subalgebras under study) live in the
   d-dimensional coordinate space.
 * The Cartan involution defaults to ``theta(X) = -X^T`` and is stored as the
-  d x d matrix it induces on coordinates.  The default is proved, a given
-  theta checked, an involutive automorphism (:func:`cartan_decompose`).
+  d x d matrix it induces on coordinates, each column read from the nonzero
+  entries of -b^T.  The default is proved, a given theta checked, an
+  involutive automorphism (:func:`cartan_decompose`); k and s are the
+  images of 1 + theta and 1 - theta.
 * A restricted root is stored as the tuple of its values, as Fractions, on
   the echelon basis of ``a``; positivity is lexicographic with respect to a
   chosen ordered basis of ``a`` (the echelon basis unless the caller
-  supplies one).
+  supplies one).  :class:`CartanData` keeps a table of each root's space,
+  support, sign and negative by position, so code that walks the roots
+  hashes no Fraction.  When a acts diagonally on g's basis, the roots are
+  read off the diagonal of the structure constants, with no ad matrix.
 * The structure constants are stored sparsely: ``_terms[i][j]`` lists the
   nonzero (k, c) with [e_i, e_j] = sum_k c e_k.  The constructor forms each
   [e_i, e_j] with i < j from the basis matrices' nonzero entries and reads
@@ -72,11 +77,8 @@ from .linalg import (
     is_direct_sum,
     kernel,
     lin_comb,
-    mat_add,
     mat_apply,
     mat_mul,
-    mat_scale,
-    mat_sub,
     mat_trace,
     mat_transpose,
     mat_unflatten,
@@ -365,18 +367,22 @@ def centralizer_in(g: LieAlgebra, s: Subspace, within: Optional[Subspace] = None
 
 
 def default_involution(g: LieAlgebra) -> Matrix:
-    """Matrix on coordinates of theta(X) = -X^T, one exact solve of -b^T in
-    g per basis matrix b; raises NotClosed if the realization is not closed
-    under transpose."""
-    cols = []
+    """Matrix on coordinates of theta(X) = -X^T: column i solves -b^T in g
+    for the i-th basis matrix b, read from b's nonzero entries as the
+    constructor reads commutators; raises NotClosed if the realization is
+    not closed under transpose."""
+    n, d = g.matrix_size, g.dim
+    rows = [[ZERO] * d for _ in range(d)]
     for i, b in enumerate(g.basis):
-        img = g.from_matrix(mat_scale(-1, mat_transpose(b)))
-        if img is None:
+        terms = g._solver.terms({c * n + r: -x for r, row in enumerate(b)
+                                 for c, x in enumerate(row) if x})
+        if terms is None:
             raise NotClosed(
                 "realization is not closed under X -> -X^T; supply an explicit "
                 "Cartan involution")
-        cols.append(img)
-    return tuple(tuple(cols[j][k] for j in range(g.dim)) for k in range(g.dim))
+        for k, c in terms:
+            rows[k][i] = c
+    return tuple(map(tuple, rows))
 
 
 def _validate_involution(g: LieAlgebra, theta: Matrix) -> Matrix:
@@ -384,7 +390,7 @@ def _validate_involution(g: LieAlgebra, theta: Matrix) -> Matrix:
     d = g.dim
     sq = mat_mul(theta, theta)
     if sq != identity_matrix(d):
-        raise CertificationError("theta is not involutive")
+        raise NotCartanInvolution("theta is not involutive")
     cols = mat_transpose(theta)  # cols[i] = theta(e_i)
     col_entries = _row_entries(cols)
     # both sides are antisymmetric in (i, j) and vanish for i = j
@@ -395,7 +401,7 @@ def _validate_involution(g: LieAlgebra, theta: Matrix) -> Matrix:
                 for r, a in col_entries[k]:
                     lhs[r] += c * a
             if tuple(lhs) != g.bracket(cols[i], cols[j]):
-                raise CertificationError(
+                raise NotCartanInvolution(
                     f"theta is not an automorphism (fails on basis pair {i},{j})")
     return theta
 
@@ -408,14 +414,21 @@ def cartan_decompose(g: LieAlgebra, theta: Optional[Matrix] = None
     multiplicative on every pair of basis elements.  The default is proved:
     :func:`default_involution` solves -b^T in g for every basis matrix b, so
     it is X -> -X^T on g's coordinates, and for all matrices
-    -[X, Y]^T = [-X^T, -Y^T] and -(-X^T)^T = X."""
+    -[X, Y]^T = [-X^T, -Y^T] and -(-X^T)^T = X.
+
+    k = ker(theta - 1) and s = ker(theta + 1) are read as im(1 + theta) and
+    im(1 - theta), one elimination of the e_i +- theta(e_i) each:
+    (theta - 1)(1 + theta) = theta^2 - 1 = 0, so each image lies in its
+    kernel, and x = ((1 + theta)x + (1 - theta)x) / 2 while the two kernels
+    meet only in 0, so the images are the kernels."""
     key = None if theta is None else as_matrix(theta)
     if key not in g._cartan:
         th = (default_involution(g) if key is None
               else _validate_involution(g, key))
-        d, one = g.dim, identity_matrix(g.dim)
-        k = kernel(mat_sub(th, one), d)
-        s = kernel(mat_add(th, one), d)
+        d, cols = g.dim, list(zip(*th))  # cols[i] = theta(e_i)
+        k, s = (canonical_basis([[sign * x + (i == j) for j, x in enumerate(c)]
+                                 for i, c in enumerate(cols)], d)
+                for sign in (1, -1))
         if k.dim + s.dim != d:  # pragma: no cover - excluded by theta^2 = 1
             raise CertificationError("fixed spaces of theta do not decompose g")
         g._cartan[key] = (th, k, s)
@@ -461,6 +474,11 @@ class CartanData:
     ``dataclasses.replace(cd, positivity=...)`` reorders the same roots.
     That stage works on the roots by position in ints, with no set or dict
     keyed by Fraction tuples; the root fields stay tuples of Fractions.
+
+    ``_table`` holds, per position in ``roots``, (space, support, positive,
+    position of the negative root): code that walks the roots reads it, and
+    :meth:`support`, :meth:`root_space` and :meth:`is_positive` find a
+    root's position in one dict built on first use.
     """
 
     algebra: LieAlgebra
@@ -478,6 +496,7 @@ class CartanData:
     positive_roots: tuple[Root, ...] = field(init=False)
     simple_roots: tuple[Root, ...] = field(init=False)
     simple_coordinates: tuple[Vector, ...] = field(init=False)
+    _table: tuple[tuple, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         """The ordering stage: positive roots by ``positivity``, simple
@@ -492,8 +511,8 @@ class CartanData:
                                    for coords in pos_coords])
                     for r in scaled]
         index = {r: i for i, r in enumerate(scaled)}
-        for i, r in enumerate(scaled):
-            neg = index.get(tuple(-x for x in r))
+        negative = [index.get(tuple(-x for x in r)) for r in scaled]
+        for i, neg in enumerate(negative):
             if positive[i] == (neg is not None and positive[neg]):
                 raise CertificationError(
                     f"root {roots[i]} and its negative get the same sign; "
@@ -521,39 +540,41 @@ class CartanData:
                     f"positive root {roots[i]} is not a nonnegative "
                     f"combination of the simple roots")
 
+        support = {i: frozenset(j for j, c in enumerate(sol) if c)
+                   for i, sol in zip(pos, coordinates)}
         n = canonical_basis([v for i in pos for v in self._spaces[i].basis],
                             a.ambient_dim)
         for name, value in (("n", n), ("p", subspace_sum(self.zero_space, n)),
                             ("positive_roots", tuple(roots[i] for i in pos)),
                             ("simple_roots", tuple(roots[i] for i in simple)),
-                            ("simple_coordinates", coordinates)):
+                            ("simple_coordinates", coordinates),
+                            ("_table", tuple(
+                                (sp, support[i if up else neg], up, neg)
+                                for i, (sp, up, neg) in enumerate(
+                                    zip(self._spaces, positive, negative))))):
             object.__setattr__(self, name, value)
 
     @cached_property
-    def _by_root(self) -> dict[Root, tuple[Subspace, Optional[Vector]]]:
-        """Each root's space and, for a positive root, its coordinates in
-        the simple roots (None for a negative one)."""
-        coords = dict(zip(self.positive_roots, self.simple_coordinates))
-        return {r: (sp, coords.get(r))
-                for r, sp in zip(self.roots, self._spaces)}
+    def _position(self) -> dict[Root, int]:
+        return {r: i for i, r in enumerate(self.roots)}
+
+    def _entry(self, root: Root) -> tuple:
+        try:
+            return self._table[self._position[root]]
+        except KeyError:
+            raise KeyError(f"{root} is not a restricted root here") from None
 
     def support(self, root: Root) -> frozenset[int]:
         """Indices of the simple roots in the support of ``root`` (of -root
         for a negative root)."""
-        coords = self._by_root[root][1]
-        if coords is None:
-            coords = self._by_root[tuple(-x for x in root)][1]
-        return frozenset(i for i, c in enumerate(coords) if c)
+        return self._entry(root)[1]
 
     def root_space(self, root: Root) -> Subspace:
-        try:
-            return self._by_root[root][0]
-        except KeyError:
-            raise KeyError(f"{root} is not a restricted root here") from None
+        return self._entry(root)[0]
 
     def is_positive(self, root: Root) -> bool:
-        entry = self._by_root.get(root)
-        return entry is not None and entry[1] is not None
+        i = self._position.get(root)
+        return i is not None and self._table[i][2]
 
     def root_value(self, root: Root, h: Sequence[Scalar]) -> Scalar:
         """Value of the root functional on an element h of a (g-coordinates)."""
@@ -570,6 +591,25 @@ def _lex_positive(values: Sequence[Scalar]) -> bool:
     return False
 
 
+def _diagonal_weights(g: LieAlgebra, a: Subspace
+                      ) -> Optional[dict[tuple[Scalar, ...], Subspace]]:
+    """When ad h is diagonal on g's basis for every h in a's echelon basis,
+    {the tuple of its diagonal entries: the span of the unit vectors e_j with
+    that tuple}; None at the first off-diagonal entry.  Each
+    [h, e_j] = sum_i h_i [e_i, e_j] is formed from h's nonzeros only."""
+    hs, d = _row_entries(a.basis), g.dim
+    groups = defaultdict(list)
+    for j in range(d):
+        key = []
+        for h in hs:
+            column = g._bracket_entries(h, [(j, 1)])
+            if any(x for k, x in column.items() if k != j):
+                return None
+            key.append(_exact(column.get(j, ZERO)))
+        groups[tuple(key)].append(unit_vector(d, j))
+    return {key: Subspace(d, tuple(vs)) for key, vs in groups.items()}
+
+
 def _root_decomposition(g: LieAlgebra, a: Subspace,
                         positivity: Sequence[Vector], th: Matrix,
                         k: Subspace, s: Subspace) -> CartanData:
@@ -578,33 +618,28 @@ def _root_decomposition(g: LieAlgebra, a: Subspace,
     g0 = m ⊕ a and theta(g_alpha) = g_-alpha.  The CartanData it returns
     orders the roots by ``positivity``, a basis of a.
 
-    g is split by the echelon basis of a's matrices, flattened to n x n
-    coordinates: those elements, and so the eigenvalues of their ad, do not
-    depend on g's basis.  When all their ads are diagonal on g's basis, the
-    unit vectors with equal tuples of diagonal entries span one joint
-    eigenspace, already in RREF; otherwise each ad refines the split by
-    :func:`eigen_split`.  Each joint eigenspace's root is then read on a's
+    Diagonality and the joint eigenspaces depend only on the span of a.
+    When a acts diagonally on g's basis, the unit vectors with equal
+    diagonal tuples on a's echelon basis span one joint eigenspace, already
+    in RREF, and the tuple is its root (:func:`_diagonal_weights`).
+    Otherwise g is split by the echelon basis of a's matrices, flattened to
+    n x n coordinates: those elements, and so the eigenvalues of their ad,
+    do not depend on g's basis.  Each ad refines the split by
+    :func:`eigen_split`, and each joint eigenspace's root is read on a's
     echelon basis at the pivot p of its first vector v, where v_p = 1:
     alpha(h) = [h, v]_p.  theta is invertible, so theta(g_alpha) = g_-alpha
     when their dimensions agree and theta maps g_alpha into g_-alpha."""
-    nn, d = g.matrix_size ** 2, g.dim
-    flat = canonical_basis([lin_comb(h, g._flat, nn) for h in a.basis], nn)
-    ads = [g.ad(g._solver.coordinates(f)) for f in flat.basis]
-    if all(not any(row[:i]) and not any(row[i + 1:])
-           for adh in ads for i, row in enumerate(adh)):
-        groups = defaultdict(list)
-        for i in range(d):
-            groups[tuple(adh[i][i] for adh in ads)].append(unit_vector(d, i))
-        pieces = [Subspace(d, tuple(vs)) for vs in groups.values()]
-    else:
+    weights = _diagonal_weights(g, a)
+    if weights is None:
+        nn = g.matrix_size ** 2
+        flat = canonical_basis([lin_comb(h, g._flat, nn) for h in a.basis],
+                               nn)
         pieces = [g.full_space()]
-        for adh in ads:
+        for f in flat.basis:
+            adh = g.ad(g._solver.coordinates(f))
             pieces = [eig for sub in pieces for _, eig in eigen_split(adh, sub)]
-
-    weights = {}
-    for sp in pieces:
-        v, p = sp.basis[0], sp.pivots[0]
-        weights[tuple(g.bracket(h, v)[p] for h in a.basis)] = sp
+        weights = {tuple(g.bracket(h, sp.basis[0])[sp.pivots[0]]
+                         for h in a.basis): sp for sp in pieces}
     zero_sp = weights.pop((ZERO,) * a.dim, None)
     if zero_sp is None:  # pragma: no cover - a is inside its own 0-space
         raise CertificationError("zero weight space is missing")
@@ -722,20 +757,19 @@ def _noncompact_ideals(cd: CartanData, inside: Sequence[int], levi: Subspace
     ``levi`` = l_F for those roots: the span of the root spaces g_alpha with
     support(alpha) in C and of [g_alpha, g_-alpha], one elimination, then
     certified an ideal of l by bracket containment."""
-    g, inside = cd.algebra, set(inside)
-    roots = [(r, sup) for r in cd.positive_roots
-             if (sup := cd.support(r)) <= inside]
+    g, inside, table = cd.algebra, set(inside), cd._table
+    roots = [(sp, sup, neg) for sp, sup, up, neg in table
+             if up and sup <= inside]
     comps: list[frozenset[int]] = []
-    for _, sup in roots:
+    for _, sup, _ in roots:
         comps = ([c for c in comps if not c & sup]
                  + [sup.union(*(c for c in comps if c & sup))])
     ideals = []
     for comp in sorted(comps, key=min):
         gens = []
-        for r, sup in roots:
+        for sp, sup, neg in roots:
             if sup <= comp:
-                plus = cd.root_space(r).basis
-                minus = cd.root_space(tuple(-x for x in r)).basis
+                plus, minus = sp.basis, table[neg][0].basis
                 gens += [*plus, *minus,
                          *(g.bracket(u, v) for u in plus for v in minus)]
         ideal = canonical_basis(gens, g.dim)

@@ -31,21 +31,27 @@ from .linalg import (
 )
 
 
-def normalize_subset(cd: CartanData, f: Iterable) -> tuple[Root, ...]:
-    """Accepts roots or indices into cd.simple_roots; returns sorted roots."""
-    out = []
+def _subset_indices(cd: CartanData, f: Iterable) -> set[int]:
+    """The indices into cd.simple_roots of the roots or indices in f."""
+    out = set()
     for item in f:
         if isinstance(item, int):
             if not 0 <= item < len(cd.simple_roots):
                 raise DimensionMismatch(
                     f"simple root index {item} out of range")
-            out.append(cd.simple_roots[item])
+            out.add(item)
         else:
             root = tuple(Fraction(x) for x in item)
             if root not in cd.simple_roots:
                 raise DimensionMismatch(f"{root} is not a simple root")
-            out.append(root)
-    return tuple(sorted(set(out)))
+            out.add(cd.simple_roots.index(root))
+    return out
+
+
+def normalize_subset(cd: CartanData, f: Iterable) -> tuple[Root, ...]:
+    """Accepts roots or indices into cd.simple_roots; returns sorted roots
+    (the simple roots are sorted, so in the order of their indices)."""
+    return tuple(cd.simple_roots[i] for i in sorted(_subset_indices(cd, f)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,17 +71,16 @@ class ParabolicData:
 
 def standard_parabolic(cd: CartanData, f: Iterable) -> ParabolicData:
     """The standard parabolic attached to a subset of the simple roots."""
-    subset = normalize_subset(cd, f)
-    inside = {cd.simple_roots.index(r) for r in subset}
+    inside = _subset_indices(cd, f)
     levi = list(cd.zero_space.basis)
     nil = []
-    for root in cd.roots:
-        if cd.support(root) <= inside:
-            levi.extend(cd.root_space(root).basis)
-        elif cd.is_positive(root):
-            nil.extend(cd.root_space(root).basis)
+    for space, support, positive, _ in cd._table:
+        if support <= inside:
+            levi.extend(space.basis)
+        elif positive:
+            nil.extend(space.basis)
     d = cd.algebra.dim
-    return ParabolicData(cartan=cd, subset=subset,
+    return ParabolicData(cartan=cd, subset=normalize_subset(cd, inside),
                          q=canonical_basis(levi + nil, d),
                          levi=canonical_basis(levi, d),
                          nilradical=canonical_basis(nil, d))

@@ -160,8 +160,8 @@ def candidate_subsets(pair: SphericalPair) -> list[tuple[int, ...]]:
     """
     cd = pair.cartan
     nh = subspace_intersect(cd.n, pair.h)
-    dims = [(sum(1 << i for i in cd.support(r)), cd.root_space(r).dim)
-            for r in cd.positive_roots]
+    dims = [(sum(1 << i for i in support), space.dim)
+            for space, support, positive, _ in cd._table if positive]
     if sum(dim for _, dim in dims) != cd.n.dim:
         raise CertificationError(
             "positive root spaces do not sum directly to n")
@@ -443,12 +443,14 @@ def _prepared_words(cd: CartanData, seed: int
     once per pool vector, and once per Weyl factor."""
     g = cd.algebra
     yield (), "identity"
+    # cd.roots is sorted, and the table follows it
+    roots = list(zip(cd.roots, cd._table))
     weyl = [(root, i, v, mat_apply(cd.theta, v))
-            for root in sorted(cd.positive_roots)
-            for i, v in enumerate(cd.root_space(root).basis)]
+            for root, (space, _, positive, _) in roots if positive
+            for i, v in enumerate(space.basis)]
     pool = [(f"g[{_fmt_root(root)}#{i}]", v)
-            for root in sorted(cd.roots)
-            for i, v in enumerate(cd.root_space(root).basis)]
+            for root, (space, *_) in roots
+            for i, v in enumerate(space.basis)]
     for v in [v for _, v in pool] + [tv for *_, tv in weyl]:
         if not mat_is_nilpotent(g.to_matrix(v)):
             raise DimensionMismatch(

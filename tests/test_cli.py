@@ -333,6 +333,23 @@ def test_non_cartan_theta_exits_2(capsys, tmp_path):
                    "(1, 0, 0), not negative definite\n")
 
 
+@pytest.mark.parametrize("theta, message", [
+    # theta^2 = diag(4, 1, 1)
+    ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], "theta is not involutive"),
+    # a sign-diagonal involution with [theta E, theta F] = -H != theta H
+    ([[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+     "theta is not an automorphism (fails on basis pair 1,2)"),
+], ids=["not_involutive", "not_an_automorphism"])
+def test_a_malformed_theta_exits_2(capsys, tmp_path, theta, message):
+    doc = {"schema_version": 1, "name": "sl2_bad_theta", "matrix_size": 2,
+           "basis": [[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]],
+           "subalgebra_basis": [], "theta": theta}
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["analyze", str(path)])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_usage_errors_raise_system_exit(capsys):
     with pytest.raises(SystemExit):
         main(["analyze"])          # missing the problem-file argument

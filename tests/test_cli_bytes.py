@@ -11,8 +11,9 @@ or verdict, or any exit code, changes a digest.
 No catalog pair needs a Levi adjustment, so ``sl2x2_shifted_diag`` pins the
 ``levi_adjusted: true`` path separately with digests of its own.  Every
 catalog pair has dim g <= 9, so ``analyze`` of sl(6)/so(6) (dim 35),
-sl(8)/so(8) (dim 63), sl(10)/so(10) (dim 99), sl(12)/so(12) (dim 143) and
-sl(14)/so(14) (dim 195) pin five pairs beyond the benchmark sizes.
+sl(8)/so(8) (dim 63), sl(10)/so(10) (dim 99), sl(12)/so(12) (dim 143),
+sl(14)/so(14) (dim 195) and sl(16)/so(16) (dim 255) pin six pairs beyond the
+benchmark sizes.
 ``analyze`` of sl(2) + sl(2) + so(3) with h = sl(2) + sl(2) + so(2),
 unhinted and hinted, pins a Levi whose ideals are of both kinds, compact
 and noncompact.  ``analyze`` of sl(3)/so(3) with θ given as the coordinate
@@ -120,6 +121,9 @@ SL12_SO12_ANALYZE_JSON = (
 
 SL14_SO14_ANALYZE_JSON = (
     "5008d0e266762e6b822a2503609bf0f9a56b064b2d8e28f295da874ba9b8dad1")
+
+SL16_SO16_ANALYZE_JSON = (
+    "ab3e7e2de94f95d22de3c9a7ccf451d46e9a7f94bf03f45fbd092a3c7db96ce3")
 
 SL3_SO3_GIVEN_THETA_ANALYZE_JSON = (
     "4ff47c433c8a03564c3bcc39d4e1f7576d0b32b242c5c65e55db3ab8c2ec2fdd")
@@ -254,6 +258,10 @@ def test_sl12_so12_analyze_output_is_unchanged(tmp_path):
 
 def test_sl14_so14_analyze_output_is_unchanged(tmp_path):
     assert sl_so_analyze_json(14, "5", tmp_path) == SL14_SO14_ANALYZE_JSON
+
+
+def test_sl16_so16_analyze_output_is_unchanged(tmp_path):
+    assert sl_so_analyze_json(16, "5", tmp_path) == SL16_SO16_ANALYZE_JSON
 
 
 def test_sl3_so3_given_theta_analyze_output_is_unchanged(tmp_path):

@@ -220,6 +220,25 @@ def test_standard_parabolic_runs_only_on_subsets_passing_the_filter(
     assert called == dimension_filter(pair) == [()]
 
 
+def test_the_subset_walk_hashes_no_fraction(monkeypatch, ladder):
+    """candidate_subsets and standard_parabolic read the roots by position,
+    so on the hinted sl(2)^6 pair they hash no Fraction, whether F is given
+    by indices or by roots."""
+    from fractions import Fraction
+
+    real, hashes = Fraction.__hash__, []
+    monkeypatch.setattr(Fraction, "__hash__",
+                        lambda self: hashes.append(self) or real(self))
+    hash((Fraction(1, 3),))
+    assert len(hashes) == 1  # the counter sees a hash inside a tuple
+    hashes.clear()
+    cd = ladder[2].cartan
+    assert candidate_subsets(ladder[2]) == [()]
+    standard_parabolic(cd, range(6))
+    standard_parabolic(cd, [0, cd.simple_roots[3]])
+    assert hashes == []
+
+
 def test_levi_adjustment_inverse_on_catalog_and_ladder(ladder):
     from sphlie.linalg import (
         exp_nilpotent_matrix,

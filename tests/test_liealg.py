@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -64,7 +65,7 @@ from sphlie.linalg import (
     unit_vector,
 )
 from test_enumeration import ladder_problems
-from test_exact_scalars import mixed
+from test_exact_scalars import mixed as mixed_q, remixed
 
 F = Fraction
 
@@ -274,11 +275,44 @@ def test_involution_check_names_the_first_failing_pair():
                 cartan_decompose(g, theta)
                 continue
             seen_adjacent |= bad[0][1] == bad[0][0] + 1
-            with pytest.raises(CertificationError) as exc:
+            with pytest.raises(NotCartanInvolution) as exc:
                 cartan_decompose(g, theta)
             assert str(exc.value) == ("theta is not an automorphism (fails "
                                       f"on basis pair {bad[0][0]},{bad[0][1]})")
     assert seen_adjacent
+
+
+INVOLUTION_BASES = [sl_basis(2), sl_basis(3), so_basis(4), gl_basis(2),
+                    *(e.problem.basis for e in catalog_entries()),
+                    *(p.basis for p in ladder_problems())]
+
+
+def test_default_involution_is_the_dense_solve_of_minus_b_transpose():
+    from sphlie.linalg import mat_scale, mat_transpose
+
+    for basis in INVOLUTION_BASES:
+        g = LieAlgebra(basis)
+        cols = [g.from_matrix(mat_scale(-1, mat_transpose(b)))
+                for b in g.basis]
+        assert default_involution(g) == tuple(zip(*cols))
+
+
+def test_k_and_s_are_the_kernels_of_theta_minus_and_plus_one():
+    """k = im(1 + theta) and s = im(1 - theta) as cartan_decompose reads
+    them, against the kernels of theta -+ 1, for the default theta and for
+    a given one: Ad(diag(1, -1)) on sl(2), and -X^T given as a matrix."""
+    from sphlie.linalg import mat_add, mat_sub, identity_matrix
+
+    given = [(sl(2), ((1, 0, 0), (0, -1, 0), (0, 0, -1)))]
+    for basis in INVOLUTION_BASES:
+        g = LieAlgebra(basis)
+        given.append((LieAlgebra(basis), default_involution(g)))
+        given.append((g, None))
+    for g, theta in given:
+        th, k, s = cartan_decompose(g, theta)
+        one = identity_matrix(g.dim)
+        assert k == kernel(mat_sub(th, one), g.dim)
+        assert s == kernel(mat_add(th, one), g.dim)
 
 
 def test_default_involution_needs_transpose_closure():
@@ -413,11 +447,41 @@ def test_theta_is_validated_once_per_cartan_data(monkeypatch):
     assert len(calls) == 1
 
 
+def reference_root_table(cd):
+    """(space, support, positive, negative position) per root, keyed by
+    the roots themselves: support from ``simple_coordinates``."""
+    coords = dict(zip(cd.positive_roots, cd.simple_coordinates))
+    spaces = dict(zip(cd.roots, cd._spaces))
+    out = []
+    for r in cd.roots:
+        neg = tuple(-x for x in r)
+        up = r in coords
+        support = frozenset(i for i, c in enumerate(coords[r if up else neg])
+                            if c)
+        out.append((spaces[r], support, up, cd.roots.index(neg)))
+    return tuple(out)
+
+
+def root_table_problems():
+    """Every catalog and ladder problem, and each catalog problem on two
+    mixed bases of g, one integral and one with rational entries."""
+    problems = [e.problem for e in catalog_entries()] + ladder_problems()
+    for entry in catalog_entries():
+        p = entry.problem
+        problems += [remixed(p, 0), dataclasses.replace(p, basis=mixed_q(
+            p.basis, 1, entries=(F(-1, 2), 0, F(2, 3))))]
+    return problems
+
+
 def test_root_lookups_match_the_list_scans():
+    """The position table against a root-keyed reference and the public
+    lookups against list scans; a new positivity, as a hint gives, rebuilds
+    the table."""
     from sphlie.problem import build_pair
 
-    for entry in catalog_entries():
-        cd = build_pair(entry.problem).cartan
+    for problem in root_table_problems():
+        cd = build_pair(problem).cartan
+        assert cd._table == reference_root_table(cd), problem.name
         for r in cd.roots:
             assert cd.is_positive(r) == (r in cd.positive_roots)
             assert cd.root_space(r) is cd._spaces[cd.roots.index(r)]
@@ -431,6 +495,13 @@ def test_root_lookups_match_the_list_scans():
             assert not cd.is_positive(r)
             with pytest.raises(KeyError, match="not a restricted root here"):
                 cd.root_space(r)
+        if cd.a.dim:
+            flipped = dataclasses.replace(
+                cd, positivity=tuple(tuple(-x for x in v)
+                                     for v in cd.positivity))
+            assert flipped._table == reference_root_table(flipped)
+            assert [up for _, _, up, _ in flipped._table] == \
+                [not up for _, _, up, _ in cd._table], problem.name
 
 
 def test_cartan_data_rejects_a_positivity_basis_that_is_not_a_basis_of_a():
@@ -621,7 +692,7 @@ DEFAULT_THETA_BASES = {
 @pytest.mark.parametrize("name", sorted(DEFAULT_THETA_BASES))
 def test_the_default_theta_passes_the_cartan_check_it_skips(name):
     """On g's own basis and, for a catalog entry, on its six mixed bases
-    (:func:`test_exact_scalars.mixed`, seeds 0-5)."""
+    (:func:`mixed` above, seeds 0-5)."""
     basis, remix = DEFAULT_THETA_BASES[name]
     for b in [basis, *(mixed(basis, seed) for seed in range(6) if remix)]:
         g = LieAlgebra(b)
@@ -932,6 +1003,21 @@ def test_the_dense_table_lives_in_the_tests():
     table = dense_structure(g)
     assert all(table[i][j] == g.bracket(unit_vector(8, i), unit_vector(8, j))
                for i in range(8) for j in range(8))
+
+
+def test_the_weight_stage_forms_no_ad_matrix(monkeypatch):
+    """On g's own basis of sl(4) and sl(5) every ad h, h in a, is diagonal,
+    and its diagonal is read off the structure table."""
+    calls = []
+    real = LieAlgebra.ad
+    monkeypatch.setattr(LieAlgebra, "ad",
+                        lambda self, x: calls.append(x) or real(self, x))
+    sl(2).ad(unit_vector(3, 0))
+    assert len(calls) == 1
+    calls.clear()
+    for n in (4, 5):
+        assert len(cartan_data(sl(n)).roots) == n * (n - 1)
+    assert calls == []
 
 
 def test_weight_stage_reads_the_grading_off(monkeypatch):
