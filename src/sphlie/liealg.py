@@ -74,6 +74,7 @@ from .linalg import (
     canonical_basis,
     full_subspace,
     identity_matrix,
+    int_rank,
     is_direct_sum,
     kernel,
     lin_comb,
@@ -502,14 +503,26 @@ class CartanData:
         """The ordering stage: positive roots by ``positivity``, simple
         roots and the coordinates of each positive root in them, n and p.
         ``positivity`` must be a basis of a.  Scaled to ints by one common
-        denominator, the roots keep their signs, order and coordinates."""
+        denominator, the roots keep their signs, order and coordinates.
+
+        A positive root alpha is simple unless alpha = beta + (alpha - beta)
+        for positive roots beta and alpha - beta; the scan that finds the
+        simple roots records that split.  The positivity values of a root
+        are linear in it, so in their lexicographic order both parts of a
+        split come before alpha.  Walking up in that order, coordinates of
+        alpha = those of beta + those of alpha - beta, from the unit vectors
+        of the simple roots, writes every positive root as a nonnegative
+        int combination of the simple roots.  Once ``int_rank`` certifies
+        the simple roots independent, those coordinates are the unique
+        ones, so no positive root can fail to be a nonnegative combination
+        and no solve is needed."""
         a, roots = self.a, self.roots
         scaled = _integral(roots)
         pos_coords = [_integral([a.coordinates_of(v)])[0]
                       for v in self.positivity]
-        positive = [_lex_positive([sum(c * x for c, x in zip(coords, r))
-                                   for coords in pos_coords])
-                    for r in scaled]
+        values = [tuple([sum(c * x for c, x in zip(coords, r))
+                         for coords in pos_coords]) for r in scaled]
+        positive = [_lex_positive(v) for v in values]
         index = {r: i for i, r in enumerate(scaled)}
         negative = [index.get(tuple(-x for x in r)) for r in scaled]
         for i, neg in enumerate(negative):
@@ -519,26 +532,26 @@ class CartanData:
                     f"positivity basis does not order the roots")
 
         pos = [i for i, up in enumerate(positive) if up]
-        posset = {scaled[i] for i in pos}
-        simple = sorted(
-            (i for i in pos
-             if not any(tuple(x - y for x, y in zip(scaled[i], scaled[b]))
-                        in posset for b in pos)),
-            key=scaled.__getitem__)
+        split = {}
+        for i in pos:
+            for b in pos:
+                j = index.get(tuple(x - y for x, y in zip(scaled[i],
+                                                           scaled[b])))
+                if j is not None and positive[j]:
+                    split[i] = (b, j)
+                    break
+        simple = sorted((i for i in pos if i not in split),
+                        key=scaled.__getitem__)
+        if int_rank(dict(enumerate(scaled[i])) for i in simple) < len(simple):
+            raise CertificationError("simple roots are linearly dependent")
 
-        # independent simple roots give every positive root unique
-        # coordinates in them, which must be nonnegative
-        try:
-            solver = SpanSolver([scaled[i] for i in simple], a.dim)
-        except DimensionMismatch:
-            raise CertificationError(
-                "simple roots are linearly dependent") from None
-        coordinates = tuple(solver.coordinates(scaled[i]) for i in pos)
-        for i, sol in zip(pos, coordinates):
-            if sol is None or any(c < 0 for c in sol):
-                raise CertificationError(
-                    f"positive root {roots[i]} is not a nonnegative "
-                    f"combination of the simple roots")
+        # walk up from the simple roots in increasing order of the values
+        # on the positivity basis, in which both parts of a split come first
+        walk = {i: tuple(int(i == s) for s in simple) for i in simple}
+        for i in sorted(split, key=values.__getitem__):
+            b, j = split[i]
+            walk[i] = tuple([x + y for x, y in zip(walk[b], walk[j])])
+        coordinates = tuple(walk[i] for i in pos)
 
         support = {i: frozenset(j for j, c in enumerate(sol) if c)
                    for i, sol in zip(pos, coordinates)}

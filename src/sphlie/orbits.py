@@ -66,28 +66,6 @@ def _exponent(g: LieAlgebra, x: Vector) -> tuple[list, int]:
     return [(c, g._terms[i]) for i, c in xs.items()], dx
 
 
-def _combination_exponent(g: LieAlgebra, coeffs: Sequence[Scalar],
-                          basis: Sequence[tuple[dict[int, int], int]]
-                          ) -> tuple[list, int]:
-    """:func:`_exponent` of sum_i coeffs[i]·basis[i], for basis vectors
-    given as (entries, den), with no dense vector.
-
-    The sum is formed in ints over dx = lcm of the coefficients' and the
-    vectors' denominators, then divided by gcd(dx, its entries), which
-    leaves exactly the least common denominator and the ints that
-    :func:`_exponent` reads off the dense sum."""
-    dx = lcm(*[c.denominator * d for c, (_, d) in zip(coeffs, basis) if c])
-    acc: dict[int, int] = {}
-    for c, (e, d) in zip(coeffs, basis):
-        if c:
-            f = c.numerator * (dx // (c.denominator * d))
-            for j, a in e.items():
-                acc[j] = acc.get(j, ZERO) + f * a
-    content = gcd(dx, *acc.values())
-    return [(acc[j] // content, g._terms[j]) for j in sorted(acc)
-            if acc[j]], dx // content
-
-
 def _exp_ad_series(g: LieAlgebra, x: tuple[list, int], y: dict[int, Scalar],
                    den: int) -> tuple[dict[int, Scalar], int]:
     """e^{ad x} applied to y / den, as (entries, den') standing for
@@ -254,46 +232,118 @@ class OrbitIdentityReport:
 
 _COEFF_POOL = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3, 0,
                Fraction(1, 3))
+# the pool times 6, which clears its denominators 1, 2 and 3
+_POOL_SIXTHS = tuple(int(6 * c) for c in _COEFF_POOL)
+
+
+def _draw_indices(dp: DerivationPair, rng: Random) -> list[int]:
+    """One index into the pool per basis vector of u.  ``rng.choice`` over
+    ``range(len(_COEFF_POOL))`` makes the same ``_randbelow`` call as
+    ``rng.choice(_COEFF_POOL)``, so the stream is that of drawing the pool
+    values themselves."""
+    draws = range(len(_COEFF_POOL))
+    return [rng.choice(draws) for _ in dp.u.basis]
 
 
 def _draw(dp: DerivationPair, rng: Random) -> list[Scalar]:
     """One coefficient from the pool per basis vector of u."""
-    return [rng.choice(_COEFF_POOL) for _ in dp.u.basis]
+    return [_COEFF_POOL[k] for k in _draw_indices(dp, rng)]
 
 
 def random_u_element(dp: DerivationPair, rng: Random) -> Vector:
     return lin_comb(_draw(dp, rng), dp.u.basis, dp.algebra.dim)
 
 
+def _prepared_basis(g: LieAlgebra, basis: Sequence[Vector]
+                    ) -> tuple[list[dict[int, int]], int]:
+    """The basis vectors b_i as ints over one denominator, for
+    :func:`_pool_exponent`: (B, D) with b_i = B_i / L and D = 6·L, where
+    each b_i scales to ints over d_i (:func:`_scaled_in`), L = lcm(d_i),
+    and 6 clears the pool's denominators 1, 2 and 3."""
+    scaled = [_scaled_in(g, b) for b in basis]
+    common = lcm(*[d for _, d in scaled])
+    return [{j: a * (common // d) for j, a in e.items()}
+            for e, d in scaled], 6 * common
+
+
+def _pool_exponent(g: LieAlgebra, prepared: tuple[list[dict[int, int]], int],
+                   ks: Sequence[int]) -> tuple[list, int]:
+    """:func:`_exponent` of U = sum_i _COEFF_POOL[ks[i]]·b_i, for the
+    basis prepared by :func:`_prepared_basis`, with no dense vector and no
+    Fraction.
+
+    With the pool values as the ints p = 6·c, U = sum_i p_i·B_i / D, so
+    its ints are int multiply-adds, divided together with D by their gcd.
+    That pair (ints, dx) with gcd(dx, ints) = 1 is unique for U: dx must
+    then be the lcm of the denominators of U's entries.  So it is exactly
+    what :func:`_exponent` reads off the dense U."""
+    basis, common = prepared
+    acc: dict[int, int] = {}
+    for k, e in zip(ks, basis):
+        if p := _POOL_SIXTHS[k]:
+            for j, a in e.items():
+                acc[j] = acc.get(j, ZERO) + p * a
+    content = gcd(common, *acc.values())
+    return [(acc[j] // content, g._terms[j]) for j in sorted(acc)
+            if acc[j]], common // content
+
+
 def orbit_identity_check(dp: DerivationPair, samples: int = 100,
                          seed: int = 0) -> OrbitIdentityReport:
     """Sample rational U ∈ u and verify e^{ad U}x0 - x0 ∈ [x0, u] exactly.
 
-    Each U is drawn as :func:`random_u_element` draws it, but built
-    straight into the series' scaled sparse form from u's basis, scaled
-    once (:func:`_combination_exponent`); the dense U is formed only as the
-    witness of a failing sample.  Membership is linear, so each sample
-    reduces the scaled sparse difference den·(e^{ad U}x0 - x0) by
-    [x0, u]'s echelon rows (:meth:`Subspace._read_off`), with no division
-    and no dense vector.  A sample count below 0 raises
-    DimensionMismatch."""
+    Each U is drawn as :func:`random_u_element` draws it, but as a tuple of
+    pool indices (:func:`_draw_indices`), and each distinct draw is checked
+    once.  The check is a function of U and a failing draw ends the loop,
+    so a draw seen before has passed, and a repeat only counts towards
+    ``samples_run``.  The draws range over a grid of 10^k index tuples,
+    k = dim u.  When that grid has at most ``samples`` points, a
+    ``bytearray`` over it, indexed by sum_i k_i·10^i, marks the draws
+    checked, so the memo never exceeds ``samples`` bytes; on a larger grid
+    no memo is kept, since ``samples`` draws then rarely repeat.  At the
+    default 100 samples the memo covers dim u <= 2.  Once every point of
+    the grid has passed, every later draw is a repeat, so the loop stops
+    drawing (u = 0 has one point: one series for any sample count).
+
+    u's basis is prepared once per call as ints over one denominator
+    (:func:`_prepared_basis`), and each draw's exponent is built from it
+    by :func:`_pool_exponent`, which gives exactly the ints and the
+    denominator of the dense U; the dense U is formed only as the witness
+    of a failing sample.  Membership is linear, so each sample reduces the
+    scaled sparse difference den·(e^{ad U}x0 - x0) by [x0, u]'s echelon
+    rows (:meth:`Subspace._read_off`), with no division and no dense
+    vector.  A sample count below 0 raises DimensionMismatch."""
     if samples < 0:
         raise DimensionMismatch(f"samples must be at least 0, got {samples}")
     g = dp.algebra
     rng = Random(seed)
     x0, den0 = _scaled_in(g, dp.x0)
-    basis = [_scaled_in(g, b) for b in dp.u.basis]
+    prepared = _prepared_basis(g, dp.u.basis)
+    base = len(_COEFF_POOL)
+    unseen = base ** dp.u.dim
+    seen = bytearray(unseen) if unseen <= samples else None
     for i in range(samples):
-        coeffs = _draw(dp, rng)
-        diff, den = _exp_ad_series(
-            g, _combination_exponent(g, coeffs, basis), x0, den0)
+        ks = _draw_indices(dp, rng)
+        if seen is not None:
+            key = 0
+            for k in reversed(ks):
+                key = key * base + k
+            if seen[key]:
+                continue
+            seen[key] = 1
+            unseen -= 1
+        diff, den = _exp_ad_series(g, _pool_exponent(g, prepared, ks),
+                                   x0, den0)
         f = den // den0
         for m, a in x0.items():
             diff[m] -= a * f
         if any(dp.bracket_image._read_off(diff).values()):
             return OrbitIdentityReport(
                 ok=False, samples_run=i + 1,
-                witness=lin_comb(coeffs, dp.u.basis, g.dim))
+                witness=lin_comb([_COEFF_POOL[k] for k in ks], dp.u.basis,
+                                 g.dim))
+        if not unseen:
+            break
     return OrbitIdentityReport(ok=True, samples_run=samples)
 
 

@@ -52,6 +52,7 @@ from sphlie.liealg import (
     simple_ideal_split,
 )
 from sphlie.linalg import (
+    SpanSolver,
     as_vector,
     canonical_basis,
     is_zero_vector,
@@ -502,6 +503,47 @@ def test_root_lookups_match_the_list_scans():
             assert flipped._table == reference_root_table(flipped)
             assert [up for _, _, up, _ in flipped._table] == \
                 [not up for _, _, up, _ in cd._table], problem.name
+
+
+def test_simple_coordinates_match_a_span_solve():
+    """The walk up from the simple roots against a solve in their span, on
+    each problem's positivity and on its negation (for the hinted ladder
+    pair, a negated hint)."""
+    from sphlie.problem import build_pair
+
+    for problem in root_table_problems():
+        cd = build_pair(problem).cartan
+        for c in (cd, dataclasses.replace(cd, positivity=tuple(
+                tuple(-x for x in v) for v in cd.positivity))):
+            solver = SpanSolver(c.simple_roots, c.a.dim)
+            want = tuple(solver.coordinates(r) for r in c.positive_roots)
+            assert c.simple_coordinates == want, problem.name
+            assert all(type(x) is int and x >= 0
+                       for sol in c.simple_coordinates for x in sol)
+
+
+def test_the_ordering_stage_solves_nothing(monkeypatch):
+    from sphlie.problem import build_pair
+
+    cd = build_pair(ladder_problems()[1]).cartan
+    calls = []
+    real = SpanSolver.coordinates
+    monkeypatch.setattr(SpanSolver, "coordinates",
+                        lambda self, v: calls.append(v) or real(self, v))
+    again = dataclasses.replace(cd, positivity=cd.positivity)
+    assert calls == []
+    assert again.simple_coordinates == cd.simple_coordinates
+
+
+def test_dependent_simple_roots_are_refused():
+    # 2 and 3 on a line: neither is a sum of two positive roots, so both
+    # are simple, and they are dependent
+    cd = cartan_data(sl(2))
+    spaces = cd._spaces * 2
+    with pytest.raises(CertificationError,
+                       match="simple roots are linearly dependent"):
+        dataclasses.replace(cd, roots=((F(2),), (F(3),), (F(-2),), (F(-3),)),
+                            _spaces=spaces)
 
 
 def test_cartan_data_rejects_a_positivity_basis_that_is_not_a_basis_of_a():
