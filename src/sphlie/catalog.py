@@ -15,7 +15,7 @@ from typing import Optional
 from .builders import add, block_embed, gl_basis, sl_basis, so_basis
 from .linalg import as_matrix
 from .normalizer import NormalizerReport, normalizer_in, normalizer_report
-from .orbits import OrbitIdentityReport, parabolic_orbit_check
+from .orbits import OrbitIdentityReport, orbit_identity_check
 from .problem import Problem, find_open_pair
 from .spherical import (
     ConjugationResult,
@@ -314,7 +314,8 @@ def run_entry(entry: CatalogEntry, seed: int = 0,
     else:
         report = structure_report(final)
         norm = normalizer_report(report)
-        _, orbit = parabolic_orbit_check(report.adapted, orbit_samples, seed)
+        orbit = orbit_identity_check(report.adapted.derivation,
+                                     orbit_samples, seed)
         got = ExpectedResults(
             spherical_at_base=ok, needs_conjugation=not ok, spherical=True,
             adapted_subset=report.adapted.subset_indices, rank=report.rank,

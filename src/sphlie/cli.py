@@ -22,7 +22,7 @@ from .catalog import catalog_entries, get_entry, run_entry
 from . import errors
 from .linalg import Subspace
 from .normalizer import normalizer_report
-from .orbits import parabolic_orbit_check
+from .orbits import orbit_identity_check
 from .problem import (
     Problem,
     find_open_pair,
@@ -126,8 +126,8 @@ def _report_doc(args, problem: Problem, want: set) -> dict:
         }
         flags += (getattr(nrep, key) for key in _NORMALIZER_FLAGS)
     if "orbit" in want:
-        dp, orb = parabolic_orbit_check(report.adapted, args.samples,
-                                        args.seed)
+        dp = report.adapted.derivation
+        orb = orbit_identity_check(dp, args.samples, args.seed)
         doc["orbit"] = {
             "ok": orb.ok,
             "samples_run": orb.samples_run,

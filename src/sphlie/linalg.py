@@ -578,10 +578,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(vec_add(x, y) for x, y in zip(a, b))
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(x, y) for x, y in zip(a, b))
-
-
 def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(vec_scale(c, row) for row in a)
 

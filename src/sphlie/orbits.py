@@ -45,7 +45,6 @@ from .linalg import (
     vec_sub,
     zero_vector,
 )
-from .parabolic import ParabolicData, characteristic_element
 from .spectral import eigen_split
 
 
@@ -178,6 +177,15 @@ def derivation_pair(g: LieAlgebra, x0: Vector, u: Subspace) -> DerivationPair:
     linear in U_0, which covers every element of u_0.  On a parabolic's
     nilradical under its characteristic element u_0 = 0, and neither check
     runs.
+
+    These certificates prove the orbit identity e^{ad u}x0 = x0 + [x0, u].
+    ad x0 is a derivation, so [u_λ, u_μ] ⊆ u_{λ+μ}, and [x0, u], the sum of
+    the positive layers, is an ideal of u.  (⊆) e^{ad U}x0 - x0 is the
+    finite sum of (ad U)^{k-1}[U, x0]/k!, k >= 1, and [U, x0] ∈ [x0, u],
+    which ad U keeps.  (⊇) For w ∈ [x0, u] and U = sum of U_λ over the
+    positive layers, the layer-λ part of e^{ad U}x0 - x0 is λ·U_λ plus
+    brackets of the U_μ with 0 < μ < λ, so U_λ is solved layer by layer,
+    lowest first (:func:`solve_conjugator`).
     """
     if len(x0) != g.dim or u.ambient_dim != g.dim:
         raise NotClosed("x0 and u must live in the given algebra")
@@ -345,16 +353,6 @@ def orbit_identity_check(dp: DerivationPair, samples: int = 100,
         if not unseen:
             break
     return OrbitIdentityReport(ok=True, samples_run=samples)
-
-
-def parabolic_orbit_check(pd: ParabolicData, samples: int, seed: int
-                          ) -> tuple[DerivationPair, OrbitIdentityReport]:
-    """The orbit identity for a parabolic's nilradical u under its
-    characteristic element x0: derivation_pair, then orbit_identity_check."""
-    cd = pd.cartan
-    x0 = characteristic_element(cd, pd.subset)
-    dp = derivation_pair(cd.algebra, x0, pd.nilradical)
-    return dp, orbit_identity_check(dp, samples=samples, seed=seed)
 
 
 def solve_conjugator(dp: DerivationPair, w: Vector) -> Vector:

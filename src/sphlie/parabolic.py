@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .errors import CertificationError, DimensionMismatch
@@ -29,6 +30,7 @@ from .linalg import (
     subspace_sum,
     zero_vector,
 )
+from .orbits import DerivationPair, derivation_pair
 
 
 def _subset_indices(cd: CartanData, f: Iterable) -> set[int]:
@@ -67,6 +69,17 @@ class ParabolicData:
     @property
     def subset_indices(self) -> tuple[int, ...]:
         return tuple(self.cartan.simple_roots.index(r) for r in self.subset)
+
+    @cached_property
+    def derivation(self) -> DerivationPair:
+        """The characteristic element x0 of the subset with the layers of
+        -ad x0 on u, certified once by
+        :func:`~sphlie.orbits.derivation_pair` and shared by the Levi
+        adjustment and the orbit identity."""
+        cd = self.cartan
+        return derivation_pair(cd.algebra,
+                               characteristic_element(cd, self.subset),
+                               self.nilradical)
 
 
 def standard_parabolic(cd: CartanData, f: Iterable) -> ParabolicData:

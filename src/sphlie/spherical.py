@@ -48,7 +48,6 @@ from .liealg import (
     largest_ideal_within,
 )
 from .linalg import (
-    DirectSum,
     Matrix,
     Scalar,
     Subspace,
@@ -65,7 +64,6 @@ from .linalg import (
     mat_apply,
     mat_is_nilpotent,
     mat_mul,
-    mat_scale,
     project_along,
     restrict_bilinear_form,
     solve_linear,
@@ -74,15 +72,19 @@ from .linalg import (
     symmetric_signature,
     vec_scale,
 )
-from .orbits import _exp_ad_scaled, _exp_ad_word, _exponent, _scaled_in
+from .orbits import (
+    _exp_ad_scaled,
+    _exp_ad_word,
+    _exponent,
+    _scaled_in,
+    solve_conjugator,
+)
 from .parabolic import (
     LeviStructure,
     ParabolicData,
-    characteristic_element,
     levi_fine_structure,
     standard_parabolic,
 )
-from .spectral import eigen_split
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,11 +221,13 @@ class StructureReport:
 
     The defining identities hold for *some* Levi complement of the adapted
     parabolic; the complements are all conjugate under exponentials of the
-    nilradical, and ``levi_adjustment`` is the GroupWord exp(w_1)···exp(w_k),
-    w_i in the nilradical and empty when the standard Levi works, whose Ad
-    carries the standard Levi onto the one that works.  ``checks`` records
-    the five identities for that Levi; construction fails with the offending
-    identity if any is violated.  ``candidates`` are the subsets that passed
+    nilradical, and ``levi_adjustment`` is the one-factor GroupWord exp(U),
+    U in the nilradical, whose Ad carries the standard Levi onto one that
+    contains q ∩ h, or the empty word when the standard Levi does; among
+    several such Levis it takes the one :func:`_levi_adjustment` solves for
+    with free coordinates 0.  ``checks`` records the five identities for
+    that Levi; construction fails with the offending identity if any is
+    violated.  ``candidates`` are the subsets that passed
     the enumeration (exactly one, the adapted subset).
 
     ``h_reductive_part`` is h ∩ (z(l) + compact ideals of l) for the
@@ -261,51 +265,36 @@ class StructureReport:
 
 def _levi_adjustment(cd: CartanData, pd: ParabolicData,
                      meet: Subspace) -> GroupWord:
-    """The word exp(w_1)···exp(w_k), w_i in the nilradical, whose inverse
-    carries q ∩ h into the standard Levi: one factor per eigenvalue layer,
-    and the empty word when q ∩ h already lies in the standard Levi.
+    """The one-factor word exp(U), U in the nilradical u, whose Ad carries
+    the standard Levi l onto a Levi complement of q containing
+    meet = q ∩ h; the empty word when l contains it.
 
-    Found by peeling the grading of the characteristic element: on each
-    eigenvalue layer the requirement is a linear system whose solvability
-    the structure theory guarantees; an unsolvable layer is reported.
+    l is the centralizer of the characteristic element x0, so Ad(exp U)
+    maps it onto the centralizer of e^{ad U}x0, and x0 + u = e^{ad u}x0
+    (:func:`~sphlie.orbits.derivation_pair`).  So one linear system in w's
+    coordinates on u's basis solves [x0 + w, m] = 0 for every m in meet,
+    with free coordinates 0 when several Levis contain meet
+    (z_u(meet) ≠ 0), and :func:`~sphlie.orbits.solve_conjugator` on
+    ``pd.derivation`` gives U with e^{ad U}x0 = x0 + w.  An unsolvable
+    system means no Levi complement contains meet; it is reported.
     """
     g = cd.algebra
-    if meet.is_contained_in(pd.levi) or pd.nilradical.dim == 0:
+    if meet.is_contained_in(pd.levi):
         return GroupWord(g, ())
-    grading = mat_scale(-1, g.ad(characteristic_element(cd, pd.subset)))
-    layers = eigen_split(grading, pd.nilradical)
-    split = DirectSum([pd.levi] + [layer for _, layer in layers])
-    current = meet
-    factors = []
-    for k, (lam, layer) in enumerate(layers, start=1):
-        if lam <= 0:
-            raise CertificationError(
-                "nilradical grading has a nonpositive eigenvalue")
-        rows = []
-        rhs = []
-        for x in current.basis:
-            parts = split.components(x)
-            if parts is None:
-                raise CertificationError("q ∩ h escaped the adapted parabolic")
-            base, target = parts[0], parts[k]
-            cols = [g.bracket(w, base) for w in layer.basis]
-            for r in range(g.dim):
-                rows.append([cols[c][r] for c in range(layer.dim)])
-                rhs.append(target[r])
-        sol = solve_linear(rows, rhs) if rows else None
-        if sol is None:
-            raise CertificationError(
-                "no Levi complement of the adapted parabolic contains q ∩ h "
-                "(layer system unsolvable); the pair violates the structure "
-                "theory hypotheses")
-        w = lin_comb(sol, layer.basis, g.dim)
-        factors.append(w)
-        current = GroupWord(g, (vec_scale(-1, w),)).image(current)
-    if not current.is_contained_in(pd.levi):
+    dp = pd.derivation
+    rows = []
+    rhs = []
+    for m in meet.basis:
+        # sum_j c_j [b_j, m] = [m, x0]: one row per coordinate of g
+        rows.extend(zip(*[g.bracket(b, m) for b in dp.u.basis]))
+        rhs.extend(g.bracket(m, dp.x0))
+    sol = solve_linear(rows, rhs)
+    if sol is None:
         raise CertificationError(
-            "Levi adjustment did not absorb q ∩ h; the pair violates the "
-            "structure theory hypotheses")
-    return GroupWord(g, tuple(factors))
+            "no Levi complement of the adapted parabolic contains q ∩ h; "
+            "the pair violates the structure theory hypotheses")
+    w = lin_comb(sol, dp.u.basis, g.dim)
+    return GroupWord(g, (solve_conjugator(dp, w),))
 
 
 def structure_report(pair: SphericalPair) -> StructureReport:

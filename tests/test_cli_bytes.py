@@ -9,7 +9,8 @@ recorded digest.  A change that alters any printed basis, dimension, flag
 or verdict, or any exit code, changes a digest.
 
 No catalog pair needs a Levi adjustment, so ``sl2x2_shifted_diag`` pins the
-``levi_adjusted: true`` path separately with digests of its own.  Every
+``levi_adjusted: true`` path separately with digests of its own; its
+``analyze`` also counts the characteristic-element solves, one per run.  Every
 catalog pair has dim g <= 9, so ``analyze`` of sl(6)/so(6) (dim 35),
 sl(8)/so(8) (dim 63), sl(10)/so(10) (dim 99), sl(12)/so(12) (dim 143),
 sl(14)/so(14) (dim 195) and sl(16)/so(16) (dim 255) pin six pairs beyond the
@@ -27,6 +28,7 @@ minimal polynomials and ``rational_roots``, which no other pin reaches.
 import contextlib
 import hashlib
 import io
+import sys
 from fractions import Fraction
 
 import pytest
@@ -225,6 +227,29 @@ def test_levi_adjusted_output_is_unchanged(variant, fmt, shifted_diag):
         path.encode(), name.encode())
     got = hashlib.sha256(run).hexdigest()
     assert got == LEVI_ADJUSTED_DIGESTS[f"{variant} {fmt}"]
+
+
+def test_analyze_solves_for_the_characteristic_element_once(monkeypatch,
+                                                           shifted_diag):
+    # the Levi adjustment and the orbit identity share the adapted
+    # parabolic's derivation pair, so x0 is solved for once per run;
+    # every sphlie namespace that binds the function is patched
+    from sphlie.parabolic import characteristic_element
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return characteristic_element(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sphlie" and getattr(
+                module, "characteristic_element", None) is \
+                characteristic_element:
+            monkeypatch.setattr(module, "characteristic_element", counted)
+    run = run_cli(["analyze", shifted_diag[1]])
+    assert b"exit 0" in run and b"compatible Levi complement" in run
+    assert len(calls) == 1
 
 
 def sl_so_analyze_json(n: int, samples: str, tmp_path, theta=None) -> str:

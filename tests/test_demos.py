@@ -1,4 +1,5 @@
-"""The six demos run cleanly and print exactly what they printed before.
+"""The six demos run cleanly and print exactly what they printed before,
+and the README's library guide names only functions that exist.
 
 Each demo runs in its own interpreter with ``src`` on the path.  The
 digests are sha256 of each demo's recorded stdout; a change that alters any
@@ -6,12 +7,18 @@ printed basis, dimension or verdict changes a digest.
 """
 
 import hashlib
+import importlib
+import inspect
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import sphlie
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +55,22 @@ def test_demo_output_is_unchanged(name):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[name]
+
+
+def test_readme_library_names_resolve():
+    # every `name(` in "Quick start (library)", dotted or not, must be an
+    # attribute of a sphlie module or of a class defined in one (by the
+    # last part of a dotted name: `word.inverse.image(` is GroupWord.image)
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Quick start (library)\n", 1)[1].split("\n## ")[0]
+    known = set()
+    for info in pkgutil.iter_modules(sphlie.__path__):
+        module = importlib.import_module(f"sphlie.{info.name}")
+        known.update(vars(module))
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                known.update(dir(cls))
+    named = re.findall(r"`([A-Za-z_][\w.]*)\(", section)
+    assert named
+    assert sorted({n for n in named if n.rpartition(".")[2] not in known}) \
+        == []

@@ -32,7 +32,6 @@ from sphlie.orbits import (
     _prepared_basis,
     exp_ad_apply,
     orbit_identity_check,
-    parabolic_orbit_check,
     random_u_element,
 )
 from sphlie.parabolic import standard_parabolic
@@ -236,7 +235,7 @@ def assert_replayed(dp, samples, seed, exponents):
 def test_orbit_identity_check_matches_the_dense_replay(name, cd, exponents):
     # 100 samples repeat draws on the pairs with dim u <= 2, which the
     # check evaluates once each
-    dp, _ = parabolic_orbit_check(standard_parabolic(cd, ()), 0, 0)
+    dp = standard_parabolic(cd, ()).derivation
     assert assert_replayed(dp, 100, 5, exponents) == (True, 100, None)
     # a hyperplane of [x0, u] in its place: the identity must fail at the
     # same sample with the same witness as the replay
@@ -251,7 +250,7 @@ def test_a_failure_after_repeated_passing_draws_matches_the_replay(
         name, cd, exponents):
     # with [x0, u] cut to 0 only U = 0 passes; find a seed whose draws
     # repeat a passing U before the first failing one
-    dp, _ = parabolic_orbit_check(standard_parabolic(cd, ()), 0, 0)
+    dp = standard_parabolic(cd, ()).derivation
     broken = replace(dp, bracket_image=canonical_basis([], dp.algebra.dim))
     for seed in range(2000):
         draws = []
@@ -267,8 +266,7 @@ def test_a_failure_after_repeated_passing_draws_matches_the_replay(
 def test_index_draws_follow_the_coefficient_stream():
     # the pool drawn by value, as every earlier sampler did: drawing
     # indices must give the same values and leave Random in the same state
-    dp, _ = parabolic_orbit_check(
-        standard_parabolic(pair("sl3_so3").cartan, ()), 0, 0)
+    dp = standard_parabolic(pair("sl3_so3").cartan, ()).derivation
     for seed in (0, 1, 5, 99):
         by_index, by_value = Random(seed), Random(seed)
         for n in range(50):
@@ -295,8 +293,8 @@ def test_each_distinct_draw_runs_one_series(monkeypatch, exponents, name,
                         bytearray(n), raising=False)
     monkeypatch.setattr(orbits, "_draw_indices", lambda dp, rng: draws.append(
         1) or _draw_indices(dp, rng))
-    dp, report = parabolic_orbit_check(
-        standard_parabolic(pair(name).cartan, ()), samples, 3)
+    dp = standard_parabolic(pair(name).cartan, ()).derivation
+    report = orbit_identity_check(dp, samples, 3)
     assert (report.ok, report.samples_run) == (True, samples)
     grid = len(_COEFF_POOL) ** dp.u.dim
     assert len(memos) == (grid <= samples)

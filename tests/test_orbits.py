@@ -296,7 +296,6 @@ def test_orbit_identity_from_characteristic_element():
 
 def test_negative_sample_counts_raise_a_named_error():
     from sphlie.catalog import get_entry
-    from sphlie.orbits import parabolic_orbit_check
     from sphlie.problem import build_pair
     from sphlie.spherical import adapted_parabolic
 
@@ -304,8 +303,9 @@ def test_negative_sample_counts_raise_a_named_error():
         orbit_identity_check(sl2_dp(), samples=-1, seed=0)
     pd = adapted_parabolic(build_pair(get_entry("sl3_so3").problem))
     with pytest.raises(DimensionMismatch, match="at least 0"):
-        parabolic_orbit_check(pd, samples=-5, seed=0)
-    assert parabolic_orbit_check(pd, samples=0, seed=0)[1].samples_run == 0
+        orbit_identity_check(pd.derivation, samples=-5, seed=0)
+    assert orbit_identity_check(pd.derivation, samples=0,
+                                seed=0).samples_run == 0
 
 
 # -- solve_conjugator --------------------------------------------------------

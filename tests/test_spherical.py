@@ -340,6 +340,80 @@ def test_levi_adjustment_engages_for_shifted_diagonal():
         assert word.inverse.ad(word.ad(e_j)) == e_j
 
 
+def test_levi_adjustment_undoes_a_move_by_the_nilradical():
+    # Every catalog and ladder pair with u ≠ 0, and sl(3) with h the
+    # opposite minimal parabolic, where u has two layers, with h moved by
+    # exp(U), U ∈ u.  Ad(exp U) fixes p and every u_F, so the moved pair
+    # is still spherical with the same adapted subset, rank and normalizer
+    # dimension, and the adjusted Levi must contain q ∩ h.  When
+    # z_u(q ∩ h) = 0 the Levi containing q ∩ h is unique, so the
+    # adjustment must be exp(U) itself, give back h, and leave the whole
+    # normalizer report as it was.  (Otherwise the standard Levi is kept,
+    # and the normalizer's complement, read against it, may differ.)
+    import random
+
+    from sphlie.liealg import centralizer_in
+    from sphlie.linalg import lin_comb, subspace_intersect
+    from sphlie.normalizer import normalizer_report
+    from sphlie.spherical import GroupWord
+    from test_enumeration import catalog_pairs, ladder_pairs
+
+    def summary(rep):
+        nr = normalizer_report(rep)
+        return (rep.adapted_subset, rep.rank, nr.normalizer.dim,
+                nr.complement.dim, nr.split_part.dim, nr.compact_factor.dim,
+                nr.all_ok)
+
+    cd = cartan_data(sl(3))
+    opposite = canonical_basis(list(cd.zero_space.basis) + [
+        mat_apply(cd.theta, v) for v in cd.n.basis], cd.algebra.dim)
+    pairs = [pair for _, pair, _ in catalog_pairs()] + ladder_pairs() + [
+        spherical_pair(cd, opposite, "sl3_opposite")]
+    adjusted = 0
+    for pair in pairs:
+        g = pair.algebra
+        rep = structure_report(pair)
+        u = rep.adapted.nilradical
+        if u.dim == 0:
+            continue
+        unique = centralizer_in(
+            g, subspace_intersect(rep.adapted.q, pair.h), u).dim == 0
+        want = summary(rep)
+        for seed in range(3):
+            rng = random.Random(seed)
+            U = lin_comb([rng.choice((1, -1, 2, -3, F(1, 2), F(-2, 3)))
+                          for _ in u.basis], u.basis, g.dim)
+            moved = spherical_pair(pair.cartan,
+                                   GroupWord(g, (U,)).image(pair.h))
+            label = (pair.label, seed)
+            assert is_spherical(moved)[0], label
+            got = structure_report(moved)
+            assert summary(got)[:3] == want[:3], label
+            meet = subspace_intersect(got.adapted.q, moved.h)
+            assert meet.is_contained_in(got.adjusted_levi), label
+            if unique:
+                adjusted += 1
+                assert got.levi_adjustment.factors == (U,), label
+                assert got.standard_form_h == pair.h, label
+                assert summary(got) == want, label
+    assert adjusted == 12
+
+
+def test_an_unsolvable_levi_adjustment_is_refused():
+    # q ∩ h = span(v) for v ∈ u: v is nilpotent and every Levi of q is
+    # reductive with u as a complement, so no Levi contains v
+    from sphlie.catalog import get_entry
+    from sphlie.problem import build_pair
+    from sphlie.spherical import _levi_adjustment
+
+    pair = build_pair(get_entry("sl2_opposite_borel").problem)
+    pd = adapted_parabolic(pair)
+    assert pd.nilradical.dim
+    for v in pd.nilradical.basis:
+        with pytest.raises(CertificationError, match="no Levi complement"):
+            _levi_adjustment(pair.cartan, pd, canonical_basis([v], len(v)))
+
+
 def test_rank_constant_over_openness_preserving_conjugates():
     for pair in (sl2_pair([(0, 1, -1)]), sl2x2_opposite_diag(), sl3_so3_pair()):
         base = structure_report(pair).rank
@@ -597,14 +671,14 @@ def matrix_stream(cd, seed):
 
     from sphlie.linalg import (
         exp_nilpotent_matrix,
+        mat_add,
         mat_apply,
         mat_mul,
         mat_scale,
-        mat_sub,
     )
 
     def bracket(x, y):
-        return mat_sub(mat_mul(x, y), mat_mul(y, x))
+        return mat_add(mat_mul(x, y), mat_scale(-1, mat_mul(y, x)))
 
     g = cd.algebra
 
