@@ -52,8 +52,8 @@ class NotNilpotent(SphlieError):
 
 
 class UnreachableTarget(SphlieError):
-    """The requested orbit target lies outside the reachable set (not in the
-    bracket image, or blocked by a zero-eigenvalue layer)."""
+    """The requested orbit target lies outside the reachable set, the
+    bracket image [x0, u]."""
 
 
 class ProblemFormatError(SphlieError):

@@ -627,17 +627,6 @@ def mat_is_zero(a: Matrix) -> bool:
     return all(all(e == 0 for e in row) for row in a)
 
 
-def mat_is_nilpotent(a: Matrix) -> bool:
-    """Whether some power of the square matrix a vanishes; an n x n
-    nilpotent matrix has a^n = 0, so n products decide it."""
-    power = a
-    for _ in range(len(a)):
-        if mat_is_zero(power):
-            return True
-        power = mat_mul(power, a)
-    return False
-
-
 def mat_unflatten(v: Vector, n: int, m: Optional[int] = None) -> Matrix:
     m = m if m is not None else n
     if len(v) != n * m:

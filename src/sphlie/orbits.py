@@ -1,11 +1,12 @@
 """Exact nilpotent-orbit geometry.
 
-For a nilpotent subalgebra u normalized by an element x0 whose ad-action on
-u is diagonalizable with nonpositive rational eigenvalues, the exponential
-orbit of x0 under u is exactly the affine set x0 + [x0, u].  Everything here
-is finite and rational: exponentials of nilpotent operators are finite sums,
-so the orbit identity can be *checked* on samples and *inverted* exactly by
-solving one eigenvalue layer at a time.
+For a subalgebra u normalized by an element x0 whose ad-action on u is
+diagonalizable with negative rational eigenvalues, u is nilpotent by that
+grading and the exponential orbit of x0 under u is exactly the affine set
+x0 + [x0, u] = x0 + u.  Everything here is finite and rational:
+exponentials of nilpotent operators are finite sums, so the orbit identity
+can be *checked* on samples and *inverted* exactly by solving one
+eigenvalue layer at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .linalg import (
     canonical_basis,
     is_zero_vector,
     lin_comb,
-    mat_is_nilpotent,
     vec_add,
     vec_scale,
     vec_sub,
@@ -130,8 +130,9 @@ def exp_ad_apply(g: LieAlgebra, element: Vector, y: Vector) -> Vector:
     finite sum is exact.  The Krylov space of y has dimension at most
     dim g, so if (ad element)^{dim g} y is still nonzero, ad(element) is not
     nilpotent on y and NotNilpotent is raised.  Nilpotency on all of g is
-    not re-proved here: derivation_pair certifies it once for all of u, and
-    group_element_candidates once per stream for the factors of its words.
+    not re-proved here: derivation_pair reads it for all of u off the
+    positive grading by x0, and group_element_candidates for the factors of
+    its words off the restricted-root grading.
     The terms are sparse and scaled to ints (:func:`_exp_ad_series`); each
     nonzero entry of the sum is divided once.
     """
@@ -141,11 +142,12 @@ def exp_ad_apply(g: LieAlgebra, element: Vector, y: Vector) -> Vector:
 @dataclass(frozen=True, eq=False)
 class DerivationPair:
     """A nilpotent subalgebra u with an element x0 normalizing it such that
-    -ad(x0) acts on u diagonalizably with nonnegative rational eigenvalues.
+    -ad(x0) acts on u diagonalizably with strictly positive rational
+    eigenvalues.
 
     ``layers`` lists the eigenvalue layers of -ad(x0) on u in ascending
-    order; ``bracket_image`` is [x0, u], which equals the sum of the strictly
-    positive layers (certified at construction).
+    order; ``bracket_image`` is [x0, u], which equals u (certified at
+    construction).
     """
 
     algebra: LieAlgebra
@@ -164,28 +166,22 @@ def derivation_pair(g: LieAlgebra, x0: Vector, u: Subspace) -> DerivationPair:
     """Validate and package (x0, u); see DerivationPair for the invariants.
 
     Checked in order: u is a subalgebra, [x0, u] ⊆ u, and -ad(x0) splits u
-    into layers u_λ with rational λ >= 0.  Nilpotency is then read off the
-    grading.  If [x0, U] = cU with c ≠ 0, then (ad x0 - μ - c)[U, y] =
-    [U, (ad x0 - μ)y], so ad U maps each generalized eigenspace g_μ of
-    ad x0 into g_{μ+c}.  For U = U_0 + U_+ with U_0 in the zero layer u_0
-    and U_+ in the positive layers, ad U is therefore triangular with
-    respect to the g_μ ordered by real part, with diagonal blocks those of
-    ad U_0: ad U is nilpotent on g once ad U_0 is, and then u is nilpotent
-    by Engel's theorem.  So only u_0 is checked, by its lower central series
-    and by each of its basis elements acting nilpotently on g; with u_0
-    nilpotent (so solvable), Lie's theorem makes every eigenvalue of ad(U_0)
-    linear in U_0, which covers every element of u_0.  On a parabolic's
-    nilradical under its characteristic element u_0 = 0, and neither check
-    runs.
+    into layers u_λ with rational λ > 0; a layer with λ <= 0 raises
+    SpectrumError.  Nilpotency is then read off the grading.  If
+    [x0, U] = cU with c ≠ 0, then (ad x0 - μ - c)[U, y] = [U, (ad x0 - μ)y],
+    so ad U maps each generalized eigenspace g_μ of ad x0 into g_{μ+c}.
+    Every layer has c = -λ < 0, so ad U, for any U ∈ u, strictly lowers the
+    real part of the ad x0-eigenvalues and is nilpotent on g; u is then
+    nilpotent by Engel's theorem, with no power of a matrix taken.
 
     These certificates prove the orbit identity e^{ad u}x0 = x0 + [x0, u].
     ad x0 is a derivation, so [u_λ, u_μ] ⊆ u_{λ+μ}, and [x0, u], the sum of
-    the positive layers, is an ideal of u.  (⊆) e^{ad U}x0 - x0 is the
-    finite sum of (ad U)^{k-1}[U, x0]/k!, k >= 1, and [U, x0] ∈ [x0, u],
-    which ad U keeps.  (⊇) For w ∈ [x0, u] and U = sum of U_λ over the
-    positive layers, the layer-λ part of e^{ad U}x0 - x0 is λ·U_λ plus
-    brackets of the U_μ with 0 < μ < λ, so U_λ is solved layer by layer,
-    lowest first (:func:`solve_conjugator`).
+    the layers, is all of u.  (⊆) e^{ad U}x0 - x0 is the finite sum of
+    (ad U)^{k-1}[U, x0]/k!, k >= 1, and [U, x0] ∈ [x0, u], which ad U
+    keeps.  (⊇) For w ∈ [x0, u] and U = sum of U_λ over the layers, the
+    layer-λ part of e^{ad U}x0 - x0 is λ·U_λ plus brackets of the U_μ with
+    0 < μ < λ, so U_λ is solved layer by layer, lowest first
+    (:func:`solve_conjugator`).
     """
     if len(x0) != g.dim or u.ambient_dim != g.dim:
         raise NotClosed("x0 and u must live in the given algebra")
@@ -197,34 +193,15 @@ def derivation_pair(g: LieAlgebra, x0: Vector, u: Subspace) -> DerivationPair:
             raise NotClosed("[x0, u] is not contained in u")
     neg_ad = tuple(tuple(-e for e in row) for row in g.ad(x0))
     layers = tuple(eigen_split(neg_ad, u))
-    if any(lam < 0 for lam, _ in layers):
+    if any(lam <= 0 for lam, _ in layers):
         raise SpectrumError(
-            "ad(x0) must have nonpositive eigenvalues on u "
-            "(equivalently -ad(x0) nonnegative)")
-    zero_layer = next((sp for lam, sp in layers if lam == 0), None)
-    if zero_layer is not None:
-        series = zero_layer
-        for _ in range(zero_layer.dim + 1):
-            if series.dim == 0:
-                break
-            series = canonical_basis(
-                [g.bracket(a, b) for a in zero_layer.basis
-                 for b in series.basis], g.dim)
-        else:
-            raise NotNilpotent(
-                "the lower central series of the zero layer of u does not "
-                "reach 0")
-        for idx, b in enumerate(zero_layer.basis):
-            if not mat_is_nilpotent(g.ad(b)):
-                raise NotNilpotent(f"ad of basis element {idx} of the zero "
-                                   f"layer of u is not nilpotent on g")
+            "ad(x0) must have negative eigenvalues on u "
+            "(equivalently -ad(x0) strictly positive)")
     image = canonical_basis(brackets, g.dim)
-    positive = canonical_basis(
-        [v for lam, layer in layers if lam > 0 for v in layer.basis], g.dim)
-    if positive != image:
+    if image != u:
         raise CertificationError(
-            "[x0, u] does not match the positive eigenvalue layers "
-            "(library bug)")
+            "[x0, u] is not all of u, though every eigenvalue layer of "
+            "-ad(x0) on u is positive (library bug)")
     return DerivationPair(algebra=g, x0=tuple(x0), u=u,
                           layers=layers, bracket_image=image)
 
@@ -366,17 +343,13 @@ def solve_conjugator(dp: DerivationPair, w: Vector) -> Vector:
     """
     g = dp.algebra
     if not dp.bracket_image.contains(w):
-        if dp.u.contains(w):
-            raise UnreachableTarget(
-                "target has a nonzero component in the zero-eigenvalue "
-                "layer of u, which [x0, u] misses")
         raise UnreachableTarget("target is not in the bracket image [x0, u]")
 
     target = vec_add(dp.x0, tuple(w))
     answer = zero_vector(g.dim)
     residual = tuple(w)   # always target - e^{ad answer}x0
     for idx, (lam, _) in enumerate(dp.layers):
-        if lam == 0 or is_zero_vector(residual):
+        if is_zero_vector(residual):
             continue
         parts = dp.layer_split.components(residual)
         if parts is None:

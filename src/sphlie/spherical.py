@@ -11,11 +11,12 @@ pair.
 
 All verifications are exact identities of rational subspaces.  Group
 elements are exact too.  Each candidate is a word exp(x_1)···exp(x_k) with
-x_i ∈ g in coordinates (GroupWord), and group_element_candidates certifies
-once per stream that every factor's matrix is nilpotent, so every series
-terminates.  A word acts on g by Ad = e^{ad x_1}∘…∘e^{ad x_k}, in g's
-structure constants; its matrix is multiplied out only when a caller reads
-ConjugationResult.element or TransitivityReport.witness.
+x_i ∈ g in coordinates (GroupWord).  Every factor of group_element_candidates
+is a restricted-root vector, so the root grading makes its matrix and its
+ad nilpotent, and every series terminates.  A word acts on g by
+Ad = e^{ad x_1}∘…∘e^{ad x_k}, in g's structure constants; its matrix is
+multiplied out only when a caller reads ConjugationResult.element or
+TransitivityReport.witness.
 
 The sampled identities depend on a coset of P only.  For x ∈ p with a
 finite series, e^{ad x} maps p onto p, so p + Ad(q)V = Ad(q)(p + V) has
@@ -62,7 +63,6 @@ from .linalg import (
     is_direct_sum,
     lin_comb,
     mat_apply,
-    mat_is_nilpotent,
     mat_mul,
     project_along,
     restrict_bilinear_form,
@@ -408,7 +408,7 @@ def _fmt_root(root: Root) -> str:
 class _Factor:
     """A factor x of a sampled word, prepared once per stream: the dense
     ``vector``, its series ``exponent`` (:func:`sphlie.orbits._exponent`)
-    and ``in_p``, whether x ∈ p, certified by ``cd.p.contains``."""
+    and ``in_p``, whether x ∈ p, read off the sign of x's root."""
 
     vector: Vector
     exponent: tuple[list, int]
@@ -428,8 +428,17 @@ def _prepared_words(cd: CartanData, seed: int
 
     A random-product factor t·v, for v a pool vector and t a coefficient,
     is prepared the first time a word uses it and shared by every later
-    word; p-membership does not depend on t ≠ 0, so ``cd.p.contains`` runs
-    once per pool vector, and once per Weyl factor."""
+    word.  p-membership is read off the root table: p = g_0 ⊕ n, so a pool
+    vector in g_α is in p exactly when α is positive, and a Weyl factor v
+    of a positive root is in p while θv, in g_-α (certified by
+    :func:`~sphlie.liealg._root_decomposition`), is not.
+
+    Every factor x lies in a root space g_α, α ≠ 0, so [h, x] = c·x for
+    some h ∈ a with c = α(h) ≠ 0, and as n x n matrices [h, x^k] = kc·x^k.
+    The nonzero powers x^k are eigenvectors of [h, ·] on the n x n
+    matrices with distinct eigenvalues, so finitely many, and the matrix x
+    is nilpotent.  So is ad x, which maps each g_β into g_{β+α}: every
+    series of a word terminates."""
     g = cd.algebra
     yield (), "identity"
     # cd.roots is sorted, and the table follows it
@@ -437,31 +446,25 @@ def _prepared_words(cd: CartanData, seed: int
     weyl = [(root, i, v, mat_apply(cd.theta, v))
             for root, (space, _, positive, _) in roots if positive
             for i, v in enumerate(space.basis)]
-    pool = [(f"g[{_fmt_root(root)}#{i}]", v)
-            for root, (space, *_) in roots
+    pool = [(f"g[{_fmt_root(root)}#{i}]", v, positive)
+            for root, (space, _, positive, _) in roots
             for i, v in enumerate(space.basis)]
-    for v in [v for _, v in pool] + [tv for *_, tv in weyl]:
-        if not mat_is_nilpotent(g.to_matrix(v)):
-            raise DimensionMismatch(
-                "matrix is not nilpotent; exp series does not end")
 
     def prepare(x: Vector, in_p: bool) -> _Factor:
         return _Factor(x, _exponent(g, x), in_p)
 
     for root, i, v, tv in weyl:
         tv = vec_scale(_div(-2, cd.root_value(root, g.bracket(v, tv))), tv)
-        fv = prepare(v, cd.p.contains(v))
-        yield (fv, prepare(tv, cd.p.contains(tv)), fv), \
-            f"weyl[{_fmt_root(root)}#{i}]"
-    in_p = [cd.p.contains(v) for _, v in pool]
+        fv = prepare(v, True)
+        yield (fv, prepare(tv, False), fv), f"weyl[{_fmt_root(root)}#{i}]"
     prepared: dict[tuple[int, Scalar], tuple[_Factor, str]] = {}
 
     def factor(k: int, t: Scalar) -> tuple[_Factor, str]:
         """The prepared factor t·pool[k] with its description."""
         f = prepared.get((k, t))
         if f is None:
-            name, v = pool[k]
-            f = prepared[k, t] = (prepare(vec_scale(t, v), in_p[k]),
+            name, v, in_p = pool[k]
+            f = prepared[k, t] = (prepare(vec_scale(t, v), in_p),
                                   f"exp({t}*{name})")
         return f
 
@@ -491,10 +494,10 @@ def group_element_candidates(cd: CartanData, seed: int = 0
     per positive-root basis vector v, t = -2/alpha([v, theta v]) at any
     scale of v; single exponentials exp(t v) of root-space basis vectors
     for small t; then seeded random products of such exponentials.  After
-    the identity, every root-space basis vector and theta of every positive
-    one is certified once to have a nilpotent matrix (DimensionMismatch
-    otherwise), so every factor's exponential is a finite exact series.
-    A word's ``matrix`` is multiplied out only when asked for.
+    the identity, every factor is a restricted-root vector, whose matrix
+    the root grading makes nilpotent (:func:`_prepared_words`), so every
+    factor's exponential is a finite exact series.  A word's ``matrix`` is
+    multiplied out only when asked for.
     """
     for factors, desc in _prepared_words(cd, seed):
         yield GroupWord(cd.algebra, tuple(f.vector for f in factors)), desc

@@ -15,7 +15,6 @@ from sphlie.linalg import (
     full_subspace,
     identity_matrix,
     kernel,
-    mat_is_nilpotent,
     mat_mul,
     membership,
     restrict_bilinear_form,
@@ -209,14 +208,6 @@ def test_matrix_inverse():
     assert mat_mul(m, inv) == identity_matrix(2)
     with pytest.raises(DimensionMismatch):
         mat_invert(as_matrix([(1, 2), (2, 4)]))
-
-
-def test_mat_is_nilpotent_needs_up_to_n_powers():
-    shift = as_matrix([(0, 1, 0), (0, 0, 1), (0, 0, 0)])   # shift^3 = 0 only
-    assert mat_is_nilpotent(shift)
-    assert mat_is_nilpotent(as_matrix([(0, 0), (0, 0)]))
-    assert not mat_is_nilpotent(as_matrix([(0, 1), (1, 0)]))
-    assert not mat_is_nilpotent(as_matrix([(0, 1, 0), (0, 0, 1), (0, 0, 1)]))
 
 
 def test_mat_mul_shape_mismatch_raises_dimension_mismatch():

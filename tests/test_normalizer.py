@@ -229,6 +229,15 @@ def test_a_split_part_that_is_not_abelian_fails_elementary():
     assert nr.split_ok and not nr.elementary_ok
 
 
+def test_a_split_part_outside_the_split_torus_fails_elementary():
+    # a = span(E + F): abelian, and ad(E + F) has the rational spectrum
+    # 0, 2, -2, but E + F is not in the split torus span(H)
+    nr = misreported(canonical_basis([], 3), canonical_basis([(0, 1, 1)], 3),
+                     canonical_basis([], 3))
+    assert nr.split_part == canonical_basis([(0, 1, 1)], 3)
+    assert not nr.elementary_ok
+
+
 def test_split_and_compact_parts_that_do_not_commute_fail_elementary():
     # a = span(H), m = span(E - F): [H, E - F] = 2(E + F)
     nr = misreported(canonical_basis([], 3), H, E_MINUS_F)

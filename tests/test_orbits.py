@@ -146,8 +146,8 @@ def test_derivation_pair_layers_heisenberg():
 @pytest.mark.parametrize("n", [4, 5])
 def test_derivation_pair_sums_the_positive_layers_in_one_elimination(
         monkeypatch, n):
-    """The image [x0, u] and the sum of the n - 1 positive layers are one
-    canonical basis each, so two eliminations, whatever the number of
+    """Every layer is positive, so the image [x0, u] is certified equal to
+    u by one canonical basis: one elimination, whatever the number of
     layers.  eigen_split is replayed from a first run, so that every rref
     counted belongs to derivation_pair itself."""
     import sphlie.linalg as linalg
@@ -161,7 +161,7 @@ def test_derivation_pair_sums_the_positive_layers_in_one_elimination(
                         lambda rows: calls.append(len(rows)) or real(rows))
     again = derivation_pair(dp.algebra, dp.x0, dp.u)
     assert again.bracket_image == dp.bracket_image
-    assert len(calls) <= 2
+    assert len(calls) <= 1
 
 
 def test_derivation_pair_rejects_non_subalgebra():
@@ -169,20 +169,6 @@ def test_derivation_pair_rejects_non_subalgebra():
     with pytest.raises(NotClosed):
         derivation_pair(g, (0, 0, 0),
                         canonical_basis([(0, 1, 0), (0, 0, 1)], 3))
-
-
-def test_derivation_pair_rejects_non_nilpotent_u():
-    g = sl(2)
-    with pytest.raises(NotNilpotent):
-        derivation_pair(g, (0, 0, 0),
-                        canonical_basis([(1, 0, 0), (0, 1, 0)], 3))
-
-
-def test_derivation_pair_rejects_u_not_acting_nilpotently_on_g():
-    # u = span(H) is abelian, so nilpotent, but ad H is semisimple on sl2.
-    g = sl(2)
-    with pytest.raises(NotNilpotent):
-        derivation_pair(g, (0, 0, 0), canonical_basis([(1, 0, 0)], 3))
 
 
 def test_derivation_pair_rejects_non_invariant_u():
@@ -210,49 +196,36 @@ def test_derivation_pair_rejects_non_semisimple_action():
         derivation_pair(g, x0, u)
 
 
-def test_derivation_pair_checks_the_zero_layer():
-    # x0 = diag(-1/3, -1/3, 2/3) grades u = span(H1, E13, E23) with zero
-    # layer span(H1) beside the layer 1: the positive layer is nilpotent by
-    # the grading, but ad H1 is semisimple on sl3
-    g = sl(3)
-    x0 = g.from_matrix([[F(-1, 3), 0, 0], [0, F(-1, 3), 0], [0, 0, F(2, 3)]])
-    u = g.span_of_matrices([
-        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-    ])
-    with pytest.raises(NotNilpotent, match="zero layer"):
-        derivation_pair(g, x0, u)
-    # with E12 in place of H1 the zero layer is nilpotent and u is accepted
-    u = g.span_of_matrices([
-        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-    ])
-    dp = derivation_pair(g, x0, u)
-    assert [(lam, sp.dim) for lam, sp in dp.layers] == [(0, 1), (1, 2)]
+def unit(n, i, j):
+    m = [[0] * n for _ in range(n)]
+    m[i][j] = 1
+    return m
 
 
-def test_analyze_proves_nilpotency_by_the_grading(monkeypatch, tmp_path,
-                                                   capsys):
-    # the characteristic element grades the nilradical with no zero layer,
-    # so no power of an ad matrix is taken
-    import sphlie.orbits as orbits
-    from sphlie.builders import sl_basis, so_basis
-    from sphlie.cli import main
-    from sphlie.problem import Problem, problem_to_json
+ZERO_2, H_2, E_2 = [[0, 0], [0, 0]], [[1, 0], [0, -1]], unit(2, 0, 1)
+# diag(-1/3, -1/3, 2/3): E12 and H1 in the layer 0, E13 and E23 in the layer 1
+THIRDS = [[F(-1, 3), 0, 0], [0, F(-1, 3), 0], [0, 0, F(2, 3)]]
+H1_3 = [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
 
-    calls = []
-    real = orbits.mat_is_nilpotent
-    monkeypatch.setattr(orbits, "mat_is_nilpotent",
-                        lambda m: calls.append(1) or real(m))
-    path = tmp_path / "sl4_so4.json"
-    path.write_text(problem_to_json(Problem(
-        name="sl4_so4", matrix_size=4, basis=tuple(sl_basis(4)),
-        subalgebra_basis=tuple(so_basis(4)))), encoding="utf-8")
-    assert main(["analyze", "--samples", "5", str(path)]) == 0
-    assert "orbit identity: ok (5 samples)" in capsys.readouterr().out
-    assert calls == []
+
+@pytest.mark.parametrize("x0, u", [
+    (ZERO_2, [H_2, E_2]),
+    (ZERO_2, [H_2]),
+    (ZERO_2, [E_2]),
+    (THIRDS, [H1_3, unit(3, 0, 2), unit(3, 1, 2)]),
+    (THIRDS, [unit(3, 0, 1), unit(3, 0, 2), unit(3, 1, 2)]),
+    (THIRDS, [unit(3, 0, 1), unit(3, 0, 2)]),
+], ids=["non_nilpotent_u", "u_not_acting_nilpotently_on_g", "central_x0",
+        "semisimple_zero_layer", "nilpotent_zero_layer",
+        "zero_layer_component"])
+def test_derivation_pair_rejects_a_zero_layer(x0, u):
+    """A layer of -ad(x0) with eigenvalue 0 raises at construction, whether
+    u is nilpotent (E, or E12 beside the layer 1) or not (span(H, E), or H
+    and H1 that act semisimply on g): [x0, u] misses that layer, and the
+    positive grading is what proves u nilpotent."""
+    g = sl(len(x0))
+    with pytest.raises(SpectrumError, match="negative eigenvalues"):
+        derivation_pair(g, g.from_matrix(x0), g.span_of_matrices(u))
 
 
 # -- orbit identity ----------------------------------------------------------
@@ -266,15 +239,6 @@ def test_orbit_identity_sl2():
 def test_orbit_identity_heisenberg():
     rep = orbit_identity_check(sl3_heisenberg_dp(), samples=100, seed=4)
     assert rep.ok and rep.samples_run == 100
-
-
-def test_orbit_identity_central_x0():
-    # x0 = 0: the orbit is a single point and [x0, u] = 0.
-    g = sl(2)
-    dp = derivation_pair(g, zero_vector(3), canonical_basis([(0, 1, 0)], 3))
-    assert dp.bracket_image.dim == 0
-    rep = orbit_identity_check(dp, samples=25, seed=0)
-    assert rep.ok and rep.samples_run == 25
 
 
 def test_orbit_identity_from_characteristic_element():
@@ -398,22 +362,3 @@ def test_solve_conjugator_rejects_target_outside_image():
     with pytest.raises(UnreachableTarget, match="bracket image"):
         solve_conjugator(dp, (F(1), F(0), F(0)))   # H is not even in u
 
-
-def test_solve_conjugator_rejects_zero_layer_component():
-    # u = span(E12, E13) with x0 = diag(-1/3, -1/3, 2/3): E12 sits in the
-    # zero-eigenvalue layer, E13 in the eigenvalue-1 layer.
-    g = sl(3)
-    x0 = g.from_matrix([[F(-1, 3), 0, 0], [0, F(-1, 3), 0], [0, 0, F(2, 3)]])
-    u = g.span_of_matrices([
-        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-    ])
-    dp = derivation_pair(g, x0, u)
-    assert [lam for lam, _ in dp.layers] == [F(0), F(1)]
-    e13 = g.from_matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    assert solve_conjugator(dp, e13) == e13
-    e12 = g.from_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    with pytest.raises(UnreachableTarget, match="zero-eigenvalue"):
-        solve_conjugator(dp, e12)
-    with pytest.raises(UnreachableTarget, match="zero-eigenvalue"):
-        solve_conjugator(dp, vec_add(e12, e13))

@@ -799,13 +799,36 @@ def test_stream_rejects_a_factor_with_non_nilpotent_matrix():
     from sphlie.errors import DimensionMismatch
 
     cd = cartan_data(sl(2))
-    # theta sends the positive root vector E to a multiple of H, so the
-    # Weyl element would need exp of a diagonalizable nonzero matrix
+    # theta sends the positive root vector E to H, so [E, theta E] = -2E is
+    # not in a and the Weyl scale's root_value raises
     bad = replace(cd, theta=((F(1), F(1), F(0)), (F(0),) * 3, (F(0),) * 3))
     stream = group_element_candidates(bad)
     assert next(stream)[1] == "identity"
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="not in a"):
         next(stream)
+
+
+def test_a_doctored_theta_fails_the_weyl_word_by_a_named_error():
+    """theta E = E + F, outside g_-alpha: [E, theta E] = H scales the Weyl
+    factor to -(E + F), which is not nilpotent.  The stream reads p off the
+    root table and yields the word; the series of its ``ad`` raises
+    NotNilpotent, and its ``matrix`` DimensionMismatch."""
+    from dataclasses import replace
+
+    from sphlie.errors import DimensionMismatch, NotNilpotent
+
+    cd = cartan_data(sl(2))
+    # sl(2) coordinates are (H, E, F); column 1 is theta E
+    theta = tuple(tuple(F(e) for e in row)
+                  for row in ((-1, 0, 0), (0, 1, -1), (0, 1, 0)))
+    stream = group_element_candidates(replace(cd, theta=theta))
+    assert next(stream)[1] == "identity"
+    word, desc = next(stream)
+    assert desc.startswith("weyl") and word.factors[1] == (0, -1, -1)
+    with pytest.raises(NotNilpotent):
+        word.ad((1, 0, 0))
+    with pytest.raises(DimensionMismatch, match="not nilpotent"):
+        word.matrix
 
 
 # -- the integer-rank open-orbit test against a dense replay -------------------
@@ -984,29 +1007,66 @@ def test_negative_counts_raise_a_named_error(call):
         call(sl3_so3_pair())
 
 
+def stream_test_cartans():
+    """Every catalog and ladder pair, sl(3)/so(3) on a mixed basis of g, and
+    sl(3) under the given Cartan involution X -> -D X^T D^-1, D =
+    diag(1, 2, 3), which rescales theta on every root vector."""
+    from sphlie.catalog import catalog_entries, get_entry
+    from sphlie.problem import build_pair
+    from test_enumeration import ladder_problems
+    from test_exact_scalars import remixed
+
+    problems = [e.problem for e in catalog_entries()] + ladder_problems()
+    problems.append(remixed(get_entry("sl3_so3").problem, 0))
+    g, d = sl(3), (1, 2, 3)
+    theta = tuple(zip(*[g.from_matrix([[-F(d[i] * b[j][i], d[j])
+                                         for j in range(3)] for i in range(3)])
+                        for b in g.basis]))
+    return ([build_pair(p).cartan for p in problems]
+            + [cartan_data(g, theta=theta)])
+
+
+def is_nilpotent_matrix(m):
+    """Whether m^n = 0 for the n x n matrix m, by n - 1 products."""
+    from sphlie.linalg import mat_mul
+
+    power = m
+    for _ in range(len(m) - 1):
+        power = mat_mul(power, m)
+    return not any(any(row) for row in power)
+
+
 def test_each_stream_factor_is_prepared_once_with_its_root_sign(monkeypatch):
     """The stream scales each (pool vector, t) factor for the series once,
-    and each factor's p-membership agrees with the sign of its root."""
+    and reads p-membership and nilpotency off the root table.  Replayed
+    densely on the first 400 words: each factor's ``in_p`` agrees with
+    cd.p.contains and with the sign of its root, and its matrix is
+    nilpotent."""
     from itertools import islice
 
     import sphlie.spherical as spherical
 
-    cd = sl3_so3_pair().cartan
     scanned = []
     real = spherical._exponent
     monkeypatch.setattr(spherical, "_exponent",
                         lambda g, x: scanned.append(x) or real(g, x))
-    words = list(islice(spherical._prepared_words(cd, 1), 400))
-    weyl = sum(cd.root_space(r).dim for r in cd.positive_roots)
-    pool = sum(cd.root_space(r).dim for r in cd.roots)
-    # two per Weyl word, then one per distinct (pool vector, t)
-    assert len(scanned) <= 2 * weyl + 8 * pool
-    assert len(scanned[2 * weyl:]) == len(set(scanned[2 * weyl:]))
-    for factors, desc in words:
-        for f in factors:
-            root = next(r for r in cd.roots if cd.root_space(r).contains(f.vector))
-            assert f.in_p == (root in cd.positive_roots), desc
-            assert f.exponent == real(cd.algebra, f.vector)
+    for cd in stream_test_cartans():
+        g = cd.algebra
+        scanned.clear()
+        words = list(islice(spherical._prepared_words(cd, 1), 400))
+        weyl = sum(cd.root_space(r).dim for r in cd.positive_roots)
+        pool = sum(cd.root_space(r).dim for r in cd.roots)
+        # two per Weyl word, then one per distinct (pool vector, t)
+        assert len(scanned) <= 2 * weyl + 8 * pool, g.name
+        assert len(scanned[2 * weyl:]) == len(set(scanned[2 * weyl:]))
+        factors = {id(f): (f, desc) for fs, desc in words for f in fs}
+        for f, desc in factors.values():
+            root = next(r for r in cd.roots
+                        if cd.root_space(r).contains(f.vector))
+            assert f.in_p == cd.p.contains(f.vector) == (
+                root in cd.positive_roots), (g.name, desc)
+            assert is_nilpotent_matrix(g.to_matrix(f.vector)), (g.name, desc)
+            assert f.exponent == real(g, f.vector)
 
 
 # the series and rank calls of spherical.py, and the functions that may
