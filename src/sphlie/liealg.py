@@ -21,10 +21,14 @@ Conventions
   hashes no Fraction.  When a acts diagonally on g's basis, the roots are
   read off the diagonal of the structure constants, with no ad matrix.
 * The structure constants are stored sparsely: ``_terms[i][j]`` lists the
-  nonzero (k, c) with [e_i, e_j] = sum_k c e_k.  The constructor forms each
-  [e_i, e_j] with i < j from the basis matrices' nonzero entries and reads
-  it off pivots (:meth:`~sphlie.linalg.SpanSolver.terms`, certified by a
-  zero sparse residual); [e_j, e_i] is its negative.
+  nonzero (k, c) with [e_i, e_j] = sum_k c e_k.  The constructor indexes
+  the nonzero rows and columns of each basis matrix once and forms
+  [e_i, e_j], i < j, only when a column of one support is a row of the
+  other; every other commutator is exactly 0, which lies in the span, so
+  closure is certified all the same.  A formed one is built from the basis
+  matrices' nonzero entries and read off pivots
+  (:meth:`~sphlie.linalg.SpanSolver.terms`, certified by a zero sparse
+  residual); [e_j, e_i] is its negative.
 * The center, the derived algebra, the Killing and invariant forms and each
   validated Cartan decomposition are computed once, on first use, and cached
   on the :class:`LieAlgebra` instance, so they die with it.
@@ -100,24 +104,36 @@ def _row_entries(m: Matrix) -> list[list[tuple[int, Scalar]]]:
     return [[(c, a) for c, a in enumerate(row) if a] for row in m]
 
 
-def _flat_commutator(x: list, y: list, n: int) -> dict[int, Scalar]:
-    """xy - yx as its flattened entries {row * n + column: value}, formed
-    from the nonzero entries of x and y as :func:`_row_entries` gives them;
-    an entry that cancels stays as a zero."""
+def _flat_commutator(x: dict, y: dict, n: int) -> dict[int, Scalar]:
+    """xy - yx as its flattened entries {row * n + column: value}, for x and
+    y given by their nonzero rows {row: its nonzero (column, entry) pairs}.
+    Only a row k of y meets an entry (r, k) of x, and only a row k of x an
+    entry (r, k) of y, so when no column of either support is a row of the
+    other, xy = yx = 0 and nothing is formed.  An entry that cancels stays
+    as a zero."""
     acc: dict[int, Scalar] = {}
-    for r, (xr, yr) in enumerate(zip(x, y)):
+    for r, xr in x.items():
         base = r * n
         for k, a in xr:
-            for c, b in y[k]:
+            for c, b in y.get(k, ()):
                 acc[base + c] = acc.get(base + c, ZERO) + a * b
+    for r, yr in y.items():
+        base = r * n
         for k, b in yr:
-            for c, a in x[k]:
+            for c, a in x.get(k, ()):
                 acc[base + c] = acc.get(base + c, ZERO) - b * a
     return acc
 
 
 class LieAlgebra:
     """A matrix Lie algebra over Q given by a bracket-closed basis.
+
+    The constructor certifies closure: every [e_i, e_j] lies in the span,
+    or :class:`~sphlie.errors.NotClosed` names the first pair (i, j) that
+    escapes.  It forms only the pairs whose supports meet, a column of one
+    basis matrix being a row of the other; for every other pair
+    b_i b_j = b_j b_i = 0 exactly, so [e_i, e_j] = 0 is in the span and is
+    recorded as no terms.
 
     center(), derived_algebra(), killing_form(), invariant_form() and the
     Cartan decompositions are computed on first use and cached here."""
@@ -140,12 +156,28 @@ class LieAlgebra:
         self.name = name
         self.dim = d = len(basis)
         self._flat = flat
-        entries = [_row_entries(b) for b in basis]
+        # each basis matrix's nonzero rows and columns, and per row (column)
+        # index the basis matrices with a nonzero entry in it
+        entries = [{r: row for r, row in enumerate(_row_entries(b)) if row}
+                   for b in basis]
+        cols = [{c for row in e.values() for c, _ in row} for e in entries]
+        with_row, with_col = [[] for _ in range(n)], [[] for _ in range(n)]
+        for i, (e, ci) in enumerate(zip(entries, cols)):
+            for r in e:
+                with_row[r].append(i)
+            for c in ci:
+                with_col[c].append(i)
         # _terms[i][j]: the nonzero (k, c) of [e_i, e_j] = sum_k c e_k, formed
-        # only for i < j: [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0
+        # only for i < j ([e_j, e_i] = -[e_i, e_j], [e_i, e_i] = 0) whose
+        # supports meet; every other [e_i, e_j] is 0
         terms = [[[] for _ in range(d)] for _ in range(d)]
         for i, ti in enumerate(terms):
-            for j in range(i + 1, d):
+            meet = set()
+            for c in cols[i]:
+                meet.update(with_row[c])
+            for r in entries[i]:
+                meet.update(with_col[r])
+            for j in sorted(j for j in meet if j > i):
                 tij = self._solver.terms(
                     _flat_commutator(entries[i], entries[j], n))
                 if tij is None:
@@ -506,21 +538,35 @@ class CartanData:
         denominator, the roots keep their signs, order and coordinates.
 
         A positive root alpha is simple unless alpha = beta + (alpha - beta)
-        for positive roots beta and alpha - beta; the scan that finds the
-        simple roots records that split.  The positivity values of a root
-        are linear in it, so in their lexicographic order both parts of a
-        split come before alpha.  Walking up in that order, coordinates of
-        alpha = those of beta + those of alpha - beta, from the unit vectors
-        of the simple roots, writes every positive root as a nonnegative
-        int combination of the simple roots.  Once ``int_rank`` certifies
-        the simple roots independent, those coordinates are the unique
-        ones, so no positive root can fail to be a nonnegative combination
-        and no solve is needed."""
+        for positive roots beta and alpha - beta.  The positivity values of
+        a root are its values on the positivity basis, each summed over the
+        nonzero coordinates of a positivity vector in a's echelon basis (one
+        product when the positivity is that basis).  They are linear in the
+        root, so in their lexicographic order both parts of a split come
+        before alpha.  The scan walks the
+        positive roots in that order and tests alpha - sigma only against
+        the simple roots sigma found so far.  That finds every split: a
+        positive root that is not simple has a simple sigma with
+        alpha - sigma a positive root (some sigma with n_sigma > 0 in
+        alpha = sum n_sigma sigma has (alpha, sigma) > 0, so alpha - sigma
+        is a root, or alpha = 2 sigma), and sigma comes earlier.  Nor does
+        the scan rest on that lemma: a root it misses would be a sum of
+        earlier positive roots, so in the span of the simple roots found
+        before it, and the independence certificate below would fail.
+
+        Walking up in the same order, coordinates of alpha = those of sigma
+        + those of alpha - sigma, from the unit vectors of the simple roots,
+        writes every positive root as a nonnegative int combination of the
+        simple roots.  Once ``int_rank`` certifies the simple roots
+        independent, those coordinates are the unique ones, so no positive
+        root can fail to be a nonnegative combination and no solve is
+        needed."""
         a, roots = self.a, self.roots
         scaled = _integral(roots)
-        pos_coords = [_integral([a.coordinates_of(v)])[0]
+        pos_coords = [[(m, c) for m, c in enumerate(
+                          _integral([a.coordinates_of(v)])[0]) if c]
                       for v in self.positivity]
-        values = [tuple([sum(c * x for c, x in zip(coords, r))
+        values = [tuple([sum([c * r[m] for m, c in coords])
                          for coords in pos_coords]) for r in scaled]
         positive = [_lex_positive(v) for v in values]
         index = {r: i for i, r in enumerate(scaled)}
@@ -532,25 +578,28 @@ class CartanData:
                     f"positivity basis does not order the roots")
 
         pos = [i for i, up in enumerate(positive) if up]
-        split = {}
-        for i in pos:
-            for b in pos:
-                j = index.get(tuple(x - y for x, y in zip(scaled[i],
-                                                           scaled[b])))
+        order = sorted(pos, key=values.__getitem__)
+        split, found = {}, []
+        for i in order:
+            r = scaled[i]
+            for b in found:
+                j = index.get(tuple([x - y for x, y in zip(r, scaled[b])]))
                 if j is not None and positive[j]:
                     split[i] = (b, j)
                     break
-        simple = sorted((i for i in pos if i not in split),
-                        key=scaled.__getitem__)
+            else:
+                found.append(i)
+        simple = sorted(found, key=scaled.__getitem__)
         if int_rank(dict(enumerate(scaled[i])) for i in simple) < len(simple):
             raise CertificationError("simple roots are linearly dependent")
 
         # walk up from the simple roots in increasing order of the values
         # on the positivity basis, in which both parts of a split come first
         walk = {i: tuple(int(i == s) for s in simple) for i in simple}
-        for i in sorted(split, key=values.__getitem__):
-            b, j = split[i]
-            walk[i] = tuple([x + y for x, y in zip(walk[b], walk[j])])
+        for i in order:
+            if i in split:
+                b, j = split[i]
+                walk[i] = tuple([x + y for x, y in zip(walk[b], walk[j])])
         coordinates = tuple(walk[i] for i in pos)
 
         support = {i: frozenset(j for j, c in enumerate(sol) if c)

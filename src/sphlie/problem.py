@@ -25,6 +25,7 @@ from .linalg import (
     Scalar,
     Vector,
     _exact,
+    _null_generators,
     canonical_basis,
     is_direct_sum,
     subspace_intersect,
@@ -257,6 +258,15 @@ def positivity_from_hint(g: LieAlgebra, theta: Optional[Matrix],
     negates it, flipping which root spaces count as positive in that
     factor.  The split part of the center comes last with positive
     orientation.  Certified: a = (z(g) ∩ s) ⊕ (⊕_C a ∩ l_n,C).
+
+    z(g) ∩ s is read off the roots as their common kernel on a, which is
+    the common kernel of the simple roots, since every root is an integer
+    combination of them.  An x in z(g) ∩ s commutes with a, so it lies in
+    z_s(a) = a, which :func:`~sphlie.liealg.maximal_abelian` certified;
+    and [x, g_alpha] = alpha(x) g_alpha = 0 with g_alpha nonzero, so every
+    root vanishes at x.  Conversely, an x in a on which every root vanishes
+    kills each g_alpha, and it kills g_0 = m ⊕ a, the 0-eigenspace of ad a;
+    these spaces span g, so ad x = 0 and x lies in z(g) ∩ s.
     """
     cd = cartan_data(g, theta)
     noncompact = sorted(
@@ -267,7 +277,9 @@ def positivity_from_hint(g: LieAlgebra, theta: Optional[Matrix],
             f"minimal_parabolic_hint: expected {len(noncompact)} signs "
             f"(one per noncompact simple ideal), got {len(signs)}")
     parts = [subspace_intersect(cd.a, ideal) for ideal in noncompact]
-    center_split = subspace_intersect(g.center(), cd.s)
+    center_split = canonical_basis(
+        [cd.a.from_coordinates(v)
+         for v in _null_generators(cd.simple_roots, cd.a.dim)], g.dim)
     if not is_direct_sum(cd.a, center_split, *parts):
         raise CertificationError(
             f"a = (z ∩ s) ⊕ (⊕_C a ∩ l_n,C) fails: dim a = {cd.a.dim}, "

@@ -1,8 +1,9 @@
 """The Cartan stage against dense references written here.
 
 * Structure constants and ``from_matrix``, read off pivots in the package,
-  against one dense Gauss-Jordan elimination of each basis and its
-  commutators over ``Fraction``.
+  against one dense Gauss-Jordan elimination of each basis and all its
+  commutators over ``Fraction``, on sparse bases (whose disjoint supports
+  the package skips) and on dense remixed catalog and ladder bases.
 * The weight and ordering stages, which read a diagonal ad off and order
   the roots in ints, against the per-element ``eigen_split`` refinement and
   ``Fraction`` arithmetic: on every catalog entry, on the hinted entries
@@ -34,6 +35,7 @@ from sphlie.linalg import (
 )
 from sphlie.problem import build_pair, positivity_from_hint
 from sphlie.spectral import eigen_split
+from test_enumeration import ladder_problems
 from test_exact_scalars import exact, mixed, remixed
 
 HALVES = (-1, 0, 1, Fraction(1, 2), -2)
@@ -98,6 +100,12 @@ BASES = {
     "so4_mixed": mixed(so_basis(4), 2, HALVES),
     "gl3_mixed": mixed(gl_basis(3), 3, HALVES),
     "sl2x2_so3": direct_sum_basis([sl_basis(2), sl_basis(2), so_basis(3)]),
+    "sl2x6": direct_sum_basis([sl_basis(2)] * 6),
+    **{f"catalog_{e.name}": e.problem.basis for e in catalog_entries()},
+    **{f"catalog_{e.name}_remixed{s}": remixed(e.problem, s).basis
+       for e in catalog_entries() for s in (0, 1)},
+    **{f"ladder_{p.name}_remixed0": remixed(p, 0).basis
+       for p in ladder_problems()},
 }
 
 
@@ -129,8 +137,27 @@ def test_from_matrix_matches_a_dense_solve(name):
     assert [g.from_matrix(m) for m in inside] == [tuple(c) for c in coeffs]
 
 
+def test_only_brackets_of_meeting_supports_are_formed(monkeypatch):
+    """In the block-diagonal sl(2)^6 basis b_i b_j = b_j b_i = 0 unless b_i
+    and b_j share a block, so 6 * 3 = 18 of the 153 commutators are formed,
+    and the table still matches the dense reference."""
+    formed = []
+    real = liealg._flat_commutator
+    monkeypatch.setattr(liealg, "_flat_commutator",
+                        lambda x, y, n: formed.append(1) or real(x, y, n))
+    basis = BASES["sl2x6"]
+    g = LieAlgebra(basis)
+    assert len(formed) == 18
+    assert_table_matches(g, basis)
+
+
 E12 = ((0, 1), (0, 0))
 E21 = ((0, 0), (1, 0))
+
+
+def unit(n, r, c):
+    return tuple(tuple(int((i, j) == (r, c)) for j in range(n))
+                 for i in range(n))
 
 
 @pytest.mark.parametrize("basis, message", [
@@ -140,6 +167,9 @@ E21 = ((0, 0), (1, 0))
      "bracket of basis elements 0 and 1 escapes the span"),
     (so_basis(4)[:2] + so_basis(4)[3:],
      "bracket of basis elements 0 and 3 escapes the span"),
+    # (0, 1) is skipped, as no support meets; E12 E23 = E13 escapes
+    ([unit(4, 0, 1), unit(4, 2, 3), unit(4, 1, 2)],
+     "bracket of basis elements 0 and 2 escapes the span"),
 ])
 def test_a_basis_that_is_not_closed_names_the_first_pair(basis, message):
     with pytest.raises(NotClosed) as err:

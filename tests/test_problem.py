@@ -20,7 +20,7 @@ from sphlie.builders import (
 from sphlie.catalog import get_entry
 from sphlie.errors import NotClosed, ProblemFormatError
 from sphlie.liealg import LieAlgebra
-from sphlie.linalg import canonical_basis
+from sphlie.linalg import canonical_basis, subspace_intersect
 from sphlie.problem import (
     Problem,
     build_pair,
@@ -337,6 +337,40 @@ def test_positivity_from_hint_appends_the_split_center():
     assert cd.n == canonical_basis([(0, 0, 0, 1)], 4)
 
 
+def hinted_problems():
+    """(id, problem, analyze options): every hinted catalog entry, with its
+    search budget, and the hinted ladder pair sl(2)^6 / so(2)^6."""
+    from sphlie.catalog import catalog_entries
+
+    return ([(e.name, e.problem, ("--conjugate-search", str(e.search_budget)))
+             for e in catalog_entries()
+             if e.problem.minimal_parabolic_hint is not None]
+            + [("sl2x6_hinted", hinted_sl2_so2(6), ())])
+
+
+HINTED_PROBLEMS = hinted_problems()
+
+
+def gl2_hinted():
+    """gl(2) with so(2) and the hint (-1): z(g) ∩ s = span(I) is nonzero."""
+    return Problem("gl2_hinted", 2, tuple(gl_basis(2)), (J,),
+                   minimal_parabolic_hint=(-1,))
+
+
+@pytest.mark.parametrize(
+    "problem, center_dim",
+    [(p, 0) for _, p, _ in HINTED_PROBLEMS] + [(gl2_hinted(), 1)],
+    ids=[name for name, _, _ in HINTED_PROBLEMS] + ["gl2_hinted"])
+def test_hinted_split_center_read_off_the_roots_is_z_cap_s(problem,
+                                                          center_dim):
+    """The positivity ends with the centre the hint reads off the roots; it
+    is the echelon basis of z(g) ∩ s, solved here from z(g)."""
+    cd = build_pair(problem).cartan
+    center_split = subspace_intersect(cd.algebra.center(), cd.s)
+    assert center_split.dim == center_dim
+    assert cd.positivity[cd.a.dim - center_dim:] == center_split.basis
+
+
 def test_build_pair_hint_controls_which_root_spaces_are_positive():
     basis = [embed(m, off, 4) for off in (0, 2) for m in (H, E, F)]
     flipped = Problem(name="opp", matrix_size=4, basis=tuple(basis),
@@ -539,9 +573,22 @@ def test_hinted_analyze_solves_each_center_once(monkeypatch, tmp_path, capsys):
         monkeypatch, tmp_path, entry.problem,
         "--conjugate-search", str(entry.search_budget))
     assert code == 0
-    # the hint's ideal split, its split centre and the invariant form all
-    # read z(g)
-    assert center_solves and set(center_solves.values()) == {1}
+    # the hint reads its split centre off the roots, and no invariant form
+    # is built, so z(g) is never solved
+    assert not center_solves
+
+
+@pytest.mark.parametrize(
+    "problem, options",
+    [(p, o) for name, p, o in HINTED_PROBLEMS if name != "sl2x3_diag_mixed"],
+    ids=[name for name, _, _ in HINTED_PROBLEMS
+         if name != "sl2x3_diag_mixed"])
+def test_hinted_analyze_solves_each_center_at_most_once(
+        monkeypatch, tmp_path, capsys, problem, options):
+    code, center_solves, _, _ = analyze_counting(
+        monkeypatch, tmp_path, problem, *options)
+    assert code == 0
+    assert all(n == 1 for n in center_solves.values())
 
 
 def test_hinted_build_validates_theta_once(monkeypatch):
