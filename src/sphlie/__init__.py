@@ -11,8 +11,8 @@ orbit at the base point (``is_spherical``), optionally search for a
 conjugation that opens it (``conjugate_search``), then certify the full
 local structure (``structure_report``), the normalizer decomposition
 (``normalizer_report``) and the nilpotent-orbit identity, which follows
-from the grading ``derivation_pair`` certifies (``orbit_identity_check``)
-and is inverted exactly by ``solve_conjugator``.
+from the root table's grading (``orbit_identity_check``; ``derivation_pair``
+certifies a given one) and is inverted exactly by ``solve_conjugator``.
 """
 
 from .errors import (

@@ -93,10 +93,9 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
     ntilde = _normalizer(g, pair.h)
     n_std = word.inverse.image(ntilde)
 
-    dsub = fs.reductive_complement
-    hd = subspace_intersect(h_std, dsub)
+    hd = sr.standard_reductive_part
     n_a = subspace_intersect(n_std, fs.z_np)
-    n_m = subspace_intersect(n_std, subspace_sum(fs.z_cp, fs.compact_ideals))
+    n_m = subspace_intersect(n_std, fs.compact_part)
     # m complements h ∩ d in N_m, a complements (h ∩ d) + N_m in N_a
     m_std = complement_in(subspace_intersect(hd, n_m), n_m)
     a_std = complement_in(subspace_intersect(subspace_sum(hd, n_m), n_a), n_a)
@@ -104,7 +103,7 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
 
     split_ok = (
         is_direct_sum(n_std, h_std, c_std)
-        and c_std.is_contained_in(dsub)
+        and c_std.is_contained_in(fs.reductive_complement)
         and is_direct_sum(c_std, a_std, m_std)
         and g.brackets_within(a_std, h_std, h_std)
         and g.brackets_within(m_std, h_std, h_std)
@@ -133,9 +132,9 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
     # N(h) = h makes ntilde its own normalizer by the transporter above
     self_normalizing_ok = (ntilde == pair.h
                            or _normalizer(g, ntilde) == ntilde)
-    n_meet = subspace_intersect(cd.n, ntilde)
-    u = sr.adapted.nilradical
-    same_adapted_ok = is_direct_sum(cd.n, u, n_meet)
+    # N(h) = h makes this the enumeration's test, which passed u
+    same_adapted_ok = (ntilde == pair.h or is_direct_sum(
+        cd.n, sr.adapted.nilradical, subspace_intersect(cd.n, ntilde)))
 
     return NormalizerReport(
         normalizer=ntilde,

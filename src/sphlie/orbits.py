@@ -3,10 +3,10 @@
 For a subalgebra u normalized by an element x0 whose ad-action on u is
 diagonalizable with negative rational eigenvalues, u is nilpotent by that
 grading and the exponential orbit of x0 under u is exactly the affine set
-x0 + [x0, u] = x0 + u.  Everything here is finite and rational:
-exponentials of nilpotent operators are finite sums.  The identity is
-*proved* from what :func:`derivation_pair` certifies, and *inverted*
-exactly by solving one eigenvalue layer at a time (:func:`solve_conjugator`).
+x0 + [x0, u] = x0 + u, by finite rational series.  The identity is
+*proved* from the grading, read off the root table for a standard
+parabolic or checked by :func:`derivation_pair` for a given (x0, u), and
+*inverted* one eigenvalue layer at a time (:func:`solve_conjugator`).
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ def exp_ad_apply(g: LieAlgebra, element: Vector, y: Vector) -> Vector:
     finite sum is exact.  The Krylov space of y has dimension at most
     dim g, so if (ad element)^{dim g} y is still nonzero, ad(element) is not
     nilpotent on y and NotNilpotent is raised.  Nilpotency on all of g is
-    not re-proved here: derivation_pair reads it for all of u off the
-    positive grading by x0, and group_element_candidates for the factors of
-    its words off the restricted-root grading.
+    not re-proved here: the positive grading by x0 gives it for all of u
+    (:class:`DerivationPair`), and the restricted-root grading for the
+    factors of group_element_candidates' words.
     The terms are sparse and scaled to ints (:func:`_exp_ad_series`); each
     nonzero entry of the sum is divided once.  :func:`solve_conjugator`
     verifies its answer with this series; the orbit identity itself is
@@ -179,8 +179,8 @@ def derivation_pair(g: LieAlgebra, x0: Vector, u: Subspace) -> DerivationPair:
     keeps.  (⊇) For w ∈ [x0, u] and U = sum of U_λ over the layers, the
     layer-λ part of e^{ad U}x0 - x0 is λ·U_λ plus brackets of the U_μ with
     0 < μ < λ, so U_λ is solved layer by layer, lowest first
-    (:func:`solve_conjugator`).  :func:`orbit_identity_check` reports the
-    identity from these certificates alone.
+    (:func:`solve_conjugator`).  ``ParabolicData.derivation`` proves the
+    same premises off the root table for a standard parabolic.
     """
     if len(x0) != g.dim or u.ambient_dim != g.dim:
         raise NotClosed("x0 and u must live in the given algebra")
@@ -215,11 +215,11 @@ def orbit_identity_check(dp: DerivationPair,
                          samples: int = 100) -> OrbitIdentityReport:
     """The orbit identity e^{ad u}x0 = x0 + [x0, u] for ``dp``, which holds.
 
-    A DerivationPair comes only from :func:`derivation_pair`, whose
-    certificates are the premises of the identity's proof (see its
-    docstring): u is a subalgebra normalized by x0, -ad(x0) splits u into
-    layers with rational λ > 0, so every U ∈ u acts nilpotently on g, and
-    [x0, u] = u.  So ``ok`` is true for every U ∈ u, and no U is drawn.
+    A DerivationPair comes from :func:`derivation_pair` or from
+    ``ParabolicData.derivation``, whose certificates are the premises of
+    the identity's proof (see derivation_pair): u is a subalgebra
+    normalized by x0, -ad(x0) splits u into layers with λ > 0, so U ∈ u
+    is ad-nilpotent, and [x0, u] = u.  So ``ok`` holds; no U is drawn.
     ``samples_run`` echoes the requested count, which keeps the report's
     fields and the CLI output as they were when the identity was sampled;
     dropping it, with the CLI's ``witness`` and ``--samples``, is a schema

@@ -30,7 +30,7 @@ from .linalg import (
     subspace_sum,
     zero_vector,
 )
-from .orbits import DerivationPair, derivation_pair
+from .orbits import DerivationPair
 
 
 def _subset_indices(cd: CartanData, f: Iterable) -> set[int]:
@@ -72,14 +72,25 @@ class ParabolicData:
 
     @cached_property
     def derivation(self) -> DerivationPair:
-        """The characteristic element x0 of the subset with the layers of
-        -ad x0 on u, certified once by
-        :func:`~sphlie.orbits.derivation_pair` and shared by the Levi
-        adjustment and the orbit identity."""
+        """The characteristic element x0 of the subset and the layers of
+        -ad x0 on u, shared by the Levi adjustment and the orbit identity
+        and read off the root table, which proves what
+        :func:`~sphlie.orbits.derivation_pair` checks for a given (x0, u).
+        u = ⊕ g_α over the positive α = Σ nᵢαᵢ, ints nᵢ >= 0
+        (``cd.simple_coordinates``), whose support leaves F; x0 ∈ a has
+        αᵢ(x0) = -1 off F and 0 on F.  So -ad x0 = Σ_{i∉F} nᵢ > 0 on g_α:
+        the layers group the root spaces by this F-height, [x0, u] = u, and
+        [g_α, g_β] ⊆ g_{α+β} closes u, as α + β leaves F too."""
         cd = self.cartan
-        return derivation_pair(cd.algebra,
-                               characteristic_element(cd, self.subset),
-                               self.nilradical)
+        outside = set(range(len(cd.simple_roots))) - set(self.subset_indices)
+        layers: dict[int, list[Vector]] = {}
+        for root, coords in zip(cd.positive_roots, cd.simple_coordinates):
+            if height := sum(coords[i] for i in outside):
+                layers.setdefault(height, []).extend(cd.root_space(root).basis)
+        return DerivationPair(
+            cd.algebra, tuple(characteristic_element(cd, self.subset)),
+            self.nilradical, tuple((Fraction(lam), canonical_basis(
+                layers[lam], cd.algebra.dim)) for lam in sorted(layers)))
 
 
 def standard_parabolic(cd: CartanData, f: Iterable) -> ParabolicData:
@@ -105,8 +116,8 @@ class LeviStructure:
 
     l = z_np + z_cp + l_c + l_n where z_np/z_cp are the noncompact/compact
     parts of the center of l, l_c is the sum of its compact simple ideals
-    and l_n the sum of its noncompact ones.  All six subspaces are in the
-    ambient coordinates of g.
+    and l_n the sum of its noncompact ones; ``split_in_ideals`` is a ∩ l_n
+    and ``compact_part`` z_cp + l_c, all in the ambient coordinates of g.
     """
 
     levi: Subspace
@@ -115,11 +126,16 @@ class LeviStructure:
     z_cp: Subspace
     compact_ideals: Subspace
     noncompact_ideals: Subspace
+    split_in_ideals: Subspace
 
-    @property
+    @cached_property
     def reductive_complement(self) -> Subspace:
         """z(l) + l_c: the part of l that meets h in the compact directions."""
         return subspace_sum(self.center, self.compact_ideals)
+
+    @cached_property
+    def compact_part(self) -> Subspace:
+        return subspace_sum(self.z_cp, self.compact_ideals)
 
 
 def levi_fine_structure(pd: ParabolicData) -> LeviStructure:
@@ -136,11 +152,13 @@ def levi_fine_structure(pd: ParabolicData) -> LeviStructure:
             "center of the Levi is not theta-stable; its compact/noncompact "
             "parts do not span it")
     # a = z_np + (a intersect l_n) must split a
-    if not is_direct_sum(cd.a, z_np, subspace_intersect(cd.a, ln)):
+    a_in_ln = subspace_intersect(cd.a, ln)
+    if not is_direct_sum(cd.a, z_np, a_in_ln):
         raise CertificationError(
             "a does not split as z(l)_np + (a intersect l_n)")
     return LeviStructure(levi=levi, center=center, z_np=z_np, z_cp=z_cp,
-                         compact_ideals=lc, noncompact_ideals=ln)
+                         compact_ideals=lc, noncompact_ideals=ln,
+                         split_in_ideals=a_in_ln)
 
 
 def characteristic_element(cd: CartanData, f: Iterable) -> Vector:

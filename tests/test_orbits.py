@@ -10,6 +10,7 @@ import io
 import json
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -47,6 +48,7 @@ from sphlie.orbits import (
 from sphlie.parabolic import characteristic_element, standard_parabolic
 from sphlie.problem import build_pair, find_open_pair, problem_to_json
 from sphlie.spherical import adapted_parabolic
+from test_enumeration import ladder_problems
 from test_exact_scalars import remixed
 from test_exp_series import dense_exp_ad
 
@@ -193,6 +195,49 @@ def test_derivation_pair_sums_the_positive_layers_in_one_elimination(
     again = derivation_pair(dp.algebra, dp.x0, dp.u)
     assert again.u == dp.u and again.layers == dp.layers
     assert len(calls) <= 1
+
+
+def graded_problems():
+    """{label: (problem, largest |F| checked)}: every catalog entry and
+    ladder pair, on its own basis and remixed by seeds 0 and 3.  On the
+    remixed sl(5)/so(5) and sl(2)^6, where one derivation_pair takes up to
+    2 s, only F = () is checked: u_F = n, with every layer."""
+    problems = [*(e.problem for e in sorted(catalog_entries(),
+                                            key=lambda e: e.name)),
+                *ladder_problems()]
+    big = {"sl5_so5", "sl2x6_so2x6_hinted"}
+    return {f"{p.name}-{seed}": (p if seed is None else remixed(p, seed),
+                                 0 if seed is not None and p.name in big
+                                 else None)
+            for p in problems for seed in (None, 0, 3)}
+
+
+GRADED_PROBLEMS = graded_problems()
+
+
+@pytest.mark.parametrize("label", GRADED_PROBLEMS)
+def test_the_root_table_grading_is_the_certified_one(label):
+    """For every subset F checked (:func:`graded_problems`) with u_F ≠ 0,
+    ParabolicData.derivation, read off the root table, equals
+    derivation_pair of the characteristic element and u_F: the same x0 and u, and for each layer the same λ, a Fraction,
+    and the same canonical basis."""
+    problem, largest = GRADED_PROBLEMS[label]
+    cd = build_pair(problem).cartan
+    r = len(cd.simple_roots)
+    checked = 0
+    for k in range(r + 1 if largest is None else largest + 1):
+        for f in combinations(range(r), k):
+            pd = standard_parabolic(cd, f)
+            if pd.nilradical.dim == 0:
+                continue
+            read = pd.derivation
+            ref = derivation_pair(cd.algebra, characteristic_element(cd, f),
+                                  pd.nilradical)
+            assert (read.x0, read.u) == (ref.x0, ref.u), f
+            assert read.layers == ref.layers, f
+            assert all(type(lam) is F for lam, _ in read.layers), f
+            checked += 1
+    assert checked or cd.n.dim == 0
 
 
 def test_derivation_pair_rejects_non_subalgebra():

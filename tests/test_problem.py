@@ -494,14 +494,14 @@ def test_one_analyze_solves_each_center_once_and_normalizes_once(
     assert len(normalized) == 1
 
 
-def test_one_analyze_certifies_closure_twice(monkeypatch, tmp_path, capsys):
+def test_one_analyze_certifies_closure_once(monkeypatch, tmp_path, capsys):
     code, _, _, checked = analyze_counting(
         monkeypatch, tmp_path,
         Problem("sl4_so4", 4, tuple(sl_basis(4)), tuple(so_basis(4))))
     assert code == 0
-    # spherical_pair certifies h and derivation_pair the nilradical u; the
-    # normalizer reuses h's certificate and N(h) = h needs none of its own
-    assert [s.dim for s in checked] == [6, 6]
+    # spherical_pair certifies h; the root table closes the nilradical u,
+    # the normalizer reuses h's certificate and N(h) = h needs none
+    assert [s.dim for s in checked] == [6]
 
 
 def analyze_ok(tmp_path, problem):
@@ -526,6 +526,62 @@ def test_one_analyze_builds_one_standard_parabolic(
                         lambda cd, f: built.append(f) or real(cd, f))
     assert analyze_ok(tmp_path, problem)
     assert built == [()]
+
+
+def recording(monkeypatch, name, module):
+    """Record the arguments of every call to ``module.name`` from any
+    sphlie module that binds it."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "sphlie" and getattr(
+                mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("problem", [sl_so(4), hinted_sl2_so2(6)],
+                         ids=lambda p: p.name)
+def test_one_analyze_meets_n_with_h_and_tests_the_complement_once(
+        monkeypatch, tmp_path, capsys, problem):
+    """n ∩ h and the test n = u ⊕ (n ∩ h) run once, in the enumeration:
+    the structure report reads the check from it, and N(h) = h makes the
+    normalizer's test the same one."""
+    import sphlie.linalg as linalg
+    import sphlie.spherical as spherical
+
+    pairs = []
+    real = spherical.candidate_subsets
+    monkeypatch.setattr(spherical, "candidate_subsets",
+                        lambda pair: pairs.append(pair) or real(pair))
+    meets = recording(monkeypatch, "subspace_intersect", linalg)
+    tests = recording(monkeypatch, "is_direct_sum", linalg)
+    assert analyze_ok(tmp_path, problem)
+    (pair,) = pairs
+    n, h = pair.cartan.n, pair.h
+    assert sum({a, b} == {n, h} for a, b in meets) == 1
+    assert [args[2:] for args in tests if args[0] == n] == [
+        (subspace_intersect(n, h),)]
+
+
+@pytest.mark.parametrize("problem", [sl_so(4), hinted_sl2_so2(6)],
+                         ids=lambda p: p.name)
+def test_a_diagonal_torus_analyze_solves_no_eigenspace(
+        monkeypatch, tmp_path, capsys, problem):
+    """The adapted parabolic's grading is read off the root table, and the
+    roots off the diagonal weights, so neither derivation_pair nor
+    eigen_split runs."""
+    import sphlie.orbits as orbits
+    import sphlie.spectral as spectral
+
+    validated = recording(monkeypatch, "derivation_pair", orbits)
+    split = recording(monkeypatch, "eigen_split", spectral)
+    assert analyze_ok(tmp_path, problem)
+    assert validated == split == []
 
 
 def test_one_analyze_builds_no_gram_form_on_sl4_so4(
