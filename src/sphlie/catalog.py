@@ -301,8 +301,9 @@ def run_entry(entry: CatalogEntry, seed: int = 0,
     The run's own ExpectedResults is built once and compared field by field,
     each mismatch as "<field>: expected X, got Y".  Without an open pair
     only spherical_at_base, needs_conjugation, spherical and normalizer_dim
-    (N(h) of the base pair) are observed; the structure checks and the
-    normalizer flags add their own messages.  The orbit identity is
+    (N(h) of the base pair) are observed; the normalizer flags add their
+    own message, and the structure checks are proved
+    (:class:`~sphlie.spherical.StructureReport`).  The orbit identity is
     reported from the adapted parabolic's certified derivation pair
     (:func:`~sphlie.orbits.orbit_identity_check`), which cannot fail, so
     it adds none."""
@@ -329,11 +330,8 @@ def run_entry(entry: CatalogEntry, seed: int = 0,
     failures = [f"{f.name}: expected {getattr(exp, f.name)}, got "
                 f"{getattr(got, f.name)}" for f in fields(ExpectedResults)
                 if getattr(got, f.name) != getattr(exp, f.name)]
-    if report is not None:
-        bad = [k for k, v in report.checks.items() if not v]
-        held = {f"structure checks failed: {bad}": not bad,
-                "normalizer flags: not all certified": norm.all_ok}
-        failures += [message for message, holds in held.items() if not holds]
+    if norm is not None and not norm.all_ok:
+        failures.append("normalizer flags: not all certified")
     return EntryResult(entry=entry, base_spherical=ok, defect=defect,
                        search=search, final_pair=final, report=report,
                        normalizer=norm, orbit=orbit,

@@ -713,22 +713,6 @@ def residual_operator(s: Subspace) -> Matrix:
     return tuple(_exact_row(row) for row in rows)
 
 
-def project_along(s: Subspace, target: Subspace, along: Subspace) -> Subspace:
-    """Image of s under the projection onto ``target`` along ``along``.
-
-    Requires target + along to be direct and to contain s.
-    """
-    split = DirectSum([target, along])
-    parts = []
-    for v in s.basis:
-        comps = split.components(v)
-        if comps is None:
-            raise DimensionMismatch(
-                "subspace is not contained in the sum of the summands")
-        parts.append(comps[0])
-    return canonical_basis(parts, s.ambient_dim)
-
-
 def exp_nilpotent_matrix(a: Matrix) -> Matrix:
     """Exact exp of a nilpotent rational matrix (finite series).
 

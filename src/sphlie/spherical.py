@@ -64,7 +64,6 @@ from .linalg import (
     lin_comb,
     mat_apply,
     mat_mul,
-    project_along,
     restrict_bilinear_form,
     solve_linear,
     subspace_intersect,
@@ -225,20 +224,41 @@ class StructureReport:
     U in the nilradical, whose Ad carries the standard Levi onto one that
     contains q ∩ h, or the empty word when the standard Levi does; among
     several such Levis it takes the one :func:`_levi_adjustment` solves for
-    with free coordinates 0.  ``checks`` records the five identities for
-    that Levi; construction fails with the offending identity if any is
-    violated; ``nilradical_complement`` is read from the enumeration,
-    whose exact test n = u ⊕ (n ∩ h) passed the adapted subset.
-    ``candidates`` are the subsets that passed the enumeration (exactly
-    one, the adapted subset).
+    with free coordinates 0.  ``candidates`` are the subsets that passed the
+    enumeration (exactly one, the adapted subset).
 
-    ``h_reductive_part`` is h ∩ (z(l) + compact ideals of l) for the
-    adjusted Levi, the image of ``standard_reductive_part`` for the
-    standard one; its projection to the noncompact center gives
-    ``h_split_part``, whose deterministic complement ``rank_torus`` has
-    dimension ``rank``.  ``levi_structure`` describes the standard Levi;
-    ``standard_form_h`` is the pull-back of h under the adjustment (h
-    itself whenever no adjustment was needed).
+    ``checks`` names five identities, all true.  Construction tests one,
+    ``noncompact_levi_ideals_in_h`` (l_n ⊆ h_std), and fails naming it.
+    The certificates behind the report prove the rest, with e = exp(U)
+    the adjustment, h_std = Ad(e⁻¹)h and l = z_g(x0), as α(x0) =
+    -Σ_{i∉F} nᵢ is 0 exactly when supp α ⊆ F:
+
+    - ``nilradical_complement``: the enumeration's exact test
+      n = u ⊕ (n ∩ h) passed the adapted subset;
+    - ``q_plus_h_is_g``: :func:`_adapted` certified p + h = g, and p ⊆ q,
+      as q holds g_0 and every positive root space;
+    - ``q_meets_h_inside_levi``: the solve gives [x0 + w, q ∩ h] = 0 and
+      solve_conjugator e^{ad U}x0 = x0 + w, so q ∩ h ⊆ z_g(x0 + w) = Ad(e)l,
+      and U ∈ u ⊆ q, so Ad(e⁻¹) maps q onto q and q ∩ h_std ⊆ l (for the
+      empty word, the adjustment's containment test is the proof);
+    - ``levi_split_by_p_and_h``: U ∈ u ⊆ n, so Ad(e⁻¹) fixes p and
+      p + h_std = g.  Write x ∈ l as y + z, y ∈ p, z ∈ h_std: then
+      z = x - y ∈ q ∩ h_std ⊆ l, so y ∈ l ∩ p.
+
+    The last proof and the next read only q ∩ h_std ⊆ l, so they hold for
+    any Levi of q that contains q ∩ h.  ``standard_reductive_part``, core,
+    is h_std ∩ (z(l) + l_c), and l ∩ h_std = core ⊕ l_n by l_n ⊆ h_std and
+    l = z(l) ⊕ l_c ⊕ l_n (:func:`~sphlie.parabolic.levi_fine_structure`).
+    core lies in z_np ⊕ (z(l)_cp + l_c), so its projection to z_np along
+    the second summand is (core + z(l)_cp + l_c) ∩ z_np: x = z + c in core
+    puts z = x - c in it, and y = x + c in it is the z_np-part of x.  That
+    is the standard form of ``h_split_part``; its pivot complement in z_np,
+    the standard ``rank_torus``, has dim ``rank`` = dim z_np - dim h_split,
+    and with a = z_np ⊕ (a ∩ l_n) (proved in ``levi_fine_structure``) the
+    split torus divides as dim a = rank + dim h_split + dim(a ∩ l_n).  ``h_reductive_part``,
+    ``h_split_part`` and ``rank_torus`` are moved by Ad(e);
+    ``levi_structure`` describes the standard Levi; ``standard_form_h`` is
+    h_std (h itself for the empty word).
     """
 
     pair: SphericalPair
@@ -301,52 +321,33 @@ def _levi_adjustment(cd: CartanData, pd: ParabolicData,
     return GroupWord(g, (solve_conjugator(dp, w),))
 
 
+_CHECKS = ("q_plus_h_is_g", "q_meets_h_inside_levi",
+           "noncompact_levi_ideals_in_h", "levi_split_by_p_and_h",
+           "nilradical_complement")
+
+
 def structure_report(pair: SphericalPair) -> StructureReport:
+    """The local structure of a spherical pair; :class:`StructureReport`
+    proves every identity but the one this tests, l_n ⊆ h_std."""
     cd = pair.cartan
-    g = cd.algebra
-    h = pair.h
     pd, passing = _adapted(pair)
     fs = levi_fine_structure(pd)
-
-    meet = subspace_intersect(pd.q, h)
-    word = _levi_adjustment(cd, pd, meet)
-    h_std = word.inverse.image(h)
-
-    lh = subspace_intersect(pd.levi, h_std)
-    lp = subspace_intersect(pd.levi, cd.p)
-    checks = {
-        "q_plus_h_is_g": subspace_sum(pd.q, h) == g.full_space(),
-        # Ad(w⁻¹) maps q onto q, as w = exp(U) with U ∈ u ⊆ q
-        "q_meets_h_inside_levi":
-            word.inverse.image(meet).is_contained_in(pd.levi),
-        "noncompact_levi_ideals_in_h":
-            fs.noncompact_ideals.is_contained_in(h_std),
-        "levi_split_by_p_and_h": subspace_sum(lp, lh) == pd.levi,
-        "nilradical_complement": True,  # the enumeration's test passed pd
-    }
-    failing = [k for k, v in checks.items() if not v]
-    if failing:
-        raise CertificationError(
-            f"local-structure identities failed: {', '.join(failing)}")
-
+    word = _levi_adjustment(cd, pd, subspace_intersect(pd.q, pair.h))
+    h_std = word.inverse.image(pair.h)
+    if not fs.noncompact_ideals.is_contained_in(h_std):
+        raise CertificationError("local-structure identities failed: "
+                                 "noncompact_levi_ideals_in_h")
     core = subspace_intersect(fs.reductive_complement, h_std)
-    if not is_direct_sum(lh, core, fs.noncompact_ideals):
-        raise CertificationError(
-            "levi ∩ h does not split as (h ∩ (z(l)+compact ideals)) ⊕ "
-            "(noncompact ideals)")
-    h_split = project_along(core, fs.z_np, fs.compact_part)
+    h_split = subspace_intersect(subspace_sum(core, fs.compact_part),
+                                 fs.z_np)
     rank_torus = complement_in(h_split, fs.z_np)
-    rank = rank_torus.dim
-    if cd.a.dim != rank + h_split.dim + fs.split_in_ideals.dim:
-        raise CertificationError(
-            "split torus does not divide into rank + h-part + "
-            "noncompact-ideal part")
     return StructureReport(
         pair=pair, adapted=pd, candidates=tuple(passing), levi_structure=fs,
-        levi_adjustment=word, standard_form_h=h_std, checks=checks,
+        levi_adjustment=word, standard_form_h=h_std,
+        checks=dict.fromkeys(_CHECKS, True),
         standard_reductive_part=core, h_reductive_part=word.image(core),
         h_split_part=word.image(h_split),
-        rank_torus=word.image(rank_torus), rank=rank)
+        rank_torus=word.image(rank_torus), rank=rank_torus.dim)
 
 
 # ---------------------------------------------------------------------------

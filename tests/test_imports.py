@@ -1,12 +1,15 @@
-"""Two lints on the package's source.  The import lint: no module but
+"""Three lints on the package's source.  The import lint: no module but
 ``__init__``, which re-exports, imports a name it never uses.  The dead-code
 lint: every private name a module defines is read somewhere in the
-package."""
+package.  The public-name lint: every public module-level function or class
+is read somewhere in the package, its tests, demos or benchmark."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sphlie"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sphlie"
+READERS = ("src", "tests", "demos", "perfbench")
 
 
 def unused_imports(tree: ast.AST) -> list[str]:
@@ -64,8 +67,15 @@ def dead_private_names(trees: dict[str, ast.AST]) -> list[str]:
                 defined += [f"{module}.{node.name}.{m.name}" for m in node.body
                             if isinstance(m, ast.FunctionDef)
                             and _private(m.name)]
+    read = names_read(trees.values())
+    return [name for name in defined if name.rsplit(".", 1)[1] not in read]
+
+
+def names_read(trees) -> set[str]:
+    """The names ``trees`` read: a loaded ``Name`` or ``Attribute``, or a
+    name an ``ImportFrom`` imports."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -74,7 +84,7 @@ def dead_private_names(trees: dict[str, ast.AST]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(a.name for a in node.names)
-    return [name for name in defined if name.rsplit(".", 1)[1] not in read]
+    return read
 
 
 def test_no_private_name_is_dead():
@@ -99,3 +109,35 @@ def test_the_dead_code_lint_sees_an_unread_private_name():
     }
     assert dead_private_names(trees) == [
         "a._SIXTHS", "a._Memo", "a._Memo._mark", "a.Report._unused"]
+
+
+def unused_public_names(defined: dict[str, ast.AST], readers) -> list[str]:
+    """The public module-level functions and classes of the modules
+    ``defined`` that no tree of ``readers`` reads (:func:`names_read`), as
+    "module.name", in source order."""
+    read = names_read(readers)
+    return [f"{module}.{node.name}" for module, tree in defined.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_no_public_name_is_unused():
+    defined = {path.stem: ast.parse(path.read_text("utf-8"))
+               for path in sorted(SRC.glob("*.py"))}
+    readers = [ast.parse(path.read_text("utf-8")) for folder in READERS
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert unused_public_names(defined, readers) == []
+
+
+def test_the_public_name_lint_sees_an_unread_name():
+    defined = {"linalg": ast.parse(
+        "def rref(rows):\n    return rows\n"
+        "def project_along(s, target, along):\n    return rref(s)\n"
+        "class DirectSum:\n    pass\nclass Unused:\n    pass\n"
+        "_PRIVATE = 1\nPUBLIC = 2\n")}
+    readers = [defined["linalg"], ast.parse(
+        "from .linalg import DirectSum\nimport linalg\n"
+        "print(linalg.rref)\n")]
+    assert unused_public_names(defined, readers) == [
+        "linalg.project_along", "linalg.Unused"]

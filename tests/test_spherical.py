@@ -192,6 +192,26 @@ def test_structure_report_compact_algebra_member():
     assert all(rep.checks.values())
 
 
+@pytest.mark.parametrize("name, eliminations", [
+    ("sl4_so4", 15), ("sl2x6_so2x6_hinted", 15), ("shifted_diagonal", 25)])
+def test_one_structure_report_eliminates_a_pinned_number_of_times(
+        monkeypatch, name, eliminations):
+    """StructureReport proves four of its identities and the split-torus
+    count, so one report eliminates only for the enumeration, the Levi
+    split, the adjustment (the shifted diagonal is Levi-adjusted), h_std,
+    core, h's split part and the rank torus."""
+    from sphlie.problem import build_pair
+    from test_enumeration import ladder_problems
+    from test_normalizer import shifted_diagonal_pair
+
+    pairs = {p.name: p for p in ladder_problems()}
+    pair = (shifted_diagonal_pair() if name == "shifted_diagonal"
+            else build_pair(pairs[name]))
+    calls = count_kernel_calls(monkeypatch, ("rref",))
+    structure_report(pair)
+    assert calls["rref"] == eliminations
+
+
 def test_rank_bounded_by_split_torus():
     from sphlie.linalg import subspace_intersect
 
