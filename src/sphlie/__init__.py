@@ -9,10 +9,11 @@ High-level flow: describe a reductive matrix Lie algebra g and a subalgebra
 h (directly or through a problem file), ask whether the pair has an open
 orbit at the base point (``is_spherical``), optionally search for a
 conjugation that opens it (``conjugate_search``), then certify the full
-local structure (``structure_report``), the normalizer decomposition
-(``normalizer_report``) and the nilpotent-orbit identity, which follows
-from the root table's grading (``orbit_identity_check``; ``derivation_pair``
-certifies a given one) and is inverted exactly by ``solve_conjugator``.
+local structure (``structure_report``) and the normalizer decomposition
+(``normalizer_report``).  The nilpotent-orbit identity is proved from the
+root table's grading of the adapted parabolic (``ParabolicData.derivation``;
+``derivation_pair`` certifies a given one) and inverted exactly by
+``solve_conjugator``.
 """
 
 from .errors import (
@@ -68,7 +69,6 @@ from .orbits import (
     DerivationPair,
     derivation_pair,
     exp_ad_apply,
-    orbit_identity_check,
     solve_conjugator,
 )
 from .problem import (

@@ -15,7 +15,6 @@ from typing import Optional
 from .builders import add, block_embed, gl_basis, sl_basis, so_basis
 from .linalg import as_matrix
 from .normalizer import NormalizerReport, normalizer_in, normalizer_report
-from .orbits import OrbitIdentityReport, orbit_identity_check
 from .problem import Problem, find_open_pair
 from .spherical import (
     ConjugationResult,
@@ -62,7 +61,6 @@ class EntryResult:
     final_pair: Optional[SphericalPair]
     report: Optional[StructureReport]
     normalizer: Optional[NormalizerReport]
-    orbit: Optional[OrbitIdentityReport]
     failures: tuple[str, ...]
 
     @property
@@ -293,8 +291,7 @@ def get_entry(name: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry named {name!r}; known entries: {known}")
 
 
-def run_entry(entry: CatalogEntry, seed: int = 0,
-              orbit_samples: int = 100) -> EntryResult:
+def run_entry(entry: CatalogEntry, seed: int = 0) -> EntryResult:
     """Replay the full pipeline on an entry and diff against its frozen
     expectations.
 
@@ -302,15 +299,13 @@ def run_entry(entry: CatalogEntry, seed: int = 0,
     each mismatch as "<field>: expected X, got Y".  Without an open pair
     only spherical_at_base, needs_conjugation, spherical and normalizer_dim
     (N(h) of the base pair) are observed; the normalizer flags add their
-    own message, and the structure checks are proved
-    (:class:`~sphlie.spherical.StructureReport`).  The orbit identity is
-    reported from the adapted parabolic's certified derivation pair
-    (:func:`~sphlie.orbits.orbit_identity_check`), which cannot fail, so
-    it adds none."""
+    own message.  The structure identities and the orbit identity are
+    proved (:class:`~sphlie.spherical.StructureReport`,
+    :func:`~sphlie.orbits.derivation_pair`), so they add none."""
     exp = entry.expected
     pair, ok, defect, search, final = find_open_pair(
         entry.problem, entry.search_budget, seed)
-    report = norm = orbit = None
+    report = norm = None
     if final is None:
         got = replace(exp, spherical_at_base=ok, needs_conjugation=False,
                       spherical=False,
@@ -318,8 +313,6 @@ def run_entry(entry: CatalogEntry, seed: int = 0,
     else:
         report = structure_report(final)
         norm = normalizer_report(report)
-        orbit = orbit_identity_check(report.adapted.derivation,
-                                     orbit_samples)
         got = ExpectedResults(
             spherical_at_base=ok, needs_conjugation=not ok, spherical=True,
             adapted_subset=report.adapted.subset_indices, rank=report.rank,
@@ -334,11 +327,10 @@ def run_entry(entry: CatalogEntry, seed: int = 0,
         failures.append("normalizer flags: not all certified")
     return EntryResult(entry=entry, base_spherical=ok, defect=defect,
                        search=search, final_pair=final, report=report,
-                       normalizer=norm, orbit=orbit,
-                       failures=tuple(failures))
+                       normalizer=norm, failures=tuple(failures))
 
 
-def run_all(seed: int = 0, orbit_samples: int = 100) -> list[EntryResult]:
+def run_all(seed: int = 0) -> list[EntryResult]:
     """Run every entry, ordered canonically by name."""
-    return [run_entry(e, seed=seed, orbit_samples=orbit_samples)
+    return [run_entry(e, seed=seed)
             for e in sorted(catalog_entries(), key=lambda e: e.name)]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CertificationError, NotClosed
-from .liealg import LieAlgebra, transporter
+from .errors import NotClosed
+from .liealg import LieAlgebra, _normalizer
 from .linalg import (
     Subspace,
     complement_in,
@@ -36,17 +36,6 @@ def normalizer_in(g: LieAlgebra, h: Subspace) -> Subspace:
     if not g.is_subalgebra(h):
         raise NotClosed("can only normalize a subalgebra")
     return _normalizer(g, h)
-
-
-def _normalizer(g: LieAlgebra, h: Subspace) -> Subspace:
-    """normalizer_in for an h already certified to be a subalgebra.  The
-    output is certified too, except when it is h itself."""
-    out = transporter(g, h, h)
-    if out != h and (not h.is_contained_in(out)
-                     or not g.is_subalgebra(out)):
-        raise CertificationError(
-            "normalizer certification failed (library bug)")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +70,9 @@ class NormalizerReport:
 
 
 def normalizer_report(sr: StructureReport) -> NormalizerReport:
-    """N(h) for the report's pair, its complement read off the report's
-    Levi split, and the flags of :class:`NormalizerReport`."""
+    """The report's N(h), its complement read off the report's Levi split,
+    which contains q ∩ N(h) (:class:`~sphlie.spherical.StructureReport`),
+    and the flags of :class:`NormalizerReport`."""
     pair = sr.pair
     cd = pair.cartan
     g = cd.algebra
@@ -90,10 +80,10 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
     word = sr.levi_adjustment
     h_std = sr.standard_form_h
 
-    # spherical_pair certified h.  Ad(w⁻¹) is an automorphism carrying h to
-    # h_std, so it carries N(h) to N(h_std); canonical bases are unique, so
-    # its image is N(h_std) itself, with no second transporter
-    ntilde = _normalizer(g, pair.h)
+    # Ad(w⁻¹) is an automorphism carrying h to h_std, so it carries N(h) to
+    # N(h_std); canonical bases are unique, so its image is N(h_std)
+    # itself, with no second transporter
+    ntilde = sr.normalizer
     n_std = word.inverse.image(ntilde)
 
     hd = sr.standard_reductive_part
@@ -132,7 +122,8 @@ def normalizer_report(sr: StructureReport) -> NormalizerReport:
         return g.brackets_within(a_std, m_std, g.zero_space())
 
     elementary_ok = _elementary()
-    # N(h) = h makes ntilde its own normalizer by the transporter above
+    # N(h) = h makes ntilde its own normalizer by structure_report's
+    # transporter
     self_normalizing_ok = (ntilde == pair.h
                            or _normalizer(g, ntilde) == ntilde)
     # N(h) = h makes this the enumeration's test, which passed u

@@ -269,9 +269,8 @@ def positivity_from_hint(g: LieAlgebra, theta: Optional[Matrix],
     these spaces span g, so ad x = 0 and x lies in z(g) ∩ s.
     """
     cd = cartan_data(g, theta)
-    noncompact = sorted(
-        _noncompact_ideals(cd, range(len(cd.simple_roots)), g.full_space()),
-        key=lambda sp: sp.pivots)
+    noncompact = sorted(_noncompact_ideals(cd, range(len(cd.simple_roots))),
+                        key=lambda sp: sp.pivots)
     if len(signs) != len(noncompact):
         raise ProblemFormatError(
             f"minimal_parabolic_hint: expected {len(noncompact)} signs "

@@ -46,6 +46,7 @@ from .liealg import (
     CartanData,
     LieAlgebra,
     Root,
+    _normalizer,
     largest_ideal_within,
 )
 from .linalg import (
@@ -220,16 +221,17 @@ class StructureReport:
 
     The defining identities hold for *some* Levi complement of the adapted
     parabolic; the complements are all conjugate under exponentials of the
-    nilradical, and ``levi_adjustment`` is the one-factor GroupWord exp(U),
-    U in the nilradical, whose Ad carries the standard Levi onto one that
-    contains q ∩ h, or the empty word when the standard Levi does; among
-    several such Levis it takes the one :func:`_levi_adjustment` solves for
-    with free coordinates 0.  ``candidates`` are the subsets that passed the
+    nilradical.  ``normalizer`` is N(h), and ``levi_adjustment`` is the
+    one-factor GroupWord exp(U), U in the nilradical, whose Ad carries the
+    standard Levi onto one that contains q ∩ N(h), or the empty word when
+    the standard Levi does (:func:`_levi_adjustment`).  That Levi contains
+    q ∩ h, and :func:`~sphlie.normalizer.normalizer_report` reads N(h)'s
+    complement against it.  ``candidates`` are the subsets that passed the
     enumeration (exactly one, the adapted subset).
 
-    ``checks`` names five identities, all true.  Construction tests one,
+    Construction tests one local-structure identity,
     ``noncompact_levi_ideals_in_h`` (l_n ⊆ h_std), and fails naming it.
-    The certificates behind the report prove the rest, with e = exp(U)
+    The certificates behind the report prove four more, with e = exp(U)
     the adjustment, h_std = Ad(e⁻¹)h and l = z_g(x0), as α(x0) =
     -Σ_{i∉F} nᵢ is 0 exactly when supp α ⊆ F:
 
@@ -237,10 +239,11 @@ class StructureReport:
       n = u ⊕ (n ∩ h) passed the adapted subset;
     - ``q_plus_h_is_g``: :func:`_adapted` certified p + h = g, and p ⊆ q,
       as q holds g_0 and every positive root space;
-    - ``q_meets_h_inside_levi``: the solve gives [x0 + w, q ∩ h] = 0 and
-      solve_conjugator e^{ad U}x0 = x0 + w, so q ∩ h ⊆ z_g(x0 + w) = Ad(e)l,
-      and U ∈ u ⊆ q, so Ad(e⁻¹) maps q onto q and q ∩ h_std ⊆ l (for the
-      empty word, the adjustment's containment test is the proof);
+    - ``q_meets_h_inside_levi``: the solve gives [x0 + w, q ∩ N(h)] = 0
+      and solve_conjugator e^{ad U}x0 = x0 + w, so q ∩ h ⊆ q ∩ N(h) ⊆
+      z_g(x0 + w) = Ad(e)l, and U ∈ u ⊆ q, so Ad(e⁻¹) maps q onto q and
+      q ∩ h_std ⊆ l (for the empty word, the adjustment's containment
+      test q ∩ N(h) ⊆ l is the proof);
     - ``levi_split_by_p_and_h``: U ∈ u ⊆ n, so Ad(e⁻¹) fixes p and
       p + h_std = g.  Write x ∈ l as y + z, y ∈ p, z ∈ h_std: then
       z = x - y ∈ q ∩ h_std ⊆ l, so y ∈ l ∩ p.
@@ -255,10 +258,10 @@ class StructureReport:
     is the standard form of ``h_split_part``; its pivot complement in z_np,
     the standard ``rank_torus``, has dim ``rank`` = dim z_np - dim h_split,
     and with a = z_np ⊕ (a ∩ l_n) (proved in ``levi_fine_structure``) the
-    split torus divides as dim a = rank + dim h_split + dim(a ∩ l_n).  ``h_reductive_part``,
-    ``h_split_part`` and ``rank_torus`` are moved by Ad(e);
-    ``levi_structure`` describes the standard Levi; ``standard_form_h`` is
-    h_std (h itself for the empty word).
+    split torus divides as dim a = rank + dim h_split + dim(a ∩ l_n).
+    ``h_reductive_part``, ``h_split_part`` and ``rank_torus`` are moved by
+    Ad(e); ``levi_structure`` describes the standard Levi;
+    ``standard_form_h`` is h_std (h itself for the empty word).
     """
 
     pair: SphericalPair
@@ -267,7 +270,7 @@ class StructureReport:
     levi_structure: LeviStructure
     levi_adjustment: GroupWord
     standard_form_h: Subspace
-    checks: dict[str, bool]
+    normalizer: Subspace
     standard_reductive_part: Subspace
     h_reductive_part: Subspace
     h_split_part: Subspace
@@ -290,13 +293,21 @@ class StructureReport:
 def _levi_adjustment(cd: CartanData, pd: ParabolicData,
                      meet: Subspace) -> GroupWord:
     """The one-factor word exp(U), U in the nilradical u, whose Ad carries
-    the standard Levi l onto a Levi complement of q containing
-    meet = q ∩ h; the empty word when l contains it.
+    the standard Levi l onto a Levi complement of q containing ``meet``;
+    the empty word when l contains it.  :func:`structure_report` passes
+    meet = q ∩ N(h).
+
+    When several Levis contain q ∩ h (z_u(q ∩ h) ≠ 0), normalizer_report
+    reads N(h)'s complement inside the Levi, which needs one that contains
+    q ∩ N(h) too, so the solve is for q ∩ N(h).  It loses no pair: N(h) ⊇ h is
+    spherical, ``same_adapted_ok`` certifies that q is adapted to it, and
+    the local structure theorem applied to N(h) gives a Levi of q
+    containing q ∩ N(h) ⊇ q ∩ h.
 
     l is the centralizer of the characteristic element x0, so Ad(exp U)
     maps it onto the centralizer of e^{ad U}x0, and x0 + u = e^{ad u}x0
-    (:func:`~sphlie.orbits.orbit_identity_check`).  So one linear system
-    in w's coordinates on u's basis solves [x0 + w, m] = 0 for every m in
+    (:func:`~sphlie.orbits.derivation_pair`).  So one linear system in
+    w's coordinates on u's basis solves [x0 + w, m] = 0 for every m in
     meet, with free coordinates 0 when several Levis contain it
     (z_u(meet) ≠ 0), and :func:`~sphlie.orbits.solve_conjugator` on
     ``pd.derivation`` gives U with e^{ad U}x0 = x0 + w.  An unsolvable
@@ -315,15 +326,10 @@ def _levi_adjustment(cd: CartanData, pd: ParabolicData,
     sol = solve_linear(rows, rhs)
     if sol is None:
         raise CertificationError(
-            "no Levi complement of the adapted parabolic contains q ∩ h; "
-            "the pair violates the structure theory hypotheses")
+            "no Levi complement of the adapted parabolic contains "
+            "q ∩ N(h); the pair violates the structure theory hypotheses")
     w = lin_comb(sol, dp.u.basis, g.dim)
     return GroupWord(g, (solve_conjugator(dp, w),))
-
-
-_CHECKS = ("q_plus_h_is_g", "q_meets_h_inside_levi",
-           "noncompact_levi_ideals_in_h", "levi_split_by_p_and_h",
-           "nilradical_complement")
 
 
 def structure_report(pair: SphericalPair) -> StructureReport:
@@ -332,7 +338,9 @@ def structure_report(pair: SphericalPair) -> StructureReport:
     cd = pair.cartan
     pd, passing = _adapted(pair)
     fs = levi_fine_structure(pd)
-    word = _levi_adjustment(cd, pd, subspace_intersect(pd.q, pair.h))
+    # spherical_pair certified h
+    normalizer = _normalizer(cd.algebra, pair.h)
+    word = _levi_adjustment(cd, pd, subspace_intersect(pd.q, normalizer))
     h_std = word.inverse.image(pair.h)
     if not fs.noncompact_ideals.is_contained_in(h_std):
         raise CertificationError("local-structure identities failed: "
@@ -343,8 +351,7 @@ def structure_report(pair: SphericalPair) -> StructureReport:
     rank_torus = complement_in(h_split, fs.z_np)
     return StructureReport(
         pair=pair, adapted=pd, candidates=tuple(passing), levi_structure=fs,
-        levi_adjustment=word, standard_form_h=h_std,
-        checks=dict.fromkeys(_CHECKS, True),
+        levi_adjustment=word, standard_form_h=h_std, normalizer=normalizer,
         standard_reductive_part=core, h_reductive_part=word.image(core),
         h_split_part=word.image(h_split),
         rank_torus=word.image(rank_torus), rank=rank_torus.dim)

@@ -23,6 +23,10 @@ proved.
 ``analyze`` of sl3_so3 and sl2x3_diag_mixed on the mixed basis
 ``remixed(…, 0)`` pins the spectral path: their weight stage splits through
 minimal polynomials and ``rational_roots``, which no other pin reaches.
+``analyze`` of sl(2) with h = span(F + H − E) = Ad(exp E)·span(F), and
+with h = Ad(exp 3E)·span(F), pins the Levi chosen to contain q ∩ N(h):
+there every Levi of q = b contains q ∩ h = 0, and only one contains
+q ∩ N(h).
 """
 
 import contextlib
@@ -150,6 +154,17 @@ REMIXED_ANALYZE_DIGESTS = {
         "823a398f85b831c531619a5baeb0df718309a60ae7d5b81283564a2c2399abff",
     "sl2x3_diag_mixed json":
         "cf605f37dedc6babf46d11ce5911f75d1e6ebd1430434be825c4bf12f11edfc4",
+}
+
+MOVED_SL2_ANALYZE_DIGESTS = {
+    "sl2_moved_by_e text":
+        "e28a838e890480895f0f2fb2f5a71db40f3a3fdada9e0ecb36ff92a6fb73a140",
+    "sl2_moved_by_e json":
+        "9503394c2fdee6146815ac57ce607a4bb1cc7dba002830b1a58a26bfd89206a3",
+    "sl2_moved_by_3e text":
+        "93a3574df4a809f90a8ac3917b03b787d9c0412c4d9f2cdd412345b8180cc3ac",
+    "sl2_moved_by_3e json":
+        "b19117589d0b03e83bda65da55644d51feb1201ef36a26b4409d2fd28b3f3bb0",
 }
 
 
@@ -325,3 +340,24 @@ def test_remixed_analyze_output_is_unchanged(name, fmt, tmp_path):
                   ).replace(str(path).encode(), path.name.encode())
     assert hashlib.sha256(run).hexdigest() == \
         REMIXED_ANALYZE_DIGESTS[f"{name} {fmt}"]
+
+
+def moved_sl2_problem(name: str) -> Problem:
+    """sl(2) with h = Ad(exp tE)·span(F) = span(F + tH - t²E), t = 1 or 3,
+    scaled to span(H - tE + F/t); the catalog's sl2_n opens to span(F)."""
+    t = {"sl2_moved_by_e": 1, "sl2_moved_by_3e": 3}[name]
+    h = ((Fraction(1), Fraction(-t)), (Fraction(1, t), Fraction(-1)))
+    return Problem(name=name, matrix_size=2, basis=tuple(sl_basis(2)),
+                   subalgebra_basis=(h,))
+
+
+@pytest.mark.parametrize("name", ["sl2_moved_by_e", "sl2_moved_by_3e"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_moved_sl2_analyze_output_is_unchanged(name, fmt, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_text(problem_to_json(moved_sl2_problem(name)),
+                    encoding="utf-8")
+    run = run_cli(["analyze", "--samples", SAMPLES, "--format", fmt,
+                   str(path)]).replace(str(path).encode(), path.name.encode())
+    assert hashlib.sha256(run).hexdigest() == \
+        MOVED_SL2_ANALYZE_DIGESTS[f"{name} {fmt}"]

@@ -26,13 +26,13 @@ DIGESTS = {
     "01_exact_subspaces.py":
         "88420bf8c4942e5209e01ef0eb8e24b1dfe79da53512ca43b1365874c7ca2ed3",
     "02_first_spherical_pair.py":
-        "37171d8cd47e08314cbb8238f93ba7911a87b244779bd004acbe205e97613df2",
+        "ef144e5997a7d5f47c1d2731a02d0d67a0388dd791a145f4855b27d55120fef9",
     "03_conjugation_rescues_closed_orbits.py":
         "ff18dc5d8fda1530e74fe7ca238eaa75a1aeb9435f0a8b8fa6932933e902640f",
     "04_adapted_parabolic_lattice.py":
         "8287ad6c35617170d57d4eeae9e4f6e1889135795eb5e9e4f3bd6dda1a63d3ac",
     "05_orbit_identity_and_conjugators.py":
-        "7165e89e02a99da54b8287fbcd587f4f81fba8af65ef27ea63e06210844cff85",
+        "319c768476400e2dd929bb39d6e8a4cbf6da1a80552a8244ac70c0977d8ffd5d",
     "06_normalizers_and_transitivity.py":
         "f7a7de113538ff3f2cb8ff8bb626868346d096a11c9e444823818fa0b4d8c41c",
 }

@@ -141,7 +141,7 @@ NAMES = sorted(entry.name for entry in catalog_entries())
 
 @pytest.mark.parametrize("name", NAMES)
 def test_catalog_analyses_hold_no_float(name):
-    assert_no_float(run_entry(get_entry(name), orbit_samples=3))
+    assert_no_float(run_entry(get_entry(name)))
 
 
 def mixed(mats, seed, entries=(-1, 0, 1)):
@@ -180,7 +180,7 @@ def test_mixed_basis_run_certifies_every_basis_free_field(name):
     entry = get_entry(name)
     for seed in range(6):
         moved = replace(entry, problem=remixed(entry.problem, seed))
-        result = run_entry(moved, orbit_samples=3)
+        result = run_entry(moved)
         assert {f.split(":")[0] for f in result.failures} <= \
             BASIS_BOUND_FIELDS, (seed, result.failures)
 
@@ -190,7 +190,7 @@ def test_mixed_basis_run_certifies_every_basis_free_field(name):
 def test_mixed_basis_analyses_hold_no_float(name, seed):
     entry = get_entry(name)
     assert_no_float(run_entry(
-        replace(entry, problem=remixed(entry.problem, seed)), orbit_samples=3))
+        replace(entry, problem=remixed(entry.problem, seed))))
 
 
 def root_shape(problem):

@@ -879,18 +879,6 @@ def test_cartan_data_certifies_an_arbitrary_a_seed():
         cartan_data(g, a_seed=not_abelian)
 
 
-def test_a_noncompact_ideal_that_is_not_an_ideal_names_its_roots():
-    from sphlie.liealg import _noncompact_ideals
-
-    cd = cartan_data(sl(3))
-    # all of sl(3) is not the Levi of the first simple root alone, so the
-    # sl(2) of that root is not an ideal of it
-    with pytest.raises(CertificationError) as err:
-        _noncompact_ideals(cd, [0], cd.algebra.full_space())
-    assert str(err.value) == ("[l, l_n,C] ⊆ l_n,C fails for the simple "
-                              "roots [0]: dim l = 8, dim l_n,C = 3")
-
-
 # -- the closure certificate [a, b] ⊆ target ---------------------------------
 
 CLOSURE_ALGEBRAS = {"sl3": sl(3), "gl3": gl(3), "so4": so(4)}

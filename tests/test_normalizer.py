@@ -168,19 +168,22 @@ def test_report_levi_adjusted_pair():
 
 
 def test_a_levi_adjusted_report_solves_one_normalizer(monkeypatch):
-    """N(h_std) is N(h) moved by Ad(w⁻¹), not a second transporter."""
-    import sphlie.normalizer as normalizer
+    """structure_report solves N(h) once, for the Levi adjustment, and
+    N(h_std) is N(h) moved by Ad(w⁻¹), not a second transporter."""
+    import sphlie.liealg as liealg
 
-    sr = structure_report(shifted_diagonal_pair())
-    assert sr.levi_adjustment.factors
-    real_transporter = normalizer.transporter
+    pair = shifted_diagonal_pair()
+    real_transporter = liealg.transporter
     calls = []
     monkeypatch.setattr(
-        normalizer, "transporter",
-        lambda g, s, t, **kw: calls.append(s) or real_transporter(g, s, t,
-                                                                  **kw))
+        liealg, "transporter",
+        lambda g, s, t, *args, **kw: calls.append((s, t))
+        or real_transporter(g, s, t, *args, **kw))
+    sr = structure_report(pair)
+    assert sr.levi_adjustment.factors
     nr = normalizer_report(sr)
-    assert calls == [sr.pair.h] and nr.all_ok
+    # centralizers are transporters into 0; the normalizer is h into h
+    assert [s for s, t in calls if t.dim] == [pair.h] and nr.all_ok
     h_std = sr.standard_form_h
     assert (real_transporter(sr.pair.algebra, h_std, h_std)
             == sr.levi_adjustment.inverse.image(nr.normalizer))
@@ -215,7 +218,7 @@ def misreported(h_std, z_np, compact):
                    compact_ideals=compact)
     return normalizer_report(replace(
         sr, pair=spherical_pair(sr.pair.cartan, zero), standard_form_h=h_std,
-        levi_structure=levi))
+        normalizer=sr.pair.algebra.full_space(), levi_structure=levi))
 
 
 H, E_MINUS_F = canonical_basis([(1, 0, 0)], 3), canonical_basis([(0, 1, -1)], 3)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import oracles
 import sphlie.orbits as orbits
 from sphlie.builders import sl
-from sphlie.catalog import catalog_entries, get_entry, run_entry
+from sphlie.catalog import catalog_entries, get_entry
 from sphlie.cli import main
 from sphlie.errors import (
     DimensionMismatch,
@@ -42,7 +42,6 @@ from sphlie.linalg import (
 from sphlie.orbits import (
     derivation_pair,
     exp_ad_apply,
-    orbit_identity_check,
     solve_conjugator,
 )
 from sphlie.parabolic import characteristic_element, standard_parabolic
@@ -308,13 +307,25 @@ def test_derivation_pair_rejects_a_zero_layer(x0, u):
 
 
 def test_orbit_identity_sl2():
-    rep = orbit_identity_check(sl2_dp(), samples=100)
-    assert rep.ok and rep.samples_run == 100
+    # x0 = -H/2 and [E, x0] = E, so e^{ad tE}x0 = x0 + tE: the orbit of x0
+    # under u = span(E) is x0 + u, and tE is its own conjugator
+    dp = sl2_dp()
+    for t in POOL:
+        w = (0, t, 0)
+        assert exp_ad_apply(dp.algebra, w, dp.x0) == vec_add(dp.x0, w)
+        assert solve_conjugator(dp, w) == w
 
 
 def test_orbit_identity_heisenberg():
-    rep = orbit_identity_check(sl3_heisenberg_dp(), samples=100)
-    assert rep.ok and rep.samples_run == 100
+    # x0 = diag(-1, 0, 1): [E_ij, x0] = (x0_j - x0_i) E_ij, so U = a E12 +
+    # b E13 + c E23 has [U, x0] = a E12 + 2b E13 + c E23, and [U, [U, x0]]
+    # = ac[E12, E23] + ca[E23, E12] = 0: e^{ad U}x0 = x0 + [U, x0]
+    dp = sl3_heisenberg_dp()
+    for a, b, c in combinations(POOL, 3):
+        u_elt = (0, 0, a, b, c, 0, 0, 0)
+        w = (0, 0, a, 2 * b, c, 0, 0, 0)
+        assert exp_ad_apply(dp.algebra, u_elt, dp.x0) == vec_add(dp.x0, w)
+        assert solve_conjugator(dp, w) == u_elt
 
 
 def test_orbit_identity_from_characteristic_element():
@@ -332,16 +343,6 @@ def test_orbit_identity_from_characteristic_element():
         assert all(lam > 0 for lam, _ in dp.layers)
         assert dp.u == pd.nilradical
         assert bracket_image_dim(dp) == dp.u.dim
-        assert orbit_identity_check(dp, samples=20).ok
-
-
-def test_negative_sample_counts_raise_a_named_error():
-    with pytest.raises(DimensionMismatch, match="at least 0"):
-        orbit_identity_check(sl2_dp(), samples=-1)
-    pd = adapted_parabolic(build_pair(get_entry("sl3_so3").problem))
-    with pytest.raises(DimensionMismatch, match="at least 0"):
-        orbit_identity_check(pd.derivation, samples=-5)
-    assert orbit_identity_check(pd.derivation, samples=0).samples_run == 0
 
 
 # -- solve_conjugator --------------------------------------------------------
@@ -484,7 +485,7 @@ def test_the_orbit_identity_holds_on_samples_and_inverts(label, data):
     """For U drawn over the layers of u: e^{ad U}x0 - x0 lies in u = [x0, u]
     by the oracle (⊆), and solve_conjugator returns U itself (⊇).  U is the
     only solution, since ad x0 is injective on u (every λ > 0), so the
-    round trip checks both inclusions of orbit_identity_check's proof."""
+    round trip checks both inclusions of derivation_pair's proof."""
     dp = (FIXED[label]() if label in FIXED
           else {**adapted_pairs(), **minimal_pairs()}[label])
     g = dp.algebra
@@ -505,10 +506,14 @@ def no_series(*args):
 @pytest.mark.parametrize("entry", sorted(catalog_entries(),
                                          key=lambda e: e.name),
                          ids=lambda e: e.name)
-def test_the_orbit_report_runs_no_series(monkeypatch, entry):
+def test_the_orbit_report_runs_no_series(monkeypatch, tmp_path, capsys,
+                                         entry):
     """The orbit identity costs no e^{ad U} series: an entry that opens at
     the base point runs none at all, and one that needs a conjugation runs
-    the search's series only, as many with 100 orbit samples as with 0."""
+    the search's series only, as many in ``orbit-check`` with 100 samples
+    as with 0."""
+    path = tmp_path / f"{entry.name}.json"
+    path.write_text(problem_to_json(entry.problem), encoding="utf-8")
     calls = []
     real = orbits._exp_ad_series
 
@@ -522,10 +527,12 @@ def test_the_orbit_report_runs_no_series(monkeypatch, entry):
     counts = []
     for samples in (0, 100):
         calls.clear()
-        result = run_entry(entry, orbit_samples=samples)
-        assert result.passed, result.failures
-        assert result.orbit is None or (result.orbit.ok and
-                                        result.orbit.samples_run == samples)
+        code = main(["orbit-check", str(path), "--format", "json",
+                     "--samples", str(samples), "--conjugate-search",
+                     str(entry.search_budget)])
+        assert code == (0 if entry.expected.spherical else 1)
+        orbit = json.loads(capsys.readouterr().out)["orbit"]
+        assert orbit is None or orbit["samples_run"] == samples
         counts.append(len(calls))
     assert counts[0] == counts[1]
 

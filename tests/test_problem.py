@@ -448,13 +448,12 @@ def test_build_pair_full_sl3_smoke():
 def analyze_counting(monkeypatch, tmp_path, problem, *options):
     """Run ``sphlie analyze`` on a problem; return its exit code, the number
     of times each algebra's center was solved (its centralizer in itself),
-    the subalgebras normalizer_report normalized and the subspaces
+    the subalgebras whose normalizer was solved and the subspaces
     is_subalgebra checked."""
     import sys
     from collections import Counter
 
     import sphlie.liealg as liealg
-    import sphlie.normalizer as normalizer
     from sphlie.cli import main
 
     center_solves = Counter()   # id of the algebra -> solves of z(g)
@@ -466,12 +465,17 @@ def analyze_counting(monkeypatch, tmp_path, problem, *options):
         return real_centralizer_in(g, s, within)
 
     normalized = []
-    real_normalizer = normalizer._normalizer
+    real_normalizer = liealg._normalizer
     checked = []
     real_is_subalgebra = liealg.LieAlgebra.is_subalgebra
     monkeypatch.setattr(liealg, "centralizer_in", counting_centralizer_in)
-    monkeypatch.setattr(normalizer, "_normalizer",
-                        lambda g, h: normalized.append(h) or real_normalizer(g, h))
+    # every sphlie namespace that binds _normalizer is patched
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sphlie" and getattr(
+                module, "_normalizer", None) is real_normalizer:
+            monkeypatch.setattr(
+                module, "_normalizer",
+                lambda g, h: normalized.append(h) or real_normalizer(g, h))
     monkeypatch.setattr(
         liealg.LieAlgebra, "is_subalgebra",
         lambda g, s: checked.append(s) or real_is_subalgebra(g, s))
@@ -492,6 +496,17 @@ def test_one_analyze_solves_each_center_once_and_normalizes_once(
     assert not center_solves
     # N(h) = h for sl(4)/so(4), so the self-normalizing check reuses it
     assert len(normalized) == 1
+
+
+def test_one_analyze_builds_the_normalizer_once(monkeypatch, tmp_path,
+                                                capsys):
+    """structure_report solves N(h) for the Levi adjustment, and
+    normalizer_report reads it there; only the self-normalizing check
+    solves N(N(h)) as well, as N(h) ≠ h here (dims 3 and 2)."""
+    code, _, normalized, _ = analyze_counting(
+        monkeypatch, tmp_path, get_entry("sl2_plus_so2_borel").problem)
+    assert code == 0
+    assert [s.dim for s in normalized] == [2, 3]
 
 
 def test_one_analyze_certifies_closure_once(monkeypatch, tmp_path, capsys):

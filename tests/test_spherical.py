@@ -132,11 +132,6 @@ def test_structure_report_sl2_so2():
     assert rep.adapted_subset == ()
     assert rep.candidates == ((),)
     assert rep.candidates_passing == 1
-    assert all(rep.checks.values())
-    assert set(rep.checks) == {
-        "q_plus_h_is_g", "q_meets_h_inside_levi",
-        "noncompact_levi_ideals_in_h", "levi_split_by_p_and_h",
-        "nilradical_complement"}
     assert rep.h_reductive_part.dim == 0
     assert rep.h_split_part.dim == 0
     assert rep.rank_torus == canonical_basis([(1, 0, 0)], 3)
@@ -170,7 +165,6 @@ def test_structure_report_opposite_diagonal():
     assert rep.h_reductive_part == canonical_basis([(1, 0, 0, 1, 0, 0)], 6)
     assert rep.h_split_part == rep.h_reductive_part
     assert rep.rank == 1
-    assert all(rep.checks.values())
 
 
 def test_structure_report_sl3_so3():
@@ -178,7 +172,6 @@ def test_structure_report_sl3_so3():
     assert rep.adapted_subset == ()
     assert rep.h_reductive_part.dim == 0
     assert rep.rank == 2
-    assert all(rep.checks.values())
 
 
 def test_structure_report_compact_algebra_member():
@@ -189,7 +182,6 @@ def test_structure_report_compact_algebra_member():
     assert rep.adapted_subset == ()
     assert rep.rank == 0
     assert rep.levi_structure.compact_ideals == g.full_space()
-    assert all(rep.checks.values())
 
 
 @pytest.mark.parametrize("name, eliminations", [
@@ -199,7 +191,11 @@ def test_one_structure_report_eliminates_a_pinned_number_of_times(
     """StructureReport proves four of its identities and the split-torus
     count, so one report eliminates only for the enumeration, the Levi
     split, the adjustment (the shifted diagonal is Levi-adjusted), h_std,
-    core, h's split part and the rank torus."""
+    core, h's split part and the rank torus, which is ``eliminations``,
+    and twice more for N(h): the one transporter of an analysis, which the
+    report solves for the Levi adjustment and normalizer_report reads off
+    it, so 17, 17 and 27 in all."""
+    import sphlie.spherical as spherical
     from sphlie.problem import build_pair
     from test_enumeration import ladder_problems
     from test_normalizer import shifted_diagonal_pair
@@ -208,8 +204,18 @@ def test_one_structure_report_eliminates_a_pinned_number_of_times(
     pair = (shifted_diagonal_pair() if name == "shifted_diagonal"
             else build_pair(pairs[name]))
     calls = count_kernel_calls(monkeypatch, ("rref",))
+    real_normalizer, in_normalizer = spherical._normalizer, []
+
+    def normalizer(g, h):
+        before = calls["rref"]
+        out = real_normalizer(g, h)
+        in_normalizer.append(calls["rref"] - before)
+        return out
+
+    monkeypatch.setattr(spherical, "_normalizer", normalizer)
     structure_report(pair)
-    assert calls["rref"] == eliminations
+    assert in_normalizer == [2]
+    assert calls["rref"] == eliminations + 2
 
 
 def test_rank_bounded_by_split_torus():
@@ -365,11 +371,11 @@ def test_levi_adjustment_undoes_a_move_by_the_nilradical():
     # opposite minimal parabolic, where u has two layers, with h moved by
     # exp(U), U ∈ u.  Ad(exp U) fixes p and every u_F, so the moved pair
     # is still spherical with the same adapted subset, rank and normalizer
-    # dimension, and the adjusted Levi must contain q ∩ h.  When
+    # report, and the adjusted Levi must contain q ∩ h.  When
     # z_u(q ∩ h) = 0 the Levi containing q ∩ h is unique, so the
-    # adjustment must be exp(U) itself, give back h, and leave the whole
-    # normalizer report as it was.  (Otherwise the standard Levi is kept,
-    # and the normalizer's complement, read against it, may differ.)
+    # adjustment must be exp(U) itself and give back h.  (Otherwise the
+    # Levi is the one containing q ∩ N(h), which the normalizer's
+    # complement is read against.)
     import random
 
     from sphlie.liealg import centralizer_in
@@ -408,14 +414,13 @@ def test_levi_adjustment_undoes_a_move_by_the_nilradical():
             label = (pair.label, seed)
             assert is_spherical(moved)[0], label
             got = structure_report(moved)
-            assert summary(got)[:3] == want[:3], label
+            assert summary(got) == want, label
             meet = subspace_intersect(got.adapted.q, moved.h)
             assert meet.is_contained_in(got.adjusted_levi), label
             if unique:
                 adjusted += 1
                 assert got.levi_adjustment.factors == (U,), label
                 assert got.standard_form_h == pair.h, label
-                assert summary(got) == want, label
     assert adjusted == 12
 
 
